@@ -18,6 +18,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -292,13 +293,16 @@ def estimate_rho(
     )
 
 
-def _estimate_points(curves, scheme):
+def _estimate_grid(
+    op: Callable[[float, float], float], t_grid: Sequence[float], scheme: LimitScheme
+) -> list[tuple[float, EstimationResult]]:
+    """Limit in x of op(t, x) at each t of the grid; a point whose curve fails
+    to evaluate is reported as unconverged, not raised."""
     out = []
-    for t, curve in curves:
+    for t in t_grid:
         try:
-            out.append((t, estimate_limit(curve, scheme)))
+            out.append((t, estimate_limit(partial(op, t), scheme)))
         except LimitEvaluationError as err:
-            # per-point failures become flags, not errors
             out.append((t, EstimationResult(math.nan, False, math.inf, err.step)))
     return out
 
@@ -311,8 +315,7 @@ def estimate_kernel(
     scheme: LimitScheme = LimitScheme(),
 ) -> list[tuple[float, EstimationResult]]:
     """Limit of the normalised-difference operator at each t in the grid."""
-    curves = [(t, (lambda tt: lambda x: general_op(f, phi, h, tt, x))(t)) for t in t_grid]
-    return _estimate_points(curves, scheme)
+    return _estimate_grid(lambda t, x: general_op(f, phi, h, t, x), t_grid, scheme)
 
 
 def estimate_beurling(
@@ -322,8 +325,7 @@ def estimate_beurling(
     scheme: LimitScheme = LimitScheme(),
 ) -> list[tuple[float, EstimationResult]]:
     """Limit of the flow-ratio operator at each t in the grid."""
-    curves = [(t, (lambda tt: lambda x: beurling_op(f, phi, tt, x))(t)) for t in t_grid]
-    return _estimate_points(curves, scheme)
+    return _estimate_grid(lambda t, x: beurling_op(f, phi, t, x), t_grid, scheme)
 
 
 def estimate_karamata(
@@ -338,16 +340,14 @@ def estimate_karamata(
         return math.log(_positive("f", f(math.exp(y))))
 
     one = lambda _y: 1.0
-
-    def make_curve(lam: float):
-        s = math.log(_positive("lambda", lam))
-        return lambda x: general_op(flog, one, one, s, math.log(x))
-
-    results = []
-    for lam, res in _estimate_points([(l, make_curve(l)) for l in lambda_grid], scheme):
+    # every ratio is checked before any curve is evaluated
+    log_grid = [math.log(_positive("lambda", lam)) for lam in lambda_grid]
+    results = _estimate_grid(lambda s, x: general_op(flog, one, one, s, math.log(x)), log_grid, scheme)
+    out = []
+    for lam, (_, res) in zip(lambda_grid, results):
         value = math.exp(res.value) if math.isfinite(res.value) else math.nan
-        results.append((lam, EstimationResult(value, res.converged, res.last_delta, res.steps_used)))
-    return results
+        out.append((lam, EstimationResult(value, res.converged, res.last_delta, res.steps_used)))
+    return out
 
 
 def fit_kappa(

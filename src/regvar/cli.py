@@ -21,135 +21,35 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass
 
 from regvar.asymptotics import (
-    LimitEvaluationError,
-    LimitScheme,
-    SampledFunction,
-    TableRangeError,
-    beck_partition,
-    beck_riemann_sum,
-    estimate_beurling,
-    estimate_karamata,
-    estimate_kernel,
-    estimate_rho,
-    cocycle_residual_beurling,
-    cocycle_residual_general,
-    cocycle_residual_karamata,
-    fit_kappa,
-    goldie_sum,
-    two_point_index,
+    LimitEvaluationError, LimitScheme, SampledFunction, beck_partition, beck_riemann_sum, cocycle_residual_beurling,
+    cocycle_residual_general, cocycle_residual_karamata, estimate_beurling, estimate_karamata, estimate_kernel,
+    estimate_rho, fit_kappa, goldie_sum, two_point_index,
 )
 from regvar.haar import (
-    Interval,
-    beurling_convolution,
-    fourier_popa,
-    haar_integrate,
-    haar_interval_measure,
-    mellin_popa,
-    popa_convolution,
+    Interval, beurling_convolution, fourier_popa, haar_integrate, haar_interval_measure, mellin_popa, popa_convolution,
 )
-from regvar.kernels import (
-    GoldieAux,
-    KernelParams,
-    goldie_integral,
-    kernel_eval,
-    kernel_inverse,
-)
-from regvar.popa import (
-    INFINITY,
-    ZERO,
-    DomainError,
-    ParameterMismatchError,
-    PopaParam,
-    PopaPoint,
-    circle,
-    eta,
-    inverse,
-    norm,
-    power,
-)
+from regvar.kernels import GoldieAux, KernelParams, goldie_integral, kernel_eval, kernel_inverse
+from regvar.popa import INFINITY, ZERO, DomainError, PopaParam, PopaPoint, circle, eta, inverse, norm, power
 from regvar.quadrature import QuadratureSpec, QuadratureWarning
 from regvar.subadd import (
-    GridSpec,
-    additively_bounded_check,
-    heiberg_seneta_probe,
-    sandwich_bound_check,
-    subadditivity_check,
+    GridSpec, additively_bounded_check, heiberg_seneta_probe, sandwich_bound_check, subadditivity_check,
 )
 
-__all__ = ["main", "RunConfig", "CsvFormatError", "load_csv_function"]
-
-_DEFAULT_TOL = 1e-6
+__all__ = ["main", "CsvFormatError", "load_csv_function"]
 
 
 class CsvFormatError(ValueError):
     """A function table failed to parse; message carries the line number."""
 
 
-class UsageError(Exception):
-    """A flag required by the chosen operation is missing or malformed."""
-
-
-class StrictNonConvergence(RuntimeError):
-    """--strict was given and a required computation did not converge."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Collected numeric knobs shared by the estimation/transform commands."""
-
-    tol: float = _DEFAULT_TOL
-    x0: float = 10.0
-    ratio: float = 2.0
-    max_steps: int = 40
-    stability_window: int = 3
-    truncation: float = 30.0
-
-    def scheme(self) -> LimitScheme:
-        return LimitScheme(
-            x0=self.x0,
-            ratio=self.ratio,
-            max_steps=self.max_steps,
-            tol=self.tol,
-            stability_window=self.stability_window,
-        )
-
-    def quadrature(self) -> QuadratureSpec:
-        return QuadratureSpec(truncation=self.truncation)
-
-
-def _env_tol() -> float:
-    raw = os.environ.get("REGVAR_TOL")
-    if raw is None:
-        return _DEFAULT_TOL
-    try:
-        tol = float(raw)
-    except ValueError as exc:
-        raise CsvFormatError(f"REGVAR_TOL={raw!r} is not a number") from exc
-    if not (tol > 0.0 and math.isfinite(tol)):
-        raise CsvFormatError(f"REGVAR_TOL={raw!r} must be a positive number")
-    return tol
-
-
 def _fmt(v: float) -> str:
     return format(float(v), ".15g")
 
 
-def _fmt_complex(z: complex) -> str:
-    return f"{_fmt(z.real)},{_fmt(z.imag)}"
-
-
 def _fmt_bool(b: bool) -> str:
     return "true" if b else "false"
-
-
-def _require(args: argparse.Namespace, attr: str, flag: str) -> str:
-    v = getattr(args, attr, None)
-    if v is None:
-        raise UsageError(f"{flag} is required for this operation")
-    return v
 
 
 def _float(label: str, text: str) -> float:
@@ -159,11 +59,29 @@ def _float(label: str, text: str) -> float:
         raise DomainError(f"{label} must be a number, got {text!r}") from exc
 
 
+def _int(label: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise DomainError(f"{label} must be an integer, got {text!r}") from None
+
+
 def _float_list(label: str, text: str) -> list[float]:
     items = [p for p in text.split(",") if p.strip() != ""]
     if not items:
         raise DomainError(f"{label} must be a comma-separated list of numbers")
     return [_float(label, p) for p in items]
+
+
+def _tol(label: str, text: str | None) -> float:
+    """The flag if given, else ``REGVAR_TOL`` (a positive number), else 1e-6."""
+    if text is not None:
+        return _float(label, text)
+    raw = os.environ.get("REGVAR_TOL", "1e-6")
+    tol = _float(f"REGVAR_TOL={raw!r}", raw)
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise DomainError(f"REGVAR_TOL={raw!r} must be a positive number")
+    return tol
 
 
 def load_csv_function(path: str) -> SampledFunction:
@@ -222,350 +140,221 @@ _REGISTRY = {
 }
 
 
-def _resolve_function(text: str, *, zero_extend: bool = False):
+def _resolve_function(text: str):
     """Registry name or CSV path -> callable."""
     if text in _REGISTRY:
         return _REGISTRY[text]
     if not os.path.exists(text):
-        raise CsvFormatError(
-            f"{text!r} is neither a registry function ({', '.join(sorted(_REGISTRY))}) nor a file"
-        )
-    table = load_csv_function(text)
-    if not zero_extend:
-        return table
-
-    def extended(u: float) -> float:
-        if u < table.x_min or u > table.x_max:
-            return 0.0
-        return table(u)
-
-    return extended
+        raise CsvFormatError(f"{text!r} is neither a registry function ({', '.join(sorted(_REGISTRY))}) nor a file")
+    return load_csv_function(text)
 
 
-def _param(text: str) -> PopaParam:
-    return PopaParam.parse(text)
+def _zero_extend(f):
+    """A table reads as 0 outside its range, so whole-line integrals may run past it."""
+    if not isinstance(f, SampledFunction):
+        return f
+    return lambda u: 0.0 if u < f.x_min or u > f.x_max else f(u)
 
 
-def _config(args: argparse.Namespace) -> RunConfig:
-    tol = _float("--tol", args.tol) if getattr(args, "tol", None) is not None else _env_tol()
-    return RunConfig(
-        tol=tol,
-        x0=_float("--x0", getattr(args, "x0", "10")),
-        ratio=_float("--ratio", getattr(args, "ratio", "2")),
-        max_steps=int(getattr(args, "max_steps", 40)),
-        stability_window=int(getattr(args, "stability_window", 3)),
-        truncation=_float("--truncation", getattr(args, "truncation", "30")),
-    )
-
-
-# ---------------------------------------------------------------- group ----
-
-
-def _cmd_group(args) -> int:
-    p = _param(args.rho)
-    op = args.group_op
-    arity = 2 if op in ("circle", "power") else 1
-    if len(args.operands) != arity:
-        raise UsageError(f"group {op} takes exactly {arity} operand(s)")
-    if op == "circle":
-        x = PopaPoint(p, _float("x", args.operands[0]))
-        y = PopaPoint(p, _float("y", args.operands[1]))
-        print(_fmt(circle(x, y).value))
-    elif op == "inverse":
-        print(_fmt(inverse(PopaPoint(p, _float("x", args.operands[0]))).value))
-    elif op == "norm":
-        print(_fmt(norm(PopaPoint(p, _float("x", args.operands[0])))))
-    elif op == "eta":
-        print(_fmt(eta(p, _float("t", args.operands[0]))))
-    else:  # power
-        delta = _float("delta", args.operands[0])
-        n_text = args.operands[1]
-        try:
-            n = int(n_text)
-        except ValueError:
-            raise DomainError(f"n must be an integer, got {n_text!r}") from None
-        print(_fmt(power(p, delta, n)))
-    return 0
-
-
-# ------------------------------------------------------------ transform ----
-
-
-def _transform_quadrature(args, fn, what: str) -> tuple:
-    strict = getattr(args, "strict", False)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", QuadratureWarning)
-        value = fn()
-    bad = [w for w in caught if issubclass(w.category, QuadratureWarning)]
-    for w in bad:
-        print(f"warning: {w.message}", file=sys.stderr)
-    if strict and bad:
-        raise StrictNonConvergence(f"{what} did not converge")
-    return value
-
-
-def _pullback_declared_input(table_fn, p: PopaParam):
-    """CSV samples the multiplicative pullback; rebuild the group-side f."""
+def _transform_input(f, p: PopaParam, pullback: bool):
+    """With ``--pullback`` the table samples the multiplicative pullback; rebuild the group-side f."""
+    f = _zero_extend(f)
+    if not pullback:
+        return f
     if not p.is_finite:
         raise DomainError("--pullback requires a finite positive --rho")
-    rho = p.rho
-    back = rho / (1.0 + rho)
-    return lambda u: back * table_fn(1.0 + rho * u)
+    back = p.rho / (1.0 + p.rho)
+    return lambda u: back * f(1.0 + p.rho * u)
 
 
-def _cmd_transform(args) -> int:
-    p = _param(args.rho)
-    cfg = _config(args)
-    spec = cfg.quadrature()
-    op = args.transform_op
-    if op == "measure":
-        iv = Interval(p, _float("--lo", _require(args, "lo", "--lo")), _float("--hi", _require(args, "hi", "--hi")))
-        print(_fmt(haar_interval_measure(iv)))
-        return 0
-    if op == "integrate":
-        f = _resolve_function(_require(args, "f", "--f"))
-        iv = Interval(p, _float("--lo", _require(args, "lo", "--lo")), _float("--hi", _require(args, "hi", "--hi")))
-        value = _transform_quadrature(args, lambda: haar_integrate(f, iv, spec), "haar integral")
-        print(_fmt(value))
-        return 0
-    if op == "fourier":
-        f = _resolve_function(_require(args, "f", "--f"), zero_extend=True)
-        if args.pullback:
-            f = _pullback_declared_input(f, p)
-        gamma = _float("--gamma", _require(args, "gamma", "--gamma"))
-        value = _transform_quadrature(
-            args, lambda: fourier_popa(f, p, gamma, spec), "fourier transform"
-        )
-        print(_fmt_complex(value))
-        return 0
-    if op == "mellin":
-        f = _resolve_function(_require(args, "f", "--f"), zero_extend=True)
-        if args.pullback:
-            f = _pullback_declared_input(f, p)
-        z = complex(_float("--z-re", args.z_re), _float("--z-im", args.z_im))
-        value = _transform_quadrature(args, lambda: mellin_popa(f, p, z, spec), "mellin transform")
-        print(_fmt_complex(value))
-        return 0
-    if op == "popa-conv":
-        f = _resolve_function(_require(args, "f", "--f"), zero_extend=True)
-        g = _resolve_function(_require(args, "g", "--g"), zero_extend=True)
-        x = PopaPoint(p, _float("--x", _require(args, "x", "--x")))
-        value = _transform_quadrature(
-            args, lambda: popa_convolution(f, g, x, spec), "convolution"
-        )
-        print(_fmt(value))
-        return 0
-    # beurling-conv
-    F = _resolve_function(_require(args, "f", "--f"), zero_extend=True)
-    H = _resolve_function(_require(args, "h", "--h"))
-    phi = _resolve_function(_require(args, "phi", "--phi"))
-    x = _float("--x", _require(args, "x", "--x"))
-    value = _transform_quadrature(
-        args, lambda: beurling_convolution(F, H, phi, x, spec), "convolution"
-    )
-    print(_fmt(value))
-    return 0
+def _subadd_function(s: str, rho: PopaParam, sigma: PopaParam, kappa: float, gamma: float):
+    if s == "kappa-kernel":
+        kp = KernelParams(rho, sigma, kappa)
+        return lambda t: kernel_eval(kp, t)
+    if s == "goldie-fstar":
+        aux = GoldieAux(rho, gamma)
+        return lambda u: goldie_integral(aux, u)
+    return _resolve_function(s)
 
 
-# --------------------------------------------------------------- kernel ----
+# ------------------------------------------------------------- handlers ----
+# A handler takes the converted values of the flags its op lists in _COMMANDS and
+# returns what the op prints (see _show).  Estimation handlers return a pair
+# (text, every estimate converged), so that ``--strict`` can exit 3.
 
 
-def _cmd_kernel(args) -> int:
-    op = args.kernel_op
-    if op == "goldie-g":
-        aux = GoldieAux(_param(args.rho), _float("--gamma", args.gamma))
-        print(_fmt(goldie_integral(aux, _float("--u", _require(args, "u", "--u")))))
-        return 0
-    kp = KernelParams(_param(args.rho), _param(args.sigma), _float("--kappa", args.kappa))
-    if op == "eval":
-        print(_fmt(kernel_eval(kp, _float("--t", _require(args, "t", "--t")))))
-    else:  # inverse
-        print(_fmt(kernel_inverse(kp, _float("--z", _require(args, "z", "--z")))))
-    return 0
+def _fourier(rho, f, pullback, gamma, truncation):
+    return fourier_popa(_transform_input(f, rho, pullback), rho, gamma, QuadratureSpec(truncation=truncation))
 
 
-# ------------------------------------------------------------- estimate ----
+def _mellin(rho, f, pullback, z_re, z_im, truncation):
+    spec = QuadratureSpec(truncation=truncation)
+    return mellin_popa(_transform_input(f, rho, pullback), rho, complex(z_re, z_im), spec)
 
 
-def _fit_params(args, mode: str) -> tuple[PopaParam, PopaParam]:
-    default = ("inf", "inf") if mode == "karamata" else ("0", "0")
-    rho = _param(args.fit_rho if args.fit_rho is not None else default[0])
-    sigma = _param(args.fit_sigma if args.fit_sigma is not None else default[1])
-    return rho, sigma
+def _popa_conv(rho, f, g, x, truncation):
+    spec = QuadratureSpec(truncation=truncation)
+    return popa_convolution(_zero_extend(f), _zero_extend(g), PopaPoint(rho, x), spec)
 
 
-def _cmd_estimate_kernel(args) -> int:
-    mode = args.mode
-    cfg = _config(args)
-    scheme = cfg.scheme()
-    f = _resolve_function(args.f)
-    t_grid = _float_list("--t", args.t)
+def _beurling_conv(f, h, phi, x, truncation):
+    return beurling_convolution(_zero_extend(f), h, phi, x, QuadratureSpec(truncation=truncation))
+
+
+def _estimate_kernel(mode, f, phi, h, t, fit_rho, fit_sigma, **scheme):
+    scheme = LimitScheme(**scheme)
     if mode == "karamata":
-        results = estimate_karamata(f, t_grid, scheme)
+        results = estimate_karamata(f, t, scheme)
     elif mode == "beurling":
-        phi = _resolve_function(args.phi)
-        results = estimate_beurling(f, phi, t_grid, scheme)
+        results = estimate_beurling(f, phi, t, scheme)
     else:
-        phi = _resolve_function(args.phi) if mode == "general" else _REGISTRY["one"]
-        h = _resolve_function(args.h)
-        results = estimate_kernel(f, phi, h, t_grid, scheme)
-
-    print("t,value,converged")
-    for t, res in results:
-        print(f"{_fmt(t)},{_fmt(res.value)},{_fmt_bool(res.converged)}")
-
-    fit_rho, fit_sigma = _fit_params(args, mode)
-    usable = [(t, r.value) for t, r in results if math.isfinite(r.value)]
+        results = estimate_kernel(f, phi if mode == "general" else _REGISTRY["one"], h, t, scheme)
+    rows = [f"{_fmt(point)},{_fmt(res.value)},{_fmt_bool(res.converged)}" for point, res in results]
+    fit_default = INFINITY if mode == "karamata" else ZERO
+    usable = [(point, r.value) for point, r in results if math.isfinite(r.value)]
     if usable:
-        kappa, rms = fit_kappa(usable, fit_rho, fit_sigma)
+        kappa, rms = fit_kappa(usable, fit_rho or fit_default, fit_sigma or fit_default)
         print(f"kappa={_fmt(kappa)} rms={_fmt(rms)}", file=sys.stderr)
     else:
         print("kappa=nan rms=nan", file=sys.stderr)
     if mode in ("beurling", "general"):
-        rr = estimate_rho(_resolve_function(args.phi), 1.0, scheme)
-        print(
-            f"rho_hat={_fmt(rr.value)} converged={_fmt_bool(rr.converged)}",
-            file=sys.stderr,
-        )
-    if args.strict and not all(r.converged for _, r in results):
-        raise StrictNonConvergence("one or more kernel points did not converge")
-    return 0
+        rr = estimate_rho(phi, 1.0, scheme)
+        print(f"rho_hat={_fmt(rr.value)} converged={_fmt_bool(rr.converged)}", file=sys.stderr)
+    return "\n".join(["t,value,converged", *rows]), all(r.converged for _, r in results)
 
 
-def _cmd_estimate_two_point(args) -> int:
-    tol = _float("--tol", args.tol) if args.tol is not None else _env_tol()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        rho, consistent = two_point_index(
-            _float("--l1", args.l1),
-            _float("--g1", args.g1),
-            _float("--l2", args.l2),
-            _float("--g2", args.g2),
-            tol=tol,
-        )
-    for w in caught:
-        print(f"warning: {w.message}", file=sys.stderr)
-    print(f"rho={_fmt(rho)} {'consistent' if consistent else 'inconsistent'}")
-    return 0
-
-
-def _cmd_estimate_eta_rho(args) -> int:
-    cfg = _config(args)
-    res = estimate_rho(_resolve_function(args.phi), _float("--t-probe", args.t_probe), cfg.scheme())
-    print(
+def _eta_rho(phi, t_probe, **scheme):
+    res = estimate_rho(phi, t_probe, LimitScheme(**scheme))
+    return (
         f"rho_hat={_fmt(res.value)} converged={_fmt_bool(res.converged)} "
-        f"last_delta={_fmt(res.last_delta)} steps={res.steps_used}"
+        f"last_delta={_fmt(res.last_delta)} steps={res.steps_used}",
+        res.converged,
     )
-    if args.strict and not res.converged:
-        raise StrictNonConvergence("parameter estimate did not converge")
-    return 0
 
 
-# ----------------------------------------------------------------- beck ----
+def _two_point(l1, g1, l2, g2, tol):
+    rho, consistent = two_point_index(l1, g1, l2, g2, tol=tol)
+    return f"rho={_fmt(rho)} {'consistent' if consistent else 'inconsistent'}"
 
 
-def _cmd_beck(args) -> int:
-    p = _param(args.rho)
-    op = args.beck_op
-    if op == "partition":
-        for point in beck_partition(p, _float("--delta", args.delta), _float("--u", _require(args, "u", "--u"))):
-            print(_fmt(point))
-        return 0
-    g = _resolve_function(args.g)
-    if op == "sum":
-        print(_fmt(beck_riemann_sum(g, p, _float("--delta", args.delta), _float("--u", _require(args, "u", "--u")))))
-        return 0
-    # goldie-sum
-    try:
-        i = int(_require(args, "i", "--i"))
-    except ValueError:
-        raise DomainError(f"--i must be an integer, got {args.i!r}") from None
-    print(_fmt(goldie_sum(_float("--k-delta", args.k_delta), g, p, _float("--delta", args.delta), i)))
-    return 0
-
-
-# --------------------------------------------------------------- subadd ----
-
-
-def _subadd_S(args):
-    name = args.s
-    if name == "kappa-kernel":
-        kp = KernelParams(_param(args.rho), _param(args.sigma), _float("--kappa", args.kappa))
-        return lambda t: kernel_eval(kp, t)
-    if name == "goldie-fstar":
-        aux = GoldieAux(_param(args.rho), _float("--gamma", args.gamma))
-        return lambda u: goldie_integral(aux, u)
-    return _resolve_function(name)
-
-
-def _cmd_subadd(args) -> int:
-    op = args.subadd_op
-    tol = _float("--tol", args.tol) if getattr(args, "tol", None) is not None else _env_tol()
-    if op == "check":
-        S = _subadd_S(args)
-        grid = GridSpec(
-            _float("--lo", args.lo), _float("--hi", args.hi), int(args.n), args.spacing
-        )
-        rep = subadditivity_check(S, _param(args.rho), _param(args.sigma), grid, tol)
-        print("holds,worst_violation,worst_x,worst_y,pairs_checked,pairs_skipped")
-        print(
-            f"{_fmt_bool(rep.holds)},{_fmt(rep.worst_violation)},{_fmt(rep.worst_pair[0])},"
-            f"{_fmt(rep.worst_pair[1])},{rep.pairs_checked},{rep.pairs_skipped}"
-        )
-        return 0
-    if op == "bounded":
-        S = _subadd_S(args)
-        kp = KernelParams(_param(args.rho), _param(args.sigma), _float("--kappa", args.kappa))
-        rep = additively_bounded_check(S, kp, _float_list("--points", args.points), tol)
-        print("holds,worst_violation,worst_t,points_checked")
-        print(
-            f"{_fmt_bool(rep.holds)},{_fmt(rep.worst_violation)},"
-            f"{_fmt(rep.worst_pair[0])},{rep.pairs_checked}"
-        )
-        return 0
-    if op == "hs-probe":
-        S = _subadd_S(args)
-        estimate, passes = heiberg_seneta_probe(S, tol=tol)
-        print(f"estimate={_fmt(estimate)} passes={_fmt_bool(passes)}")
-        return 0
-    # sandwich
-    S = _subadd_S(args)
-    ok = sandwich_bound_check(
-        S,
-        _param(args.rho),
-        _param(args.sigma),
-        _float("--a", args.a),
-        _float("--b", args.b),
-        _float("--delta", args.delta),
-        _float("--m", args.m),
-        probes=int(args.probes),
+def _subadd_check(s, rho, sigma, kappa, gamma, lo, hi, n, spacing, tol):
+    S = _subadd_function(s, rho, sigma, kappa, gamma)
+    rep = subadditivity_check(S, rho, sigma, GridSpec(lo, hi, n, spacing), tol)
+    return (
+        "holds,worst_violation,worst_x,worst_y,pairs_checked,pairs_skipped\n"
+        f"{_fmt_bool(rep.holds)},{_fmt(rep.worst_violation)},{_fmt(rep.worst_pair[0])},"
+        f"{_fmt(rep.worst_pair[1])},{rep.pairs_checked},{rep.pairs_skipped}"
     )
-    print(f"holds={_fmt_bool(ok)}")
-    return 0
 
 
-# -------------------------------------------------------------- cocycle ----
+def _subadd_bounded(s, rho, sigma, kappa, gamma, points, tol):
+    S = _subadd_function(s, rho, sigma, kappa, gamma)
+    rep = additively_bounded_check(S, KernelParams(rho, sigma, kappa), points, tol)
+    return (
+        "holds,worst_violation,worst_t,points_checked\n"
+        f"{_fmt_bool(rep.holds)},{_fmt(rep.worst_violation)},{_fmt(rep.worst_pair[0])},{rep.pairs_checked}"
+    )
 
 
-def _cmd_cocycle(args) -> int:
-    op = args.cocycle_op
-    f = _resolve_function(args.f)
-    s = _float("--s", args.s)
-    t = _float("--t", args.t)
-    x = _float("--x", args.x)
-    if op == "karamata":
-        print(_fmt(cocycle_residual_karamata(f, s, t, x)))
-        return 0
-    phi = _resolve_function(args.phi)
-    if op == "beurling":
-        print(_fmt(cocycle_residual_beurling(f, phi, s, t, x)))
-        return 0
-    h = _resolve_function(args.h)
-    print(_fmt(cocycle_residual_general(f, phi, h, s, t, x)))
-    return 0
+def _hs_probe(s, rho, sigma, kappa, gamma, tol):
+    estimate, passes = heiberg_seneta_probe(_subadd_function(s, rho, sigma, kappa, gamma), tol=tol)
+    return f"estimate={_fmt(estimate)} passes={_fmt_bool(passes)}"
 
 
-# ----------------------------------------------------------------- glue ----
+def _sandwich(s, rho, sigma, kappa, gamma, a, b, delta, m, probes):
+    S = _subadd_function(s, rho, sigma, kappa, gamma)
+    return f"holds={_fmt_bool(sandwich_bound_check(S, rho, sigma, a, b, delta, m, probes=probes))}"
+
+
+# ---------------------------------------------------------------- table ----
+# An op's flags read like its usage line: "--name" is a flag the op requires, "--name=text" one
+# that defaults to text, "--name=" one that may be absent, a bare name a positional operand.
+# "--name:kind" overrides the kind _KINDS gives the name (unlisted: "number"). _CONVERT turns a
+# value of each kind into the handler's argument; text, switches and choices pass through.
+
+_KINDS = {
+    **dict.fromkeys(("rho", "sigma", "fit-rho", "fit-sigma"), "param"),
+    **dict.fromkeys(("f", "g", "h", "phi"), "function"),
+    **dict.fromkeys(("n", "i", "probes", "max-steps", "stability-window"), "integer"),
+    **dict.fromkeys(("pullback", "strict"), "switch"),
+    "points": "numbers",
+    "tol": "tol",
+    "mode": ("karamata", "bkdh", "beurling", "general"),
+    "spacing": ("linear", "geometric"),
+}
+
+_CONVERT = {
+    "param": lambda label, text: PopaParam.parse(text),
+    "number": _float,
+    "integer": _int,
+    "numbers": _float_list,
+    "function": lambda label, text: _resolve_function(text),
+    "tol": _tol,
+}
+
+_SCHEME = "--tol= --x0=10 --ratio=2 --max-steps=40 --stability-window=3 --strict"
+_QUADRATURE = "--truncation=30 --strict"
+_SUBADD = "--s:text --rho=0 --sigma=0 --kappa=1 --gamma=1"
+
+_COMMANDS = {
+    "group": ("group arithmetic", {
+        "circle": ("--rho x y", lambda rho, x, y: circle(PopaPoint(rho, x), PopaPoint(rho, y)).value),
+        "inverse": ("--rho x", lambda rho, x: inverse(PopaPoint(rho, x)).value),
+        "norm": ("--rho x", lambda rho, x: norm(PopaPoint(rho, x))),
+        "eta": ("--rho t", lambda rho, t: eta(rho, t)),
+        "power": ("--rho delta n", lambda rho, delta, n: power(rho, delta, n)),
+    }),
+    "transform": ("invariant measure, transforms, convolutions", {
+        "measure": ("--rho=0 --lo --hi", lambda rho, lo, hi: haar_interval_measure(Interval(rho, lo, hi))),
+        "integrate": ("--rho=0 --f --lo --hi --strict",
+                      lambda rho, f, lo, hi: haar_integrate(f, Interval(rho, lo, hi))),
+        "fourier": (f"--rho=0 --f --pullback --gamma {_QUADRATURE}", _fourier),
+        "mellin": (f"--rho=0 --f --pullback --z-re=0 --z-im=0 {_QUADRATURE}", _mellin),
+        "popa-conv": (f"--rho=0 --f --g --x {_QUADRATURE}", _popa_conv),
+        "beurling-conv": (f"--f --h --phi --x {_QUADRATURE}", _beurling_conv),
+    }),
+    "kernel": ("canonical kernel family", {
+        "eval": ("--rho --sigma=0 --kappa=1 --t",
+                 lambda rho, sigma, kappa, t: kernel_eval(KernelParams(rho, sigma, kappa), t)),
+        "inverse": ("--rho --sigma=0 --kappa=1 --z",
+                    lambda rho, sigma, kappa, z: kernel_inverse(KernelParams(rho, sigma, kappa), z)),
+        "goldie-g": ("--rho --gamma=1 --u", lambda rho, gamma, u: goldie_integral(GoldieAux(rho, gamma), u)),
+    }),
+    "estimate": ("limit estimation and index fitting", {
+        "kernel": (f"--mode --f --phi=one --h=one --t:numbers --fit-rho= --fit-sigma= {_SCHEME}", _estimate_kernel),
+        "two-point": ("--l1 --g1 --l2 --g2 --tol=", _two_point),
+        "eta-rho": (f"--phi --t-probe=1 {_SCHEME}", _eta_rho),
+    }),
+    "beck": ("iterate partitions and discrete sums", {
+        "partition": ("--rho --delta --u", lambda rho, delta, u: "\n".join(map(_fmt, beck_partition(rho, delta, u)))),
+        "sum": ("--rho --delta --u --g=one", lambda rho, delta, u, g: beck_riemann_sum(g, rho, delta, u)),
+        "goldie-sum": ("--rho --delta --g=one --i --k-delta=1",
+                       lambda rho, delta, g, i, k_delta: goldie_sum(k_delta, g, rho, delta, i)),
+    }),
+    "subadd": ("subadditivity diagnostics", {
+        "check": (f"{_SUBADD} --lo=0.1 --hi=5 --n=20 --spacing=linear --tol=", _subadd_check),
+        "bounded": (f"{_SUBADD} --points=0.5,1,2 --tol=", _subadd_bounded),
+        "hs-probe": (f"{_SUBADD} --tol=", _hs_probe),
+        "sandwich": (f"{_SUBADD} --a=1 --b=4 --delta=0.5 --m=1 --probes=33", _sandwich),
+    }),
+    "cocycle": ("pre-limit cocycle identity residuals", {
+        "karamata": ("--f --s --t --x", lambda f, s, t, x: cocycle_residual_karamata(f, s, t, x)),
+        "beurling": ("--f --phi=one --s --t --x", lambda f, phi, s, t, x: cocycle_residual_beurling(f, phi, s, t, x)),
+        "general": ("--f --phi=one --h=one --s --t --x",
+                    lambda f, phi, h, s, t, x: cocycle_residual_general(f, phi, h, s, t, x)),
+    }),
+}
+
+
+def _flags(usage: str) -> list[tuple[str, str, object, str | None]]:
+    """(label, dest, kind, default) per token of a usage line; default None means required."""
+    flags = []
+    for token in usage.split():
+        token, eq, default = token.partition("=")
+        label, _, kind = token.partition(":")
+        name = label.lstrip("-")
+        flags.append((label, name.replace("-", "_"), kind or _KINDS.get(name, "number"), default if eq else None))
+    return flags
 
 
 class _Parser(argparse.ArgumentParser):
@@ -575,150 +364,86 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _add_scheme_flags(sp) -> None:
-    sp.add_argument("--tol", default=None, help="stability tolerance (default REGVAR_TOL or 1e-6)")
-    sp.add_argument("--x0", default="10", help="grid start (default 10)")
-    sp.add_argument("--ratio", default="2", help="grid ratio (default 2)")
-    sp.add_argument("--max-steps", type=int, default=40, dest="max_steps")
-    sp.add_argument("--stability-window", type=int, default=3, dest="stability_window")
-    sp.add_argument("--truncation", default="30", help="half-width of surrogate interval")
-    sp.add_argument("--strict", action="store_true", help="exit 3 on non-convergence")
-
-
-def build_parser() -> _Parser:
+def build_parser(command: str | None = None) -> _Parser:
+    """The regvar parser; given a command, only that command's operations get parsers (and flags)."""
     parser = _Parser(prog="regvar", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    g = sub.add_parser("group", help="group arithmetic")
-    g.add_argument("group_op", choices=["circle", "inverse", "norm", "eta", "power"])
-    g.add_argument("--rho", required=True)
-    g.add_argument("operands", nargs="+")
-    g.set_defaults(func=_cmd_group)
-
-    t = sub.add_parser("transform", help="invariant measure, transforms, convolutions")
-    t.add_argument("transform_op", choices=["measure", "integrate", "fourier", "mellin", "popa-conv", "beurling-conv"])
-    t.add_argument("--rho", default="0")
-    t.add_argument("--lo")
-    t.add_argument("--hi")
-    t.add_argument("--f")
-    t.add_argument("--g")
-    t.add_argument("--h")
-    t.add_argument("--phi")
-    t.add_argument("--x")
-    t.add_argument("--gamma")
-    t.add_argument("--z-re", dest="z_re", default="0")
-    t.add_argument("--z-im", dest="z_im", default="0")
-    t.add_argument("--pullback", action="store_true", help="the CSV samples the multiplicative pullback")
-    _add_scheme_flags(t)
-    t.set_defaults(func=_cmd_transform)
-
-    k = sub.add_parser("kernel", help="canonical kernel family")
-    k.add_argument("kernel_op", choices=["eval", "inverse", "goldie-g"])
-    k.add_argument("--rho", required=True)
-    k.add_argument("--sigma", default="0")
-    k.add_argument("--kappa", default="1")
-    k.add_argument("--gamma", default="1")
-    k.add_argument("--t")
-    k.add_argument("--z")
-    k.add_argument("--u")
-    k.set_defaults(func=_cmd_kernel)
-
-    e = sub.add_parser("estimate", help="limit estimation and index fitting")
-    esub = e.add_subparsers(dest="estimate_op", required=True)
-
-    ek = esub.add_parser("kernel", help="kernel limits along a geometric grid")
-    ek.add_argument("--mode", choices=["karamata", "bkdh", "beurling", "general"], required=True)
-    ek.add_argument("--f", required=True)
-    ek.add_argument("--phi", default="one")
-    ek.add_argument("--h", default="one")
-    ek.add_argument("--t", required=True, help="comma-separated probe arguments")
-    ek.add_argument("--fit-rho", dest="fit_rho", default=None)
-    ek.add_argument("--fit-sigma", dest="fit_sigma", default=None)
-    _add_scheme_flags(ek)
-    ek.set_defaults(func=_cmd_estimate_kernel)
-
-    e2 = esub.add_parser("two-point", help="index read-out from two probes")
-    e2.add_argument("--l1", required=True)
-    e2.add_argument("--g1", required=True)
-    e2.add_argument("--l2", required=True)
-    e2.add_argument("--g2", required=True)
-    e2.add_argument("--tol", default=None)
-    e2.set_defaults(func=_cmd_estimate_two_point)
-
-    er = esub.add_parser("eta-rho", help="group parameter of the auxiliary")
-    er.add_argument("--phi", required=True)
-    er.add_argument("--t-probe", dest="t_probe", default="1")
-    _add_scheme_flags(er)
-    er.set_defaults(func=_cmd_estimate_eta_rho)
-
-    b = sub.add_parser("beck", help="iterate partitions and discrete sums")
-    b.add_argument("beck_op", choices=["partition", "sum", "goldie-sum"])
-    b.add_argument("--rho", required=True)
-    b.add_argument("--delta", required=True)
-    b.add_argument("--u")
-    b.add_argument("--g", default="one")
-    b.add_argument("--i")
-    b.add_argument("--k-delta", dest="k_delta", default="1")
-    b.set_defaults(func=_cmd_beck)
-
-    s = sub.add_parser("subadd", help="subadditivity diagnostics")
-    s.add_argument("subadd_op", choices=["check", "bounded", "hs-probe", "sandwich"])
-    s.add_argument("--s", required=True, help="registry name, CSV path, kappa-kernel or goldie-fstar")
-    s.add_argument("--rho", default="0")
-    s.add_argument("--sigma", default="0")
-    s.add_argument("--kappa", default="1")
-    s.add_argument("--gamma", default="1")
-    s.add_argument("--lo", default="0.1")
-    s.add_argument("--hi", default="5")
-    s.add_argument("--n", type=int, default=20)
-    s.add_argument("--spacing", choices=["linear", "geometric"], default="linear")
-    s.add_argument("--points", default="0.5,1,2")
-    s.add_argument("--a", default="1")
-    s.add_argument("--b", default="4")
-    s.add_argument("--delta", default="0.5")
-    s.add_argument("--m", default="1")
-    s.add_argument("--probes", type=int, default=33)
-    s.add_argument("--tol", default=None)
-    s.set_defaults(func=_cmd_subadd)
-
-    c = sub.add_parser("cocycle", help="pre-limit cocycle identity residuals")
-    c.add_argument("cocycle_op", choices=["karamata", "beurling", "general"])
-    c.add_argument("--f", required=True)
-    c.add_argument("--phi", default="one")
-    c.add_argument("--h", default="one")
-    c.add_argument("--s", required=True)
-    c.add_argument("--t", required=True)
-    c.add_argument("--x", required=True)
-    c.set_defaults(func=_cmd_cocycle)
-
+    commands = parser.add_subparsers(dest="command", required=True)
+    for name, (summary, ops) in _COMMANDS.items():
+        op_parsers = commands.add_parser(name, help=summary).add_subparsers(dest="op", required=True)
+        for op, (usage, handler) in ops.items() if command in (None, name) else ():
+            sp = op_parsers.add_parser(op)
+            flags = _flags(usage)
+            for label, dest, kind, default in flags:
+                if not label.startswith("-"):
+                    sp.add_argument(dest)
+                elif kind == "switch":
+                    sp.add_argument(label, dest=dest, action="store_true")
+                else:
+                    choices = kind if isinstance(kind, tuple) else None
+                    sp.add_argument(label, dest=dest, default=default or None, choices=choices)
+            sp.set_defaults(handler=handler, flags=flags, parser=sp)
     return parser
 
 
+def _convert(args: argparse.Namespace) -> dict:
+    """Flag texts -> handler arguments."""
+    values = {}
+    for label, dest, kind, _ in args.flags:
+        value = getattr(args, dest)
+        if kind in _CONVERT and (value is not None or kind == "tol"):
+            value = _CONVERT[kind](label, value)
+        values[dest] = value
+    return values
+
+
+def _show(result) -> str:
+    """Printed form of a handler's result: complex as "re,im", numbers with 15 digits, text as is."""
+    if isinstance(result, complex):
+        return f"{_fmt(result.real)},{_fmt(result.imag)}"
+    return result if isinstance(result, str) else _fmt(result)
+
+
+def _run(args: argparse.Namespace) -> tuple[int, object]:
+    """Exit code and error message of one parsed command line; prints the result."""
+    try:
+        values = _convert(args)
+        strict = values.pop("strict", False)
+        result, converged = args.handler(**values), True
+        if isinstance(result, tuple):
+            result, converged = result
+        print(_show(result))
+        if strict and not converged:
+            return 3, "an estimate did not converge"
+    except QuadratureWarning as exc:  # raised as an error under --strict
+        return 3, exc
+    except ArithmeticError as exc:  # overflow in a closed form
+        return 2, f"{exc} ({type(exc).__name__})"
+    except (ValueError, LimitEvaluationError) as exc:
+        return 2, exc
+    return 0, None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(next((a for a in argv if not a.startswith("-")), None)).parse_args(argv)
+        # every missing flag is reported (exit 1) before any value is converted (exit 2)
+        missing = [label for label, dest, _, default in args.flags if default is None and getattr(args, dest) is None]
+        if missing:
+            verb = "is" if len(missing) == 1 else "are"
+            args.parser.error(f"{', '.join(missing)} {verb} required for this operation")
     except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else 0
-    try:
-        return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except StrictNonConvergence as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (
-        DomainError,
-        ParameterMismatchError,
-        TableRangeError,
-        CsvFormatError,
-        LimitEvaluationError,
-        ValueError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return exc.code if isinstance(exc.code, int) else 0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        if getattr(args, "strict", False):
+            warnings.simplefilter("error", QuadratureWarning)
+        code, error = _run(args)
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

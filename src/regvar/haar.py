@@ -19,11 +19,10 @@ from regvar.popa import (
     DomainError,
     PopaParam,
     PopaPoint,
-    iso_exp,
+    _log_eta_over_rho,
     iso_log,
 )
 from regvar.quadrature import (
-    QuadratureResult,
     QuadratureSpec,
     QuadratureWarning,
     adaptive_integral,
@@ -66,17 +65,20 @@ def haar_interval_measure(iv: Interval) -> float:
         return iv.hi - iv.lo
     if p.is_infinite:
         return math.log(iv.hi) - math.log(iv.lo)
-    scale = (1.0 + p.rho) / p.rho
-    return scale * (math.log1p(p.rho * iv.hi) - math.log1p(p.rho * iv.lo))
+    return (1.0 + p.rho) * (_log_eta_over_rho(p.rho, iv.hi) - _log_eta_over_rho(p.rho, iv.lo))
 
 
-def _report_quadrature(res: QuadratureResult, what: str) -> None:
+def _integrate(fn, lo: float, hi: float, spec: QuadratureSpec, what: str, breakpoints=()) -> complex | float:
+    """Value of :func:`adaptive_integral`; non-convergence is warned about at
+    the caller of the public function that integrates."""
+    res = adaptive_integral(fn, lo, hi, spec, breakpoints=breakpoints)
     if not res.converged:
         warnings.warn(
             f"{what} did not converge: best estimate {res.value!r}, error bound {res.error:.3e}",
             QuadratureWarning,
             stacklevel=3,
         )
+    return res.value
 
 
 def haar_integrate(
@@ -90,20 +92,8 @@ def haar_integrate(
     Lebesgue integral before any quadrature is attempted.
     """
     p = iv.param
-    if p.is_zero:
-        res = adaptive_integral(f, iv.lo, iv.hi, spec)
-    elif p.is_infinite:
-        res = adaptive_integral(lambda w: f(math.exp(w)), math.log(iv.lo), math.log(iv.hi), spec)
-    else:
-        scale = (1.0 + p.rho) / p.rho
-        res = adaptive_integral(
-            lambda w: scale * f(iso_exp(p, w)),
-            math.log1p(p.rho * iv.lo),
-            math.log1p(p.rho * iv.hi),
-            spec,
-        )
-    _report_quadrature(res, f"haar_integrate over ({iv.lo}, {iv.hi})")
-    return float(res.value.real if isinstance(res.value, complex) else res.value)
+    what = f"haar_integrate over ({iv.lo}, {iv.hi})"
+    return float(_integrate(_additive_profile(f, p), iso_log(p, iv.lo), iso_log(p, iv.hi), spec, what).real)
 
 
 def character_eval(param: PopaParam, gamma: float, u: float) -> complex:
@@ -167,11 +157,8 @@ def fourier_popa(
     def integrand(w: float) -> complex:
         return prof(w) * cmath.exp(-1j * gamma * w)
 
-    res = adaptive_integral(
-        integrand, -T, T, spec, breakpoints=_oscillation_breakpoints(gamma, T, 64)
-    )
-    _report_quadrature(res, f"fourier_popa(gamma={gamma})")
-    return complex(res.value)
+    breakpoints = _oscillation_breakpoints(gamma, T, 64)
+    return complex(_integrate(integrand, -T, T, spec, f"fourier_popa(gamma={gamma})", breakpoints))
 
 
 def mellin_popa(
@@ -190,11 +177,8 @@ def mellin_popa(
     def integrand(w: float) -> complex:
         return prof(w) * cmath.exp(-z * w)
 
-    res = adaptive_integral(
-        integrand, -T, T, spec, breakpoints=_oscillation_breakpoints(z.imag, T, 64)
-    )
-    _report_quadrature(res, f"mellin_popa(z={z})")
-    return complex(res.value)
+    breakpoints = _oscillation_breakpoints(z.imag, T, 64)
+    return complex(_integrate(integrand, -T, T, spec, f"mellin_popa(z={z})", breakpoints))
 
 
 def popa_convolution(
@@ -226,10 +210,7 @@ def popa_convolution(
             return f(inv_t) * g(xt)
 
         weight = (1.0 + rho) / rho
-    res = adaptive_integral(integrand, -T, T, spec)
-    _report_quadrature(res, f"popa_convolution at x={x.value}")
-    v = res.value.real if isinstance(res.value, complex) else res.value
-    return weight * float(v)
+    return weight * float(_integrate(integrand, -T, T, spec, f"popa_convolution at x={x.value}").real)
 
 
 def beurling_convolution(
@@ -255,7 +236,4 @@ def beurling_convolution(
             return 0.0
         return fv * H(x + t * px)
 
-    res = adaptive_integral(integrand, -T, T, spec)
-    _report_quadrature(res, f"beurling_convolution at x={x}")
-    v = res.value.real if isinstance(res.value, complex) else res.value
-    return float(v)
+    return float(_integrate(integrand, -T, T, spec, f"beurling_convolution at x={x}").real)

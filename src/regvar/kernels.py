@@ -146,8 +146,7 @@ def goldie_integral_quadrature(
     if lo == hi:
         return 0.0
     res = adaptive_integral(lambda w: aux.g(math.expm1(w) / r) / r, lo, hi, spec)
-    v = res.value.real if isinstance(res.value, complex) else res.value
-    return sign * float(v)
+    return sign * float(res.value.real)
 
 
 def goldie_ode_residual(aux: GoldieAux, c1: float, kappa_const: float, u: float) -> float:

@@ -184,6 +184,19 @@ def power(param: PopaParam, delta: float, n: int) -> float:
     return math.expm1(n * math.log1p(param.rho * delta)) / param.rho
 
 
+def _log_eta_over_rho(rho: float, t: float) -> float:
+    """log(1 + rho*t)/rho for finite rho > 0, which tends to t as rho*t -> 0.
+
+    Below ``|rho*t| < 2**-53`` the quotient is t to working precision, and t
+    is returned as is: dividing by rho would expose the rounding of rho*t,
+    which is coarse once rho*t is subnormal.
+    """
+    x = rho * t
+    if abs(x) < 2.0**-53:
+        return t
+    return math.log1p(x) / rho
+
+
 def norm(x: PopaPoint) -> float:
     """Group norm |log(1 + rho*t)|*(1+rho)/rho; |t| at rho = 0, |log t| at rho = inf."""
     param = x.param
@@ -191,7 +204,7 @@ def norm(x: PopaPoint) -> float:
         return abs(x.value)
     if param.is_infinite:
         return abs(math.log(x.value))
-    return abs(math.log1p(param.rho * x.value)) * (1.0 + param.rho) / param.rho
+    return abs(_log_eta_over_rho(param.rho, x.value)) * (1.0 + param.rho)
 
 
 def leq(x: PopaPoint, y: PopaPoint) -> bool:

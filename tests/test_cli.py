@@ -1,14 +1,17 @@
 from __future__ import annotations
 
 import math
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from regvar.cli import load_csv_function, main
+from regvar.cli import CsvFormatError, load_csv_function, main
 from regvar.asymptotics import TableRangeError
+from regvar.popa import DomainError
 
 
 def run_cli(capsys, *argv):
@@ -444,3 +447,95 @@ class TestDeterminism:
         assert code1 == code2 == 0
         assert out1 == out2
         assert err1 == err2
+
+
+def readme_examples():
+    """(argv, stdout, stderr) for every ``$ regvar ...`` example in README.md.
+
+    Output lines prefixed ``warning:`` or ``error:`` are expected on stderr,
+    all others on stdout.
+    """
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8").splitlines()
+    examples = []
+    for k, line in enumerate(lines):
+        if not line.startswith("$ regvar "):
+            continue
+        shown = []
+        for follow in lines[k + 1:]:
+            if follow.startswith("$ ") or follow.startswith("```"):
+                break
+            shown.append(follow + "\n")
+        err = "".join(s for s in shown if s.startswith(("warning:", "error:")))
+        out = "".join(s for s in shown if not s.startswith(("warning:", "error:")))
+        examples.append(pytest.param(shlex.split(line[len("$ regvar "):]), out, err, id=line[len("$ regvar "):]))
+    return examples
+
+
+class TestReadmeGolden:
+    @pytest.mark.parametrize("argv,out,err", readme_examples())
+    def test_readme_example_is_byte_identical(self, capsys, argv, out, err):
+        assert run_cli(capsys, *argv) == (0, out, err)
+
+    def test_readme_has_examples(self):
+        assert len(readme_examples()) >= 7
+
+
+class TestFlagTable:
+    @pytest.mark.parametrize("argv", [
+        ["transform", "measure", "--rho", "1", "--lo", "0", "--hi", "1", "--x0", "5"],
+        ["transform", "fourier", "--f", "gauss", "--gamma", "1", "--tol", "1e-3"],
+        ["transform", "integrate", "--f", "x", "--lo", "0", "--hi", "1", "--ratio", "3"],
+        ["transform", "mellin", "--rho", "1", "--f", "gauss", "--max-steps", "5"],
+        ["transform", "popa-conv", "--f", "gauss", "--g", "gauss", "--x", "0", "--stability-window", "4"],
+        ["estimate", "kernel", "--mode", "karamata", "--f", "square", "--t", "2", "--truncation", "10"],
+        ["estimate", "eta-rho", "--phi", "x", "--truncation", "10"],
+    ])
+    def test_dead_flag_exits_1(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "unrecognized arguments" in err
+
+    def test_every_missing_flag_is_reported_before_conversion(self, capsys):
+        code, out, err = run_cli(capsys, "transform", "popa-conv", "--rho", "nope")
+        assert code == 1
+        assert out == ""
+        assert err.endswith("regvar transform popa-conv: error: --f, --g, --x are required for this operation\n")
+
+    def test_vacuous_sandwich_warning_is_prefixed(self, capsys):
+        code, out, err = run_cli(capsys, "subadd", "sandwich", "--s", "square", "--rho", "0", "--sigma", "0",
+                                 "--a", "1", "--b", "4", "--delta", "0.5", "--m", "0.1")
+        assert code == 0
+        assert out == "holds=true\n"
+        assert err == "warning: premise S <= 0.1 fails on B_0.5(1.0); sandwich passes vacuously\n"
+
+    @pytest.mark.parametrize("raw", ["lots", "0", "-1", "inf", "nan"])
+    def test_bad_env_tol_is_a_domain_error(self, capsys, monkeypatch, raw):
+        from regvar.cli import _tol
+
+        monkeypatch.setenv("REGVAR_TOL", raw)
+        with pytest.raises(DomainError) as info:
+            _tol("--tol", None)
+        assert not isinstance(info.value, CsvFormatError)
+        code, out, err = run_cli(capsys, "subadd", "hs-probe", "--s", "entropy")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: REGVAR_TOL=")
+
+    @pytest.mark.parametrize("argv", [
+        ["group", "power", "--rho", "1", "--", "1", "2000"],
+        ["kernel", "eval", "--rho", "1", "--sigma", "inf", "--kappa", "1000", "--t", "10"],
+    ])
+    def test_arithmetic_overflow_exits_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+    def test_cocycle_flow_functions_default_to_one(self, capsys):
+        argv = ["cocycle", "general", "--f", "log", "--s", "0.5", "--t", "0.25", "--x", "50"]
+        assert run_cli(capsys, *argv) == run_cli(capsys, *argv, "--phi", "one", "--h", "one")
+
+    def test_subnormal_rho_measure_is_the_length(self, capsys):
+        code, out, err = run_cli(capsys, "transform", "measure", "--rho", "1e-320", "--lo", "0", "--hi", "1")
+        assert (code, out, err) == (0, "1\n", "")

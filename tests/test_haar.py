@@ -80,6 +80,11 @@ class TestIntervalMeasure:
         m = haar_interval_measure(Interval(p, 0.2, 1.7))
         assert m == pytest.approx(1.5, rel=1e-4)
 
+    @pytest.mark.parametrize("rho", [1e-320, 1e-310])
+    def test_subnormal_rho_is_length(self, rho):
+        m = haar_interval_measure(Interval(PopaParam(rho), 0.2, 1.7))
+        assert m == pytest.approx(haar_interval_measure(Interval(ZERO, 0.2, 1.7)), rel=1e-12)
+
     def test_large_rho_limit_is_log_ratio(self):
         p = PopaParam(1e6)
         m = haar_interval_measure(Interval(p, 0.2, 1.7))

@@ -219,6 +219,11 @@ class TestNorm:
         for t in (0.3, 1.0, 2.5, -0.7):
             assert norm(PopaPoint(p, t)) == pytest.approx(abs(t), rel=1e-4)
 
+    @pytest.mark.parametrize("rho", [1e-320, 1e-310])
+    @pytest.mark.parametrize("t", [0.7, -0.3, 2.5])
+    def test_subnormal_rho_matches_absolute_value(self, rho, t):
+        assert norm(PopaPoint(PopaParam(rho), t)) == pytest.approx(norm(PopaPoint(ZERO, t)), rel=1e-12)
+
     def test_large_rho_limit_matches_log(self):
         # rescaled distance from the point 1, which converges to |log t|
         p = PopaParam(1e6)
