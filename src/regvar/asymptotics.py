@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from typing import Callable, Sequence
-
-import numpy as np
 
 from regvar.popa import (
     DomainError,
@@ -92,22 +91,23 @@ class SampledFunction:
         if fn is not None:
             self._log_xs = None
             return
-        xs = np.asarray(xs, dtype=float)
-        values = np.asarray(values, dtype=float)
-        if xs.ndim != 1 or xs.shape != values.shape or xs.size < 2:
+        try:
+            xs, values = [float(x) for x in xs], [float(v) for v in values]
+        except TypeError:  # not two flat sequences of numbers
+            xs = values = []
+        if len(xs) != len(values) or len(xs) < 2:
             raise ValueError("table needs two equal-length 1-d arrays with >= 2 rows")
-        if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(values))):
+        if not all(math.isfinite(v) for v in xs + values):
             raise ValueError("table entries must be finite")
-        if not np.all(np.diff(xs) > 0.0):
+        if not all(a < b for a, b in zip(xs, xs[1:])):
             raise ValueError("table abscissae must be strictly increasing")
-        if not np.all(xs > 0.0):
+        if not xs[0] > 0.0:
             raise ValueError("table abscissae must be positive")
-        if not np.all(values > 0.0):
+        if not min(values) > 0.0:
             raise ValueError("table values must be positive")
-        self._log_xs = np.log(xs)
-        self._log_vs = np.log(values)
-        self.x_min = float(xs[0])
-        self.x_max = float(xs[-1])
+        self._log_xs = [math.log(x) for x in xs]
+        self._log_vs = [math.log(v) for v in values]
+        self.x_min, self.x_max = xs[0], xs[-1]
 
     @classmethod
     def from_rule(cls, fn: Callable[[float], float]) -> "SampledFunction":
@@ -127,10 +127,14 @@ class SampledFunction:
         if not (x > 0.0):
             raise TableRangeError(f"table lookup needs x > 0, got {x!r}")
         if x < self.x_min or x > self.x_max:
-            raise TableRangeError(
-                f"x={x!r} outside table range [{self.x_min}, {self.x_max}]"
-            )
-        return float(math.exp(np.interp(math.log(x), self._log_xs, self._log_vs)))
+            raise TableRangeError(f"x={x!r} outside table range [{self.x_min}, {self.x_max}]")
+        # np.interp's arithmetic: node values exactly, else slope*(x - xs[j]) + ys[j]
+        lx, xs, ys = math.log(x), self._log_xs, self._log_vs
+        j = bisect_right(xs, lx, 1) - 1
+        if lx <= xs[j] or j == len(xs) - 1:
+            return math.exp(ys[j])
+        slope = (ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j])
+        return math.exp(slope * (lx - xs[j]) + ys[j])
 
 
 @dataclass(frozen=True)

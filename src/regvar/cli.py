@@ -74,13 +74,13 @@ def _float_list(label: str, text: str) -> list[float]:
 
 
 def _tol(label: str, text: str | None) -> float:
-    """The flag if given, else ``REGVAR_TOL`` (a positive number), else 1e-6."""
-    if text is not None:
-        return _float(label, text)
-    raw = os.environ.get("REGVAR_TOL", "1e-6")
-    tol = _float(f"REGVAR_TOL={raw!r}", raw)
+    """The flag if given, else ``REGVAR_TOL``, else 1e-6; either must be a positive number."""
+    if text is None:
+        text = os.environ.get("REGVAR_TOL", "1e-6")
+        label = f"REGVAR_TOL={text!r}"
+    tol = _float(label, text)
     if not (tol > 0.0 and math.isfinite(tol)):
-        raise DomainError(f"REGVAR_TOL={raw!r} must be a positive number")
+        raise DomainError(f"{label} must be a positive number")
     return tol
 
 

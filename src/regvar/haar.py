@@ -68,15 +68,15 @@ def haar_interval_measure(iv: Interval) -> float:
     return (1.0 + p.rho) * (_log_eta_over_rho(p.rho, iv.hi) - _log_eta_over_rho(p.rho, iv.lo))
 
 
-def _integrate(fn, lo: float, hi: float, spec: QuadratureSpec, what: str, breakpoints=()) -> complex | float:
+def _integrate(fn, lo: float, hi: float, spec: QuadratureSpec, what: str, breakpoints=(), depth=1) -> complex | float:
     """Value of :func:`adaptive_integral`; non-convergence is warned about at
-    the caller of the public function that integrates."""
+    the caller of the public function, ``depth`` frames above this one."""
     res = adaptive_integral(fn, lo, hi, spec, breakpoints=breakpoints)
     if not res.converged:
         warnings.warn(
             f"{what} did not converge: best estimate {res.value!r}, error bound {res.error:.3e}",
             QuadratureWarning,
-            stacklevel=3,
+            stacklevel=2 + depth,
         )
     return res.value
 
@@ -93,6 +93,9 @@ def haar_integrate(
     """
     p = iv.param
     what = f"haar_integrate over ({iv.lo}, {iv.hi})"
+    if p.is_finite and p.rho * max(abs(iv.lo), abs(iv.hi)) < 2.0**-53:
+        # the density (1+rho)/(1+rho*t) is 1+rho to working precision, and (1+rho)/rho may overflow
+        return float(_integrate(lambda t: (1.0 + p.rho) * f(t), iv.lo, iv.hi, spec, what).real)
     return float(_integrate(_additive_profile(f, p), iso_log(p, iv.lo), iso_log(p, iv.hi), spec, what).real)
 
 
@@ -139,26 +142,31 @@ def _oscillation_breakpoints(freq: float, T: float, min_cells: int) -> tuple:
     return tuple(-T + 2.0 * T * k / needed for k in range(1, needed))
 
 
+def _line_transform(f, param: PopaParam, z: complex, spec: QuadratureSpec, what: str) -> complex:
+    """Line integral of ``f_profile(w) * exp(-z*w)`` over ``[-T, T]``, where
+    ``f_profile`` is f pushed through the isomorphism (for finite rho this is
+    the multiplicative pullback evaluated at ``e^w``)."""
+    if not cmath.isfinite(z):
+        raise DomainError(f"{what}: the exponent must be finite")
+    prof = _additive_profile(f, param)
+    T = spec.truncation
+
+    def integrand(w: float) -> complex:
+        return prof(w) * cmath.exp(-z * w)
+
+    breakpoints = _oscillation_breakpoints(z.imag, T, 64)
+    return complex(_integrate(integrand, -T, T, spec, what, breakpoints, depth=2))
+
+
 def fourier_popa(
     f: Callable[[float], float],
     param: PopaParam,
     gamma: float,
     spec: QuadratureSpec = QuadratureSpec(),
 ) -> complex:
-    """Fourier coefficient of f against the character with frequency gamma.
-
-    Computed as the line integral of ``f_profile(w) * exp(-i*gamma*w)`` over
-    ``[-T, T]`` where ``f_profile`` is f pushed through the isomorphism (for
-    finite rho this is the multiplicative pullback evaluated at ``e^w``).
-    """
-    prof = _additive_profile(f, param)
-    T = spec.truncation
-
-    def integrand(w: float) -> complex:
-        return prof(w) * cmath.exp(-1j * gamma * w)
-
-    breakpoints = _oscillation_breakpoints(gamma, T, 64)
-    return complex(_integrate(integrand, -T, T, spec, f"fourier_popa(gamma={gamma})", breakpoints))
+    """Fourier coefficient of f against the character with frequency gamma:
+    the Mellin-type transform below at ``z = i*gamma``, for every rho."""
+    return _line_transform(f, param, complex(0.0, gamma), spec, f"fourier_popa(gamma={gamma})")
 
 
 def mellin_popa(
@@ -170,15 +178,8 @@ def mellin_popa(
     """Mellin-type transform of the pullback: integral of f_rho(t) t^-z dt/t."""
     if not param.is_finite:
         raise DomainError("mellin transform requires a finite positive parameter")
-    prof = _additive_profile(f, param)
     z = complex(z)
-    T = spec.truncation
-
-    def integrand(w: float) -> complex:
-        return prof(w) * cmath.exp(-z * w)
-
-    breakpoints = _oscillation_breakpoints(z.imag, T, 64)
-    return complex(_integrate(integrand, -T, T, spec, f"mellin_popa(z={z})", breakpoints))
+    return _line_transform(f, param, z, spec, f"mellin_popa(z={z})")
 
 
 def popa_convolution(

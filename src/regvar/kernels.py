@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+from regvar.haar import Interval, haar_integrate
 from regvar.popa import (
     DomainError,
     PopaParam,
@@ -26,7 +27,7 @@ from regvar.popa import (
     iso_exp,
     iso_log,
 )
-from regvar.quadrature import QuadratureSpec, adaptive_integral
+from regvar.quadrature import QuadratureSpec
 
 __all__ = [
     "KernelParams",
@@ -139,14 +140,12 @@ def goldie_integral(aux: GoldieAux, u: float) -> float:
 def goldie_integral_quadrature(
     aux: GoldieAux, u: float, spec: QuadratureSpec = QuadratureSpec()
 ) -> float:
-    """Quadrature twin of :func:`goldie_integral`, on the scale w = log(1+rho*t)."""
-    r = aux.rho.rho
-    hi = math.log1p(r * u)
-    lo, hi, sign = (hi, 0.0, -1.0) if hi < 0.0 else (0.0, hi, 1.0)
-    if lo == hi:
+    """Quadrature twin of :func:`goldie_integral`: the Haar integral of g
+    between 0 and u, divided by 1+rho."""
+    if u == 0.0:
         return 0.0
-    res = adaptive_integral(lambda w: aux.g(math.expm1(w) / r) / r, lo, hi, spec)
-    return sign * float(res.value.real)
+    value = haar_integrate(aux.g, Interval(aux.rho, min(0.0, u), max(0.0, u)), spec) / (1.0 + aux.rho.rho)
+    return -value if u < 0.0 else value
 
 
 def goldie_ode_residual(aux: GoldieAux, c1: float, kappa_const: float, u: float) -> float:

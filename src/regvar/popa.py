@@ -53,7 +53,7 @@ class PopaParam:
 
     def __post_init__(self) -> None:
         r = float(self.rho)
-        if math.isnan(r) or r < 0.0:
+        if isinstance(self.rho, bool) or math.isnan(r) or r < 0.0:
             raise DomainError(f"group parameter must be 0, positive or inf, got {self.rho!r}")
         object.__setattr__(self, "rho", r)
 

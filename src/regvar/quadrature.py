@@ -69,18 +69,16 @@ class QuadratureResult:
 
 
 class _Cell:
-    """One quadrature cell holding its five-point Simpson pair."""
+    """One quadrature cell holding its five-point Simpson pair; the two
+    quarter points are evaluated here, the other three are passed in."""
 
     __slots__ = ("a", "b", "fa", "fq1", "fm", "fq3", "fb", "value", "err")
 
-    def __init__(self, a, b, fa, fm, fb, fq1, fq3):
-        self.a = a
-        self.b = b
-        self.fa = fa
-        self.fm = fm
-        self.fb = fb
-        self.fq1 = fq1
-        self.fq3 = fq3
+    def __init__(self, fn, a, b, fa, fm, fb, nev):
+        self.a, self.b, self.fa, self.fm, self.fb = a, b, fa, fm, fb
+        self.fq1 = fq1 = fn(a + 0.25 * (b - a))
+        self.fq3 = fq3 = fn(a + 0.75 * (b - a))
+        nev[0] += 2
         h = b - a
         s1 = h * (fa + 4.0 * fm + fb) / 6.0
         s2 = h * (fa + 4.0 * fq1 + 2.0 * fm + 4.0 * fq3 + fb) / 12.0
@@ -89,15 +87,6 @@ class _Cell:
         # overstate accuracy on non-smooth integrands).
         self.value = s2 + (s2 - s1) / 15.0
         self.err = abs(s2 - s1)
-
-
-def _make_cell(fn, a, b, fa, fm, fb, nev):
-    q1 = a + 0.25 * (b - a)
-    q3 = a + 0.75 * (b - a)
-    fq1 = fn(q1)
-    fq3 = fn(q3)
-    nev[0] += 2
-    return _Cell(a, b, fa, fm, fb, fq1, fq3)
 
 
 def adaptive_integral(
@@ -114,11 +103,7 @@ def adaptive_integral(
         raise ValueError(f"bad integration interval [{lo}, {hi}]")
     span = hi - lo
 
-    edges = {lo, hi}
-    for p in breakpoints:
-        if lo < p < hi:
-            edges.add(float(p))
-    edges = sorted(edges)
+    edges = sorted({lo, hi, *(float(p) for p in breakpoints if lo < p < hi)})
     # refine the initial grid uniformly until there are at least min_cells cells
     target = max(1, min_cells)
     grid = [lo]
@@ -128,9 +113,8 @@ def adaptive_integral(
             grid.append(left + (right - left) * k / pieces)
     grid[-1] = hi
 
-    nev = [0]
     fvals = [fn(x) for x in grid]
-    nev[0] += len(grid)
+    nev = [len(grid)]
 
     cells = []
     for i in range(len(grid) - 1):
@@ -138,7 +122,7 @@ def adaptive_integral(
         m = 0.5 * (a + b)
         fm = fn(m)
         nev[0] += 1
-        cells.append(_make_cell(fn, a, b, fvals[i], fm, fvals[i + 1], nev))
+        cells.append(_Cell(fn, a, b, fvals[i], fm, fvals[i + 1], nev))
 
     heap = [(-c.err, c.a, c) for c in cells]
     heapq.heapify(heap)
@@ -158,8 +142,8 @@ def adaptive_integral(
             frozen.append(worst)
             continue
         m = 0.5 * (worst.a + worst.b)
-        left = _make_cell(fn, worst.a, m, worst.fa, worst.fq1, worst.fm, nev)
-        right = _make_cell(fn, m, worst.b, worst.fm, worst.fq3, worst.fb, nev)
+        left = _Cell(fn, worst.a, m, worst.fa, worst.fq1, worst.fm, nev)
+        right = _Cell(fn, m, worst.b, worst.fm, worst.fq3, worst.fb, nev)
         heapq.heappush(heap, (-left.err, left.a, left))
         heapq.heappush(heap, (-right.err, right.a, right))
         run_value += left.value + right.value - worst.value

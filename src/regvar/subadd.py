@@ -11,9 +11,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from decimal import Context, Decimal
 from typing import Callable, Sequence
-
-import numpy as np
 
 from regvar.kernels import KernelParams, kernel_eval
 from regvar.popa import DomainError, PopaParam, PopaPoint, circle, inverse
@@ -53,10 +52,23 @@ class GridSpec:
         if self.spacing == "geometric" and not self.lo > 0.0:
             raise ValueError("geometric spacing needs lo > 0")
 
-    def points(self) -> np.ndarray:
+    def points(self) -> list[float]:
+        """Geometric points are 10**w over evenly spaced w = log10(t), with lo and hi exact."""
+        lo, hi = float(self.lo), float(self.hi)
         if self.spacing == "linear":
-            return np.linspace(self.lo, self.hi, self.n)
-        return np.geomspace(self.lo, self.hi, self.n)
+            return _linspace(lo, hi, self.n)
+        log10 = Context(prec=34).log10  # correctly rounded; math.log10 is an ulp off for ~1% of inputs
+        inner = _linspace(float(log10(Decimal(lo))), float(log10(Decimal(hi))), self.n)[1:-1]
+        return [lo, *(10.0**w for w in inner), hi]
+
+
+def _linspace(lo: float, hi: float, n: int) -> list[float]:
+    """np.linspace(lo, hi, n) to the bit: k*step + lo, the last point hi."""
+    delta, div = hi - lo, n - 1
+    step = delta / div
+    if step == 0.0:  # the span is subnormal: scale k/div instead, as np.linspace does
+        return [k / div * delta + lo for k in range(div)] + [hi]
+    return [k * step + lo for k in range(div)] + [hi]
 
 
 @dataclass
@@ -145,8 +157,7 @@ def heiberg_seneta_probe(
     seq = default_probe_sequence() if sequence is None else [float(u) for u in sequence]
     if len(seq) < 8:
         raise ValueError("probe sequence must have at least 8 points")
-    arr = np.asarray(seq)
-    if not (np.all(arr > 0.0) and np.all(np.diff(arr) < 0.0)):
+    if not (seq[-1] > 0.0 and all(a > b for a, b in zip(seq, seq[1:]))):
         raise ValueError("probe sequence must be positive and strictly decreasing")
     tail = seq[len(seq) // 2 :]
     estimate = max(S(u) for u in tail)
@@ -182,7 +193,7 @@ def sandwich_bound_check(
         raise DomainError(f"b must be positive, got {b!r}")
     Mpt = PopaPoint(sigma, M)
 
-    offsets = np.linspace(-delta, delta, probes + 2)[1:-1]
+    offsets = _linspace(-delta, delta, probes + 2)[1:-1]
     ball_a = [pa.value + o for o in offsets]
     eps = 1e-12 * (1.0 + abs(M))
     if any(S(x) > M + eps for x in ball_a):

@@ -536,6 +536,31 @@ class TestFlagTable:
         argv = ["cocycle", "general", "--f", "log", "--s", "0.5", "--t", "0.25", "--x", "50"]
         assert run_cli(capsys, *argv) == run_cli(capsys, *argv, "--phi", "one", "--h", "one")
 
+    @pytest.mark.parametrize("argv", [
+        ["subadd", "check", "--s", "square", "--tol", "nan"],
+        ["subadd", "hs-probe", "--s", "entropy", "--tol", "-1"],
+        ["estimate", "two-point", "--l1", "2", "--g1", "4", "--l2", "3", "--g2", "9", "--tol", "-5"],
+    ])
+    def test_explicit_tol_must_be_positive(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: --tol must be a positive number\n"
+
+    @pytest.mark.parametrize("argv,name", [
+        (["transform", "fourier", "--f", "gauss", "--gamma", "nan"], "gamma=nan"),
+        (["transform", "fourier", "--f", "gauss", "--gamma", "inf"], "gamma=inf"),
+        (["transform", "mellin", "--rho", "1", "--f", "gauss", "--z-im", "nan"], "z=nanj"),
+    ])
+    def test_non_finite_frequency_exits_2(self, capsys, argv, name):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and name in err
+
+    def test_subnormal_rho_integrate_is_the_length(self, capsys):
+        code, out, err = run_cli(capsys, "transform", "integrate", "--rho", "1e-320", "--f", "one", "--lo", "0",
+                                 "--hi", "1")
+        assert (code, out, err) == (0, "1\n", "")
+
     def test_subnormal_rho_measure_is_the_length(self, capsys):
         code, out, err = run_cli(capsys, "transform", "measure", "--rho", "1e-320", "--lo", "0", "--hi", "1")
         assert (code, out, err) == (0, "1\n", "")

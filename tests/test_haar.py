@@ -116,6 +116,17 @@ class TestHaarIntegrate:
         v = haar_integrate(lambda t: t, Interval(INFINITY, 1.0, math.e), SPEC)
         assert v == pytest.approx(math.e - 1.0, rel=1e-10)
 
+    @pytest.mark.parametrize("rho", [1e-320, 1e-310, 1e-300])
+    @pytest.mark.parametrize("name", ["one", "gauss"])
+    @pytest.mark.parametrize("lo,hi", [(0.0, 1.0), (-1.0, 2.0)])
+    def test_subnormal_rho_matches_rho_zero(self, rho, name, lo, hi):
+        # (1+rho)/rho overflows here; the density is 1+rho to working precision
+        f = {"one": lambda t: 1.0, "gauss": lambda t: math.exp(-0.5 * t * t)}[name]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = haar_integrate(f, Interval(PopaParam(rho), lo, hi), SPEC)
+        assert v == pytest.approx(haar_integrate(f, Interval(ZERO, lo, hi), SPEC), rel=1e-12)
+
 
 class TestCharacters:
     @pytest.mark.parametrize("param", PARAM_SET)
@@ -212,7 +223,25 @@ class TestFourier:
         assert abs(v0 - vinf) <= 1e-9
 
 
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
+    def test_non_finite_frequency_is_a_domain_error(self, gamma):
+        def f(t):
+            raise AssertionError("no quadrature may start")
+
+        with pytest.raises(DomainError, match="gamma="):
+            fourier_popa(f, P1, gamma, SPEC)
+
+
 class TestMellin:
+    @pytest.mark.parametrize("z", [complex(0.0, math.nan), complex(math.nan, 1.0), complex(math.inf, 0.0),
+                                   complex(0.5, -math.inf)])
+    def test_non_finite_argument_is_a_domain_error(self, z):
+        def f(t):
+            raise AssertionError("no quadrature may start")
+
+        with pytest.raises(DomainError, match="z="):
+            mellin_popa(f, P1, z, SPEC)
+
     def test_requires_finite_param(self):
         with pytest.raises(DomainError):
             mellin_popa(lambda t: 1.0, ZERO, 0.5, SPEC)

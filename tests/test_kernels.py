@@ -32,7 +32,7 @@ from regvar.popa import (
     identity,
     iso_exp,
 )
-from regvar.quadrature import QuadratureSpec
+from regvar.quadrature import QuadratureSpec, QuadratureWarning
 
 P1 = PopaParam(1.0)
 THREE_CORNERS = [ZERO, P1, INFINITY]
@@ -249,6 +249,22 @@ class TestGoldieIntegral:
         u = 2.5
         via_haar = haar_integrate(aux.g, Interval(P1, 0.0, u)) / 2.0
         assert goldie_integral(aux, u) == pytest.approx(via_haar, rel=1e-9)
+
+    @pytest.mark.parametrize("rho", [0.5, 1.0, 7.0])
+    @pytest.mark.parametrize("gamma", [0.0, 0.8, -1.3])
+    @pytest.mark.parametrize("u", [-0.1, 0.3, 2.5, 10.0])
+    def test_quadrature_twin_is_tight(self, rho, gamma, u):
+        aux = GoldieAux(PopaParam(rho), gamma)
+        assert goldie_integral_quadrature(aux, u) == pytest.approx(goldie_integral(aux, u), rel=1e-13)
+
+    def test_quadrature_twin_at_zero(self):
+        assert goldie_integral_quadrature(GoldieAux(P1, 0.8), 0.0) == 0.0
+
+    def test_quadrature_twin_warns_on_non_convergence(self):
+        tight = QuadratureSpec(abs_tol=1e-300, rel_tol=0.0, max_subdivisions=3)
+        with pytest.warns(QuadratureWarning, match="did not converge"):
+            v = goldie_integral_quadrature(GoldieAux(P1, 0.8), 2.5, tight)
+        assert v == pytest.approx(goldie_integral(GoldieAux(P1, 0.8), 2.5), rel=1e-6)
 
 
 class TestGoldieOde:

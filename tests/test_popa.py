@@ -47,6 +47,11 @@ class TestParam:
         with pytest.raises(DomainError):
             PopaParam(float("nan"))
 
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_bool_rejected(self, flag):
+        with pytest.raises(DomainError):
+            PopaParam(flag)
+
     def test_centre(self):
         assert PopaParam(2.0).centre == -0.5
         assert ZERO.centre == -math.inf

@@ -1,0 +1,116 @@
+"""regvar runs on the standard library alone; numpy is only the reference here.
+
+The grids and the table lookup replay numpy's own arithmetic, so these tests
+hold them to np.linspace, np.geomspace and np.interp on seeded inputs.
+"""
+from __future__ import annotations
+
+import math
+import os
+import random
+import subprocess
+import sys
+from decimal import Context, Decimal
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from regvar.asymptotics import SampledFunction
+from regvar.subadd import GridSpec, _linspace
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def test_import_loads_no_numpy():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    code = "import sys, regvar, regvar.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True).stdout
+    assert out == "[]\n"
+
+
+def _grids(seed: int, count: int = 300):
+    rng = random.Random(seed)
+    for _ in range(count):
+        lo = rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-8, 8)
+        hi = lo + rng.uniform(0.0, 1.0) * 10.0 ** rng.uniform(-8, 8)
+        if lo < hi:
+            yield lo, hi, rng.randint(2, 300)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_linear_points_are_linspace_bitwise(seed):
+    for lo, hi, n in _grids(seed):
+        assert GridSpec(lo, hi, n).points() == np.linspace(lo, hi, n).tolist()
+
+
+@pytest.mark.parametrize("lo,hi,n", [(0.0, 5e-324, 3), (0.0, 1e-320, 7), (-5e-324, 5e-324, 5)])
+def test_subnormal_span_is_linspace_bitwise(lo, hi, n):
+    assert GridSpec(lo, hi, n).points() == np.linspace(lo, hi, n).tolist()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_sandwich_offsets_are_linspace_bitwise(seed):
+    rng = random.Random(seed)
+    for _ in range(300):
+        delta, probes = rng.uniform(0.0, 10.0) * 10.0 ** rng.uniform(-10, 10), rng.randint(2, 100)
+        assert _linspace(-delta, delta, probes + 2)[1:-1] == np.linspace(-delta, delta, probes + 2)[1:-1].tolist()
+
+
+def _within_one_ulp(got, ref) -> bool:
+    return all(abs(a - b) <= math.ulp(b) for a, b in zip(got, ref, strict=True))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_geometric_points_are_geomspace_within_one_ulp(seed):
+    # np.geomspace is 10**np.linspace(np.log10(lo), np.log10(hi), n) with exact endpoints.  10**w
+    # may differ by an ulp from np.power.  np.log10 is off by an ulp for about 1 input in 10^4, which
+    # moves every inner point, so the reference takes correctly rounded logarithms.
+    rng = random.Random(seed)
+    log10 = Context(prec=34).log10
+    for _ in range(300):
+        lo = 10.0 ** rng.uniform(-300, 300)
+        hi = lo * 10.0 ** rng.uniform(1e-9, 8)
+        n = rng.randint(2, 300)
+        if not (lo < hi < math.inf):
+            continue
+        pts = GridSpec(lo, hi, n, "geometric").points()
+        assert pts[0] == lo and pts[-1] == hi
+        logs = [float(log10(Decimal(v))) for v in (lo, hi)]
+        ref = np.power(10.0, np.linspace(*logs, n))
+        ref[0], ref[-1] = lo, hi
+        assert _within_one_ulp(pts, ref.tolist())
+        if logs == np.log10([lo, hi]).tolist():
+            assert _within_one_ulp(pts, np.geomspace(lo, hi, n).tolist())
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_table_lookup_is_the_parent_interp(seed):
+    rng = random.Random(seed)
+    for _ in range(40):
+        xs = sorted({10.0 ** rng.uniform(-5, 8) for _ in range(rng.randint(2, 60))})
+        if len(xs) < 2:
+            continue
+        vs = [10.0 ** rng.uniform(-6, 6) for _ in xs]
+        f = SampledFunction.from_table(xs, vs)
+        log_xs, log_vs = [math.log(x) for x in xs], [math.log(v) for v in vs]
+        # an ulp of difference between np.log and math.log in a table entry moves the result by
+        # about that ulp of |log v|, relative
+        rel = 4.0 * 2.0**-52 * max(1.0, *map(abs, log_vs))
+        queries = xs + [min(max(10.0 ** rng.uniform(-5, 8), xs[0]), xs[-1]) for _ in range(100)]
+        for q in queries:
+            got = f(q)
+            assert got == math.exp(np.interp(math.log(q), log_xs, log_vs))
+            assert got == pytest.approx(math.exp(np.interp(math.log(q), np.log(xs), np.log(vs))), rel=rel)
+
+
+@pytest.mark.parametrize("xs,values", [
+    ([[1.0, 2.0], [3.0, 4.0]], [1.0, 2.0]),
+    (5.0, [1.0]),
+    ([1.0, 2.0], None),
+    ([1.0, 2.0, 3.0], [1.0, 2.0]),
+    ([1.0, math.nan], [1.0, 2.0]),
+])
+def test_bad_table_shapes_raise_value_error(xs, values):
+    with pytest.raises(ValueError):
+        SampledFunction.from_table(xs, values)
