@@ -20,16 +20,10 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from itertools import pairwise, takewhile
 from typing import Callable, Sequence
 
-from regvar.popa import (
-    DomainError,
-    PopaParam,
-    eta,
-    iso_exp,
-    iso_log,
-    power,
-)
+from regvar.popa import DomainError, PopaParam, _powers, iso_exp, iso_log, power
 
 __all__ = [
     "TableRangeError",
@@ -411,29 +405,30 @@ def two_point_index(
 _MAX_PARTITION = 10**8
 
 
-def beck_partition(param: PopaParam, delta: float, u: float) -> list[float]:
-    """Partition points delta^(0 o), ..., delta^(i o) where i is the unique
-    index with delta^((i-1) o) <= u < delta^(i o)."""
-    ident = 1.0 if param.is_infinite else 0.0
-    delta = float(delta)
-    u = float(u)
+def _beck_index(param: PopaParam, delta: float, u: float) -> int:
+    """The unique i with delta^((i-1) o) <= u < delta^(i o)."""
+    delta, u = float(delta), float(u)
     step_w = iso_log(param, delta)
     if not step_w > 0.0:
         raise DomainError(f"delta={delta!r} does not step away from the identity")
     u_w = iso_log(param, u)
     if u_w < 0.0:
-        raise DomainError(f"u={u!r} lies below the identity {ident}")
+        raise DomainError(f"u={u!r} lies below the identity {1.0 if param.is_infinite else 0.0}")
     # candidate index from the additive scale, then correct the boundary
     i = max(1, math.floor(u_w / step_w) + 1)
-    while i > 1 and power(param, delta, i - 1) > u:
+    while _MAX_PARTITION >= i > 1 and power(param, delta, i - 1) > u:  # one step at a time, so capped
         i -= 1
-    while power(param, delta, i) <= u:
+    while i <= _MAX_PARTITION and power(param, delta, i) <= u:
         i += 1
-        if i > _MAX_PARTITION:
-            raise DomainError("partition is too fine (more than 1e8 cells)")
     if i > _MAX_PARTITION:
         raise DomainError("partition is too fine (more than 1e8 cells)")
-    return [power(param, delta, m) for m in range(i + 1)]
+    return i
+
+
+def beck_partition(param: PopaParam, delta: float, u: float) -> list[float]:
+    """Partition points delta^(0 o), ..., delta^(i o) where i is the unique
+    index with delta^((i-1) o) <= u < delta^(i o)."""
+    return list(_powers(param, delta, range(_beck_index(param, delta, u) + 1)))
 
 
 def beck_riemann_sum(
@@ -442,16 +437,10 @@ def beck_riemann_sum(
     """Riemann sum of g/eta over the partition of [identity, u] induced by the
     o-iterates of delta, the final cell clipped at u.  Converges to the
     integral of g(x)/eta(x) dx at first order in delta."""
-    pts = beck_partition(param, delta, u)
-    terms = []
-    prev = pts[0]
-    for p in pts[1:]:
-        node = min(p, u)
-        if node <= prev:
-            break
-        terms.append(g(node) / eta(param, node) * (node - prev))
-        prev = node
-    return math.fsum(terms)
+    nodes = (min(p, u) for p in _powers(param, delta, range(_beck_index(param, delta, u) + 1)))
+    cells = takewhile(lambda c: c[0] < c[1], pairwise(nodes))  # up to the first empty cell
+    rho, multiplicative = param.rho, param.is_infinite  # eta(param, x) inline: x is in [identity, u]
+    return math.fsum(g(x) / (x if multiplicative else 1.0 + rho * x) * (x - a) for a, x in cells)
 
 
 def goldie_sum(
@@ -467,4 +456,4 @@ def goldie_sum(
         raise DomainError(f"i must be >= 0, got {i}")
     if i > _MAX_PARTITION:
         raise DomainError("sum is too long (more than 1e8 terms)")
-    return K_delta * math.fsum(g(power(param, delta, m)) for m in range(i))
+    return K_delta * math.fsum(map(g, _powers(param, delta, range(i))) if i else ())  # i = 0: delta unchecked

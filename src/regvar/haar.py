@@ -93,8 +93,7 @@ def haar_integrate(
     """
     p = iv.param
     what = f"haar_integrate over ({iv.lo}, {iv.hi})"
-    if p.is_finite and p.rho * max(abs(iv.lo), abs(iv.hi)) < 2.0**-53:
-        # the density (1+rho)/(1+rho*t) is 1+rho to working precision, and (1+rho)/rho may overflow
+    if _tiny_rho(p, abs(iv.lo), abs(iv.hi)):
         return float(_integrate(lambda t: (1.0 + p.rho) * f(t), iv.lo, iv.hi, spec, what).real)
     return float(_integrate(_additive_profile(f, p), iso_log(p, iv.lo), iso_log(p, iv.hi), spec, what).real)
 
@@ -117,6 +116,16 @@ def pullback_multiplicative(f: Callable[[float], float], param: PopaParam) -> Ca
         return scale * f((t - 1.0) / rho)
 
     return g
+
+
+def _tiny_rho(param: PopaParam, *scales: float) -> bool:
+    """Whether rho*s < 2**-53 for every scale s (|t|, |x|, T, |z|*T) at finite rho: the density,
+    a character and x o t are then 1+rho, 1 and x + t to working precision.  Otherwise
+    (1+rho)/rho, the density in w = log(1+rho*t), must be finite."""
+    tiny = param.is_finite and param.rho * max(scales) < 2.0**-53
+    if param.is_finite and not tiny and math.isinf((1.0 + param.rho) / param.rho):
+        raise DomainError(f"rho={param.rho!r} is too small for the coordinate log(1+rho*t)")
+    return tiny
 
 
 def _additive_profile(f: Callable[[float], float], param: PopaParam) -> Callable[[float], float]:
@@ -148,8 +157,10 @@ def _line_transform(f, param: PopaParam, z: complex, spec: QuadratureSpec, what:
     the multiplicative pullback evaluated at ``e^w``)."""
     if not cmath.isfinite(z):
         raise DomainError(f"{what}: the exponent must be finite")
-    prof = _additive_profile(f, param)
     T = spec.truncation
+    if _tiny_rho(param, T, abs(z) * T):  # the Haar integral of f over t in [-T, T]
+        return complex(_integrate(lambda t: (1.0 + param.rho) * f(t), -T, T, spec, what, depth=2))
+    prof = _additive_profile(f, param)
 
     def integrand(w: float) -> complex:
         return prof(w) * cmath.exp(-z * w)
@@ -195,9 +206,9 @@ def popa_convolution(
     """
     p = x.param
     T = spec.truncation
-    if p.is_zero:
+    if p.is_zero or _tiny_rho(p, abs(x.value), T):
         integrand = lambda t: f(-t) * g(x.value + t)
-        weight = 1.0
+        weight = 1.0 + p.rho
     elif p.is_infinite:
         integrand = lambda w: f(math.exp(-w)) * g(x.value * math.exp(w))
         weight = 1.0

@@ -10,7 +10,9 @@ which is what most of the closed forms below exploit.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from typing import Callable, Iterable, Iterator
 
 __all__ = [
     "DomainError",
@@ -108,9 +110,9 @@ def _check_value(param: PopaParam, value: float) -> float:
     v = float(value)
     if not math.isfinite(v):
         raise DomainError(f"point must be finite, got {value!r}")
-    if param.is_zero:
+    if param.rho == 0.0:  # not is_zero: this runs once per pair in the grid drivers
         return v
-    if param.is_infinite:
+    if param.rho == math.inf:
         if v <= _DOMAIN_GUARD:
             raise DomainError(f"point {v!r} outside (0, inf)")
         return v
@@ -150,14 +152,19 @@ def _same_param(x: PopaPoint, y: PopaPoint) -> PopaParam:
     return x.param
 
 
+def _float_op(param: PopaParam) -> Callable[[float, float], float]:
+    """The group operation on plain floats, unchecked: x + y, x * y or (x + y) + rho*(x*y)."""
+    if param.is_zero:
+        return operator.add
+    if param.is_infinite:
+        return operator.mul
+    return lambda x, y, rho=param.rho: (x + y) + rho * (x * y)
+
+
 def circle(x: PopaPoint, y: PopaPoint) -> PopaPoint:
     """Group operation x o y = x + y + rho*x*y."""
     param = _same_param(x, y)
-    if param.is_zero:
-        return PopaPoint(param, x.value + y.value)
-    if param.is_infinite:
-        return PopaPoint(param, x.value * y.value)
-    return PopaPoint(param, (x.value + y.value) + param.rho * (x.value * y.value))
+    return PopaPoint(param, _float_op(param)(x.value, y.value))
 
 
 def inverse(x: PopaPoint) -> PopaPoint:
@@ -175,13 +182,19 @@ def power(param: PopaParam, delta: float, n: int) -> float:
 
     Negative n is the iterate of the inverse element.
     """
+    return next(_powers(param, delta, (int(n),)))
+
+
+def _powers(param: PopaParam, delta: float, ns: Iterable[int]) -> Iterator[float]:
+    """:func:`power` of delta for each n in ns, streamed: delta is checked and
+    log1p(rho*delta) taken once."""
     delta = _check_value(param, delta)
-    n = int(n)
     if param.is_zero:
-        return n * delta
+        return (n * delta for n in ns)
     if param.is_infinite:
-        return delta**n
-    return math.expm1(n * math.log1p(param.rho * delta)) / param.rho
+        return (delta**n for n in ns)
+    rho, step = param.rho, math.log1p(param.rho * delta)
+    return (math.expm1(n * step) / rho for n in ns)
 
 
 def _log_eta_over_rho(rho: float, t: float) -> float:

@@ -34,7 +34,7 @@ from regvar.asymptotics import (
     two_point_index,
 )
 from regvar.kernels import KernelParams, cj_residual, kernel_eval
-from regvar.popa import INFINITY, ZERO, DomainError, PopaParam, eta, iso_exp, power
+from regvar.popa import INFINITY, ZERO, DomainError, PopaParam, eta, iso_exp, iso_log, power
 
 P1 = PopaParam(1.0)
 
@@ -489,3 +489,60 @@ class TestGoldieSum:
     def test_rejects_negative_count(self):
         with pytest.raises(DomainError):
             goldie_sum(1.0, lambda t: 1.0, P1, 0.1, -1)
+
+
+STREAM_PARAMS = [ZERO, PopaParam(0.5), P1, PopaParam(7.0), INFINITY]
+
+
+class TestStreamedIterates:
+    """beck_partition, beck_riemann_sum and goldie_sum against per-term
+    power()/eta() references, bit for bit."""
+
+    @staticmethod
+    def _case(param, seed):
+        rng = np.random.default_rng(seed)
+        delta = iso_exp(param, 10.0 ** rng.uniform(-3.0, -0.5))
+        u = iso_exp(param, rng.uniform(0.0, 3.0))
+        a = rng.uniform(-1.0, 1.0)
+        return delta, u, lambda t: math.exp(a * iso_log(param, t))
+
+    @pytest.mark.parametrize("param", STREAM_PARAMS)
+    def test_partition_is_the_power_list(self, param):
+        for seed in range(5):
+            delta, u, _ = self._case(param, seed)
+            pts = beck_partition(param, delta, u)
+            assert [p.hex() for p in pts] == [power(param, delta, m).hex() for m in range(len(pts))]
+
+    @pytest.mark.parametrize("param", STREAM_PARAMS)
+    def test_riemann_sum_is_the_per_cell_eta_sum(self, param):
+        for seed in range(5):
+            delta, u, g = self._case(param, seed)
+            pts = [power(param, delta, m) for m in range(len(beck_partition(param, delta, u)))]
+            terms, prev = [], pts[0]
+            for p in pts[1:]:
+                node = min(p, u)
+                if node <= prev:
+                    break
+                terms.append(g(node) / eta(param, node) * (node - prev))
+                prev = node
+            assert beck_riemann_sum(g, param, delta, u).hex() == math.fsum(terms).hex()
+
+    @pytest.mark.parametrize("param", STREAM_PARAMS)
+    def test_goldie_sum_is_the_per_term_power_sum(self, param):
+        for seed in range(5):
+            delta, _, g = self._case(param, seed)
+            for i in (1, 2, 17, 3000):
+                want = 1.3 * math.fsum(g(power(param, delta, m)) for m in range(i))
+                assert goldie_sum(1.3, g, param, delta, i).hex() == want.hex()
+
+    def test_empty_goldie_sum_never_checks_delta(self):
+        assert goldie_sum(0.7, lambda t: 1.0, P1, -5.0, 0) == 0.0
+        with pytest.raises(DomainError):
+            goldie_sum(0.7, lambda t: 1.0, P1, -5.0, 1)
+
+    def test_far_candidate_index_is_refused_at_once(self):
+        # u/delta = 3e300: the downward boundary correction used to step one index at a time
+        with pytest.raises(DomainError, match="too fine"):
+            beck_partition(ZERO, 1e-300, 3.0)
+        with pytest.raises(DomainError, match="too fine"):
+            beck_riemann_sum(lambda t: 1.0, ZERO, 1e-300, 3.0)

@@ -564,3 +564,43 @@ class TestFlagTable:
     def test_subnormal_rho_measure_is_the_length(self, capsys):
         code, out, err = run_cli(capsys, "transform", "measure", "--rho", "1e-320", "--lo", "0", "--hi", "1")
         assert (code, out, err) == (0, "1\n", "")
+
+
+class TestGridDriverBounds:
+    def test_huge_grid_exits_2_at_once(self, capsys):
+        code, out, err = run_cli(capsys, "subadd", "check", "--s", "square", "--lo", "0", "--hi", "1",
+                                 "--n", "100000000")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: grid of 100000000 points is too large")
+
+    def test_overflowing_span_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "subadd", "check", "--s", "square", "--lo=-1e308", "--hi", "1e308",
+                                 "--n", "5")
+        assert (code, out) == (2, "")
+        assert err == "error: the span hi - lo of (-1e+308, 1e+308) overflows\n"
+
+
+class TestSubnormalRhoTransforms:
+    def test_popa_conv_prints_the_rho_zero_value(self, capsys):
+        argv = ["transform", "popa-conv", "--f", "gauss", "--g", "gauss", "--x", "0"]
+        at_zero = run_cli(capsys, *argv, "--rho", "0")
+        assert run_cli(capsys, *argv, "--rho", "1e-320") == at_zero
+        code, out, err = at_zero
+        assert (code, err) == (0, "")
+        assert float(out) == pytest.approx(0.5 / math.sqrt(math.pi), rel=1e-12)
+
+    @pytest.mark.parametrize("argv", [
+        ["transform", "fourier", "--rho", "1e-320", "--f", "gauss", "--gamma", "1"],
+        ["transform", "mellin", "--rho", "1e-320", "--f", "gauss"],
+    ])
+    def test_line_transforms_print_the_mass_of_f(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        re, im = (float(v) for v in out.strip().split(","))
+        assert re == pytest.approx(1.0, rel=1e-9) and im == 0.0
+
+    def test_popa_conv_far_from_the_identity_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "transform", "popa-conv", "--rho", "1e-320", "--f", "gauss",
+                                 "--g", "gauss", "--x", "1e305")
+        assert (code, out) == (2, "")
+        assert "rho=1e-320" in err

@@ -404,3 +404,49 @@ class TestNonConvergenceWarning:
         tight = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-13, max_subdivisions=4)
         with pytest.warns(QuadratureWarning):
             fourier_popa(f, P1, 1.0, tight)
+
+
+GAUSS = lambda t: math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
+
+
+class TestSubnormalRhoTransforms:
+    """Below rho*scale < 2**-53 the w-coordinate's density (1+rho)/rho
+    overflows; the rho -> 0 forms are used instead, with weight 1+rho."""
+
+    @pytest.mark.parametrize("rho", [1e-320, 1e-310])
+    @pytest.mark.parametrize("x", [0.0, 0.7, -2.0])
+    def test_convolution_matches_rho_zero(self, rho, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = popa_convolution(GAUSS, GAUSS, PopaPoint(PopaParam(rho), x), SPEC)
+        assert got == popa_convolution(GAUSS, GAUSS, PopaPoint(ZERO, x), SPEC)
+        assert got == pytest.approx(math.exp(-0.25 * x * x) / (2.0 * math.sqrt(math.pi)), rel=1e-10)
+
+    @pytest.mark.parametrize("rho", [1e-320, 1e-310])
+    @pytest.mark.parametrize("z", [1j, 10j, 0.5 + 3j, 1e280j])
+    def test_line_transforms_are_the_haar_integral(self, rho, z):
+        # the character exp(-z*log(1+rho*t)) is 1 to working precision on [-T, T]
+        T = SPEC.truncation
+        want = complex(haar_integrate(GAUSS, Interval(ZERO, -T, T), SPEC))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = mellin_popa(GAUSS, PopaParam(rho), z, SPEC)
+            assert got == want
+            if z.real == 0.0:
+                assert fourier_popa(GAUSS, PopaParam(rho), z.imag, SPEC) == want
+        assert got.real == pytest.approx(1.0, rel=1e-9)
+
+    @pytest.mark.parametrize("call", [
+        lambda p: popa_convolution(GAUSS, GAUSS, PopaPoint(p, 1e305), SPEC),
+        lambda p: fourier_popa(GAUSS, p, 1e308, SPEC),
+        lambda p: mellin_popa(GAUSS, p, 1e308j, SPEC),
+        lambda p: haar_integrate(GAUSS, Interval(p, 0.0, 1e305), SPEC),
+    ])
+    def test_no_silent_inf_or_nan_when_rho_is_not_negligible(self, call):
+        with pytest.raises(DomainError, match="rho=1e-320"):
+            call(PopaParam(1e-320))
+
+    def test_small_normal_rho_keeps_the_w_coordinate(self):
+        # (1+rho)/rho is finite: the transform is computed in w as before
+        got = fourier_popa(GAUSS, PopaParam(1e-300), 1.0, SPEC)
+        assert cmath.isfinite(got)

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 import pytest
 
 from regvar.kernels import GoldieAux, KernelParams, goldie_integral, kernel_eval
-from regvar.popa import INFINITY, ZERO, DomainError, PopaParam
+from regvar.popa import INFINITY, ZERO, DomainError, PopaParam, PopaPoint, circle, iso_exp, iso_log
 from regvar.subadd import (
     GridSpec,
     SubaddReport,
@@ -177,3 +178,106 @@ class TestSandwichBound:
             sandwich_bound_check(math.sqrt, ZERO, ZERO, a=1.0, b=4.0, delta=0.0, M=2.0)
         with pytest.raises(ValueError):
             sandwich_bound_check(math.sqrt, ZERO, ZERO, a=1.0, b=4.0, delta=0.5, M=2.0, probes=1)
+
+
+def _all_pairs_report(S, rho, sigma, grid, tol=1e-10):
+    """The all-pairs loop over validated PopaPoints that subadditivity_check
+    used before its float-only rewrite, kept as the reference."""
+
+    def image(x):
+        v = S(x)
+        try:
+            return PopaPoint(sigma, v)
+        except DomainError as exc:
+            raise DomainError(f"S({x!r}) = {v!r} is outside the codomain carrier") from exc
+
+    gpts = [PopaPoint(rho, float(p)) for p in grid.points()]
+    svals = [image(p.value) for p in gpts]
+    worst, worst_pair, checked, skipped = 0.0, (math.nan, math.nan), 0, 0
+    for i, x in enumerate(gpts):
+        for j, y in enumerate(gpts):
+            z = circle(x, y).value
+            if z < grid.lo or z > grid.hi:
+                skipped += 1
+                continue
+            bound = circle(svals[i], svals[j]).value
+            violation = image(z).value - bound
+            checked += 1
+            if violation > worst:
+                worst, worst_pair = violation, (x.value, y.value)
+    return SubaddReport(worst <= tol, worst, worst_pair, checked, skipped)
+
+
+def _bits(report):
+    """Every field of a report, floats as hex strings (nan equals nan)."""
+    return (report.holds, report.worst_violation.hex(), tuple(v.hex() for v in report.worst_pair),
+            report.pairs_checked, report.pairs_skipped)
+
+
+def _seeded_case(rho, sigma, spacing, violates, seed):
+    """A grid and a map S in the style of the benchmark's grids workload:
+    the canonical kernel (an exact homomorphism), or one bent by eps*w**2."""
+    rng = random.Random(f"{rho}:{sigma}:{spacing}:{violates}:{seed}")
+    r, s = PopaParam(rho), PopaParam(sigma)
+    w_lo = rng.uniform(0.05, 0.5) if spacing == "geometric" else rng.uniform(-1.0, 0.0)
+    grid = GridSpec(iso_exp(r, w_lo), iso_exp(r, rng.uniform(1.0, 2.0)), rng.randint(8, 40), spacing)
+    kappa, eps = rng.uniform(0.5, 2.0), rng.uniform(0.05, 0.5) if violates else 0.0
+    S = lambda t: iso_exp(s, kappa * iso_log(r, t) + eps * iso_log(r, t) ** 2)
+    return S, r, s, grid
+
+
+CORNER_PAIRS = [(rho, sigma) for rho in (0.0, 1.0, math.inf) for sigma in (0.0, 1.0, math.inf)]
+
+
+class TestFloatOnlyDriver:
+    @pytest.mark.parametrize("rho,sigma", CORNER_PAIRS)
+    @pytest.mark.parametrize("spacing", ["linear", "geometric"])
+    @pytest.mark.parametrize("violates", [False, True])
+    def test_report_equals_the_all_pairs_loop_bitwise(self, rho, sigma, spacing, violates):
+        for seed in range(3):
+            S, r, s, grid = _seeded_case(rho, sigma, spacing, violates, seed)
+            want = _all_pairs_report(S, r, s, grid)
+            assert _bits(subadditivity_check(S, r, s, grid)) == _bits(want)
+            assert want.pairs_checked > 0
+
+    @pytest.mark.parametrize("rho,sigma", CORNER_PAIRS)
+    def test_S_is_called_once_per_point_and_unordered_pair(self, rho, sigma):
+        S, r, s, grid = _seeded_case(rho, sigma, "linear", True, 0)
+        calls = []
+        subadditivity_check(lambda t: calls.append(t) or S(t), r, s, grid)
+        pts = [PopaPoint(r, p) for p in grid.points()]
+        in_window = sum(
+            grid.lo <= circle(x, y).value <= grid.hi for i, x in enumerate(pts) for y in pts[i:]
+        )
+        assert len(calls) == grid.n + in_window
+
+    def test_underflowing_pair_is_skipped(self):
+        # 1e-200 * 1e-200 underflows to 0.0, outside (0, inf): it used to raise
+        report = subadditivity_check(lambda t: t, INFINITY, INFINITY, GridSpec(1e-200, 1.0, 5))
+        assert _bits(report) == _bits(SubaddReport(True, 0.0, (math.nan, math.nan), 18, 7))
+
+    @pytest.mark.parametrize("param,grid", [
+        (INFINITY, GridSpec(1.0, 1e300, 5)),  # products of the large points overflow to inf
+        (ZERO, GridSpec(1e307, 1.5e308, 5)),  # every sum overflows to inf
+    ])
+    def test_overflowing_pair_is_skipped(self, param, grid):
+        report = subadditivity_check(lambda t: t, param, param, grid)
+        assert report.holds
+        assert report.pairs_checked + report.pairs_skipped == 25
+        assert report.pairs_skipped > 0
+
+    def test_grid_size_is_bounded_before_any_point_is_made(self, monkeypatch):
+        def no_points(self):
+            raise AssertionError("points() called")
+
+        monkeypatch.setattr(GridSpec, "points", no_points)
+        with pytest.raises(DomainError, match="too large"):
+            subadditivity_check(math.sqrt, ZERO, ZERO, GridSpec(0.0, 1.0, 10**8))
+        with pytest.raises(DomainError, match="too large"):
+            subadditivity_check(math.sqrt, ZERO, ZERO, GridSpec(0.0, 1.0, 10**4 + 1))
+
+    def test_span_must_not_overflow(self):
+        with pytest.raises(ValueError, match="span"):
+            GridSpec(-1e308, 1e308, 5)
+        pts = GridSpec(-1e308, 7e307, 3).points()  # a wide span that stays finite is kept
+        assert (pts[0], pts[-1]) == (-1e308, 7e307) and all(map(math.isfinite, pts))
