@@ -5,7 +5,8 @@ with respect to Lebesgue measure; it degenerates to ``dt`` at rho = 0 and to
 ``dt/t`` at rho = inf.  Characters are ``u -> exp(i*gamma*log(1+rho*u))``, so
 after the substitution ``w = log(1+rho*t)`` every transform below is an
 ordinary Fourier/Laplace integral on the line, truncated to ``[-T, T]`` with
-``T = spec.truncation``.
+``T = spec.truncation``.  Past 64 half periods on ``[-T, T]`` it is computed
+with Filon cells, whose number follows the profile and not the frequency.
 """
 from __future__ import annotations
 
@@ -22,11 +23,7 @@ from regvar.popa import (
     _log_eta_over_rho,
     iso_log,
 )
-from regvar.quadrature import (
-    QuadratureSpec,
-    QuadratureWarning,
-    adaptive_integral,
-)
+from regvar.quadrature import QuadratureSpec, QuadratureWarning, _filon_integral, adaptive_integral
 
 __all__ = [
     "Interval",
@@ -68,10 +65,10 @@ def haar_interval_measure(iv: Interval) -> float:
     return (1.0 + p.rho) * (_log_eta_over_rho(p.rho, iv.hi) - _log_eta_over_rho(p.rho, iv.lo))
 
 
-def _integrate(fn, lo: float, hi: float, spec: QuadratureSpec, what: str, breakpoints=(), depth=1) -> complex | float:
-    """Value of :func:`adaptive_integral`; non-convergence is warned about at
-    the caller of the public function, ``depth`` frames above this one."""
-    res = adaptive_integral(fn, lo, hi, spec, breakpoints=breakpoints)
+def _integrate(fn, lo: float, hi: float, spec: QuadratureSpec, what: str, depth=1, z=None) -> complex | float:
+    """Value of :func:`adaptive_integral`, or given ``z`` of the Filon rule for ``fn(w)*exp(-z*w)``; non-convergence
+    is warned about at the caller of the public function, ``depth`` frames above this one."""
+    res = adaptive_integral(fn, lo, hi, spec) if z is None else _filon_integral(fn, lo, hi, spec, z)
     if not res.converged:
         warnings.warn(
             f"{what} did not converge: best estimate {res.value!r}, error bound {res.error:.3e}",
@@ -139,18 +136,6 @@ def _additive_profile(f: Callable[[float], float], param: PopaParam) -> Callable
     return lambda w: scale * f(math.expm1(w) / rho)
 
 
-def _oscillation_breakpoints(freq: float, T: float, min_cells: int) -> tuple:
-    """Initial cell edges no wider than half an oscillation period."""
-    if freq == 0.0:
-        return ()
-    period = 2.0 * math.pi / abs(freq)
-    needed = math.ceil(2.0 * T / (0.5 * period))
-    if needed <= min_cells:
-        return ()
-    needed = min(needed, 1 << 16)
-    return tuple(-T + 2.0 * T * k / needed for k in range(1, needed))
-
-
 def _line_transform(f, param: PopaParam, z: complex, spec: QuadratureSpec, what: str) -> complex:
     """Line integral of ``f_profile(w) * exp(-z*w)`` over ``[-T, T]``, where
     ``f_profile`` is f pushed through the isomorphism (for finite rho this is
@@ -161,12 +146,9 @@ def _line_transform(f, param: PopaParam, z: complex, spec: QuadratureSpec, what:
     if _tiny_rho(param, T, abs(z) * T):  # the Haar integral of f over t in [-T, T]
         return complex(_integrate(lambda t: (1.0 + param.rho) * f(t), -T, T, spec, what, depth=2))
     prof = _additive_profile(f, param)
-
-    def integrand(w: float) -> complex:
-        return prof(w) * cmath.exp(-z * w)
-
-    breakpoints = _oscillation_breakpoints(z.imag, T, 64)
-    return complex(_integrate(integrand, -T, T, spec, what, breakpoints, depth=2))
+    if z.imag and 2.0 * T / (math.pi / abs(z.imag)) > 64:  # over 64 half periods, one per initial cell
+        return complex(_integrate(prof, -T, T, spec, what, 2, z))
+    return complex(_integrate(lambda w: prof(w) * cmath.exp(-z * w), -T, T, spec, what, depth=2))
 
 
 def fourier_popa(

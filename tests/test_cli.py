@@ -214,15 +214,24 @@ class TestTransformCommand:
         assert float(out) == pytest.approx(1.0, abs=1e-8)
 
     def test_strict_nonconvergence_exits_3(self, capsys):
-        # the oscillation outruns the pre-split cell budget at this frequency
-        args = ["transform", "fourier", "--rho", "0", "--f", "gauss", "--gamma", "1e4"]
+        # the pole of 1/t at 0 inside (-1, 2) keeps the error bound far above the tolerance
+        args = ["transform", "integrate", "--rho", "0", "--f", "inv", "--lo", "-1", "--hi", "2"]
         code, out, err = run_cli(capsys, *args)
         assert code == 0  # non-strict: warn and print the best estimate
         assert "warning:" in err
-        assert out.count(",") == 1
+        assert out.count("\n") == 1 and math.isfinite(float(out))
         code2, _, err2 = run_cli(capsys, *args, "--strict")
         assert code2 == 3
         assert "error:" in err2
+
+    @pytest.mark.parametrize("gamma", ["1e4", "1e6"])
+    def test_high_frequency_fourier_converges(self, capsys, gamma):
+        # the Gaussian's transform exp(-gamma**2/2) underflows to 0 at these frequencies
+        code, out, err = run_cli(capsys, "transform", "fourier", "--rho", "0", "--f", "gauss",
+                                 "--gamma", gamma, "--strict")
+        assert code == 0 and err == ""
+        re, im = (float(v) for v in out.split(","))
+        assert abs(complex(re, im)) <= 1e-9
 
 
 class TestKernelCommand:

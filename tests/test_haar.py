@@ -31,6 +31,7 @@ from regvar.popa import (
     iso_exp,
     iso_log,
 )
+from regvar import haar
 from regvar.quadrature import QuadratureSpec, QuadratureWarning
 
 P1 = PopaParam(1.0)
@@ -186,7 +187,7 @@ def _indicator_norm_ball(param: PopaParam, radius_w: float):
 
 class TestFourier:
     @pytest.mark.parametrize("param", [ZERO, P1, INFINITY])
-    @pytest.mark.parametrize("gamma", [0.0, 1.0, 2.0, 5.0])
+    @pytest.mark.parametrize("gamma", [0.0, 1.0, 2.0, 5.0, 50.0])
     def test_indicator_closed_form(self, param, gamma):
         # profile is weight * 1_{|w|<=1}; transform is weight * 2 sin(gamma)/gamma
         a = 1.0
@@ -407,6 +408,76 @@ class TestNonConvergenceWarning:
 
 
 GAUSS = lambda t: math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
+
+
+def _on_group(param: PopaParam, prof):
+    """f whose profile in w = log(1+rho*t), density included, is ``prof``."""
+    if param.is_zero:
+        return prof
+    if param.is_infinite:
+        return lambda t: prof(math.log(t))
+    return lambda t: prof(math.log1p(param.rho * t)) * param.rho / (1.0 + param.rho)
+
+
+@pytest.fixture
+def filon_results(monkeypatch):
+    """The QuadratureResult of every Filon-rule call, in order."""
+    results = []
+    filon = haar._filon_integral
+
+    def record(*args):
+        results.append(filon(*args))
+        return results[-1]
+
+    monkeypatch.setattr(haar, "_filon_integral", record)
+    return results
+
+
+class TestFilonTransforms:
+    """Above 2T|Im z|/pi = 64 (|Im z| > 3.351 at T = 30) the line transforms use
+    Filon cells: the profile exp(-w**2/2) has transform sqrt(2 pi) exp(z**2/2)."""
+
+    @staticmethod
+    def _check(call, z, results):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = call()
+        want = math.sqrt(2.0 * math.pi) * cmath.exp(0.5 * z * z)
+        (res,) = results
+        assert res.converged
+        assert abs(got - want) <= 1e-9
+        assert abs(got - want) <= res.error
+
+    @pytest.mark.parametrize("param", PARAM_SET, ids=str)
+    @pytest.mark.parametrize("gamma", [3.4, 5.0, 50.0, 1e3, 1e4, 1e6])
+    def test_fourier_gaussian_oracle(self, param, gamma, filon_results):
+        f = _on_group(param, lambda w: math.exp(-0.5 * w * w))
+        self._check(lambda: fourier_popa(f, param, gamma, SPEC), complex(0.0, gamma), filon_results)
+
+    @pytest.mark.parametrize("im", [5.0, 74.0])
+    @pytest.mark.parametrize("re", [-1.0, 0.25, 1.0])
+    def test_mellin_gaussian_oracle(self, re, im, filon_results):
+        f = _on_group(P1, lambda w: math.exp(-0.5 * w * w))
+        z = complex(re, im)
+        self._check(lambda: mellin_popa(f, P1, z, SPEC), z, filon_results)
+
+    def test_continuous_across_the_gate(self, filon_results):
+        f = lambda w: math.exp(-0.5 * w * w)
+        err = {}
+        for gamma in (3.35, 3.36):
+            got = fourier_popa(f, ZERO, gamma, SPEC)
+            err[gamma] = got - math.sqrt(2.0 * math.pi) * math.exp(-0.5 * gamma * gamma)
+        assert len(filon_results) == 1  # only 3.36 is above the gate
+        assert abs(err[3.35]) <= 1e-9 and abs(err[3.36]) <= 1e-9
+        assert abs(err[3.35] - err[3.36]) <= 1e-9
+        # the two floats either side of the gate itself
+        T = SPEC.truncation
+        above = 32.0 * math.pi / T
+        while not 2.0 * T / (math.pi / above) > 64:
+            above = math.nextafter(above, math.inf)
+        below = math.nextafter(above, 0.0)
+        assert abs(fourier_popa(f, ZERO, above, SPEC) - fourier_popa(f, ZERO, below, SPEC)) <= 1e-9
+        assert len(filon_results) == 2
 
 
 class TestSubnormalRhoTransforms:

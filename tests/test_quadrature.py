@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from regvar.quadrature import QuadratureResult, QuadratureSpec, adaptive_integral
+from regvar.quadrature import QuadratureResult, QuadratureSpec, _filon_integral, _filon_weights, adaptive_integral
 
 SPEC = QuadratureSpec()
 
@@ -32,6 +33,13 @@ class TestSpecValidation:
     def test_rejects_bad_knobs(self, kwargs):
         with pytest.raises(ValueError):
             QuadratureSpec(**kwargs)
+
+    @pytest.mark.parametrize("field", ["abs_tol", "rel_tol"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_rejects_non_finite_tolerances_by_name(self, field, value):
+        # an infinite tolerance would accept any error bound as converged
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            QuadratureSpec(**{field: value})
 
 
 class TestSmoothIntegrands:
@@ -141,3 +149,49 @@ def test_cauchy_bump_family_against_quad():
         res = adaptive_integral(fn, -8.0, 8.0, SPEC)
         ref, _ = integrate.quad(fn, -8.0, 8.0, epsabs=1e-12, limit=300)
         assert res.value == pytest.approx(ref, abs=1e-9)
+
+
+def _lagrange_weights_by_quadrature(theta: complex) -> list[complex]:
+    """The three Filon weights integrated by the Simpson rule itself."""
+    basis = (lambda s: 0.5 * s * (s - 1.0), lambda s: 1.0 - s * s, lambda s: 0.5 * s * (s + 1.0))
+    tight = QuadratureSpec(abs_tol=1e-15, rel_tol=1e-15, max_subdivisions=20000)
+    return [adaptive_integral(lambda s, L=L: L(s) * cmath.exp(-theta * s), -1.0, 1.0, tight).value for L in basis]
+
+
+class TestFilon:
+    ANGLES = [0.0, 0.3, math.pi / 4, 1.2, math.pi / 2, 2.0, 2.9, math.pi, -math.pi / 2]
+
+    @pytest.mark.parametrize("angle", ANGLES)
+    def test_series_and_closed_forms_agree_at_the_switch(self, angle):
+        # |theta| < 1 takes the Taylor series, |theta| >= 1 the closed forms
+        below = _filon_weights(cmath.rect(math.nextafter(1.0, 0.0), angle))
+        at = _filon_weights(cmath.rect(1.0, angle))
+        scale = max(abs(w) for w in at)
+        assert max(abs(x - y) for x, y in zip(below, at)) <= 2e-15 * scale
+
+    @pytest.mark.parametrize("r", [0.0, 1e-3, 0.5, 0.99, 1.0, 3.0, 40.0])
+    @pytest.mark.parametrize("angle", [0.0, 0.7, math.pi / 2, -2.5])
+    def test_weights_integrate_the_lagrange_basis(self, r, angle):
+        theta = cmath.rect(r, angle)
+        want = _lagrange_weights_by_quadrature(theta)
+        got = _filon_weights(theta)
+        assert max(abs(x - y) for x, y in zip(got, want)) <= 1e-12 * max(1.0, *map(abs, want))
+
+    def test_zero_frequency_weights_are_simpson(self):
+        assert _filon_weights(0j) == pytest.approx((1 / 3, 4 / 3, 1 / 3), rel=1e-15)
+
+    @pytest.mark.parametrize("z", [8j, -300j, 0.5 + 40j, -1.0 + 1e5j])
+    def test_quadratic_profile_is_exact(self, z):
+        # the rule integrates its own interpolant exactly: no refinement, exact value
+        p = lambda w: 1.0 - 0.5 * w + 0.25 * w * w
+        res = _filon_integral(p, -1.0, 2.0, SPEC, z)
+        # closed form by repeated integration by parts of p(w) exp(-z w)
+        F = lambda w: -cmath.exp(-z * w) * (p(w) / z + (-0.5 + 0.5 * w) / z**2 + 0.5 / z**3)
+        want = F(2.0) - F(-1.0)
+        assert res.converged and res.evaluations == 257  # 64 initial cells, none split
+        assert abs(res.value - want) <= 1e-13 * max(1.0, abs(want))
+
+    def test_evaluations_do_not_grow_with_the_frequency(self):
+        gauss = lambda w: math.exp(-0.5 * w * w)
+        evals = [_filon_integral(gauss, -30.0, 30.0, SPEC, complex(0.0, g)).evaluations for g in (1e4, 1e6, 1e9)]
+        assert max(evals) <= 300
