@@ -5,8 +5,10 @@ with respect to Lebesgue measure; it degenerates to ``dt`` at rho = 0 and to
 ``dt/t`` at rho = inf.  Characters are ``u -> exp(i*gamma*log(1+rho*u))``, so
 after the substitution ``w = log(1+rho*t)`` every transform below is an
 ordinary Fourier/Laplace integral on the line, truncated to ``[-T, T]`` with
-``T = spec.truncation``.  Past 64 half periods on ``[-T, T]`` it is computed
-with Filon cells, whose number follows the profile and not the frequency.
+``T = spec.truncation``.  All of them use the Clenshaw-Curtis cells of
+:mod:`regvar.quadrature`, Filon-Clenshaw-Curtis for ``exp(-z*w)``, whose cost
+follows the profile and not the frequency; only ``fourier_popa`` at rho = 0
+with 2T|gamma| <= 64 pi keeps the Simpson rule, whose output there is pinned.
 """
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ from regvar.popa import (
     _log_eta_over_rho,
     iso_log,
 )
-from regvar.quadrature import QuadratureSpec, QuadratureWarning, _filon_integral, adaptive_integral
+from regvar.quadrature import QuadratureSpec, QuadratureWarning, _cc_integral, adaptive_integral
 
 __all__ = [
     "Interval",
@@ -65,10 +67,10 @@ def haar_interval_measure(iv: Interval) -> float:
     return (1.0 + p.rho) * (_log_eta_over_rho(p.rho, iv.hi) - _log_eta_over_rho(p.rho, iv.lo))
 
 
-def _integrate(fn, lo: float, hi: float, spec: QuadratureSpec, what: str, depth=1, z=None) -> complex | float:
-    """Value of :func:`adaptive_integral`, or given ``z`` of the Filon rule for ``fn(w)*exp(-z*w)``; non-convergence
-    is warned about at the caller of the public function, ``depth`` frames above this one."""
-    res = adaptive_integral(fn, lo, hi, spec) if z is None else _filon_integral(fn, lo, hi, spec, z)
+def _integrate(fn, lo: float, hi: float, spec: QuadratureSpec, what: str, depth=1, z=0.0) -> complex | float:
+    """Integral of ``fn(w)*exp(-z*w)`` by Clenshaw-Curtis cells, or of ``fn`` by :func:`adaptive_integral` given
+    ``z=None``; non-convergence is warned about at the caller of the public function, ``depth`` frames above."""
+    res = adaptive_integral(fn, lo, hi, spec) if z is None else _cc_integral(fn, lo, hi, spec, z)
     if not res.converged:
         warnings.warn(
             f"{what} did not converge: best estimate {res.value!r}, error bound {res.error:.3e}",
@@ -145,10 +147,12 @@ def _line_transform(f, param: PopaParam, z: complex, spec: QuadratureSpec, what:
     T = spec.truncation
     if _tiny_rho(param, T, abs(z) * T):  # the Haar integral of f over t in [-T, T]
         return complex(_integrate(lambda t: (1.0 + param.rho) * f(t), -T, T, spec, what, depth=2))
+    if math.isinf(abs(z) * T):
+        raise DomainError(f"{what}: |z|*T = {abs(z) * T} is not finite")
     prof = _additive_profile(f, param)
-    if z.imag and 2.0 * T / (math.pi / abs(z.imag)) > 64:  # over 64 half periods, one per initial cell
-        return complex(_integrate(prof, -T, T, spec, what, 2, z))
-    return complex(_integrate(lambda w: prof(w) * cmath.exp(-z * w), -T, T, spec, what, depth=2))
+    if param.is_zero and not (z.imag and 2.0 * T / (math.pi / abs(z.imag)) > 64):  # the pinned Simpson path
+        return complex(_integrate(lambda w: prof(w) * cmath.exp(-z * w), -T, T, spec, what, 2, None))
+    return complex(_integrate(prof, -T, T, spec, what, 2, z))
 
 
 def fourier_popa(
@@ -184,27 +188,22 @@ def popa_convolution(
     """Haar convolution (f*g)(x) = integral of f(inv(t)) g(x o t) d_eta(t).
 
     Evaluated on the additive scale w = log eta(t), where the invariant
-    measure is (1+rho)/rho * dw (plain dw at the two extreme parameters).
+    measure is (1+rho)/rho * dw (plain dw at the two extreme parameters),
+    inside the integrand so that the tolerances bound the convolution.
     """
     p = x.param
     T = spec.truncation
     if p.is_zero or _tiny_rho(p, abs(x.value), T):
-        integrand = lambda t: f(-t) * g(x.value + t)
         weight = 1.0 + p.rho
+        integrand = lambda t: weight * f(-t) * g(x.value + t)
     elif p.is_infinite:
         integrand = lambda w: f(math.exp(-w)) * g(x.value * math.exp(w))
-        weight = 1.0
     else:
         rho = p.rho
         eta_x = 1.0 + rho * x.value
-
-        def integrand(w: float) -> float:
-            inv_t = math.expm1(-w) / rho
-            xt = (eta_x * math.exp(w) - 1.0) / rho
-            return f(inv_t) * g(xt)
-
-        weight = (1.0 + rho) / rho
-    return weight * float(_integrate(integrand, -T, T, spec, f"popa_convolution at x={x.value}").real)
+        scale = (1.0 + rho) / rho  # x o t = (eta_x * e^w - 1)/rho, here without the cancellation
+        integrand = lambda w: scale * f(math.expm1(-w) / rho) * g(eta_x * math.expm1(w) / rho + x.value)
+    return float(_integrate(integrand, -T, T, spec, f"popa_convolution at x={x.value}").real)
 
 
 def beurling_convolution(

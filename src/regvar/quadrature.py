@@ -1,32 +1,35 @@
-"""Globally adaptive Simpson quadrature with deterministic refinement.
+"""Globally adaptive quadrature with deterministic refinement.
 
-The integration strategy is deliberately simple and reproducible:
-
-  * the interval is cut into an initial grid (optionally through caller
-    supplied breakpoints),
-  * every cell carries a Simpson value and the classical error estimate
-    |S_fine - S_coarse|/15 obtained from its two halves,
-  * the cell with the largest estimate is split until the summed estimate
-    drops below max(abs_tol, rel_tol*|value|) or the subdivision budget is
-    exhausted.
+From an initial grid, the cell with the largest error estimate is split until
+the summed estimate drops below max(abs_tol, rel_tol*|value|) or the budget is
+spent.  Simpson cells (:func:`adaptive_integral`) carry the gauge
+|S_fine - S_coarse|.  Clenshaw-Curtis 17/9 cells (``_cc_integral``, used by
+regvar.haar) take the profile ``p`` at ``c + r*cos(k*pi/16)``, the even k
+nested.  For ``p(w) * exp(-z*w)`` their weights integrate the interpolant of
+``p`` exactly against the exponential (Filon-Clenshaw-Curtis; Dominguez,
+Graham & Smyshlyaev 2011), so the cells follow ``p``, not the frequency.  The
+gauge is d, or QUADPACK's resasc * (200*d/resasc)**1.5 (Piessens et al. 1983)
+where less, resasc the integral of |p - mean|, floored at 50 eps times that of
+|p|.  C17 - C9 sums the weighted misses of the 9-point interpolant at four
+mirror pairs of odd nodes; d sums their moduli, which cannot cancel.  There
+are min(24, ceil(span / (T/12))) initial panels, T = ``spec.truncation``; a
+split reuses the end values, so a child costs 15 evaluations.
 
 Ties in the refinement queue are broken by cell position and the final value
 is accumulated in fixed left-to-right order with compensated summation, so a
 given integrand always produces bit-identical output.  Non-convergence is not
 fatal: the best estimate is returned together with ``converged=False`` and a
 conservative error bound.
-
-For ``p(w) * exp(-z*w)``, Filon-Simpson cells (Filon 1928; Iserles & Norsett
-2005) integrate the quadratic interpolant of ``p`` exactly against the
-exponential, so the cells follow ``p`` and not the frequency.
 """
 from __future__ import annotations
 
 import cmath
 import functools
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Callable, Sequence
 
 __all__ = ["QuadratureSpec", "QuadratureResult", "QuadratureWarning", "adaptive_integral"]
@@ -78,62 +81,28 @@ class QuadratureResult:
 
 
 class _Cell:
-    """One quadrature cell holding its five-point Simpson pair; the two
-    quarter points are evaluated here, the other three are passed in."""
+    """A cell: its ends and centre with their values, estimate and gauge, and Simpson's quarter points."""
+    __slots__ = ("a", "b", "fa", "fm", "fb", "value", "err", "fq1", "fq3")
 
-    __slots__ = ("a", "b", "fa", "fq1", "fm", "fq3", "fb", "value", "err")
-
-    def __init__(self, fn, a, b, fa, fm, fb, nev):
-        self.a, self.b, self.fa, self.fm, self.fb = a, b, fa, fm, fb
-        self.fq1 = fq1 = fn(a + 0.25 * (b - a))
-        self.fq3 = fq3 = fn(a + 0.75 * (b - a))
-        nev[0] += 2
-        h = b - a
-        s1 = h * (fa + 4.0 * fm + fb) / 6.0
-        s2 = h * (fa + 4.0 * fq1 + 2.0 * fm + 4.0 * fq3 + fb) / 12.0
-        # Richardson-corrected value; the plain pair difference is kept as a
-        # deliberately conservative error gauge (no /15 reduction, which would
-        # overstate accuracy on non-smooth integrands).
-        self.value = s2 + (s2 - s1) / 15.0
-        self.err = abs(s2 - s1)
+    def __init__(self, a, b, fa, fm, fb, value, err, fq1=None, fq3=None):
+        self.a, self.b, self.fa, self.fm, self.fb, self.value, self.err = a, b, fa, fm, fb, value, err
+        self.fq1, self.fq3 = fq1, fq3
 
 
-def _filon_weights(theta: complex) -> tuple:
-    """(wa, wm, wb): wa*fa + wm*fm + wb*fb integrates exp(-theta*s) times the
-    quadratic through (-1, fa), (0, fm), (1, fb) over [-1, 1]."""
-    if abs(theta) < 1.0:  # Taylor series of the moments m_n, whose closed forms cancel here
-        terms = [(-theta) ** j / math.factorial(j) for j in range(20)]
-        m0, m1, m2 = (sum(2.0 * t / (j + n + 1) for j, t in enumerate(terms) if (j + n) % 2 == 0) for n in range(3))
-    else:
-        m0 = 2.0 * cmath.sinh(theta) / theta
-        m1 = (m0 - 2.0 * cmath.cosh(theta)) / theta
-        m2 = m0 + 2.0 * m1 / theta
-    return 0.5 * (m2 - m1), m0 - m2, 0.5 * (m2 + m1)
-
-
-class _FilonCell(_Cell):
-    """A cell of :func:`_filon_integral`: s1 and s2 integrate the quadratic
-    interpolants of the five profile values over the cell and over its halves
-    against exp(-z*w); ``weights`` holds their weights per cell width."""
-
-    __slots__ = ()
-
-    def __init__(self, fn, a, b, fa, fm, fb, nev, nz, weights):
-        self.a, self.b, self.fa, self.fm, self.fb = a, b, fa, fm, fb
-        h = b - a
-        q1, q3 = a + 0.25 * h, a + 0.75 * h
-        self.fq1, self.fq3 = fq1, fq3 = fn(q1), fn(q3)
-        nev[0] += 2
-        if h not in weights:  # the coarse weights are scaled by exp(-z*m) / exp(-z*q1)
-            shift = 0.5 * h * cmath.exp(0.25 * h * nz)
-            weights[h] = ([shift * c for c in _filon_weights(-0.5 * h * nz)]
-                          + [0.25 * h * c for c in _filon_weights(-0.25 * h * nz)])
-        ca, cm, cb, wa, wm, wb = weights[h]
-        e1, e3 = cmath.exp(nz * q1), cmath.exp(nz * q3)
-        s1 = e1 * (ca * fa + cm * fm + cb * fb)
-        s2 = e1 * (wa * fa + wm * fq1 + wb * fm) + e3 * (wa * fm + wm * fq3 + wb * fb)
-        self.value = s2 + (s2 - s1) / 15.0
-        self.err = abs(s2 - s1)
+def _simpson_cell(fn, a, b, fa, fm, fb, nev) -> _Cell:
+    """A cell holding its five-point Simpson pair; the quarter points, and the centre if None, are evaluated here."""
+    if fm is None:
+        fm = fn(0.5 * (a + b))
+        nev[0] += 1
+    fq1, fq3 = fn(a + 0.25 * (b - a)), fn(a + 0.75 * (b - a))
+    nev[0] += 2
+    h = b - a
+    s1 = h * (fa + 4.0 * fm + fb) / 6.0
+    s2 = h * (fa + 4.0 * fq1 + 2.0 * fm + 4.0 * fq3 + fb) / 12.0
+    # Richardson-corrected value; the plain pair difference is kept as a
+    # deliberately conservative error gauge (no /15 reduction, which would
+    # overstate accuracy on non-smooth integrands).
+    return _Cell(a, b, fa, fm, fb, s2 + (s2 - s1) / 15.0, abs(s2 - s1), fq1, fq3)
 
 
 def adaptive_integral(
@@ -145,62 +114,136 @@ def adaptive_integral(
     breakpoints: Sequence[float] = (),
     min_cells: int = 64,
 ) -> QuadratureResult:
-    """Integrate ``fn`` over [lo, hi]; real or complex valued integrands."""
-    return _refine(fn, lo, hi, spec, breakpoints, min_cells, _Cell)
+    """Integrate ``fn`` over [lo, hi] with Simpson cells; real or complex valued integrands."""
+    nev = [0]
+    cell = functools.partial(_simpson_cell, fn, nev=nev)
+    return _refine(fn, lo, hi, spec, breakpoints, min_cells, lambda a, b, fa, fb: cell(a, b, fa, None, fb),
+                   lambda c, m: (cell(c.a, m, c.fa, c.fq1, c.fm), cell(m, c.b, c.fm, c.fq3, c.fb)), nev)
 
 
-def _filon_integral(profile, lo: float, hi: float, spec: QuadratureSpec, z: complex) -> QuadratureResult:
-    """Integrate ``profile(w) * exp(-z*w)`` over [lo, hi] with Filon-Simpson cells."""
-    return _refine(profile, lo, hi, spec, (), 64, functools.partial(_FilonCell, nz=-z, weights={}))
+def _inverse(matrix: list) -> list:
+    """Inverse of a small square matrix by Gauss-Jordan elimination with partial pivoting."""
+    n = len(matrix)
+    rows = [list(row) + [float(i == j) for j in range(n)] for i, row in enumerate(matrix)]
+    for col in range(n):
+        piv = max(range(col, n), key=lambda i: abs(rows[i][col]))
+        rows[col], rows[piv] = rows[piv], rows[col]
+        rows[col] = [v / rows[col][col] for v in rows[col]]
+        rows = [r if i == col else [v - r[col] * u for v, u in zip(r, rows[col])] for i, r in enumerate(rows)]
+    return [row[n:] for row in rows]
 
 
-def _refine(fn, lo, hi, spec, breakpoints, min_cells, cell) -> QuadratureResult:
-    """The globally adaptive loop over cells made by ``cell``."""
+def _cc_rule(w: list, interp: list) -> tuple:
+    """w and, per mirror pair (k, 16-k) of odd nodes, (k, w_k, w_16-k, the weighted 9-point interpolant there)."""
+    return w, [(k, w[k], w[16 - k], [w[k] * u + w[16 - k] * v for u, v in zip(interp[k // 2], interp[7 - k // 2])])
+               for k in (1, 3, 5, 7)]
+
+
+@functools.cache
+def _cc_tables() -> tuple:
+    """The nodes cos(k*pi/16), exactly mirrored; the columns k <= 8 of A = inverse of P_m(node_k), which
+    holds the Legendre coefficients of the Lagrange basis; the 9-point basis at the odd nodes; the plain rule."""
+    half = [math.cos(k * math.pi / 16) for k in range(8)]
+    nodes = half + [0.0] + [-x for x in reversed(half)]
+    step = lambda p, k: p + [((2 * k + 1) * p[1] * p[k] - k * p[k - 1]) / (k + 1)]  # appends P_k+1(x); p[1] = x
+    cols = [list(col) for col in zip(*_inverse([functools.reduce(step, range(1, 16), [1.0, x]) for x in nodes]))][:9]
+    interp = [[math.prod((x - e) / (c - e) for e in nodes[0::2] if e != c) for c in nodes[0::2]] for x in nodes[1::2]]
+    plain = [2.0 * col[0] for col in cols]  # mu = (2, 0, ..., 0) at theta = 0
+    return nodes, cols, interp, _cc_rule(plain + plain[-2::-1], interp)
+
+
+def _legendre_moments(theta: complex) -> list:
+    """mu_k = integral of P_k(s) exp(-theta*s) over [-1, 1], k <= 16: mu_{k+1} = mu_{k-1} + (2k+1)/theta * mu_k."""
+    if abs(theta) >= 17.0:  # forward, stable while k < |theta|
+        mu = [m0 := 2.0 * cmath.sinh(theta) / theta, (m0 - 2.0 * cmath.cosh(theta)) / theta]
+        for k in range(1, 16):
+            mu.append(mu[k - 1] + (2 * k + 1) / theta * mu[k])
+        return mu
+    # Miller: the ratios mu_k/mu_{k-1}, settled to an ulp long before k = 60, backward, normalised
+    # by exp(-theta*s) = sum (k+1/2) mu_k P_k(s) at s = -1 (Re theta >= 0) or s = 1, where the terms
+    # do not cancel (mu_0 alone vanishes at theta = i*pi, ..., 5i*pi)
+    ratios = itertools.accumulate(range(60, 0, -1), lambda r, k: theta / (theta * r - (2 * k + 1)), initial=0.0)
+    mu = list(itertools.accumulate(reversed(list(ratios)[1:]), mul, initial=1.0))
+    sign = -1.0 if theta.real >= 0.0 else 1.0
+    scale = cmath.exp(-sign * theta) / sum((k + 0.5) * sign**k * m for k, m in enumerate(mu))
+    return [scale * m for m in mu[:17]]
+
+
+def _cc_weights(theta: complex) -> list:
+    """W_k = integral of exp(-theta*s) L_k(s) over [-1, 1]; by parity W_k, W_16-k share the halves of A's column k."""
+    mu = _legendre_moments(theta)
+    w = [0j] * 17
+    for k, col in enumerate(_cc_tables()[1]):
+        e, o = sum(map(mul, col[0::2], mu[0::2])), sum(map(mul, col[1::2], mu[1::2]))
+        w[k], w[16 - k] = e + o, e - o
+    return w
+
+
+def _cc_integral(fn, lo: float, hi: float, spec: QuadratureSpec = QuadratureSpec(), z: complex = 0.0):
+    """Integrate ``fn(w) * exp(-z*w)`` over [lo, hi] with Clenshaw-Curtis 17/9 cells."""
+    nodes, _, interp, plain = _cc_tables()
+    inner, w0 = nodes[1:16], plain[0]
+    rules, nev = {}, [0]  # the rule of the cells of half-width r, at theta = z*r; evaluations
+
+    def make(a, b, fa, fb):
+        c, r = 0.5 * (a + b), 0.5 * (b - a)
+        p = [fb, *[fn(c + r * s) for s in inner], fa]
+        nev[0] += 15
+        if z and r not in rules:
+            rules[r] = _cc_rule(_cc_weights(z * r), interp)
+        w, pairs = rules[r] if z else plain
+        coarse = p[0::2]
+        d = sum(abs(wk * p[k] + wl * p[16 - k] - sum(map(mul, row, coarse))) for k, wk, wl, row in pairs)
+        plain_value = sum(map(mul, w0, p))
+        e = r * cmath.exp(-z * c) if z else r
+        value, scale = e * sum(map(mul, w, p)) if z else r * plain_value, abs(e)
+        mean = 0.5 * plain_value
+        resasc = scale * sum(map(mul, w0, [abs(v - mean) for v in p]))
+        d *= scale
+        err = min(d, resasc * (200.0 * d / resasc) ** 1.5) if resasc else d
+        err = max(err, 50.0 * 2.0**-52 * scale * sum(map(mul, w0, map(abs, p))))
+        return _Cell(a, b, fa, p[8], fb, value, err)
+
+    panels = math.ceil(min(24.0, (hi - lo) / (spec.truncation / 12.0))) if lo < hi else 1  # else _refine raises
+    split = lambda c, m: (make(c.a, m, c.fa, c.fm), make(m, c.b, c.fm, c.fb))
+    return _refine(fn, lo, hi, spec, (), panels, make, split, nev)
+
+
+def _refine(fn, lo, hi, spec, breakpoints, min_cells, first, split, nev) -> QuadratureResult:
+    """The adaptive loop from a grid of at least ``min_cells`` cells through the breakpoints, whose cells
+    ``first(a, b, fa, fb)`` makes; ``split(cell, midpoint)`` makes the two halves of a cell."""
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"bad integration interval [{lo}, {hi}]")
     span = hi - lo
-
     edges = sorted({lo, hi, *(float(p) for p in breakpoints if lo < p < hi)})
-    # refine the initial grid uniformly until there are at least min_cells cells
-    target = max(1, min_cells)
     grid = [lo]
     for left, right in zip(edges[:-1], edges[1:]):
-        pieces = max(1, math.ceil((right - left) / span * target))
+        pieces = max(1, math.ceil((right - left) / span * max(1, min_cells)))
         for k in range(1, pieces + 1):
             grid.append(left + (right - left) * k / pieces)
     grid[-1] = hi
-
     fvals = [fn(x) for x in grid]
-    nev = [len(grid)]
-
-    cells = []
-    for i in range(len(grid) - 1):
-        a, b = grid[i], grid[i + 1]
-        m = 0.5 * (a + b)
-        fm = fn(m)
-        nev[0] += 1
-        cells.append(cell(fn, a, b, fvals[i], fm, fvals[i + 1], nev))
-
+    nev[0] += len(grid)
+    cells = [first(grid[i], grid[i + 1], fvals[i], fvals[i + 1]) for i in range(len(grid) - 1)]
     heap = [(-c.err, c.a, c) for c in cells]
     heapq.heapify(heap)
     frozen = []  # cells at the width floor, no longer refinable
     width_floor = span * _WIDTH_FLOOR_FACTOR
-
-    # running totals steer refinement; the exact fsum happens once at the end
-    run_value = sum(c.value for c in cells)
-    run_err = sum(c.err for c in cells)
-
+    # running totals steer refinement; exact sums confirm the stop and make the result
+    run_value, run_err = sum(c.value for c in cells), sum(c.err for c in cells)
     splits = 0
     while splits < spec.max_subdivisions and heap:
         if run_err <= max(spec.abs_tol, spec.rel_tol * abs(run_value)):
-            break
+            # the running sums drift once they have held far larger terms: confirm afresh
+            active = [c for (_, _, c) in heap] + frozen
+            run_value, run_err = sum(c.value for c in active), math.fsum(c.err for c in active)
+            if run_err <= max(spec.abs_tol, spec.rel_tol * abs(run_value)):
+                break
         _, _, worst = heapq.heappop(heap)
         if worst.b - worst.a <= width_floor:
             frozen.append(worst)
             continue
-        m = 0.5 * (worst.a + worst.b)
-        left = cell(fn, worst.a, m, worst.fa, worst.fq1, worst.fm, nev)
-        right = cell(fn, m, worst.b, worst.fm, worst.fq3, worst.fb, nev)
+        left, right = split(worst, 0.5 * (worst.a + worst.b))
         heapq.heappush(heap, (-left.err, left.a, left))
         heapq.heappush(heap, (-right.err, right.a, right))
         run_value += left.value + right.value - worst.value
@@ -209,9 +252,7 @@ def _refine(fn, lo, hi, spec, breakpoints, min_cells, cell) -> QuadratureResult:
 
     active = [c for (_, _, c) in heap] + frozen
     active.sort(key=lambda c: c.a)
-    values = [c.value for c in active]
-    re = math.fsum(v.real for v in values)
-    im = math.fsum(v.imag for v in values)
+    re, im = math.fsum(c.value.real for c in active), math.fsum(c.value.imag for c in active)
     total = complex(re, im) if im != 0.0 else re
     err = math.fsum(c.err for c in active)
     converged = err <= max(spec.abs_tol, spec.rel_tol * abs(total))

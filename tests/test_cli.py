@@ -234,6 +234,39 @@ class TestTransformCommand:
         assert abs(complex(re, im)) <= 1e-9
 
 
+    @pytest.mark.parametrize("gamma,want", [
+        # mpmath: the integral of 2 gauss(e^w - 1) exp(-i gamma w) over [-30, 30]
+        ("3", complex(0.295506681138413, -0.0387025195179119)),
+        ("3.35", complex(0.0853957133551514, -0.258618391190445)),
+    ])
+    def test_fourier_below_the_old_gate_converges(self, capsys, gamma, want):
+        code, out, err = run_cli(capsys, "transform", "fourier", "--rho", "1", "--f", "gauss", "--gamma", gamma,
+                                 "--strict")
+        assert (code, err) == (0, "")
+        re, im = (float(v) for v in out.split(","))
+        assert abs(complex(re, im) - want) <= 1e-9
+
+    def test_fourier_at_small_rho_converges(self, capsys):
+        code, out, err = run_cli(capsys, "transform", "fourier", "--rho", "1e-12", "--f", "gauss", "--gamma", "1",
+                                 "--strict")
+        assert (code, err) == (0, "")
+        assert out.split(",")[0] == "1.000000000001"
+
+    def test_infinite_phase_span_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "transform", "fourier", "--rho", "1", "--f", "gauss", "--gamma", "1e308")
+        assert (code, out) == (2, "")
+        assert err == "error: fourier_popa(gamma=1e+308): |z|*T = inf is not finite\n"
+
+    def test_popa_conv_at_small_rho(self, capsys):
+        argv = ["transform", "popa-conv", "--f", "gauss", "--g", "gauss", "--x", "0", "--strict"]
+        code, out, err = run_cli(capsys, *argv, "--rho", "1e-12")
+        assert (code, err) == (0, "")
+        assert float(out) == pytest.approx(0.5 / math.sqrt(math.pi), abs=1e-9)
+        # a spike 1e-15 wide in w is not resolved, and says so
+        code, out, err = run_cli(capsys, *argv, "--rho", "1e-15")
+        assert code == 3 and err.startswith("error: popa_convolution at x=0.0 did not converge")
+
+
 class TestKernelCommand:
     def test_eval(self, capsys):
         code, out, _ = run_cli(capsys, "kernel", "eval", "--rho", "1", "--sigma", "1",

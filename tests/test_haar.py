@@ -420,22 +420,23 @@ def _on_group(param: PopaParam, prof):
 
 
 @pytest.fixture
-def filon_results(monkeypatch):
-    """The QuadratureResult of every Filon-rule call, in order."""
+def cc_results(monkeypatch):
+    """The QuadratureResult of every Clenshaw-Curtis call, in order."""
     results = []
-    filon = haar._filon_integral
+    cc = haar._cc_integral
 
     def record(*args):
-        results.append(filon(*args))
+        results.append(cc(*args))
         return results[-1]
 
-    monkeypatch.setattr(haar, "_filon_integral", record)
+    monkeypatch.setattr(haar, "_cc_integral", record)
     return results
 
 
 class TestFilonTransforms:
-    """Above 2T|Im z|/pi = 64 (|Im z| > 3.351 at T = 30) the line transforms use
-    Filon cells: the profile exp(-w**2/2) has transform sqrt(2 pi) exp(z**2/2)."""
+    """The line transforms use Filon-Clenshaw-Curtis cells, except at rho = 0 up to
+    2T|Im z|/pi = 64 (|Im z| <= 3.351 at T = 30): the profile exp(-w**2/2) has
+    transform sqrt(2 pi) exp(z**2/2)."""
 
     @staticmethod
     def _check(call, z, results):
@@ -450,24 +451,32 @@ class TestFilonTransforms:
 
     @pytest.mark.parametrize("param", PARAM_SET, ids=str)
     @pytest.mark.parametrize("gamma", [3.4, 5.0, 50.0, 1e3, 1e4, 1e6])
-    def test_fourier_gaussian_oracle(self, param, gamma, filon_results):
+    def test_fourier_gaussian_oracle(self, param, gamma, cc_results):
         f = _on_group(param, lambda w: math.exp(-0.5 * w * w))
-        self._check(lambda: fourier_popa(f, param, gamma, SPEC), complex(0.0, gamma), filon_results)
+        self._check(lambda: fourier_popa(f, param, gamma, SPEC), complex(0.0, gamma), cc_results)
 
     @pytest.mark.parametrize("im", [5.0, 74.0])
     @pytest.mark.parametrize("re", [-1.0, 0.25, 1.0])
-    def test_mellin_gaussian_oracle(self, re, im, filon_results):
+    def test_mellin_gaussian_oracle(self, re, im, cc_results):
         f = _on_group(P1, lambda w: math.exp(-0.5 * w * w))
         z = complex(re, im)
-        self._check(lambda: mellin_popa(f, P1, z, SPEC), z, filon_results)
+        self._check(lambda: mellin_popa(f, P1, z, SPEC), z, cc_results)
 
-    def test_continuous_across_the_gate(self, filon_results):
+    @pytest.mark.parametrize("rho", [0.5, 1e3])
+    @pytest.mark.parametrize("z", [0.25 + 3.3j, -0.5 + 1j, 0.75])
+    def test_mellin_below_the_old_gate(self, rho, z, cc_results):
+        # every z at rho != 0 takes the Filon-CC cells, also below 2T|Im z|/pi = 64
+        p = PopaParam(rho)
+        f = _on_group(p, lambda w: math.exp(-0.5 * w * w))
+        self._check(lambda: mellin_popa(f, p, z, SPEC), z, cc_results)
+
+    def test_continuous_across_the_gate(self, cc_results):
         f = lambda w: math.exp(-0.5 * w * w)
         err = {}
         for gamma in (3.35, 3.36):
             got = fourier_popa(f, ZERO, gamma, SPEC)
             err[gamma] = got - math.sqrt(2.0 * math.pi) * math.exp(-0.5 * gamma * gamma)
-        assert len(filon_results) == 1  # only 3.36 is above the gate
+        assert len(cc_results) == 1  # only 3.36 is above the gate of the rho = 0 path
         assert abs(err[3.35]) <= 1e-9 and abs(err[3.36]) <= 1e-9
         assert abs(err[3.35] - err[3.36]) <= 1e-9
         # the two floats either side of the gate itself
@@ -477,7 +486,67 @@ class TestFilonTransforms:
             above = math.nextafter(above, math.inf)
         below = math.nextafter(above, 0.0)
         assert abs(fourier_popa(f, ZERO, above, SPEC) - fourier_popa(f, ZERO, below, SPEC)) <= 1e-9
-        assert len(filon_results) == 2
+        assert len(cc_results) == 2
+
+
+class TestLineTransformBounds:
+    @pytest.mark.parametrize("param", [ZERO, P1, INFINITY], ids=str)
+    def test_infinite_phase_span_is_a_domain_error(self, param, monkeypatch):
+        monkeypatch.setattr(haar, "_cc_integral", lambda *a: pytest.fail("no quadrature may start"))
+        monkeypatch.setattr(haar, "adaptive_integral", lambda *a: pytest.fail("no quadrature may start"))
+        with pytest.raises(DomainError, match=r"fourier_popa\(gamma=1e\+308\): \|z\|\*T = inf"):
+            fourier_popa(GAUSS, param, 1e308, SPEC)
+
+    def test_mellin_names_z(self):
+        with pytest.raises(DomainError, match=r"mellin_popa\(z=.*\): \|z\|\*T = inf"):
+            mellin_popa(GAUSS, P1, complex(1e308, 1e308), SPEC)
+
+    def test_largest_finite_phase_span_still_integrates(self):
+        # |z|*T finite: the transform of the Gaussian profile is 0 to working precision
+        assert abs(fourier_popa(GAUSS, P1, 1e306, SPEC)) <= 1e-9
+
+
+class TestPopaConvolutionTolerance:
+    """The density (1+rho)/rho is inside the integrand, so the tolerances bound
+    the convolution itself and not the integral before the density."""
+
+    @staticmethod
+    def _gauss_profiles(rho: float, x: float):
+        # f and g are Gaussians in w = log(1+rho*t) of width ~rho, Gaussians in t of width ~1
+        p = PopaParam(rho)
+        (c1, s1), (c2, s2) = (0.3 * rho, 0.8 * rho), (-0.5 * rho, 1.1 * rho)
+        f = lambda t: math.exp(-0.5 * ((iso_log(p, t) - c1) / s1) ** 2)
+        g = lambda t: math.exp(-0.5 * ((iso_log(p, t) - c2) / s2) ** 2)
+        var = s1 * s1 + s2 * s2
+        y = math.log1p(rho * x) - c1 - c2
+        want = (1.0 + rho) / rho * math.sqrt(2.0 * math.pi) * s1 * s2 / math.sqrt(var) * math.exp(-y * y / (2.0 * var))
+        return f, g, PopaPoint(p, x), want
+
+    @pytest.mark.parametrize("rho", [1e-3, 1e-6, 1e-9])
+    @pytest.mark.parametrize("x", [0.0, 0.7])
+    def test_gaussian_profiles_within_tolerance(self, rho, x):
+        f, g, px, want = self._gauss_profiles(rho, x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = popa_convolution(f, g, px, SPEC)
+        assert abs(got - want) <= max(SPEC.abs_tol, SPEC.rel_tol * abs(want))
+
+    @pytest.mark.parametrize("rho", [1e-12, 1e-13, 1e-14, 1e-15])
+    @pytest.mark.parametrize("x", [0.0, 0.7])
+    def test_narrow_in_w_is_right_or_warns(self, rho, x):
+        # at small rho the standard Gaussian is a spike ~rho wide in w: never a silent wrong answer
+        want = math.exp(-0.25 * x * x) / (2.0 * math.sqrt(math.pi))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = popa_convolution(GAUSS, GAUSS, PopaPoint(PopaParam(rho), x), SPEC)
+        if not any(issubclass(w.category, QuadratureWarning) for w in caught):
+            assert abs(got - want) <= max(SPEC.abs_tol, SPEC.rel_tol * want)
+
+    def test_rho_1e12_is_right_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = popa_convolution(GAUSS, GAUSS, PopaPoint(PopaParam(1e-12), 0.0), SPEC)
+        assert got == pytest.approx(0.5 / math.sqrt(math.pi), abs=1e-9)
 
 
 class TestSubnormalRhoTransforms:
