@@ -17,7 +17,6 @@ from regvar.popa import (
     power,
     to_multiplicative,
 )
-from regvar.quadrature import QuadratureResult, QuadratureSpec, QuadratureWarning
 
 __version__ = "0.1.0"
 
@@ -41,3 +40,11 @@ __all__ = [
     "power",
     "to_multiplicative",
 ]
+
+
+def __getattr__(name: str):
+    """The quadrature names load ``regvar.quadrature`` on first use, so ``import regvar`` stays light."""
+    if name in ("QuadratureResult", "QuadratureSpec", "QuadratureWarning"):
+        from regvar import quadrature
+        return getattr(quadrature, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

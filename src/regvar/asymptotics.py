@@ -18,7 +18,6 @@ import math
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 from itertools import pairwise, takewhile
 from typing import Callable, Sequence
@@ -383,6 +382,8 @@ def two_point_index(
     log(lambda1)/log(lambda2) is a small-denominator rational, in which case
     the two probes carry dependent information.
     """
+    from fractions import Fraction
+
     for name, v in (("lambda1", lambda1), ("g1", g1), ("lambda2", lambda2), ("g2", g2)):
         _positive(name, v)
     l1, l2 = math.log(lambda1), math.log(lambda2)

@@ -16,26 +16,17 @@ Conventions shared by every subcommand:
 from __future__ import annotations
 
 import argparse
-import csv
+import importlib
 import math
 import os
 import sys
 import warnings
+from typing import TYPE_CHECKING
 
-from regvar.asymptotics import (
-    LimitEvaluationError, LimitScheme, SampledFunction, beck_partition, beck_riemann_sum, cocycle_residual_beurling,
-    cocycle_residual_general, cocycle_residual_karamata, estimate_beurling, estimate_karamata, estimate_kernel,
-    estimate_rho, fit_kappa, goldie_sum, two_point_index,
-)
-from regvar.haar import (
-    Interval, beurling_convolution, fourier_popa, haar_integrate, haar_interval_measure, mellin_popa, popa_convolution,
-)
-from regvar.kernels import GoldieAux, KernelParams, goldie_integral, kernel_eval, kernel_inverse
-from regvar.popa import INFINITY, ZERO, DomainError, PopaParam, PopaPoint, circle, eta, inverse, norm, power
-from regvar.quadrature import QuadratureSpec, QuadratureWarning
-from regvar.subadd import (
-    GridSpec, additively_bounded_check, heiberg_seneta_probe, sandwich_bound_check, subadditivity_check,
-)
+from regvar.popa import INFINITY, ZERO, DomainError, PopaParam, PopaPoint
+
+if TYPE_CHECKING:
+    from regvar.asymptotics import SampledFunction
 
 __all__ = ["main", "CsvFormatError", "load_csv_function"]
 
@@ -86,6 +77,10 @@ def _tol(label: str, text: str | None) -> float:
 
 def load_csv_function(path: str) -> SampledFunction:
     """Read an ``x,fx`` table; errors carry path and 1-based line numbers."""
+    import csv
+
+    from regvar.asymptotics import SampledFunction
+
     xs: list[float] = []
     vs: list[float] = []
     try:
@@ -151,7 +146,7 @@ def _resolve_function(text: str):
 
 def _zero_extend(f):
     """A table reads as 0 outside its range, so whole-line integrals may run past it."""
-    if not isinstance(f, SampledFunction):
+    if not hasattr(f, "x_max"):  # not a SampledFunction
         return f
     return lambda u: 0.0 if u < f.x_min or u > f.x_max else f(u)
 
@@ -168,6 +163,8 @@ def _transform_input(f, p: PopaParam, pullback: bool):
 
 
 def _subadd_function(s: str, rho: PopaParam, sigma: PopaParam, kappa: float, gamma: float):
+    from regvar.kernels import GoldieAux, KernelParams, goldie_integral, kernel_eval
+
     if s == "kappa-kernel":
         kp = KernelParams(rho, sigma, kappa)
         return lambda t: kernel_eval(kp, t)
@@ -178,53 +175,53 @@ def _subadd_function(s: str, rho: PopaParam, sigma: PopaParam, kappa: float, gam
 
 
 # ------------------------------------------------------------- handlers ----
-# A handler takes the converted values of the flags its op lists in _COMMANDS and
-# returns what the op prints (see _show).  Estimation handlers return a pair
-# (text, every estimate converged), so that ``--strict`` can exit 3.
+# A handler takes its command's module (named in _COMMANDS, imported once main knows the command)
+# and the converted values of its op's flags, and returns what the op prints (see _show).  Estimation
+# handlers return a pair (text, every estimate converged), so that ``--strict`` can exit 3.
 
 
-def _fourier(rho, f, pullback, gamma, truncation):
-    return fourier_popa(_transform_input(f, rho, pullback), rho, gamma, QuadratureSpec(truncation=truncation))
+def _fourier(m, rho, f, pullback, gamma, truncation):
+    return m.fourier_popa(_transform_input(f, rho, pullback), rho, gamma, m.QuadratureSpec(truncation=truncation))
 
 
-def _mellin(rho, f, pullback, z_re, z_im, truncation):
-    spec = QuadratureSpec(truncation=truncation)
-    return mellin_popa(_transform_input(f, rho, pullback), rho, complex(z_re, z_im), spec)
+def _mellin(m, rho, f, pullback, z_re, z_im, truncation):
+    spec = m.QuadratureSpec(truncation=truncation)
+    return m.mellin_popa(_transform_input(f, rho, pullback), rho, complex(z_re, z_im), spec)
 
 
-def _popa_conv(rho, f, g, x, truncation):
-    spec = QuadratureSpec(truncation=truncation)
-    return popa_convolution(_zero_extend(f), _zero_extend(g), PopaPoint(rho, x), spec)
+def _popa_conv(m, rho, f, g, x, truncation):
+    spec = m.QuadratureSpec(truncation=truncation)
+    return m.popa_convolution(_zero_extend(f), _zero_extend(g), PopaPoint(rho, x), spec)
 
 
-def _beurling_conv(f, h, phi, x, truncation):
-    return beurling_convolution(_zero_extend(f), h, phi, x, QuadratureSpec(truncation=truncation))
+def _beurling_conv(m, f, h, phi, x, truncation):
+    return m.beurling_convolution(_zero_extend(f), h, phi, x, m.QuadratureSpec(truncation=truncation))
 
 
-def _estimate_kernel(mode, f, phi, h, t, fit_rho, fit_sigma, **scheme):
-    scheme = LimitScheme(**scheme)
+def _estimate_kernel(m, mode, f, phi, h, t, fit_rho, fit_sigma, **scheme):
+    scheme = m.LimitScheme(**scheme)
     if mode == "karamata":
-        results = estimate_karamata(f, t, scheme)
+        results = m.estimate_karamata(f, t, scheme)
     elif mode == "beurling":
-        results = estimate_beurling(f, phi, t, scheme)
+        results = m.estimate_beurling(f, phi, t, scheme)
     else:
-        results = estimate_kernel(f, phi if mode == "general" else _REGISTRY["one"], h, t, scheme)
+        results = m.estimate_kernel(f, phi if mode == "general" else _REGISTRY["one"], h, t, scheme)
     rows = [f"{_fmt(point)},{_fmt(res.value)},{_fmt_bool(res.converged)}" for point, res in results]
     fit_default = INFINITY if mode == "karamata" else ZERO
     usable = [(point, r.value) for point, r in results if math.isfinite(r.value)]
     if usable:
-        kappa, rms = fit_kappa(usable, fit_rho or fit_default, fit_sigma or fit_default)
+        kappa, rms = m.fit_kappa(usable, fit_rho or fit_default, fit_sigma or fit_default)
         print(f"kappa={_fmt(kappa)} rms={_fmt(rms)}", file=sys.stderr)
     else:
         print("kappa=nan rms=nan", file=sys.stderr)
     if mode in ("beurling", "general"):
-        rr = estimate_rho(phi, 1.0, scheme)
+        rr = m.estimate_rho(phi, 1.0, scheme)
         print(f"rho_hat={_fmt(rr.value)} converged={_fmt_bool(rr.converged)}", file=sys.stderr)
     return "\n".join(["t,value,converged", *rows]), all(r.converged for _, r in results)
 
 
-def _eta_rho(phi, t_probe, **scheme):
-    res = estimate_rho(phi, t_probe, LimitScheme(**scheme))
+def _eta_rho(m, phi, t_probe, **scheme):
+    res = m.estimate_rho(phi, t_probe, m.LimitScheme(**scheme))
     return (
         f"rho_hat={_fmt(res.value)} converged={_fmt_bool(res.converged)} "
         f"last_delta={_fmt(res.last_delta)} steps={res.steps_used}",
@@ -232,14 +229,14 @@ def _eta_rho(phi, t_probe, **scheme):
     )
 
 
-def _two_point(l1, g1, l2, g2, tol):
-    rho, consistent = two_point_index(l1, g1, l2, g2, tol=tol)
+def _two_point(m, l1, g1, l2, g2, tol):
+    rho, consistent = m.two_point_index(l1, g1, l2, g2, tol=tol)
     return f"rho={_fmt(rho)} {'consistent' if consistent else 'inconsistent'}"
 
 
-def _subadd_check(s, rho, sigma, kappa, gamma, lo, hi, n, spacing, tol):
+def _subadd_check(m, s, rho, sigma, kappa, gamma, lo, hi, n, spacing, tol):
     S = _subadd_function(s, rho, sigma, kappa, gamma)
-    rep = subadditivity_check(S, rho, sigma, GridSpec(lo, hi, n, spacing), tol)
+    rep = m.subadditivity_check(S, rho, sigma, m.GridSpec(lo, hi, n, spacing), tol)
     return (
         "holds,worst_violation,worst_x,worst_y,pairs_checked,pairs_skipped\n"
         f"{_fmt_bool(rep.holds)},{_fmt(rep.worst_violation)},{_fmt(rep.worst_pair[0])},"
@@ -247,23 +244,23 @@ def _subadd_check(s, rho, sigma, kappa, gamma, lo, hi, n, spacing, tol):
     )
 
 
-def _subadd_bounded(s, rho, sigma, kappa, gamma, points, tol):
+def _subadd_bounded(m, s, rho, sigma, kappa, gamma, points, tol):
     S = _subadd_function(s, rho, sigma, kappa, gamma)
-    rep = additively_bounded_check(S, KernelParams(rho, sigma, kappa), points, tol)
+    rep = m.additively_bounded_check(S, m.KernelParams(rho, sigma, kappa), points, tol)
     return (
         "holds,worst_violation,worst_t,points_checked\n"
         f"{_fmt_bool(rep.holds)},{_fmt(rep.worst_violation)},{_fmt(rep.worst_pair[0])},{rep.pairs_checked}"
     )
 
 
-def _hs_probe(s, rho, sigma, kappa, gamma, tol):
-    estimate, passes = heiberg_seneta_probe(_subadd_function(s, rho, sigma, kappa, gamma), tol=tol)
+def _hs_probe(m, s, rho, sigma, kappa, gamma, tol):
+    estimate, passes = m.heiberg_seneta_probe(_subadd_function(s, rho, sigma, kappa, gamma), tol=tol)
     return f"estimate={_fmt(estimate)} passes={_fmt_bool(passes)}"
 
 
-def _sandwich(s, rho, sigma, kappa, gamma, a, b, delta, m, probes):
+def _sandwich(mod, s, rho, sigma, kappa, gamma, a, b, delta, m, probes):
     S = _subadd_function(s, rho, sigma, kappa, gamma)
-    return f"holds={_fmt_bool(sandwich_bound_check(S, rho, sigma, a, b, delta, m, probes=probes))}"
+    return f"holds={_fmt_bool(mod.sandwich_bound_check(S, rho, sigma, a, b, delta, m, probes=probes))}"
 
 
 # ---------------------------------------------------------------- table ----
@@ -297,51 +294,53 @@ _QUADRATURE = "--truncation=30 --strict"
 _SUBADD = "--s:text --rho=0 --sigma=0 --kappa=1 --gamma=1"
 
 _COMMANDS = {
-    "group": ("group arithmetic", {
-        "circle": ("--rho x y", lambda rho, x, y: circle(PopaPoint(rho, x), PopaPoint(rho, y)).value),
-        "inverse": ("--rho x", lambda rho, x: inverse(PopaPoint(rho, x)).value),
-        "norm": ("--rho x", lambda rho, x: norm(PopaPoint(rho, x))),
-        "eta": ("--rho t", lambda rho, t: eta(rho, t)),
-        "power": ("--rho delta n", lambda rho, delta, n: power(rho, delta, n)),
+    "group": ("group arithmetic", "popa", {
+        "circle": ("--rho x y", lambda m, rho, x, y: m.circle(PopaPoint(rho, x), PopaPoint(rho, y)).value),
+        "inverse": ("--rho x", lambda m, rho, x: m.inverse(PopaPoint(rho, x)).value),
+        "norm": ("--rho x", lambda m, rho, x: m.norm(PopaPoint(rho, x))),
+        "eta": ("--rho t", lambda m, rho, t: m.eta(rho, t)),
+        "power": ("--rho delta n", lambda m, rho, delta, n: m.power(rho, delta, n)),
     }),
-    "transform": ("invariant measure, transforms, convolutions", {
-        "measure": ("--rho=0 --lo --hi", lambda rho, lo, hi: haar_interval_measure(Interval(rho, lo, hi))),
+    "transform": ("invariant measure, transforms, convolutions", "haar", {
+        "measure": ("--rho=0 --lo --hi", lambda m, rho, lo, hi: m.haar_interval_measure(m.Interval(rho, lo, hi))),
         "integrate": ("--rho=0 --f --lo --hi --strict",
-                      lambda rho, f, lo, hi: haar_integrate(f, Interval(rho, lo, hi))),
+                      lambda m, rho, f, lo, hi: m.haar_integrate(f, m.Interval(rho, lo, hi))),
         "fourier": (f"--rho=0 --f --pullback --gamma {_QUADRATURE}", _fourier),
         "mellin": (f"--rho=0 --f --pullback --z-re=0 --z-im=0 {_QUADRATURE}", _mellin),
         "popa-conv": (f"--rho=0 --f --g --x {_QUADRATURE}", _popa_conv),
         "beurling-conv": (f"--f --h --phi --x {_QUADRATURE}", _beurling_conv),
     }),
-    "kernel": ("canonical kernel family", {
+    "kernel": ("canonical kernel family", "kernels", {
         "eval": ("--rho --sigma=0 --kappa=1 --t",
-                 lambda rho, sigma, kappa, t: kernel_eval(KernelParams(rho, sigma, kappa), t)),
+                 lambda m, rho, sigma, kappa, t: m.kernel_eval(m.KernelParams(rho, sigma, kappa), t)),
         "inverse": ("--rho --sigma=0 --kappa=1 --z",
-                    lambda rho, sigma, kappa, z: kernel_inverse(KernelParams(rho, sigma, kappa), z)),
-        "goldie-g": ("--rho --gamma=1 --u", lambda rho, gamma, u: goldie_integral(GoldieAux(rho, gamma), u)),
+                    lambda m, rho, sigma, kappa, z: m.kernel_inverse(m.KernelParams(rho, sigma, kappa), z)),
+        "goldie-g": ("--rho --gamma=1 --u", lambda m, rho, gamma, u: m.goldie_integral(m.GoldieAux(rho, gamma), u)),
     }),
-    "estimate": ("limit estimation and index fitting", {
+    "estimate": ("limit estimation and index fitting", "asymptotics", {
         "kernel": (f"--mode --f --phi=one --h=one --t:numbers --fit-rho= --fit-sigma= {_SCHEME}", _estimate_kernel),
         "two-point": ("--l1 --g1 --l2 --g2 --tol=", _two_point),
         "eta-rho": (f"--phi --t-probe=1 {_SCHEME}", _eta_rho),
     }),
-    "beck": ("iterate partitions and discrete sums", {
-        "partition": ("--rho --delta --u", lambda rho, delta, u: "\n".join(map(_fmt, beck_partition(rho, delta, u)))),
-        "sum": ("--rho --delta --u --g=one", lambda rho, delta, u, g: beck_riemann_sum(g, rho, delta, u)),
+    "beck": ("iterate partitions and discrete sums", "asymptotics", {
+        "partition": ("--rho --delta --u",
+                      lambda m, rho, delta, u: "\n".join(map(_fmt, m.beck_partition(rho, delta, u)))),
+        "sum": ("--rho --delta --u --g=one", lambda m, rho, delta, u, g: m.beck_riemann_sum(g, rho, delta, u)),
         "goldie-sum": ("--rho --delta --g=one --i --k-delta=1",
-                       lambda rho, delta, g, i, k_delta: goldie_sum(k_delta, g, rho, delta, i)),
+                       lambda m, rho, delta, g, i, k_delta: m.goldie_sum(k_delta, g, rho, delta, i)),
     }),
-    "subadd": ("subadditivity diagnostics", {
+    "subadd": ("subadditivity diagnostics", "subadd", {
         "check": (f"{_SUBADD} --lo=0.1 --hi=5 --n=20 --spacing=linear --tol=", _subadd_check),
         "bounded": (f"{_SUBADD} --points=0.5,1,2 --tol=", _subadd_bounded),
         "hs-probe": (f"{_SUBADD} --tol=", _hs_probe),
         "sandwich": (f"{_SUBADD} --a=1 --b=4 --delta=0.5 --m=1 --probes=33", _sandwich),
     }),
-    "cocycle": ("pre-limit cocycle identity residuals", {
-        "karamata": ("--f --s --t --x", lambda f, s, t, x: cocycle_residual_karamata(f, s, t, x)),
-        "beurling": ("--f --phi=one --s --t --x", lambda f, phi, s, t, x: cocycle_residual_beurling(f, phi, s, t, x)),
+    "cocycle": ("pre-limit cocycle identity residuals", "asymptotics", {
+        "karamata": ("--f --s --t --x", lambda m, f, s, t, x: m.cocycle_residual_karamata(f, s, t, x)),
+        "beurling": ("--f --phi=one --s --t --x",
+                     lambda m, f, phi, s, t, x: m.cocycle_residual_beurling(f, phi, s, t, x)),
         "general": ("--f --phi=one --h=one --s --t --x",
-                    lambda f, phi, h, s, t, x: cocycle_residual_general(f, phi, h, s, t, x)),
+                    lambda m, f, phi, h, s, t, x: m.cocycle_residual_general(f, phi, h, s, t, x)),
     }),
 }
 
@@ -368,7 +367,7 @@ def build_parser(command: str | None = None) -> _Parser:
     """The regvar parser; given a command, only that command's operations get parsers (and flags)."""
     parser = _Parser(prog="regvar", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     commands = parser.add_subparsers(dest="command", required=True)
-    for name, (summary, ops) in _COMMANDS.items():
+    for name, (summary, module, ops) in _COMMANDS.items():
         op_parsers = commands.add_parser(name, help=summary).add_subparsers(dest="op", required=True)
         for op, (usage, handler) in ops.items() if command in (None, name) else ():
             sp = op_parsers.add_parser(op)
@@ -381,7 +380,7 @@ def build_parser(command: str | None = None) -> _Parser:
                 else:
                     choices = kind if isinstance(kind, tuple) else None
                     sp.add_argument(label, dest=dest, default=default or None, choices=choices)
-            sp.set_defaults(handler=handler, flags=flags, parser=sp)
+            sp.set_defaults(handler=handler, flags=flags, parser=sp, module=module)
     return parser
 
 
@@ -403,22 +402,28 @@ def _show(result) -> str:
     return result if isinstance(result, str) else _fmt(result)
 
 
-def _run(args: argparse.Namespace) -> tuple[int, object]:
+def _loaded(module: str, name: str) -> tuple:
+    """(regvar.<module>.<name>,) once that module is imported, else (): nothing it defines was raised."""
+    found = sys.modules.get(f"regvar.{module}")
+    return (getattr(found, name),) if found else ()
+
+
+def _run(args: argparse.Namespace, module) -> tuple[int, object]:
     """Exit code and error message of one parsed command line; prints the result."""
     try:
         values = _convert(args)
         strict = values.pop("strict", False)
-        result, converged = args.handler(**values), True
+        result, converged = args.handler(module, **values), True
         if isinstance(result, tuple):
             result, converged = result
         print(_show(result))
         if strict and not converged:
             return 3, "an estimate did not converge"
-    except QuadratureWarning as exc:  # raised as an error under --strict
+    except _loaded("quadrature", "QuadratureWarning") as exc:  # raised as an error under --strict
         return 3, exc
     except ArithmeticError as exc:  # overflow in a closed form
         return 2, f"{exc} ({type(exc).__name__})"
-    except (ValueError, LimitEvaluationError) as exc:
+    except (ValueError, *_loaded("asymptotics", "LimitEvaluationError")) as exc:
         return 2, exc
     return 0, None
 
@@ -434,11 +439,12 @@ def main(argv=None) -> int:
             args.parser.error(f"{', '.join(missing)} {verb} required for this operation")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 0
+    module = importlib.import_module(f"regvar.{args.module}")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        if getattr(args, "strict", False):
-            warnings.simplefilter("error", QuadratureWarning)
-        code, error = _run(args)
+        for category in _loaded("quadrature", "QuadratureWarning") if getattr(args, "strict", False) else ():
+            warnings.simplefilter("error", category)
+        code, error = _run(args, module)
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
     if error is not None:

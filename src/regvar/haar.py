@@ -218,6 +218,8 @@ def beurling_convolution(
     H is only evaluated where F(-t) is non-zero, so H may be defined just on
     the reachable window.
     """
+    if not math.isfinite(x):
+        raise DomainError(f"x must be finite, got {x!r}")
     px = phi(x)
     if not (px > 0.0 and math.isfinite(px)):
         raise DomainError(f"phi(x) must be positive and finite, got {px!r}")

@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-from regvar.haar import Interval, haar_integrate
 from regvar.popa import (
     DomainError,
     PopaParam,
@@ -27,7 +26,9 @@ from regvar.popa import (
     iso_exp,
     iso_log,
 )
-from regvar.quadrature import QuadratureSpec
+
+if TYPE_CHECKING:
+    from regvar.quadrature import QuadratureSpec
 
 __all__ = [
     "KernelParams",
@@ -137,13 +138,14 @@ def goldie_integral(aux: GoldieAux, u: float) -> float:
     return -math.expm1(-aux.gamma * w) / (aux.gamma * r)
 
 
-def goldie_integral_quadrature(
-    aux: GoldieAux, u: float, spec: QuadratureSpec = QuadratureSpec()
-) -> float:
+def goldie_integral_quadrature(aux: GoldieAux, u: float, spec: QuadratureSpec | None = None) -> float:
     """Quadrature twin of :func:`goldie_integral`: the Haar integral of g
-    between 0 and u, divided by 1+rho."""
+    between 0 and u, divided by 1+rho (``spec`` None reads as ``QuadratureSpec()``)."""
+    from regvar.haar import Interval, QuadratureSpec, haar_integrate
+
     if u == 0.0:
         return 0.0
+    spec = QuadratureSpec() if spec is None else spec
     value = haar_integrate(aux.g, Interval(aux.rho, min(0.0, u), max(0.0, u)), spec) / (1.0 + aux.rho.rho)
     return -value if u < 0.0 else value
 

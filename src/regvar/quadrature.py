@@ -64,8 +64,8 @@ class QuadratureSpec:
             raise ValueError("tolerances must be positive")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
-        if not (self.truncation > 0.0 and math.isfinite(self.truncation)):
-            raise ValueError("truncation must be positive and finite")
+        if not (self.truncation > 0.0 and math.isfinite(2.0 * self.truncation)):  # [-T, T] has a finite span
+            raise ValueError(f"truncation must be positive with a finite span 2*truncation, got {self.truncation!r}")
 
 
 @dataclass

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from decimal import Context, Decimal
 from itertools import repeat
 from typing import Callable, Sequence
 
@@ -61,6 +60,8 @@ class GridSpec:
         lo, hi = float(self.lo), float(self.hi)
         if self.spacing == "linear":
             return _linspace(lo, hi, self.n)
+        from decimal import Context, Decimal
+
         log10 = Context(prec=34).log10  # correctly rounded; math.log10 is an ulp off for ~1% of inputs
         inner = _linspace(float(log10(Decimal(lo))), float(log10(Decimal(hi))), self.n)[1:-1]
         return [lo, *(10.0**w for w in inner), hi]

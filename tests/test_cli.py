@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import os
 import shlex
 import subprocess
 import sys
@@ -13,11 +14,20 @@ from regvar.cli import CsvFormatError, load_csv_function, main
 from regvar.asymptotics import TableRangeError
 from regvar.popa import DomainError
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_fresh(*argv):
+    """The same request as ``python -m regvar.cli`` in a new interpreter, which loads only what the command runs."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-m", "regvar.cli", *argv], capture_output=True, text=True, env=env)
+    return done.returncode, done.stdout, done.stderr
 
 
 @pytest.fixture()
@@ -521,6 +531,41 @@ class TestReadmeGolden:
     def test_readme_has_examples(self):
         assert len(readme_examples()) >= 7
 
+    def test_readme_has_an_example_of_every_command(self):
+        from regvar.cli import _COMMANDS
+
+        assert {example.values[0][0] for example in readme_examples()} == set(_COMMANDS)
+
+
+class TestFreshProcess:
+    """main imports a command's modules once it knows the command.  The tests above run it in a
+    process that has imported every module already, so a lazy import that went wrong shows only here."""
+
+    @pytest.mark.parametrize("argv,out,err", readme_examples())
+    def test_readme_example(self, argv, out, err):
+        assert run_fresh(*argv) == (0, out, err)
+
+    @pytest.mark.parametrize("argv,code", [
+        (["transform", "integrate", "--rho", "0", "--f", "inv", "--lo", "-1", "--hi", "2", "--strict"], 3),
+        (["estimate", "eta-rho", "--phi", "entropy"], 2),  # a LimitEvaluationError
+        (["subadd", "check", "--s", "square", "--lo", "0.1", "--hi", "5", "--n", "12", "--spacing", "geometric"], 0),
+        (["subadd", "check", "--s", "goldie-fstar", "--rho", "1"], 0),
+        (["transform", "beurling-conv", "--f", "gauss", "--h", "gauss", "--phi", "one", "--x=nan"], 2),
+        (["kernel", "goldie-g", "--rho", "1", "--u", "2"], 0),
+        (["group", "circle", "--rho", "1"], 1),
+        (["bogus"], 1),
+    ])
+    def test_matches_in_process(self, capsys, argv, code):
+        in_process = run_cli(capsys, *argv)
+        assert in_process[0] == code
+        assert run_fresh(*argv) == in_process
+
+    def test_csv_table_estimate_matches_in_process(self, capsys, square_table):
+        argv = ["estimate", "kernel", "--mode", "karamata", "--f", square_table, "--t", "2,3"]
+        in_process = run_cli(capsys, *argv)
+        assert in_process[0] == 0
+        assert run_fresh(*argv) == in_process
+
 
 class TestFlagTable:
     @pytest.mark.parametrize("argv", [
@@ -597,6 +642,18 @@ class TestFlagTable:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and name in err
+
+    @pytest.mark.parametrize("x", ["nan", "inf", "-inf"])
+    def test_non_finite_beurling_x_exits_2(self, capsys, x):
+        code, out, err = run_cli(capsys, "transform", "beurling-conv", "--f", "gauss", "--h", "gauss", "--phi", "one",
+                                 f"--x={x}")
+        assert (code, out, err) == (2, "", f"error: x must be finite, got {float(x)!r}\n")
+
+    def test_overflowing_truncation_span_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "transform", "fourier", "--rho", "1", "--f", "gauss", "--gamma", "1",
+                                 "--truncation", "1e308")
+        assert (code, out) == (2, "")
+        assert err == "error: truncation must be positive with a finite span 2*truncation, got 1e+308\n"
 
     def test_subnormal_rho_integrate_is_the_length(self, capsys):
         code, out, err = run_cli(capsys, "transform", "integrate", "--rho", "1e-320", "--f", "one", "--lo", "0",

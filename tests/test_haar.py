@@ -358,6 +358,13 @@ class TestBeurlingConvolution:
         assert got == pytest.approx(2.0, abs=1e-8)
         assert calls
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite_x_is_a_domain_error(self, x):
+        # popa_convolution rejects such an x through PopaPoint; phi(x) = 1 would let nan through
+        F = lambda t: math.exp(-t * t)
+        with pytest.raises(DomainError, match=f"x must be finite, got {x!r}"):
+            beurling_convolution(F, F, lambda s: 1.0, x, SPEC)
+
     def test_slowly_varying_flow_localizes(self):
         # density F integrating to 1, target 2 + sin(u)/(1+u): the convolution
         # approaches the constant 2 along the flow of phi(x) = x

@@ -36,6 +36,16 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             QuadratureSpec(**kwargs)
 
+    @pytest.mark.parametrize("truncation", [1e308, math.ldexp(1.0, 1023)])
+    def test_rejects_a_truncation_whose_span_overflows(self, truncation):
+        # 2T is the span of [-T, T]; an infinite span reached math.ceil in _refine as nan
+        with pytest.raises(ValueError, match="truncation must be positive with a finite span"):
+            QuadratureSpec(truncation=truncation)
+
+    def test_largest_truncation_with_a_finite_span(self):
+        T = math.nextafter(math.ldexp(1.0, 1023), 0.0)
+        assert math.isfinite(2.0 * QuadratureSpec(truncation=T).truncation)
+
     @pytest.mark.parametrize("field", ["abs_tol", "rel_tol"])
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_rejects_non_finite_tolerances_by_name(self, field, value):

@@ -29,6 +29,82 @@ def test_import_loads_no_numpy():
     assert out == "[]\n"
 
 
+# The regvar modules (beside the package and regvar.cli) that a CLI process loads, by command.
+_GROUP = {"popa"}
+_ESTIMATE = {"popa", "asymptotics"}
+_COMMAND_MODULES = [
+    (["group", "circle", "--rho", "1", "--", "1", "1"], _GROUP),
+    (["group", "circle", "--rho", "1"], _GROUP),  # a usage error
+    (["bogus"], _GROUP),
+    (["kernel", "goldie-g", "--rho", "1", "--u", "2"], {"popa", "kernels"}),
+    (["transform", "fourier", "--rho", "1", "--f", "gauss", "--gamma", "1"], {"popa", "haar", "quadrature"}),
+    (["transform", "measure", "--rho", "1", "--lo", "0", "--hi", "1"], {"popa", "haar", "quadrature"}),
+    (["estimate", "two-point", "--l1", "2", "--g1", "8", "--l2", "3", "--g2", "27"], _ESTIMATE),
+    (["beck", "sum", "--rho", "1", "--delta", "0.01", "--u", "1"], _ESTIMATE),
+    (["cocycle", "karamata", "--f", "log", "--s", "2", "--t", "3", "--x", "10"], _ESTIMATE),
+    (["subadd", "check", "--s", "kappa-kernel", "--rho", "1", "--sigma", "1"], {"popa", "subadd", "kernels"}),
+    (["subadd", "hs-probe", "--s", "goldie-fstar", "--rho", "1"], {"popa", "subadd", "kernels"}),
+]
+
+# Runs regvar.cli.main(argv) quietly, then prints every loaded module name.
+_PROBE = """
+import contextlib, io, sys
+import regvar.cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    regvar.cli.main(sys.argv[1:])
+print(" ".join(sorted(sys.modules)))
+"""
+
+
+def _child(code: str, *argv: str) -> str:
+    """Standard output of ``python -c code argv...`` in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env,
+                          check=True).stdout
+
+
+def _modules_after(code: str, *argv: str) -> set[str]:
+    return set(_child(code, *argv).split())
+
+
+def _regvar_modules(loaded: set[str]) -> set[str]:
+    return {m.removeprefix("regvar.") for m in loaded if m.startswith("regvar.")} - {"cli"}
+
+
+@pytest.mark.parametrize("argv,modules", _COMMAND_MODULES, ids=[" ".join(a) for a, _ in _COMMAND_MODULES])
+def test_each_command_loads_only_its_modules(argv, modules):
+    loaded = _modules_after(_PROBE, *argv)
+    assert _regvar_modules(loaded) == modules
+    assert "csv" not in loaded
+    if argv[0] == "group":
+        assert not loaded & {"fractions", "decimal"}
+
+
+def test_a_table_function_adds_asymptotics_and_csv(tmp_path):
+    table = tmp_path / "one.csv"
+    table.write_text("x,fx\n1,1\n2,1\n")
+    loaded = _modules_after(_PROBE, "transform", "integrate", "--rho", "1", "--f", str(table), "--lo", "1", "--hi", "2")
+    assert _regvar_modules(loaded) == {"popa", "haar", "quadrature", "asymptotics"}
+    assert "csv" in loaded
+
+
+def test_import_regvar_defers_quadrature():
+    code = """
+import sys, regvar
+deferred = "regvar.quadrature" not in sys.modules
+from regvar import *
+print(deferred, QuadratureSpec is regvar.QuadratureSpec, QuadratureWarning.__module__, QuadratureResult.__name__)
+"""
+    assert _child(code) == "True True regvar.quadrature QuadratureResult\n"
+
+
+def test_package_getattr_raises_attribute_error():
+    import regvar
+
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        regvar.nope  # noqa: B018
+
+
 def _grids(seed: int, count: int = 300):
     rng = random.Random(seed)
     for _ in range(count):
