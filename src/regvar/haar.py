@@ -1,30 +1,34 @@
 """Invariant measure and harmonic analysis on the Popa groups.
 
-The invariant (Haar) measure of ``G_rho`` has density ``(1+rho)/(1+rho*t)``
-with respect to Lebesgue measure; it degenerates to ``dt`` at rho = 0 and to
-``dt/t`` at rho = inf.  Characters are ``u -> exp(i*gamma*log(1+rho*u))``, so
-after the substitution ``w = log(1+rho*t)`` every transform below is an
-ordinary Fourier/Laplace integral on the line, truncated to ``[-T, T]`` with
-``T = spec.truncation``.  All of them use the Clenshaw-Curtis cells of
-:mod:`regvar.quadrature`, Filon-Clenshaw-Curtis for ``exp(-z*w)``, whose cost
-follows the profile and not the frequency; only ``fourier_popa`` at rho = 0
-with 2T|gamma| <= 64 pi keeps the Simpson rule, whose output there is pinned.
+The invariant (Haar) measure of ``G_rho`` has density ``(1+rho)/(1+rho*t)``:
+``dt`` at rho = 0, ``dt/t`` at rho = inf.  Every integral below is an ordinary
+integral in one chart ``w = L(d*t)``, ``t = E(w)/d``, where the measure is ``c*dw``:
+
+    rho                   L      E      d    c
+    finite                log1p  expm1  rho  (1+rho)/rho
+    inf                   log    exp    1    1
+    0, or rho*s < 2**-53  t      t      1    1+rho        (the t-line)
+
+A finite rho takes the t-line when rho*s < 2**-53 for every scale s (|lo|, |hi|;
+T, |z|*T; |x|, T): the density, the characters and ``x o t`` are then 1+rho, 1
+and x + t to working precision.  Elsewhere (1+rho)/rho must be finite, and so
+must E(T) on ``[-T, T]``, ``T = spec.truncation``: T <= log(DBL_MAX).  The
+characters are ``exp(i*gamma*w)``, so the transforms are Fourier/Laplace
+integrals on the line, by the Clenshaw-Curtis cells of :mod:`regvar.quadrature`,
+Filon-Clenshaw-Curtis for ``exp(-z*w)``, whose cost follows the profile and not
+the frequency; only ``fourier_popa`` at rho = 0 with 2T|gamma| <= 64 pi keeps the
+Simpson rule, whose output there is pinned.
 """
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Callable
 
-from regvar.popa import (
-    DomainError,
-    PopaParam,
-    PopaPoint,
-    _log_eta_over_rho,
-    iso_log,
-)
+from regvar.popa import _TINY, DomainError, PopaParam, PopaPoint, _log_eta_over_rho, iso_log
 from regvar.quadrature import QuadratureSpec, QuadratureWarning, _cc_integral, adaptive_integral
 
 __all__ = [
@@ -38,6 +42,9 @@ __all__ = [
     "popa_convolution",
     "beurling_convolution",
 ]
+
+_LOG_DBL_MAX = math.log(sys.float_info.max)  # the largest T with exp(T) and expm1(T) finite
+_t = lambda w: w  # the t-line's L and E
 
 
 @dataclass(frozen=True)
@@ -67,6 +74,31 @@ def haar_interval_measure(iv: Interval) -> float:
     return (1.0 + p.rho) * (_log_eta_over_rho(p.rho, iv.hi) - _log_eta_over_rho(p.rho, iv.lo))
 
 
+def _chart(param: PopaParam, *scales: float, T: float = 0.0) -> tuple:
+    """(L, E, d, c) of the table in the module docstring: w = L(d*t), t = E(w)/d, and the Haar measure is c*dw.
+
+    The t-line where rho*s < _TINY for T and every scale s; off it c must be finite, and so must E(T) when w
+    ranges over [-T, T] (T = 0 where it does not)."""
+    rho = param.rho
+    if rho == 0.0 or rho * max((T, *scales)) < _TINY:
+        return _t, _t, 1.0, 1.0 + rho
+    L, E, d, c = ((math.log, math.exp, 1.0, 1.0) if param.is_infinite
+                  else (math.log1p, math.expm1, rho, (1.0 + rho) / rho))
+    if math.isinf(c):
+        raise DomainError(f"rho={rho!r} is too small for the coordinate log(1+rho*t)")
+    if T > _LOG_DBL_MAX:
+        raise DomainError(f"truncation={T!r} overflows {E.__name__}(truncation) at rho={param}: "
+                          f"it must be at most log(DBL_MAX) = {_LOG_DBL_MAX!r}")
+    return L, E, d, c
+
+
+def _pull(f, E, d, c):
+    """f in the chart, ``w -> c*f(E(w)/d)``, less the unit d, c and identity E that add up to 10% per call."""
+    if (d, c) != (1.0, 1.0):
+        return lambda w: c * f(E(w) / d)
+    return f if E is _t else lambda w: f(E(w))
+
+
 def _integrate(fn, lo: float, hi: float, spec: QuadratureSpec, what: str, depth=1, z=0.0) -> complex | float:
     """Integral of ``fn(w)*exp(-z*w)`` by Clenshaw-Curtis cells, or of ``fn`` by :func:`adaptive_integral` given
     ``z=None``; non-convergence is warned about at the caller of the public function, ``depth`` frames above."""
@@ -85,16 +117,10 @@ def haar_integrate(
     iv: Interval,
     spec: QuadratureSpec = QuadratureSpec(),
 ) -> float:
-    """Integral of f over the interval against the invariant measure.
-
-    The substitution ``w = log(1+rho*t)`` turns the Haar integral into a
-    Lebesgue integral before any quadrature is attempted.
-    """
-    p = iv.param
+    """Integral of f over the interval against the invariant measure: of ``c*f(E(w)/d)`` dw in the chart."""
+    L, E, d, c = _chart(iv.param, abs(iv.lo), abs(iv.hi))
     what = f"haar_integrate over ({iv.lo}, {iv.hi})"
-    if _tiny_rho(p, abs(iv.lo), abs(iv.hi)):
-        return float(_integrate(lambda t: (1.0 + p.rho) * f(t), iv.lo, iv.hi, spec, what).real)
-    return float(_integrate(_additive_profile(f, p), iso_log(p, iv.lo), iso_log(p, iv.hi), spec, what).real)
+    return float(_integrate(_pull(f, E, d, c), L(d * iv.lo), L(d * iv.hi), spec, what).real)
 
 
 def character_eval(param: PopaParam, gamma: float, u: float) -> complex:
@@ -117,42 +143,20 @@ def pullback_multiplicative(f: Callable[[float], float], param: PopaParam) -> Ca
     return g
 
 
-def _tiny_rho(param: PopaParam, *scales: float) -> bool:
-    """Whether rho*s < 2**-53 for every scale s (|t|, |x|, T, |z|*T) at finite rho: the density,
-    a character and x o t are then 1+rho, 1 and x + t to working precision.  Otherwise
-    (1+rho)/rho, the density in w = log(1+rho*t), must be finite."""
-    tiny = param.is_finite and param.rho * max(scales) < 2.0**-53
-    if param.is_finite and not tiny and math.isinf((1.0 + param.rho) / param.rho):
-        raise DomainError(f"rho={param.rho!r} is too small for the coordinate log(1+rho*t)")
-    return tiny
-
-
-def _additive_profile(f: Callable[[float], float], param: PopaParam) -> Callable[[float], float]:
-    """f composed with the group isomorphism, as a function of w = log eta."""
-    if param.is_zero:
-        return f
-    if param.is_infinite:
-        return lambda w: f(math.exp(w))
-    rho = param.rho
-    scale = (1.0 + rho) / rho
-    return lambda w: scale * f(math.expm1(w) / rho)
-
-
 def _line_transform(f, param: PopaParam, z: complex, spec: QuadratureSpec, what: str) -> complex:
-    """Line integral of ``f_profile(w) * exp(-z*w)`` over ``[-T, T]``, where
-    ``f_profile`` is f pushed through the isomorphism (for finite rho this is
-    the multiplicative pullback evaluated at ``e^w``)."""
+    """Line integral of ``c*f(E(w)/d) * exp(-z*w)`` over ``[-T, T]`` in the chart of ``param``; on the
+    t-line at rho > 0 the character is 1, which leaves the Haar integral of f over t in [-T, T]."""
     if not cmath.isfinite(z):
         raise DomainError(f"{what}: the exponent must be finite")
     T = spec.truncation
-    if _tiny_rho(param, T, abs(z) * T):  # the Haar integral of f over t in [-T, T]
-        return complex(_integrate(lambda t: (1.0 + param.rho) * f(t), -T, T, spec, what, depth=2))
-    if math.isinf(abs(z) * T):
-        raise DomainError(f"{what}: |z|*T = {abs(z) * T} is not finite")
-    prof = _additive_profile(f, param)
+    zT = abs(z) * T
+    _, E, d, c = _chart(param, zT, T=T if zT < math.inf else 0.0)  # an infinite |z|*T is reported first
+    if zT == math.inf:
+        raise DomainError(f"{what}: |z|*T = {zT} is not finite")
+    prof = _pull(f, E, d, c)
     if param.is_zero and not (z.imag and 2.0 * T / (math.pi / abs(z.imag)) > 64):  # the pinned Simpson path
         return complex(_integrate(lambda w: prof(w) * cmath.exp(-z * w), -T, T, spec, what, 2, None))
-    return complex(_integrate(prof, -T, T, spec, what, 2, z))
+    return complex(_integrate(prof, -T, T, spec, what, 2, z if param.is_zero or E is not _t else 0.0))
 
 
 def fourier_popa(
@@ -187,23 +191,18 @@ def popa_convolution(
 ) -> float:
     """Haar convolution (f*g)(x) = integral of f(inv(t)) g(x o t) d_eta(t).
 
-    Evaluated on the additive scale w = log eta(t), where the invariant
-    measure is (1+rho)/rho * dw (plain dw at the two extreme parameters),
+    Evaluated in the chart of rho, where the invariant measure is c*dw,
     inside the integrand so that the tolerances bound the convolution.
     """
-    p = x.param
+    p, x = x.param, x.value
     T = spec.truncation
-    if p.is_zero or _tiny_rho(p, abs(x.value), T):
-        weight = 1.0 + p.rho
-        integrand = lambda t: weight * f(-t) * g(x.value + t)
-    elif p.is_infinite:
-        integrand = lambda w: f(math.exp(-w)) * g(x.value * math.exp(w))
-    else:
-        rho = p.rho
-        eta_x = 1.0 + rho * x.value
-        scale = (1.0 + rho) / rho  # x o t = (eta_x * e^w - 1)/rho, here without the cancellation
-        integrand = lambda w: scale * f(math.expm1(-w) / rho) * g(eta_x * math.expm1(w) / rho + x.value)
-    return float(_integrate(integrand, -T, T, spec, f"popa_convolution at x={x.value}").real)
+    _, E, d, c = _chart(p, abs(x), T=T)
+    if E is _t:  # x o t = x + t; calling the identity maps here costs a tenth more time per call
+        integrand = lambda w: c * f(-w) * g(w + x)
+    else:  # x o t = eta_x*t + shift: (1+rho*x)*t + x, without the cancellation of (eta_x*e^w - 1)/rho, or x*t
+        eta_x, shift = (x, 0.0) if p.is_infinite else (1.0 + p.rho * x, x)
+        integrand = lambda w: c * f(E(-w) / d) * g(eta_x * E(w) / d + shift)
+    return float(_integrate(integrand, -T, T, spec, f"popa_convolution at x={x}").real)
 
 
 def beurling_convolution(

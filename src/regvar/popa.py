@@ -37,6 +37,7 @@ __all__ = [
 # Hard floor for 1 + rho*t: below this the norm and the Haar density overflow,
 # so points this close to the boundary are rejected outright.
 _DOMAIN_GUARD = 1e-300
+_TINY = 2.0**-53  # |rho*t| below it: 1 + rho*t is 1, log(1+rho*t)/rho is t to working precision
 
 
 class DomainError(ValueError):
@@ -200,12 +201,12 @@ def _powers(param: PopaParam, delta: float, ns: Iterable[int]) -> Iterator[float
 def _log_eta_over_rho(rho: float, t: float) -> float:
     """log(1 + rho*t)/rho for finite rho > 0, which tends to t as rho*t -> 0.
 
-    Below ``|rho*t| < 2**-53`` the quotient is t to working precision, and t
+    Below ``|rho*t| < _TINY`` the quotient is t to working precision, and t
     is returned as is: dividing by rho would expose the rounding of rho*t,
     which is coarse once rho*t is subnormal.
     """
     x = rho * t
-    if abs(x) < 2.0**-53:
+    if abs(x) < _TINY:
         return t
     return math.log1p(x) / rho
 

@@ -45,7 +45,7 @@ class QuadratureWarning(UserWarning):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerance and budget knobs for :func:`adaptive_integral`.
+    """Tolerances and budget of every Haar integral, by Clenshaw-Curtis cells or :func:`adaptive_integral`.
 
     ``truncation`` is the half-width T of the surrogate interval [-T, T]
     used by callers that integrate over the whole line.
@@ -112,12 +112,11 @@ def adaptive_integral(
     spec: QuadratureSpec = QuadratureSpec(),
     *,
     breakpoints: Sequence[float] = (),
-    min_cells: int = 64,
 ) -> QuadratureResult:
-    """Integrate ``fn`` over [lo, hi] with Simpson cells; real or complex valued integrands."""
+    """Integrate ``fn`` over [lo, hi] with Simpson cells, from 64 initial cells; real or complex valued integrands."""
     nev = [0]
     cell = functools.partial(_simpson_cell, fn, nev=nev)
-    return _refine(fn, lo, hi, spec, breakpoints, min_cells, lambda a, b, fa, fb: cell(a, b, fa, None, fb),
+    return _refine(fn, lo, hi, spec, breakpoints, 64, lambda a, b, fa, fb: cell(a, b, fa, None, fb),
                    lambda c, m: (cell(c.a, m, c.fa, c.fq1, c.fm), cell(m, c.b, c.fm, c.fq3, c.fb)), nev)
 
 

@@ -490,6 +490,11 @@ class TestGoldieSum:
         with pytest.raises(DomainError):
             goldie_sum(1.0, lambda t: 1.0, P1, 0.1, -1)
 
+    def test_rejects_more_than_1e8_terms_before_any_term(self):
+        g = lambda t: pytest.fail("no term may be evaluated")
+        with pytest.raises(DomainError, match=r"sum is too long \(more than 1e8 terms\)"):
+            goldie_sum(1.0, g, P1, 0.1, 10**8 + 1)
+
 
 STREAM_PARAMS = [ZERO, PopaParam(0.5), P1, PopaParam(7.0), INFINITY]
 
@@ -539,6 +544,17 @@ class TestStreamedIterates:
         assert goldie_sum(0.7, lambda t: 1.0, P1, -5.0, 0) == 0.0
         with pytest.raises(DomainError):
             goldie_sum(0.7, lambda t: 1.0, P1, -5.0, 1)
+
+    @pytest.mark.parametrize("rho, delta, u, candidate, index", [
+        (0.0, 0.1, 133.1, 1331, 1332),  # delta^(1331 o) <= u already: corrected up
+        (0.5, 0.07, 1.7277354178764865e+26, 1737, 1736),  # delta^(1736 o) > u: corrected down
+    ])
+    def test_boundary_corrections_of_the_candidate_index(self, rho, delta, u, candidate, index):
+        param = PopaParam(rho)
+        assert math.floor(iso_log(param, u) / iso_log(param, delta)) + 1 == candidate
+        pts = beck_partition(param, delta, u)
+        assert len(pts) == index + 1
+        assert power(param, delta, index - 1) <= u < power(param, delta, index)
 
     def test_far_candidate_index_is_refused_at_once(self):
         # u/delta = 3e300: the downward boundary correction used to step one index at a time

@@ -158,6 +158,29 @@ class TestCsvLoading:
         assert code == 2
         assert "at least 2" in err
 
+    def test_unreadable_path(self, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
+        with pytest.raises(CsvFormatError, match=f"^{missing}: cannot read: "):
+            load_csv_function(str(missing))
+        code, out, err = run_cli(capsys, "subadd", "check", "--s", str(tmp_path))  # a directory exists
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {tmp_path}: cannot read: ")
+
+    @pytest.mark.parametrize("text, message", [
+        ("x,fx\n1,2,3\n2,4\n", "line 2: expected 2 columns, got 3"),
+        ("x,fx\n1,2\n2,inf\n", "line 3: entries must be finite"),
+        ("", "line 1: missing 'x,fx' header"),
+        ("x,fx\n1,2\n2,0\n", "table values must be positive"),  # refused by SampledFunction
+    ], ids=["three-columns", "non-finite", "empty", "zero-value"])
+    def test_table_errors_name_path_and_line(self, tmp_path, capsys, text, message):
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        with pytest.raises(CsvFormatError, match=f"^{path}: {message}$"):
+            load_csv_function(str(path))
+        code, out, err = run_cli(capsys, "transform", "integrate", "--rho", "1", "--f", str(path),
+                                 "--lo", "1", "--hi", "2")
+        assert (code, out, err) == (2, "", f"error: {path}: {message}\n")
+
     def test_unknown_name_lists_registry(self, capsys):
         code, _, err = run_cli(capsys, "subadd", "check", "--s", "nope.csv")
         assert code == 2
@@ -303,6 +326,17 @@ class TestKernelCommand:
 
 
 class TestEstimateCommand:
+    def test_every_curve_leaving_its_table_prints_nan_fit(self, tmp_path, capsys):
+        path = tmp_path / "short.csv"
+        path.write_text("x,fx\n1,1\n2,4\n4,16\n8,64\n")
+        code, out, err = run_cli(capsys, "estimate", "kernel", "--mode", "karamata", "--f", str(path), "--t", "2,3")
+        assert (code, out, err) == (0, "t,value,converged\n2,nan,false\n3,nan,false\n", "kappa=nan rms=nan\n")
+
+    @pytest.mark.parametrize("t", [",", " , ,"])
+    def test_empty_t_list_exits_2(self, capsys, t):
+        code, out, err = run_cli(capsys, "estimate", "kernel", "--mode", "karamata", "--f", "square", f"--t={t}")
+        assert (code, out, err) == (2, "", "error: --t must be a comma-separated list of numbers\n")
+
     def test_karamata_from_table(self, square_table, capsys):
         code, out, err = run_cli(capsys, "estimate", "kernel", "--mode", "karamata",
                                  "--f", square_table, "--t", "2,3")
@@ -654,6 +688,29 @@ class TestFlagTable:
                                  "--truncation", "1e308")
         assert (code, out) == (2, "")
         assert err == "error: truncation must be positive with a finite span 2*truncation, got 1e+308\n"
+
+    @pytest.mark.parametrize("argv, E", [
+        (["fourier", "--rho", "1", "--f", "gauss", "--gamma", "1"], "expm1"),
+        (["fourier", "--rho", "inf", "--f", "gauss", "--gamma", "1"], "exp"),
+        (["mellin", "--rho", "1", "--f", "gauss", "--z-re", "0.5"], "expm1"),
+        (["popa-conv", "--rho", "1", "--f", "gauss", "--g", "gauss", "--x", "0"], "expm1"),
+        (["popa-conv", "--rho", "inf", "--f", "gauss", "--g", "gauss", "--x", "1"], "exp"),
+    ])
+    def test_truncation_above_log_dbl_max_exits_2(self, capsys, argv, E):
+        code, out, err = run_cli(capsys, "transform", *argv, "--truncation", "709.782712893384")
+        assert (code, err) == (0, "") and out
+        code, out, err = run_cli(capsys, "transform", *argv, "--truncation", "709.7827128933841")
+        rho = argv[argv.index("--rho") + 1]
+        assert (code, out, err) == (2, "", f"error: truncation=709.7827128933841 overflows {E}(truncation) at "
+                                           f"rho={rho}: it must be at most log(DBL_MAX) = 709.782712893384\n")
+
+    @pytest.mark.parametrize("rho, truncation, want", [
+        ("1e-9", "700", "1.000000001,1.4999999909451e-18\n"),  # E(T)/rho is infinite, E(T) is not
+        ("inf", "709.78", "-0.0533079522994724,-0.0614652360751396\n"),
+    ])
+    def test_truncation_below_the_bound_keeps_its_output(self, capsys, rho, truncation, want):
+        argv = ["transform", "fourier", "--rho", rho, "--f", "gauss", "--gamma", "1", "--truncation", truncation]
+        assert run_cli(capsys, *argv) == (0, want, "")
 
     def test_subnormal_rho_integrate_is_the_length(self, capsys):
         code, out, err = run_cli(capsys, "transform", "integrate", "--rho", "1e-320", "--f", "one", "--lo", "0",

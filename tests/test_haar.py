@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -327,6 +328,20 @@ class TestPopaConvolution:
         ref, _ = integrate.quad(lambda t: f(-t) * g(0.3 + t), -30.0, 30.0, epsabs=1e-12)
         assert got == pytest.approx(ref, abs=1e-9)
 
+    @pytest.mark.parametrize("x", [0.25, 1.0, 3.0])
+    def test_infinite_param_gaussians_in_log_t(self, x):
+        # in w = log t the measure is dw and x o t = x*t: the convolution of two Gaussians at log x
+        (c1, s1), (c2, s2) = (0.4, 0.7), (-0.2, 1.3)
+        f = lambda t: math.exp(-0.5 * ((math.log(t) - c1) / s1) ** 2)
+        g = lambda t: math.exp(-0.5 * ((math.log(t) - c2) / s2) ** 2)
+        var = s1 * s1 + s2 * s2
+        y = math.log(x) - c1 - c2
+        want = math.sqrt(2.0 * math.pi) * s1 * s2 / math.sqrt(var) * math.exp(-y * y / (2.0 * var))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = popa_convolution(f, g, PopaPoint(INFINITY, x), SPEC)
+        assert abs(got - want) <= max(SPEC.abs_tol, SPEC.rel_tol * want)
+
 
 class TestBeurlingConvolution:
     def test_constant_flow_is_ordinary_convolution(self):
@@ -364,6 +379,13 @@ class TestBeurlingConvolution:
         F = lambda t: math.exp(-t * t)
         with pytest.raises(DomainError, match=f"x must be finite, got {x!r}"):
             beurling_convolution(F, F, lambda s: 1.0, x, SPEC)
+
+    @pytest.mark.parametrize("px", [0.0, -1.0, math.nan, math.inf])
+    def test_phi_must_be_positive_and_finite(self, px, monkeypatch):
+        monkeypatch.setattr(haar, "_cc_integral", lambda *a: pytest.fail("no quadrature may start"))
+        F = lambda t: math.exp(-t * t)
+        with pytest.raises(DomainError, match=f"phi\\(x\\) must be positive and finite, got {px!r}"):
+            beurling_convolution(F, F, lambda s: px, 1.0, SPEC)
 
     def test_slowly_varying_flow_localizes(self):
         # density F integrating to 1, target 2 + sin(u)/(1+u): the convolution
@@ -597,3 +619,63 @@ class TestSubnormalRhoTransforms:
         # (1+rho)/rho is finite: the transform is computed in w as before
         got = fourier_popa(GAUSS, PopaParam(1e-300), 1.0, SPEC)
         assert cmath.isfinite(got)
+
+
+class TestChart:
+    """One chart w = L(d*t), t = E(w)/d, measure c*dw, picks the coordinate and the density of every integral."""
+
+    BOUND = math.log(sys.float_info.max)
+    ABOVE = math.nextafter(BOUND, math.inf)
+
+    @pytest.mark.parametrize("rho, want", [
+        (0.5, (math.log1p, math.expm1, 0.5, 3.0)),
+        (math.inf, (math.log, math.exp, 1.0, 1.0)),
+    ])
+    def test_the_two_coordinates_off_the_t_line(self, rho, want):
+        assert haar._chart(PopaParam(rho), 1.0, T=30.0) == want
+
+    @pytest.mark.parametrize("rho", [0.0, 1e-20, 1e-320])
+    def test_the_t_line(self, rho):
+        L, E, d, c = haar._chart(PopaParam(rho), 1.0, T=30.0)
+        assert (L(0.25), E(-0.75), d, c) == (0.25, -0.75, 1.0, 1.0 + rho)
+
+    def test_t_line_below_two_to_the_minus_53(self):
+        # rho*s = 2**-53 exactly takes log1p; one ulp of s below it, the t-line; the largest scale decides
+        rho, s = 2.0**-60, 2.0**7
+        below = math.nextafter(s, 0.0)
+        assert haar._chart(PopaParam(rho), s)[0] is math.log1p
+        assert haar._chart(PopaParam(rho), below)[3] == 1.0 + rho
+        assert haar._chart(PopaParam(rho), below, T=below)[3] == 1.0 + rho
+        assert haar._chart(PopaParam(rho), below, T=s)[0] is math.log1p
+
+    def test_density_overflow_names_rho(self):
+        with pytest.raises(DomainError, match=r"rho=1e-320 is too small for the coordinate log\(1\+rho\*t\)"):
+            haar._chart(PopaParam(1e-320), 1e305)
+
+    @pytest.mark.parametrize("param", [P1, PopaParam(1e-9), INFINITY], ids=str)
+    @pytest.mark.parametrize("call", [
+        lambda p, spec: fourier_popa(GAUSS, p, 1.0, spec),
+        lambda p, spec: popa_convolution(GAUSS, GAUSS, PopaPoint(p, 1.0), spec),
+    ], ids=["fourier", "convolution"])
+    def test_truncation_bound_is_log_dbl_max(self, param, call, monkeypatch):
+        assert math.isfinite(math.exp(self.BOUND)) and math.isfinite(math.expm1(self.BOUND))
+        assert cmath.isfinite(call(param, QuadratureSpec(truncation=self.BOUND)))
+        monkeypatch.setattr(haar, "_cc_integral", lambda *a: pytest.fail("no quadrature may start"))
+        E = "exp" if param.is_infinite else "expm1"
+        with pytest.raises(DomainError, match=rf"^truncation=709.7827128933841 overflows {E}\(truncation\) at "
+                                              rf"rho={param}: it must be at most log\(DBL_MAX\) = 709.782712893384$"):
+            call(param, QuadratureSpec(truncation=self.ABOVE))
+
+    def test_mellin_truncation_bound(self):
+        assert cmath.isfinite(mellin_popa(GAUSS, P1, 0.5, QuadratureSpec(truncation=self.BOUND)))
+        with pytest.raises(DomainError, match="truncation=709.7827128933841 overflows expm1"):
+            mellin_popa(GAUSS, P1, 0.5, QuadratureSpec(truncation=self.ABOVE))
+
+    @pytest.mark.parametrize("rho", [0.0, 1e-300])
+    def test_t_line_has_no_truncation_bound(self, rho):
+        # rho*T < 2**-53: the integral is taken in t, where nothing overflows
+        assert haar._chart(PopaParam(rho), T=1e200)[3] == 1.0 + rho
+
+    def test_infinite_phase_span_is_reported_before_the_truncation(self):
+        with pytest.raises(DomainError, match=r"\|z\|\*T = inf is not finite"):
+            fourier_popa(GAUSS, P1, 1e306, QuadratureSpec(truncation=1000.0))
