@@ -22,7 +22,7 @@ from functools import partial
 from itertools import pairwise, takewhile
 from typing import Callable, Sequence
 
-from regvar.popa import DomainError, PopaParam, _powers, iso_exp, iso_log, power
+from regvar.popa import DomainError, PopaParam, _powers, iso_log, power
 
 __all__ = [
     "TableRangeError",
@@ -330,21 +330,13 @@ def estimate_karamata(
     lambda_grid: Sequence[float],
     scheme: LimitScheme = LimitScheme(),
 ) -> list[tuple[float, EstimationResult]]:
-    """Multiplicative kernel limits f(x*l)/f(x), driven through the
-    normalised-difference operator on the exp/log scale."""
-
-    def flog(y: float) -> float:
-        return math.log(_positive("f", f(math.exp(y))))
-
-    one = lambda _y: 1.0
-    # every ratio is checked before any curve is evaluated
-    log_grid = [math.log(_positive("lambda", lam)) for lam in lambda_grid]
-    results = _estimate_grid(lambda s, x: general_op(flog, one, one, s, math.log(x)), log_grid, scheme)
-    out = []
-    for lam, (_, res) in zip(lambda_grid, results):
-        value = math.exp(res.value) if math.isfinite(res.value) else math.nan
-        out.append((lam, EstimationResult(value, res.converged, res.last_delta, res.steps_used)))
-    return out
+    """Multiplicative kernel limits f(x*l)/f(x): :func:`karamata_op` stabilised on
+    the log scale, where ratios below and above 1 meet the same stop test."""
+    for lam in lambda_grid:  # every ratio is checked before any curve is evaluated
+        _positive("lambda", lam)
+    results = _estimate_grid(lambda lam, x: math.log(karamata_op(f, lam, x)), lambda_grid, scheme)
+    return [(lam, EstimationResult(math.exp(res.value) if math.isfinite(res.value) else math.nan,
+                                   res.converged, res.last_delta, res.steps_used)) for lam, res in results]
 
 
 def fit_kappa(

@@ -1,34 +1,26 @@
 """Invariant measure and harmonic analysis on the Popa groups.
 
-The invariant (Haar) measure of ``G_rho`` has density ``(1+rho)/(1+rho*t)``:
-``dt`` at rho = 0, ``dt/t`` at rho = inf.  Every integral below is an ordinary
-integral in one chart ``w = L(d*t)``, ``t = E(w)/d``, where the measure is ``c*dw``:
-
-    rho                   L      E      d    c
-    finite                log1p  expm1  rho  (1+rho)/rho
-    inf                   log    exp    1    1
-    0, or rho*s < 2**-53  t      t      1    1+rho        (the t-line)
-
-A finite rho takes the t-line when rho*s < 2**-53 for every scale s (|lo|, |hi|;
-T, |z|*T; |x|, T): the density, the characters and ``x o t`` are then 1+rho, 1
-and x + t to working precision.  Elsewhere (1+rho)/rho must be finite, and so
-must E(T) on ``[-T, T]``, ``T = spec.truncation``: T <= log(DBL_MAX).  The
-characters are ``exp(i*gamma*w)``, so the transforms are Fourier/Laplace
-integrals on the line, by the Clenshaw-Curtis cells of :mod:`regvar.quadrature`,
-Filon-Clenshaw-Curtis for ``exp(-z*w)``, whose cost follows the profile and not
-the frequency; only ``fourier_popa`` at rho = 0 with 2T|gamma| <= 64 pi keeps the
-Simpson rule, whose output there is pinned.
+:func:`haar_interval_measure` is a Haar length, and every integral below an
+ordinary integral of ``c*f(E(w)/d) dw``, in the group's chart ``w = L(d*t)``,
+``t = E(w)/d`` of :mod:`regvar.popa`, where the measure ``(1+rho)/(1+rho*t) dt``
+is ``c*dw``.  The t-line's scales are |lo|, |hi|; T, |z|*T; |x|, T: there the
+characters and ``x o t`` are 1 and x + t to working precision.  Elsewhere
+(1+rho)/rho must be finite, and so must E(T) on ``[-T, T]``, ``T =
+spec.truncation``: T <= log(DBL_MAX).  The characters are ``exp(i*gamma*w)``, so
+the transforms are Fourier/Laplace integrals on the line, by the Clenshaw-Curtis
+cells of :mod:`regvar.quadrature`, Filon-Clenshaw-Curtis for ``exp(-z*w)``, whose
+cost follows the profile and not the frequency; only ``fourier_popa`` at rho = 0
+with 2T|gamma| <= 64 pi keeps the Simpson rule, whose output there is pinned.
 """
 from __future__ import annotations
 
 import cmath
 import math
-import sys
 import warnings
 from dataclasses import dataclass
 from typing import Callable
 
-from regvar.popa import _TINY, DomainError, PopaParam, PopaPoint, _log_eta_over_rho, iso_log
+from regvar.popa import DomainError, PopaParam, PopaPoint, _chart, _haar_length, _t, iso_log
 from regvar.quadrature import QuadratureSpec, QuadratureWarning, _cc_integral, adaptive_integral
 
 __all__ = [
@@ -42,9 +34,6 @@ __all__ = [
     "popa_convolution",
     "beurling_convolution",
 ]
-
-_LOG_DBL_MAX = math.log(sys.float_info.max)  # the largest T with exp(T) and expm1(T) finite
-_t = lambda w: w  # the t-line's L and E
 
 
 @dataclass(frozen=True)
@@ -65,31 +54,8 @@ class Interval:
 
 
 def haar_interval_measure(iv: Interval) -> float:
-    """Closed-form invariant measure of an interval."""
-    p = iv.param
-    if p.is_zero:
-        return iv.hi - iv.lo
-    if p.is_infinite:
-        return math.log(iv.hi) - math.log(iv.lo)
-    return (1.0 + p.rho) * (_log_eta_over_rho(p.rho, iv.hi) - _log_eta_over_rho(p.rho, iv.lo))
-
-
-def _chart(param: PopaParam, *scales: float, T: float = 0.0) -> tuple:
-    """(L, E, d, c) of the table in the module docstring: w = L(d*t), t = E(w)/d, and the Haar measure is c*dw.
-
-    The t-line where rho*s < _TINY for T and every scale s; off it c must be finite, and so must E(T) when w
-    ranges over [-T, T] (T = 0 where it does not)."""
-    rho = param.rho
-    if rho == 0.0 or rho * max((T, *scales)) < _TINY:
-        return _t, _t, 1.0, 1.0 + rho
-    L, E, d, c = ((math.log, math.exp, 1.0, 1.0) if param.is_infinite
-                  else (math.log1p, math.expm1, rho, (1.0 + rho) / rho))
-    if math.isinf(c):
-        raise DomainError(f"rho={rho!r} is too small for the coordinate log(1+rho*t)")
-    if T > _LOG_DBL_MAX:
-        raise DomainError(f"truncation={T!r} overflows {E.__name__}(truncation) at rho={param}: "
-                          f"it must be at most log(DBL_MAX) = {_LOG_DBL_MAX!r}")
-    return L, E, d, c
+    """Invariant measure of an interval: its Haar length in the group's chart."""
+    return _haar_length(iv.param, iv.lo, iv.hi)
 
 
 def _pull(f, E, d, c):
@@ -132,8 +98,7 @@ def pullback_multiplicative(f: Callable[[float], float], param: PopaParam) -> Ca
     """Transport f from a finite-rho group to (0, inf): t -> (1+rho)/rho * f((t-1)/rho)."""
     if not param.is_finite:
         raise DomainError("pullback requires a finite positive parameter")
-    rho = param.rho
-    scale = (1.0 + rho) / rho
+    _, _, rho, scale = _chart(param, math.inf)  # t spans (0, inf), off the t-line: c = (1+rho)/rho must be finite
 
     def g(t: float) -> float:
         if t <= 0.0:

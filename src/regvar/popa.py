@@ -6,11 +6,25 @@ additive reals (rho = 0) and the multiplicative positive half-line
 (rho = inf, carrier ``(0, inf)`` with ordinary multiplication).  The map
 ``t -> 1 + rho*t`` is an isomorphism onto ``(0, inf)`` for finite rho > 0,
 which is what most of the closed forms below exploit.
+
+The Haar measure, density ``(1+rho)/eta(t)`` with ``eta(t) = 1 + rho*t`` (t at
+rho = inf), is ``c*dw`` in the group's chart ``w = L(d*t)``, ``t = E(w)/d``:
+
+    rho                                     L      E      d    c
+    finite                                  log1p  expm1  rho  (1+rho)/rho
+    inf                                     log    exp    1    1
+    0, or rho*s < 2**-53 for every scale s  t      t      1    1+rho   (the t-line)
+
+The length of ``[a, b]`` is the norm of ``b o a^-1 = (b - a)/eta(a)``: ``c*(b - a)``
+on the t-line, else ``c*log1p(d*(b - a)/eta(a))``, which subtracts no logarithms.
+:func:`norm` and ``regvar.haar.haar_interval_measure`` are such lengths, and
+every Haar integral of :mod:`regvar.haar` is taken in the chart.
 """
 from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
@@ -38,6 +52,8 @@ __all__ = [
 # so points this close to the boundary are rejected outright.
 _DOMAIN_GUARD = 1e-300
 _TINY = 2.0**-53  # |rho*t| below it: 1 + rho*t is 1, log(1+rho*t)/rho is t to working precision
+_LOG_DBL_MAX = math.log(sys.float_info.max)  # the largest T with exp(T) and expm1(T) finite
+_t = lambda w: w  # the t-line's L and E
 
 
 class DomainError(ValueError):
@@ -198,27 +214,47 @@ def _powers(param: PopaParam, delta: float, ns: Iterable[int]) -> Iterator[float
     return (math.expm1(n * step) / rho for n in ns)
 
 
-def _log_eta_over_rho(rho: float, t: float) -> float:
-    """log(1 + rho*t)/rho for finite rho > 0, which tends to t as rho*t -> 0.
+def _coordinate(param: PopaParam, scale: float) -> tuple:
+    """(L, E, d, c) of the chart for scales up to ``scale``; c = (1+rho)/rho is inf at subnormal rho."""
+    rho = param.rho
+    if rho == 0.0 or rho * scale < _TINY:
+        return _t, _t, 1.0, 1.0 + rho
+    if param.is_infinite:
+        return math.log, math.exp, 1.0, 1.0
+    return math.log1p, math.expm1, rho, (1.0 + rho) / rho
 
-    Below ``|rho*t| < _TINY`` the quotient is t to working precision, and t
-    is returned as is: dividing by rho would expose the rounding of rho*t,
-    which is coarse once rho*t is subnormal.
-    """
-    x = rho * t
-    if abs(x) < _TINY:
-        return t
-    return math.log1p(x) / rho
+
+def _chart(param: PopaParam, *scales: float, T: float = 0.0) -> tuple:
+    """(L, E, d, c) of the chart table in the module docstring, the t-line where rho*s < _TINY for T and every
+    scale s.  Off it c must be finite, and so must E(T) when w ranges over [-T, T] (T = 0 where it does not)."""
+    L, E, d, c = _coordinate(param, max((T, *scales)))
+    if math.isinf(c):
+        raise DomainError(f"rho={param.rho!r} is too small for the coordinate log(1+rho*t)")
+    if T > _LOG_DBL_MAX and E is not _t:
+        raise DomainError(f"truncation={T!r} overflows {E.__name__}(truncation) at rho={param}: "
+                          f"it must be at most log(DBL_MAX) = {_LOG_DBL_MAX!r}")
+    return L, E, d, c
+
+
+def _haar_length(param: PopaParam, a: float, b: float) -> float:
+    """Haar measure of [a, b], a <= b, in the chart.  Where d*(b - a)/eta(a) overflows, eta(b)/eta(a) > DBL_MAX
+    and nothing cancels in L(d*b) - L(d*a).  Where c overflows (subnormal rho), the length is (1+rho)*(w/rho)."""
+    L, _, d, c = _coordinate(param, max(abs(a), abs(b)))
+    if L is _t:
+        return c * (b - a)
+    e = a if param.is_infinite else 1.0 + d * a
+    if e == math.inf:  # rho*a overflows: on [a, b] eta(t) is rho*t to working precision
+        e, d = a, 1.0
+    q = d * (b - a) / e
+    w = math.log1p(q) if q < math.inf else L(d * b) - L(d * a)
+    return c * w if c < math.inf else (1.0 + d) * (w / d)
 
 
 def norm(x: PopaPoint) -> float:
-    """Group norm |log(1 + rho*t)|*(1+rho)/rho; |t| at rho = 0, |log t| at rho = inf."""
-    param = x.param
-    if param.is_zero:
-        return abs(x.value)
-    if param.is_infinite:
-        return abs(math.log(x.value))
-    return abs(_log_eta_over_rho(param.rho, x.value)) * (1.0 + param.rho)
+    """Group norm, the Haar length between the identity and x: |t| at rho = 0, |log t| at rho = inf,
+    |log(1 + rho*t)|*(1+rho)/rho at finite rho."""
+    e = identity(x.param).value
+    return _haar_length(x.param, min(e, x.value), max(e, x.value))
 
 
 def leq(x: PopaPoint, y: PopaPoint) -> bool:

@@ -32,6 +32,8 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Callable, Sequence
 
+from regvar.popa import DomainError
+
 __all__ = ["QuadratureSpec", "QuadratureResult", "QuadratureWarning", "adaptive_integral"]
 
 # Cells narrower than span * 2**-48 cannot be refined meaningfully in double
@@ -188,13 +190,17 @@ def _cc_integral(fn, lo: float, hi: float, spec: QuadratureSpec = QuadratureSpec
         c, r = 0.5 * (a + b), 0.5 * (b - a)
         p = [fb, *[fn(c + r * s) for s in inner], fa]
         nev[0] += 15
-        if z and r not in rules:
-            rules[r] = _cc_rule(_cc_weights(z * r), interp)
+        try:
+            if z and r not in rules:
+                rules[r] = _cc_rule(_cc_weights(z * r), interp)
+            e = r * cmath.exp(-z * c) if z else r
+        except OverflowError:  # in exp(-z*w) or its moments, not in fn
+            raise DomainError(f"exp(-z*w) overflows for z={z} and w in [{lo!r}, {hi!r}] (truncation="
+                              f"{spec.truncation!r}): lower |Re z| or the truncation") from None
         w, pairs = rules[r] if z else plain
         coarse = p[0::2]
         d = sum(abs(wk * p[k] + wl * p[16 - k] - sum(map(mul, row, coarse))) for k, wk, wl, row in pairs)
         plain_value = sum(map(mul, w0, p))
-        e = r * cmath.exp(-z * c) if z else r
         value, scale = e * sum(map(mul, w, p)) if z else r * plain_value, abs(e)
         mean = 0.5 * plain_value
         resasc = scale * sum(map(mul, w0, [abs(v - mean) for v in p]))

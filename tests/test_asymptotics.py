@@ -324,6 +324,30 @@ class TestEstimateKaramata:
             estimate_karamata(lambda x: x, [-2.0])
 
 
+class TestEstimateKaramataThroughKaramataOp:
+    """Each step is log(karamata_op(f, lambda, x)): f is called at x and x*lambda, not at exp(log x + log lambda)."""
+
+    def test_f_sees_the_grid_and_its_multiples(self):
+        calls = []
+        f = lambda x: calls.append(x) or x**1.5
+        scheme = LimitScheme()
+        (lam, res), = estimate_karamata(f, [3.0], scheme)
+        xs = [scheme.x0 * scheme.ratio**n for n in range(res.steps_used)]
+        assert calls == [v for x in xs for v in (x, x * 3.0)]  # karamata_op takes f(x) first
+
+    def test_the_value_is_exp_of_the_stabilised_log_ratio(self):
+        f = lambda x: x**0.5 * (1.0 + 1.0 / x)
+        scheme = LimitScheme(tol=1e-9)
+        (lam, res), = estimate_karamata(f, [0.25], scheme)
+        x = scheme.x0 * scheme.ratio ** (res.steps_used - 1)
+        assert res.converged
+        assert res.value == math.exp(math.log(karamata_op(f, 0.25, x)))
+
+    def test_a_failing_curve_is_an_unconverged_nan(self):
+        (_, res), = estimate_karamata(lambda x: 1.0 if x < 50.0 else -1.0, [2.0])
+        assert math.isnan(res.value) and not res.converged
+
+
 class TestFitKappa:
     def test_exact_kernel_samples(self):
         kp = KernelParams(P1, P1, 2.0)

@@ -760,3 +760,127 @@ class TestSubnormalRhoTransforms:
                                  "--g", "gauss", "--x", "1e305")
         assert (code, out) == (2, "")
         assert "rho=1e-320" in err
+
+
+class TestBlankCsvRows:
+    """Blank rows, or rows of blank cells, are skipped wherever they stand."""
+
+    @pytest.mark.parametrize("blank", ["\n", " , \n", ",\n"], ids=["empty", "blank-cells", "bare-comma"])
+    def test_blank_rows_are_skipped(self, tmp_path, capsys, blank):
+        clean, gappy = tmp_path / "clean.csv", tmp_path / "gappy.csv"
+        clean.write_text("x,fx\n1,2\n10,20\n100,400\n")
+        gappy.write_text(f"x,fx\n{blank}1,2\n{blank}{blank}10,20\n100,400\n{blank}")
+        assert [load_csv_function(str(gappy))(x) for x in (1.0, 5.0, 50.0)] == \
+               [load_csv_function(str(clean))(x) for x in (1.0, 5.0, 50.0)]
+        argv = ["transform", "integrate", "--rho", "1", "--lo", "1", "--hi", "90", "--f"]
+        assert run_cli(capsys, *argv, str(gappy)) == run_cli(capsys, *argv, str(clean))
+
+    def test_line_numbers_count_blank_rows(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("x,fx\n\n1,2\n\n1,3\n")
+        with pytest.raises(CsvFormatError, match="line 5: x values must be strictly increasing"):
+            load_csv_function(str(path))
+
+
+class TestEstimateFlags:
+    """--fit-rho and --fit-sigma choose the groups of the kappa fit; --t-probe the probe of eta-rho."""
+
+    def test_fit_sigma_inf_reads_the_exponential_kernel(self, capsys):
+        # K(t) = e^t: log K = 1 * t, so the (0, inf) fit is exact where the default (0, 0) fit is not
+        argv = ["estimate", "kernel", "--mode", "beurling", "--f", "exp", "--phi", "one", "--t", "0.5,1"]
+        code, out, err = run_cli(capsys, *argv, "--fit-sigma", "inf")
+        assert (code, err) == (0, "kappa=1 rms=0\nrho_hat=0 converged=true\n")
+        code, default_out, default_err = run_cli(capsys, *argv)  # kappa = (0.5*e**0.5 + e)/(0.5**2 + 1)
+        assert (code, default_out) == (0, out)
+        assert default_err == "kappa=2.83411397104729 rms=0.183146698418118\nrho_hat=0 converged=true\n"
+
+    @pytest.mark.parametrize("flags, rho, sigma", [
+        (["--fit-sigma", "0"], math.inf, 0.0),
+        (["--fit-rho", "1", "--fit-sigma", "1"], 1.0, 1.0),
+        (["--fit-rho", "0.5"], 0.5, math.inf),
+    ])
+    def test_fit_groups_match_the_library(self, capsys, flags, rho, sigma):
+        from regvar.asymptotics import estimate_karamata, fit_kappa
+        from regvar.cli import _fmt
+        from regvar.popa import PopaParam
+
+        sq = lambda x: x * x
+        samples = [(t, r.value) for t, r in estimate_karamata(sq, [2.0, 3.0])]
+        kappa, rms = fit_kappa(samples, PopaParam(rho), PopaParam(sigma))
+        code, out, err = run_cli(capsys, "estimate", "kernel", "--mode", "karamata", "--f", "square", "--t", "2,3",
+                                 *flags)
+        assert (code, out) == (0, "t,value,converged\n2,4,true\n3,9,true\n")
+        assert err == f"kappa={_fmt(kappa)} rms={_fmt(rms)}\n"
+
+    def test_bad_fit_group_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "estimate", "kernel", "--mode", "karamata", "--f", "square", "--t", "2",
+                                 "--fit-rho=-1")
+        assert (code, out, err) == (2, "", "error: group parameter must be 0, positive or inf, got -1.0\n")
+
+    def test_t_probe_reaches_the_estimator(self, capsys):
+        from regvar.asymptotics import LimitScheme, estimate_rho
+        from regvar.cli import _fmt
+
+        res = estimate_rho(math.sqrt, 0.5, LimitScheme())
+        code, out, err = run_cli(capsys, "estimate", "eta-rho", "--phi", "sqrt", "--t-probe", "0.5")
+        assert (code, err) == (0, "")
+        assert out == (f"rho_hat={_fmt(res.value)} converged=true last_delta={_fmt(res.last_delta)} "
+                       f"steps={res.steps_used}\n")
+        assert out != run_cli(capsys, "estimate", "eta-rho", "--phi", "sqrt")[1]
+
+    def test_linear_auxiliary_at_any_probe(self, capsys):
+        code, out, _ = run_cli(capsys, "estimate", "eta-rho", "--phi", "x", "--t-probe", "2")
+        assert (code, out) == (0, "rho_hat=1 converged=true last_delta=0 steps=3\n")
+
+    @pytest.mark.parametrize("value, message", [
+        ("0", "t_probe must be non-zero"),
+        ("abc", "--t-probe must be a number, got 'abc'"),
+    ])
+    def test_bad_t_probe_exits_2(self, capsys, value, message):
+        assert run_cli(capsys, "estimate", "eta-rho", "--phi", "x", "--t-probe", value) == (2, "", f"error: {message}\n")
+
+
+class TestHaarLengths:
+    """``transform measure`` and ``group norm`` are lengths in the group's chart: short intervals keep their digits."""
+
+    @pytest.mark.parametrize("argv, out", [
+        (["--rho", "inf", "--lo", "1e100", "--hi", "1.000000000001e100"], "9.99891678828083e-13\n"),
+        (["--rho", "inf", "--lo", "3", "--hi", "3.000000000003"], "9.99940870845224e-13\n"),
+        (["--rho", "0.001", "--lo", "100", "--hi", "100.0000001"], "9.09999945933596e-08\n"),
+        (["--rho", "inf", "--lo", "2e-300", "--hi", "1e300"], "1380.85790861587\n"),
+        (["--rho", "1e-310", "--lo", "1", "--hi", "1e307"], "9.99500333083533e+306\n"),
+    ])
+    def test_measure(self, capsys, argv, out):
+        assert run_cli(capsys, "transform", "measure", *argv) == (0, out, "")
+
+    @pytest.mark.parametrize("argv, out", [
+        (["--rho", "1e-310", "1e307"], "9.99500333083533e+306\n"),
+        (["--rho", "inf", "0.5"], "0.693147180559945\n"),
+        (["--rho", "0", "--", "-0"], "0\n"),
+    ])
+    def test_norm(self, capsys, argv, out):
+        assert run_cli(capsys, "group", "norm", *argv) == (0, out, "")
+
+
+class TestMellinOverflow:
+    """An overflow of exp(-z*w) names z and the truncation; one inside f keeps its own message."""
+
+    @pytest.mark.parametrize("flags, z, T", [
+        (["--z-re", "25"], "(25+0j)", "30.0"),
+        (["--z-re", "30"], "(30+0j)", "30.0"),
+        (["--z-re=-30"], "(-30+0j)", "30.0"),
+        (["--z-re", "2", "--truncation", "700"], "(2+0j)", "700.0"),
+    ])
+    def test_kernel_overflow_exits_2_naming_z_and_truncation(self, capsys, flags, z, T):
+        code, out, err = run_cli(capsys, "transform", "mellin", "--rho", "1", "--f", "gauss", *flags)
+        assert (code, out) == (2, "")
+        assert err == (f"error: exp(-z*w) overflows for z={z} and w in [-{T}, {T}] (truncation={T}): "
+                       "lower |Re z| or the truncation\n")
+
+    def test_below_the_overflow_prints_as_before(self, capsys):
+        argv = ["transform", "mellin", "--rho", "1", "--f", "gauss", "--z-re", "23"]
+        assert run_cli(capsys, *argv) == (0, "9.68852128600815e+297,0\n", "")
+
+    def test_overflow_inside_f_keeps_its_message(self, capsys):
+        code, out, err = run_cli(capsys, "transform", "fourier", "--rho", "inf", "--f", "exp", "--gamma", "1")
+        assert (code, out, err) == (2, "", "error: math range error (OverflowError)\n")

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import re
 import sys
 import warnings
 
@@ -679,3 +680,42 @@ class TestChart:
     def test_infinite_phase_span_is_reported_before_the_truncation(self):
         with pytest.raises(DomainError, match=r"\|z\|\*T = inf is not finite"):
             fourier_popa(GAUSS, P1, 1e306, QuadratureSpec(truncation=1000.0))
+
+
+class TestGroupChart:
+    """The chart is the group's description of its Haar measure: it lives in regvar.popa, and haar uses it."""
+
+    def test_haar_uses_the_chart_of_popa(self):
+        from regvar import popa
+
+        assert haar._chart is popa._chart
+        assert not hasattr(popa, "_log_eta_over_rho")
+
+    @pytest.mark.parametrize("rho", [1e-320, 1e-310, 5e-324])
+    def test_pullback_at_subnormal_rho_names_rho(self, rho):
+        # (1+rho)/rho overflows: the pullback of a Gaussian was inf at t = 1 and nan at t = 1.5
+        with pytest.raises(DomainError, match=rf"rho={rho!r} is too small for the coordinate log\(1\+rho\*t\)"):
+            pullback_multiplicative(GAUSS, PopaParam(rho))
+
+    def test_pullback_at_small_normal_rho(self):
+        g = pullback_multiplicative(lambda t: 1.0, PopaParam(1e-300))
+        assert g(1.5) == pytest.approx(1e300, rel=1e-15)
+
+
+class TestMellinKernelOverflow:
+    """exp(-z*w) past DBL_MAX is a DomainError naming z and the truncation, raised before any value is formed."""
+
+    @pytest.mark.parametrize("z, T", [(25.0, 30.0), (30.0, 30.0), (-30.0, 30.0), (2.0, 700.0)])
+    def test_overflow_names_z_and_truncation(self, z, T):
+        message = f"exp(-z*w) overflows for z={complex(z)} and w in [{-T!r}, {T!r}] (truncation={T!r}): " \
+                  "lower |Re z| or the truncation"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            mellin_popa(GAUSS, P1, z, QuadratureSpec(truncation=T))
+
+    def test_values_below_the_overflow_are_unchanged(self):
+        got = mellin_popa(GAUSS, P1, 23.0, SPEC)
+        assert format(got.real, ".15g") == "9.68852128600815e+297" and got.imag == 0.0
+
+    def test_overflow_inside_f_is_not_renamed(self):
+        with pytest.raises(OverflowError):
+            fourier_popa(math.exp, INFINITY, 1.0, SPEC)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import PARAM_SET, point_from_w, rel_residual
+from regvar.haar import Interval, haar_interval_measure
 from regvar.popa import (
     INFINITY,
     ZERO,
@@ -285,3 +287,90 @@ def test_random_axiom_sweep_all_params():
         for w1, w2, w3 in ws:
             x, y, z = (point_from_w(param, w) for w in (w1, w2, w3))
             assert rel_residual(circle(circle(x, y), z).value, circle(x, circle(y, z)).value) <= 1e-12
+
+
+class TestHaarLength:
+    """One function computes every Haar length: c*log1p(d*(b - a)/eta(a)) in the group's chart."""
+
+    @staticmethod
+    def exact(rho: float, a: float, b: float):
+        import mpmath
+
+        with mpmath.workdps(40):
+            a, b = mpmath.mpf(a), mpmath.mpf(b)
+            if rho == 0.0:
+                return b - a
+            if math.isinf(rho):
+                return mpmath.log(b) - mpmath.log(a)
+            r = mpmath.mpf(rho)
+            return (1 + r) / r * (mpmath.log1p(r * b) - mpmath.log1p(r * a))
+
+    def test_short_intervals_keep_their_digits(self):
+        # subtracting two logarithms lost up to 85% of the measure of [lo, lo + width]
+        rng = np.random.default_rng(20261018)
+        worst = 0.0
+        for _ in range(1500):
+            kind = rng.random()
+            rho = 0.0 if kind < 0.1 else math.inf if kind < 0.3 else 10.0 ** rng.uniform(-15, 12)
+            if math.isinf(rho):
+                lo = 10.0 ** rng.uniform(-300, 300)
+            elif rho == 0.0:
+                lo = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-10, 10)
+            else:
+                lo = (10.0 ** rng.uniform(-3, 3) - 1.0) / rho  # eta(lo) >= 1e-3: a well-conditioned input
+            hi = lo + 10.0 ** rng.uniform(-13, 1) * max(abs(lo), 1e-300)
+            if not (hi > lo and (rho in (0.0, math.inf) or 1.0 + rho * lo >= 1e-3)):
+                continue
+            got = haar_interval_measure(Interval(PopaParam(rho), lo, hi))
+            want = self.exact(rho, lo, hi)
+            worst = max(worst, float(abs(got - want) / want))
+        assert worst <= 1e-13
+
+    @pytest.mark.parametrize("rho, lo, hi, want", [
+        (math.inf, 1e100, 1.000000000001e100, 9.99891678828083e-13),
+        (math.inf, 3.0, 3.000000000003, 9.99940870845224e-13),
+        (0.001, 100.0, 100.0000001, 9.09999945933596e-08),
+    ])
+    def test_examples_to_fifteen_digits(self, rho, lo, hi, want):
+        assert format(haar_interval_measure(Interval(PopaParam(rho), lo, hi)), ".15g") == format(want, ".15g")
+        assert float(self.exact(rho, lo, hi)) == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize("rho, lo, hi, want", [
+        (math.inf, 2e-300, 1e300, 1380.8579086158675),
+        (math.inf, 1e-290, 1.7e308, 1377.4765138615014),
+        (1.0, -1.0 + 2.0**-53, 1e300, 1455.0246569357816),
+        (1e300, -9.999999999e-301, 1e8, 732.2220594893662),
+        (1e-310, 1.0, 1e307, 9.995003330835332e306),  # (1+rho)/rho overflows, the length does not
+    ])
+    def test_eta_ratio_past_dbl_max_stays_finite(self, rho, lo, hi, want):
+        assert haar_interval_measure(Interval(PopaParam(rho), lo, hi)) == pytest.approx(want, rel=4 * 2.0**-52)
+
+    def test_eta_of_lo_past_dbl_max(self):
+        # 1 + 7*lo overflows; the ratio eta(hi)/eta(lo) is hi/lo to working precision
+        lo, hi = 1.7e308, sys.float_info.max
+        got = haar_interval_measure(Interval(PopaParam(7.0), lo, hi))
+        assert got == pytest.approx(8.0 / 7.0 * math.log(hi / lo), rel=1e-15)
+
+    @pytest.mark.parametrize("rho", [0.0, 1e-300, 1e-20, 0.5, 1.0, 7.0, 1e300, math.inf])
+    @pytest.mark.parametrize("w", [-3.0, -1e-9, 0.0, 0.25, 5.0])
+    def test_norm_is_the_length_from_the_identity(self, rho, w):
+        p = PopaParam(rho)
+        x, e = point_from_w(p, w), identity(p)
+        if x.value == e.value:
+            assert norm(x) == 0.0 and math.copysign(1.0, norm(x)) == 1.0
+            return
+        iv = Interval(p, min(x.value, e.value), max(x.value, e.value))
+        assert norm(x) == haar_interval_measure(iv)
+
+    def test_norm_of_negative_zero_is_positive_zero(self):
+        assert math.copysign(1.0, norm(PopaPoint(ZERO, -0.0))) == 1.0
+
+    def test_norm_at_subnormal_rho(self):
+        # c = (1+rho)/rho overflows at rho = 1e-310; the norm is (1+rho)*log1p(rho*x)/rho
+        assert norm(PopaPoint(PopaParam(1e-310), 1e307)) == pytest.approx(9.995003330835332e306, rel=4 * 2.0**-52)
+
+    @pytest.mark.parametrize("param", PARAM_SET, ids=str)
+    def test_lengths_add_up(self, param):
+        a, b, c = (point_from_w(param, w).value for w in (-1.0, 0.3, 2.0))
+        m = lambda lo, hi: haar_interval_measure(Interval(param, lo, hi))
+        assert m(a, b) + m(b, c) == pytest.approx(m(a, c), rel=1e-14)
