@@ -17,12 +17,11 @@ from __future__ import annotations
 import math
 import warnings
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import partial
 from itertools import pairwise, takewhile
 from typing import Callable, Sequence
 
-from regvar.popa import DomainError, PopaParam, _powers, iso_log, power
+from regvar.popa import DomainError, PopaParam, _powers, _Record, iso_log, power
 
 __all__ = [
     "TableRangeError",
@@ -130,35 +129,32 @@ class SampledFunction:
         return math.exp(slope * (lx - xs[j]) + ys[j])
 
 
-@dataclass(frozen=True)
-class LimitScheme:
+class LimitScheme(_Record, frozen=True):
     """Geometric evaluation grid x0 * ratio^n with a stability-window stop."""
 
-    x0: float = 10.0
-    ratio: float = 2.0
-    max_steps: int = 40
-    tol: float = 1e-6
-    stability_window: int = 3
+    __slots__ = ("x0", "ratio", "max_steps", "tol", "stability_window")
 
-    def __post_init__(self) -> None:
-        if not (self.x0 > 0.0 and math.isfinite(self.x0)):
+    def __init__(self, x0: float = 10.0, ratio: float = 2.0, max_steps: int = 40, tol: float = 1e-6,
+                 stability_window: int = 3) -> None:
+        if not (x0 > 0.0 and math.isfinite(x0)):
             raise ValueError("x0 must be positive")
-        if not (self.ratio > 1.0 and math.isfinite(self.ratio)):
+        if not (ratio > 1.0 and math.isfinite(ratio)):
             raise ValueError("ratio must exceed 1")
-        if self.max_steps < 1:
+        if max_steps < 1:
             raise ValueError("max_steps must be >= 1")
-        if not (self.tol > 0.0):
+        if not (tol > 0.0):
             raise ValueError("tol must be positive")
-        if self.stability_window < 2:
+        if stability_window < 2:
             raise ValueError("stability_window must be >= 2")
+        self._freeze(x0, ratio, max_steps, tol, stability_window)
 
 
-@dataclass
-class EstimationResult:
-    value: float
-    converged: bool
-    last_delta: float
-    steps_used: int
+class EstimationResult(_Record):
+    __slots__ = ("value", "converged", "last_delta", "steps_used")
+
+    def __init__(self, value: float, converged: bool, last_delta: float, steps_used: int) -> None:
+        self.value, self.converged = value, converged
+        self.last_delta, self.steps_used = last_delta, steps_used
 
 
 def _positive(name: str, v: float) -> float:
@@ -365,6 +361,14 @@ def fit_kappa(
     return kappa, rms
 
 
+def _nearest_fraction(x: float) -> tuple[int, int]:
+    """(p, q) of ``Fraction(x).limit_denominator(16)``: the p/q nearest x over q <= 16, the least q on a tie, by the
+    exact distances |p*d - n*q|/(q*d) of x = n/d scaled by d*lcm(1..16)."""
+    n, d = x.as_integer_ratio()
+    near = (((2 * n * q + d) // (2 * d), q) for q in range(1, 17))  # the p nearest x*q
+    return min(near, key=lambda pq: abs(pq[0] * d - n * pq[1]) * (720720 // pq[1]))
+
+
 def two_point_index(
     lambda1: float, g1: float, lambda2: float, g2: float, tol: float = 1e-9
 ) -> tuple[float, bool]:
@@ -374,8 +378,6 @@ def two_point_index(
     log(lambda1)/log(lambda2) is a small-denominator rational, in which case
     the two probes carry dependent information.
     """
-    from fractions import Fraction
-
     for name, v in (("lambda1", lambda1), ("g1", g1), ("lambda2", lambda2), ("g2", g2)):
         _positive(name, v)
     l1, l2 = math.log(lambda1), math.log(lambda2)
@@ -384,10 +386,10 @@ def two_point_index(
     r1 = math.log(g1) / l1
     r2 = math.log(g2) / l2
     ratio = l1 / l2
-    frac = Fraction(ratio).limit_denominator(16)
-    if frac != 0 and abs(ratio - float(frac)) <= 1e-9 * abs(ratio):
+    num, den = _nearest_fraction(ratio)
+    if num != 0 and abs(ratio - num / den) <= 1e-9 * abs(ratio):
         warnings.warn(
-            f"log({lambda1})/log({lambda2}) is close to {frac.numerator}/{frac.denominator}; "
+            f"log({lambda1})/log({lambda2}) is close to {num}/{den}; "
             "the probes are multiplicatively dependent",
             RationalRatioWarning,
             stacklevel=2,

@@ -17,10 +17,9 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass
 from typing import Callable
 
-from regvar.popa import DomainError, PopaParam, PopaPoint, _chart, _haar_length, _t, iso_log
+from regvar.popa import DomainError, PopaParam, PopaPoint, _Record, _chart, _haar_length, _t, iso_log
 from regvar.quadrature import QuadratureSpec, QuadratureWarning, _cc_integral, adaptive_integral
 
 __all__ = [
@@ -36,21 +35,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(_Record, frozen=True):
     """Order interval (lo, hi) inside the carrier of ``param``."""
 
-    param: PopaParam
-    lo: float
-    hi: float
+    __slots__ = ("param", "lo", "hi")
 
-    def __post_init__(self) -> None:
-        a = PopaPoint(self.param, self.lo)
-        b = PopaPoint(self.param, self.hi)
-        if not a.value < b.value:
-            raise DomainError(f"interval needs lo < hi, got ({self.lo}, {self.hi})")
-        object.__setattr__(self, "lo", a.value)
-        object.__setattr__(self, "hi", b.value)
+    def __init__(self, param: PopaParam, lo: float, hi: float) -> None:
+        a, b = PopaPoint(param, lo).value, PopaPoint(param, hi).value
+        if not a < b:
+            raise DomainError(f"interval needs lo < hi, got ({lo}, {hi})")
+        self._freeze(param, a, b)
 
 
 def haar_interval_measure(iv: Interval) -> float:

@@ -14,13 +14,13 @@ additivity property the property tests pin down.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from regvar.popa import (
     DomainError,
     PopaParam,
     PopaPoint,
+    _Record,
     circle,
     eta,
     iso_exp,
@@ -44,17 +44,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class KernelParams:
+class KernelParams(_Record, frozen=True):
     """Domain parameter rho, codomain parameter sigma and index kappa."""
 
-    rho: PopaParam
-    sigma: PopaParam
-    kappa: float
+    __slots__ = ("rho", "sigma", "kappa")
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.kappa):
-            raise DomainError(f"kappa must be finite, got {self.kappa!r}")
+    def __init__(self, rho: PopaParam, sigma: PopaParam, kappa: float) -> None:
+        if not math.isfinite(kappa):
+            raise DomainError(f"kappa must be finite, got {kappa!r}")
+        self._freeze(rho, sigma, kappa)
 
 
 def kernel_eval(kp: KernelParams, t: float) -> float:
@@ -104,18 +102,17 @@ def k_from_multiplier(g: Callable[[float], float], kappa_const: float) -> Callab
     return lambda t: kappa_const * (g(t) - 1.0)
 
 
-@dataclass(frozen=True)
-class GoldieAux:
+class GoldieAux(_Record, frozen=True):
     """Power multiplier g(t) = (1+rho*t)^-gamma on a finite-parameter group."""
 
-    rho: PopaParam
-    gamma: float
+    __slots__ = ("rho", "gamma")
 
-    def __post_init__(self) -> None:
-        if not self.rho.is_finite:
+    def __init__(self, rho: PopaParam, gamma: float) -> None:
+        if not rho.is_finite:
             raise DomainError("goldie auxiliary requires a finite positive rho")
-        if not math.isfinite(self.gamma):
-            raise DomainError(f"gamma must be finite, got {self.gamma!r}")
+        if not math.isfinite(gamma):
+            raise DomainError(f"gamma must be finite, got {gamma!r}")
+        self._freeze(rho, gamma)
 
     def g(self, t: float) -> float:
         return math.exp(-self.gamma * math.log1p(self.rho.rho * t))

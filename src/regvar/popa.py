@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 __all__ = [
@@ -64,17 +63,51 @@ class ParameterMismatchError(ValueError):
     """Binary operation received points from two different groups."""
 
 
-@dataclass(frozen=True)
-class PopaParam:
+_set = object.__setattr__  # how a frozen record's __init__ assigns its fields
+
+
+class _Record:
+    """A value record over ``__slots__``, its fields in order: == and repr by field.  ``frozen=True`` subclasses
+    are hashable and refuse assignment; the others are unhashable."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, frozen: bool = False) -> None:
+        cls._values = operator.attrgetter(*cls.__slots__)
+        if frozen:
+            cls.__hash__ = lambda self: hash(self._values(self))
+            cls.__setattr__ = cls.__delattr__ = _Record._refuse
+
+    def _freeze(self, *values) -> None:
+        """A frozen record's __init__ sets its fields, in order, here."""
+        for name, value in zip(self.__slots__, values):
+            _set(self, name, value)
+
+    def _refuse(self, name: str, *value) -> None:
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._values(self) == other._values(other)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self.__slots__)})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self.__slots__)
+
+
+class PopaParam(_Record, frozen=True):
     """Group parameter: 0.0, a positive finite float, or math.inf."""
 
-    rho: float
+    __slots__ = ("rho",)
 
-    def __post_init__(self) -> None:
-        r = float(self.rho)
-        if isinstance(self.rho, bool) or math.isnan(r) or r < 0.0:
-            raise DomainError(f"group parameter must be 0, positive or inf, got {self.rho!r}")
-        object.__setattr__(self, "rho", r)
+    def __init__(self, rho: float) -> None:
+        r = float(rho)
+        if isinstance(rho, bool) or math.isnan(r) or r < 0.0:
+            raise DomainError(f"group parameter must be 0, positive or inf, got {rho!r}")
+        self._freeze(r)
 
     @property
     def is_zero(self) -> bool:
@@ -138,15 +171,14 @@ def _check_value(param: PopaParam, value: float) -> float:
     return v
 
 
-@dataclass(frozen=True)
-class PopaPoint:
+class PopaPoint(_Record, frozen=True):
     """A validated element of the group with parameter ``param``."""
 
-    param: PopaParam
-    value: float
+    __slots__ = ("param", "value")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "value", _check_value(self.param, self.value))
+    def __init__(self, param: PopaParam, value: float) -> None:
+        _set(self, "param", param)
+        _set(self, "value", _check_value(param, value))
 
 
 def eta(param: PopaParam, t: float) -> float:
@@ -237,16 +269,17 @@ def _chart(param: PopaParam, *scales: float, T: float = 0.0) -> tuple:
 
 
 def _haar_length(param: PopaParam, a: float, b: float) -> float:
-    """Haar measure of [a, b], a <= b, in the chart.  Where d*(b - a)/eta(a) overflows, eta(b)/eta(a) > DBL_MAX
-    and nothing cancels in L(d*b) - L(d*a).  Where c overflows (subnormal rho), the length is (1+rho)*(w/rho)."""
+    """Haar measure c*log1p(q) of [a, b], a <= b, in the chart, q = (b - a)/eta(a)*d.  Where q overflows, either
+    eta(b)/eta(a) > DBL_MAX or eta(a) < 1, so nothing cancels in L(d*b) - L(d*a); where d*b overflows too, L(d*b) is
+    log(d) + log(b).  Where c overflows (subnormal rho), the length is (1+rho)*(w/rho)."""
     L, _, d, c = _coordinate(param, max(abs(a), abs(b)))
     if L is _t:
         return c * (b - a)
     e = a if param.is_infinite else 1.0 + d * a
     if e == math.inf:  # rho*a overflows: on [a, b] eta(t) is rho*t to working precision
         e, d = a, 1.0
-    q = d * (b - a) / e
-    w = math.log1p(q) if q < math.inf else L(d * b) - L(d * a)
+    q = (b - a) / e * d
+    w = math.log1p(q) if q < math.inf else (L(d * b) if d * b < math.inf else math.log(d) + math.log(b)) - L(d * a)
     return c * w if c < math.inf else (1.0 + d) * (w / d)
 
 

@@ -28,11 +28,10 @@ import functools
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
 from operator import mul
 from typing import Callable, Sequence
 
-from regvar.popa import DomainError
+from regvar.popa import DomainError, _Record
 
 __all__ = ["QuadratureSpec", "QuadratureResult", "QuadratureWarning", "adaptive_integral"]
 
@@ -45,37 +44,35 @@ class QuadratureWarning(UserWarning):
     """Raised via warnings.warn when an integral fails to converge."""
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
+class QuadratureSpec(_Record, frozen=True):
     """Tolerances and budget of every Haar integral, by Clenshaw-Curtis cells or :func:`adaptive_integral`.
 
     ``truncation`` is the half-width T of the surrogate interval [-T, T]
     used by callers that integrate over the whole line.
     """
 
-    abs_tol: float = 1e-9
-    rel_tol: float = 1e-9
-    max_subdivisions: int = 4000
-    truncation: float = 30.0
+    __slots__ = ("abs_tol", "rel_tol", "max_subdivisions", "truncation")
 
-    def __post_init__(self) -> None:
-        for name, tol in (("abs_tol", self.abs_tol), ("rel_tol", self.rel_tol)):
+    def __init__(self, abs_tol: float = 1e-9, rel_tol: float = 1e-9, max_subdivisions: int = 4000,
+                 truncation: float = 30.0) -> None:
+        for name, tol in (("abs_tol", abs_tol), ("rel_tol", rel_tol)):
             if not math.isfinite(tol):
                 raise ValueError(f"{name} must be finite, got {tol!r}")
-        if not (self.abs_tol > 0.0 and self.rel_tol >= 0.0):
+        if not (abs_tol > 0.0 and rel_tol >= 0.0):
             raise ValueError("tolerances must be positive")
-        if self.max_subdivisions < 1:
+        if max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
-        if not (self.truncation > 0.0 and math.isfinite(2.0 * self.truncation)):  # [-T, T] has a finite span
-            raise ValueError(f"truncation must be positive with a finite span 2*truncation, got {self.truncation!r}")
+        if not (truncation > 0.0 and math.isfinite(2.0 * truncation)):  # [-T, T] has a finite span
+            raise ValueError(f"truncation must be positive with a finite span 2*truncation, got {truncation!r}")
+        self._freeze(abs_tol, rel_tol, max_subdivisions, truncation)
 
 
-@dataclass
-class QuadratureResult:
-    value: complex
-    error: float
-    converged: bool
-    evaluations: int
+class QuadratureResult(_Record):
+    __slots__ = ("value", "error", "converged", "evaluations")
+
+    def __init__(self, value: complex, error: float, converged: bool, evaluations: int) -> None:
+        self.value, self.error = value, error  # pairs: no tuple is built
+        self.converged, self.evaluations = converged, evaluations
 
     @property
     def real(self) -> float:
@@ -190,18 +187,21 @@ def _cc_integral(fn, lo: float, hi: float, spec: QuadratureSpec = QuadratureSpec
         c, r = 0.5 * (a + b), 0.5 * (b - a)
         p = [fb, *[fn(c + r * s) for s in inner], fa]
         nev[0] += 15
+        plain_value = sum(map(mul, w0, p))
         try:
             if z and r not in rules:
                 rules[r] = _cc_rule(_cc_weights(z * r), interp)
             e = r * cmath.exp(-z * c) if z else r
-        except OverflowError:  # in exp(-z*w) or its moments, not in fn
+            w, pairs = rules[r] if z else plain
+            value = e * sum(map(mul, w, p)) if z else r * plain_value
+            if z and not cmath.isfinite(value) and all(map(cmath.isfinite, p)):
+                raise OverflowError
+        except OverflowError:  # in exp(-z*w), its moments or the weighted sum, not in fn
             raise DomainError(f"exp(-z*w) overflows for z={z} and w in [{lo!r}, {hi!r}] (truncation="
                               f"{spec.truncation!r}): lower |Re z| or the truncation") from None
-        w, pairs = rules[r] if z else plain
         coarse = p[0::2]
         d = sum(abs(wk * p[k] + wl * p[16 - k] - sum(map(mul, row, coarse))) for k, wk, wl, row in pairs)
-        plain_value = sum(map(mul, w0, p))
-        value, scale = e * sum(map(mul, w, p)) if z else r * plain_value, abs(e)
+        scale = abs(e)
         mean = 0.5 * plain_value
         resasc = scale * sum(map(mul, w0, [abs(v - mean) for v in p]))
         d *= scale

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from itertools import repeat
 from typing import Callable, Sequence
 
 from regvar import popa
 from regvar.kernels import KernelParams, kernel_eval
-from regvar.popa import DomainError, PopaParam, PopaPoint, circle, inverse
+from regvar.popa import DomainError, PopaParam, PopaPoint, _Record, circle, inverse
 
 __all__ = [
     "GridSpec",
@@ -34,37 +33,48 @@ class VacuousPremiseWarning(UserWarning):
     """The premise of a conditional check failed, so it passed vacuously."""
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(_Record, frozen=True):
     """Evaluation grid on [lo, hi] with a finite span hi - lo; geometric spacing needs lo > 0."""
 
-    lo: float
-    hi: float
-    n: int
-    spacing: str = "linear"
+    __slots__ = ("lo", "hi", "n", "spacing")
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.lo < self.hi):
-            raise ValueError(f"need lo < hi, got ({self.lo}, {self.hi})")
-        if not math.isfinite(self.hi - self.lo):
-            raise ValueError(f"the span hi - lo of ({self.lo}, {self.hi}) overflows")
-        if self.n < 2:
+    def __init__(self, lo: float, hi: float, n: int, spacing: str = "linear") -> None:
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise ValueError(f"need lo < hi, got ({lo}, {hi})")
+        if not math.isfinite(hi - lo):
+            raise ValueError(f"the span hi - lo of ({lo}, {hi}) overflows")
+        if n < 2:
             raise ValueError("n must be >= 2")
-        if self.spacing not in ("linear", "geometric"):
-            raise ValueError(f"spacing must be 'linear' or 'geometric', got {self.spacing!r}")
-        if self.spacing == "geometric" and not self.lo > 0.0:
+        if spacing not in ("linear", "geometric"):
+            raise ValueError(f"spacing must be 'linear' or 'geometric', got {spacing!r}")
+        if spacing == "geometric" and not lo > 0.0:
             raise ValueError("geometric spacing needs lo > 0")
+        self._freeze(lo, hi, n, spacing)
 
     def points(self) -> list[float]:
         """Geometric points are 10**w over evenly spaced w = log10(t), with lo and hi exact."""
         lo, hi = float(self.lo), float(self.hi)
         if self.spacing == "linear":
             return _linspace(lo, hi, self.n)
-        from decimal import Context, Decimal
-
-        log10 = Context(prec=34).log10  # correctly rounded; math.log10 is an ulp off for ~1% of inputs
-        inner = _linspace(float(log10(Decimal(lo))), float(log10(Decimal(hi))), self.n)[1:-1]
+        inner = _linspace(_log10(lo), _log10(hi), self.n)[1:-1]
         return [lo, *(10.0**w for w in inner), hi]
+
+
+def _atanh2(num: int, den: int) -> int:
+    """2*atanh(num/den) for 0 <= num/den <= 1/3 in fixed point, times 2**128, to 2**-120."""
+    t, total, k = (num << 128) // den, 0, 1
+    t2 = t * t >> 128
+    while t:
+        total, t, k = total + t // k, t * t2 >> 128, k + 2
+    return 2 * total
+
+
+def _log10(x: float) -> float:
+    """log10 of a positive float, correctly rounded (math.log10 is an ulp off for ~1% of inputs): x = m*2**e with
+    1 <= m < 2 and ln m = 2*atanh((m - 1)/(m + 1)), ln 2 = 2*atanh(1/3), ln 10 = 3 ln 2 + 2*atanh(1/9)."""
+    m, e = math.frexp(x)  # x = (2*m) * 2**(e - 1)
+    n, ln2 = int(m * 2.0**54), _atanh2(1, 3)
+    return ((e - 1) * ln2 + _atanh2(n - 2**53, n + 2**53)) / (3 * ln2 + _atanh2(1, 9))  # int / int rounds correctly
 
 
 def _linspace(lo: float, hi: float, n: int) -> list[float]:
@@ -76,13 +86,13 @@ def _linspace(lo: float, hi: float, n: int) -> list[float]:
     return [k * step + lo for k in range(div)] + [hi]
 
 
-@dataclass
-class SubaddReport:
-    holds: bool
-    worst_violation: float
-    worst_pair: tuple[float, float]
-    pairs_checked: int
-    pairs_skipped: int = 0
+class SubaddReport(_Record):
+    __slots__ = ("holds", "worst_violation", "worst_pair", "pairs_checked", "pairs_skipped")
+
+    def __init__(self, holds: bool, worst_violation: float, worst_pair: tuple[float, float], pairs_checked: int,
+                 pairs_skipped: int = 0) -> None:
+        self.holds, self.worst_violation, self.worst_pair = holds, worst_violation, worst_pair
+        self.pairs_checked, self.pairs_skipped = pairs_checked, pairs_skipped
 
 
 def _codomain_value(S: Callable[[float], float], sigma: PopaParam, x: float) -> float:

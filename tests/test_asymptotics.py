@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from regvar.asymptotics import (
     fit_kappa,
     general_op,
     goldie_sum,
+    _nearest_fraction,
     karamata_op,
     two_point_index,
 )
@@ -422,6 +424,38 @@ class TestTwoPointIndex:
     def test_rejects_nonpositive(self):
         with pytest.raises(DomainError):
             two_point_index(2.0, -8.0, 3.0, 9.0)
+
+    def test_warning_names_the_fraction(self):
+        with pytest.warns(RationalRatioWarning, match=r"log\(8\.0\)/log\(4\.0\) is close to 3/2; "):
+            two_point_index(8.0, 27.0, 4.0, 9.0)
+        with pytest.warns(RationalRatioWarning, match=r"is close to -2/3; "):
+            two_point_index(0.25, 2.0, 8.0, 3.0)
+
+
+def _ratios(seed: int):
+    """Exact small-denominator rationals, their 1-ulp neighbours, midpoints of consecutive Farey fractions of
+    order 16 (k +- 1/32 among them, the ties), and log-uniform ratios, all of both signs."""
+    from fractions import Fraction
+
+    rng = random.Random(seed)
+    farey = sorted({Fraction(p, q) for q in range(1, 17) for p in range(-40 * q, 40 * q + 1)})
+    for _ in range(400):
+        k = rng.randrange(len(farey) - 1)
+        exact, mid = float(farey[k]), float((farey[k] + farey[k + 1]) / 2)
+        for x in (exact, mid):
+            yield from (x, math.nextafter(x, math.inf), math.nextafter(x, -math.inf))
+        yield rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-20, 20)
+    for k in range(-40, 40):
+        yield from (k + 1 / 32, k - 1 / 32)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_nearest_fraction_is_limit_denominator(seed):
+    from fractions import Fraction
+
+    for x in _ratios(seed):
+        want = Fraction(x).limit_denominator(16)
+        assert _nearest_fraction(x) == (want.numerator, want.denominator), x
 
 
 class TestBeckPartition:

@@ -849,6 +849,7 @@ class TestHaarLengths:
         (["--rho", "0.001", "--lo", "100", "--hi", "100.0000001"], "9.09999945933596e-08\n"),
         (["--rho", "inf", "--lo", "2e-300", "--hi", "1e300"], "1380.85790861587\n"),
         (["--rho", "1e-310", "--lo", "1", "--hi", "1e307"], "9.99500333083533e+306\n"),
+        (["--rho", "7", "--lo", "1", "--hi", "1.7e308"], "810.963777714976\n"),  # 7*hi overflows
     ])
     def test_measure(self, capsys, argv, out):
         assert run_cli(capsys, "transform", "measure", *argv) == (0, out, "")
@@ -857,6 +858,7 @@ class TestHaarLengths:
         (["--rho", "1e-310", "1e307"], "9.99500333083533e+306\n"),
         (["--rho", "inf", "0.5"], "0.693147180559945\n"),
         (["--rho", "0", "--", "-0"], "0\n"),
+        (["--rho", "7", "1.7e308"], "813.340282334038\n"),
     ])
     def test_norm(self, capsys, argv, out):
         assert run_cli(capsys, "group", "norm", *argv) == (0, out, "")
@@ -866,6 +868,7 @@ class TestMellinOverflow:
     """An overflow of exp(-z*w) names z and the truncation; one inside f keeps its own message."""
 
     @pytest.mark.parametrize("flags, z, T", [
+        (["--z-re", "24"], "(24+0j)", "30.0"),  # no factor overflows, their weighted sum does
         (["--z-re", "25"], "(25+0j)", "30.0"),
         (["--z-re", "30"], "(30+0j)", "30.0"),
         (["--z-re=-30"], "(-30+0j)", "30.0"),

@@ -345,6 +345,18 @@ class TestHaarLength:
     def test_eta_ratio_past_dbl_max_stays_finite(self, rho, lo, hi, want):
         assert haar_interval_measure(Interval(PopaParam(rho), lo, hi)) == pytest.approx(want, rel=4 * 2.0**-52)
 
+    @pytest.mark.parametrize("rho", [1.5, 7.0, 1e3, 1e300])
+    def test_rho_times_hi_past_dbl_max_stays_finite(self, rho):
+        # eta(hi) = 1 + rho*hi overflows, and so does d*(hi - lo)/eta(lo); eta(lo) >= 1e-3 keeps lo well-conditioned
+        top = sys.float_info.max
+        his = [min(top / rho * 1.5, top), 1.8e8, top / 3.0, 1.7e308, top]
+        los = [-0.999 / rho, -0.5 / rho, 0.0, 1.0, 1e7, 1e10]
+        for hi in his:
+            assert norm(PopaPoint(PopaParam(rho), hi)) == pytest.approx(float(self.exact(rho, 0.0, hi)), rel=1e-14)
+            for lo in (lo for lo in los if lo < hi):
+                got = haar_interval_measure(Interval(PopaParam(rho), lo, hi))
+                assert got == pytest.approx(float(self.exact(rho, lo, hi)), rel=1e-14)
+
     def test_eta_of_lo_past_dbl_max(self):
         # 1 + 7*lo overflows; the ratio eta(hi)/eta(lo) is hi/lo to working precision
         lo, hi = 1.7e308, sys.float_info.max

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from regvar.asymptotics import SampledFunction
-from regvar.subadd import GridSpec, _linspace
+from regvar.subadd import GridSpec, _linspace, _log10
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -43,6 +43,8 @@ _COMMAND_MODULES = [
     (["beck", "sum", "--rho", "1", "--delta", "0.01", "--u", "1"], _ESTIMATE),
     (["cocycle", "karamata", "--f", "log", "--s", "2", "--t", "3", "--x", "10"], _ESTIMATE),
     (["subadd", "check", "--s", "kappa-kernel", "--rho", "1", "--sigma", "1"], {"popa", "subadd", "kernels"}),
+    (["subadd", "check", "--s", "square", "--lo", "0.1", "--hi", "5", "--spacing", "geometric"],
+     {"popa", "subadd", "kernels"}),
     (["subadd", "hs-probe", "--s", "goldie-fstar", "--rho", "1"], {"popa", "subadd", "kernels"}),
 ]
 
@@ -76,8 +78,19 @@ def test_each_command_loads_only_its_modules(argv, modules):
     loaded = _modules_after(_PROBE, *argv)
     assert _regvar_modules(loaded) == modules
     assert "csv" not in loaded
-    if argv[0] == "group":
-        assert not loaded & {"fractions", "decimal"}
+
+
+# Modules no CLI process loads: dataclasses imports the next four; fractions and decimal serve one call each.
+_HEAVY = {"dataclasses", "inspect", "ast", "dis", "tokenize", "fractions", "decimal"}
+
+
+@pytest.mark.parametrize("argv", [a for a, _ in _COMMAND_MODULES], ids=[" ".join(a) for a, _ in _COMMAND_MODULES])
+def test_no_command_loads_dataclasses_fractions_or_decimal(argv):
+    assert not _modules_after(_PROBE, *argv) & _HEAVY
+
+
+def test_import_regvar_loads_no_dataclasses_fractions_or_decimal():
+    assert not _modules_after("import sys, regvar; print(' '.join(sys.modules))") & _HEAVY
 
 
 def test_a_table_function_adds_asymptotics_and_csv(tmp_path):
@@ -131,6 +144,16 @@ def test_sandwich_offsets_are_linspace_bitwise(seed):
     for _ in range(300):
         delta, probes = rng.uniform(0.0, 10.0) * 10.0 ** rng.uniform(-10, 10), rng.randint(2, 100)
         assert _linspace(-delta, delta, probes + 2)[1:-1] == np.linspace(-delta, delta, probes + 2)[1:-1].tolist()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_log10_is_correctly_rounded(seed):
+    rng = random.Random(seed)
+    log10 = Context(prec=34).log10
+    xs = [10.0 ** rng.uniform(-300, 300) for _ in range(3000)] + [rng.uniform(0.5, 2.0) for _ in range(1000)]
+    xs += [10.0**k for k in range(-22, 23)] + [5e-324, 2.2250738585072014e-308, sys.float_info.max, 1.0, 2.0]
+    for x in xs:
+        assert _log10(x) == float(log10(Decimal(x))), x
 
 
 def _within_one_ulp(got, ref) -> bool:
