@@ -398,6 +398,7 @@ def two_point_index(
 
 
 _MAX_PARTITION = 10**8
+_MAX_LISTED = 100 * 2**20 // 32  # about 100 MB of list: an 8-byte slot and a 24-byte float per point
 
 
 def _beck_index(param: PopaParam, delta: float, u: float) -> int:
@@ -422,8 +423,12 @@ def _beck_index(param: PopaParam, delta: float, u: float) -> int:
 
 def beck_partition(param: PopaParam, delta: float, u: float) -> list[float]:
     """Partition points delta^(0 o), ..., delta^(i o) where i is the unique
-    index with delta^((i-1) o) <= u < delta^(i o)."""
-    return list(_powers(param, delta, range(_beck_index(param, delta, u) + 1)))
+    index with delta^((i-1) o) <= u < delta^(i o).  The list may hold at
+    most 3276800 points (about 100 MB); beck_riemann_sum streams up to 1e8 cells."""
+    i = _beck_index(param, delta, u)
+    if i >= _MAX_LISTED:
+        raise DomainError(f"partition of {i + 1} points is too long to list (at most {_MAX_LISTED}, about 100 MB)")
+    return list(_powers(param, delta, range(i + 1)))
 
 
 def beck_riemann_sum(

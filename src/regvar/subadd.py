@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from itertools import repeat
+from bisect import bisect_left, bisect_right
+from functools import partial
+from itertools import accumulate, repeat
 from typing import Callable, Sequence
 
 from regvar import popa
@@ -52,12 +54,14 @@ class GridSpec(_Record, frozen=True):
         self._freeze(lo, hi, n, spacing)
 
     def points(self) -> list[float]:
-        """Geometric points are 10**w over evenly spaced w = log10(t), with lo and hi exact."""
+        """Non-decreasing points from lo to hi.  Geometric ones are 10**w over evenly spaced w = log10(t), with lo and
+        hi exact and each point clamped between its predecessor and hi."""
         lo, hi = float(self.lo), float(self.hi)
         if self.spacing == "linear":
             return _linspace(lo, hi, self.n)
         inner = _linspace(_log10(lo), _log10(hi), self.n)[1:-1]
-        return [lo, *(10.0**w for w in inner), hi]
+        # 10**w errs by about |w| ulps, which can exceed a span of a few ulps: clamp to keep the points in order
+        return [*accumulate((min(10.0**w, hi) for w in inner), max, initial=lo), hi]
 
 
 def _atanh2(num: int, den: int) -> int:
@@ -95,12 +99,25 @@ class SubaddReport(_Record):
         self.pairs_checked, self.pairs_skipped = pairs_checked, pairs_skipped
 
 
-def _codomain_value(S: Callable[[float], float], sigma: PopaParam, x: float) -> float:
-    v = S(x)
+def _codomain_value(sigma: PopaParam, x: float, v: float) -> float:
+    """v = S(x) as a float of sigma's carrier."""
     try:
         return popa._check_value(sigma, v)
     except DomainError as exc:
         raise DomainError(f"S({x!r}) = {v!r} is outside the codomain carrier") from exc
+
+
+def _in_carrier(param: PopaParam, vals: list[float]) -> bool:
+    """Whether popa._check_value(param, v) passes for every v: a non-finite v makes the sum non-finite (a sum
+    that overflows only sends the caller to its exact scan), and the test on 1 + rho*v is monotone in v, so the
+    least v decides."""
+    if not (vals and math.isfinite(sum(vals))):
+        return not vals
+    try:
+        popa._check_value(param, min(vals))
+    except DomainError:
+        return False
+    return True
 
 
 def subadditivity_check(
@@ -113,28 +130,42 @@ def subadditivity_check(
     """Probe S(x o y) <= S(x) o S(y) over all pairs of a grid of at most 10**4
     points whose combination stays inside [lo, hi]; out-of-window pairs are
     skipped and counted.  S is called once per point and once per unordered
-    in-window pair; off the diagonal a pair counts twice, as x o y = y o x."""
+    in-window pair, row by row; off the diagonal a pair counts twice, as
+    x o y = y o x.  A row's window is bisected where fl(x o y) is non-decreasing
+    in y, and its pairs are checked as one batch: if a bound or an S(z) is
+    outside sigma's carrier, the DomainError names the first such pair of the
+    row, and S may already have been called on the rest of that row."""
     if grid.n > 10**4:  # 10**8 pairs, the most cells asymptotics allows for a partition
         raise DomainError(f"grid of {grid.n} points is too large (at most 1e4 points, 1e8 pairs)")
     pts = [popa._check_value(rho, p) for p in grid.points()]
-    svals = [_codomain_value(S, sigma, p) for p in pts]
+    svals = [_codomain_value(sigma, p, S(p)) for p in pts]
     rho_op, sigma_op = popa._float_op(rho), popa._float_op(sigma)
-    lo, hi = grid.lo, grid.hi
+    lo, hi, n = grid.lo, grid.hi, len(pts)
     worst, worst_pair = 0.0, (math.nan, math.nan)
     checked = skipped = 0
     for i, x in enumerate(pts):
-        weight = 1  # the diagonal pair (x, x), then the pairs (x, y) and (y, x) at once
-        row = zip(pts[i:], map(rho_op, repeat(x), pts[i:]), map(sigma_op, repeat(svals[i]), svals[i:]))
-        for y, z, bound in row:
-            if not lo <= z <= hi:  # also skips a nan, or a z that under- or overflowed
-                skipped += weight
-            else:  # z lies between two points of the carrier, so it is one too
+        x_op = partial(rho_op, x)
+        if x >= 0.0 or not rho.is_finite:  # every rounded op of x o y is monotone in y: the window is a slice
+            j0 = bisect_left(pts, lo, i, n, key=x_op)
+            j1 = bisect_right(pts, hi, j0, n, key=x_op)
+            ys, sy = pts[j0:j1], svals[j0:j1]
+        else:  # (x + y) + rho*(x*y) can step back an ulp as y grows: test each pair
+            js = [j for j in range(i, n) if lo <= x_op(pts[j]) <= hi]
+            j0, ys, sy = js[0] if js else n, [pts[j] for j in js], [svals[j] for j in js]
+        zs = list(map(x_op, ys))  # each z lies between two points of the carrier, so it is one too
+        bounds = list(map(sigma_op, repeat(svals[i], len(ys)), sy))
+        values = list(map(S, zs))
+        images = list(map(float, values))
+        if not (_in_carrier(sigma, bounds) and _in_carrier(sigma, images)):
+            for z, bound, v in zip(zs, bounds, values):  # raise for the first failing pair
                 popa._check_value(sigma, bound)
-                violation = _codomain_value(S, sigma, z) - bound
-                checked += weight
-                if violation > worst:
-                    worst, worst_pair = violation, (x, y)
-            weight = 2
+                _codomain_value(sigma, z, v)
+        row = 2 * len(ys) - (bool(ys) and j0 == i)  # the diagonal pair (x, x) counts once
+        checked, skipped = checked + row, skipped + 2 * (n - i) - 1 - row
+        violations = list(map(float.__sub__, images, bounds))
+        top = max(violations, default=0.0)
+        if top > worst:
+            worst, worst_pair = top, (x, ys[violations.index(top)])
     return SubaddReport(worst <= tol, worst, worst_pair, checked, skipped)
 
 
@@ -221,8 +252,10 @@ def sandwich_bound_check(
         )
         return True
 
-    s_ba = PopaPoint(sigma, _codomain_value(S, sigma, circle(pb, pa).value))
-    s_bainv = PopaPoint(sigma, _codomain_value(S, sigma, circle(pb, inverse(pa)).value))
+    ba = circle(pb, pa).value
+    s_ba = PopaPoint(sigma, _codomain_value(sigma, ba, S(ba)))
+    bainv = circle(pb, inverse(pa)).value
+    s_bainv = PopaPoint(sigma, _codomain_value(sigma, bainv, S(bainv)))
     lower = circle(s_ba, inverse(Mpt)).value
     upper = circle(s_bainv, Mpt).value
     ball_b = [pb.value + o for o in offsets]

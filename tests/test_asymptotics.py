@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import regvar.asymptotics as asymptotics
 from helpers import rel_residual
 from regvar.asymptotics import (
     EstimationResult,
@@ -35,6 +36,7 @@ from regvar.asymptotics import (
     karamata_op,
     two_point_index,
 )
+from regvar.cli import main
 from regvar.kernels import KernelParams, cj_residual, kernel_eval
 from regvar.popa import INFINITY, ZERO, DomainError, PopaParam, eta, iso_exp, iso_log, power
 
@@ -498,6 +500,25 @@ class TestBeckPartition:
     def test_refuses_huge_partitions(self):
         with pytest.raises(DomainError):
             beck_partition(ZERO, 1e-9, 1.0)
+
+    def test_list_is_capped_near_100_mb_before_any_point_is_made(self, monkeypatch):
+        cap, seen = asymptotics._MAX_LISTED, []
+        assert cap * 32 <= 100 * 2**20 < (cap + 1) * 32  # 8-byte slot and 24-byte float per point
+        monkeypatch.setattr(asymptotics, "_powers", lambda param, delta, ns: seen.append(ns) or iter(()))
+        assert beck_partition(ZERO, 1.0, cap - 2.0) == [] and seen == [range(cap)]  # index cap - 1: cap points
+        with pytest.raises(DomainError, match="too long to list"):
+            beck_partition(ZERO, 1.0, cap - 1.0)  # cap + 1 points
+        assert len(seen) == 1
+
+    def test_riemann_sum_streams_past_the_list_cap(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(asymptotics, "_powers", lambda param, delta, ns: seen.append(ns) or iter(()))
+        u = 10.0 * asymptotics._MAX_LISTED
+        assert beck_riemann_sum(lambda t: 1.0, ZERO, 1.0, u) == 0.0 and seen == [range(int(u) + 2)]
+
+    def test_cli_partition_above_the_cap_exits_2(self, capsys):
+        assert main(["beck", "partition", "--rho", "0", "--delta", "1", "--u", "1e7"]) == 2
+        assert "error: partition of 10000002 points is too long to list" in capsys.readouterr().err
 
 
 class TestBeckRiemannSum:

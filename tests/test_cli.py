@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import math
 import os
 import shlex
@@ -9,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regvar.cli import CsvFormatError, load_csv_function, main
 from regvar.asymptotics import TableRangeError
@@ -887,3 +891,37 @@ class TestMellinOverflow:
     def test_overflow_inside_f_keeps_its_message(self, capsys):
         code, out, err = run_cli(capsys, "transform", "fourier", "--rho", "inf", "--f", "exp", "--gamma", "1")
         assert (code, out, err) == (2, "", "error: math range error (OverflowError)\n")
+
+
+_FUZZ_NUMBERS = st.one_of(
+    st.floats(-5.0, 5.0).map(repr),
+    st.floats().map(repr),
+    st.integers(-5, 5).map(str),
+    st.sampled_from(["0", "-0", "1e-320", "1e308", "-1e308", "1e400", "nan", "inf", "-inf", "abc", "", "0x10"]),
+)
+_FUZZ_S = st.sampled_from(["kappa-kernel", "goldie-fstar", "one", "x", "square", "sqrt", "exp", "log", "inv",
+                            "entropy", "gauss", "offset-sinc", "no-such.csv", ""])
+_FUZZ_FLAGS = {
+    "--rho": st.sampled_from(["0", "1", "0.5", "7", "inf", "1e-300", "1e300", "-1", "nan", "Inf", "x"]),
+    "--sigma": st.sampled_from(["0", "1", "0.5", "7", "inf", "1e-300", "1e300", "-1", "nan", "Inf", "x"]),
+    "--kappa": _FUZZ_NUMBERS,
+    "--gamma": _FUZZ_NUMBERS,
+    "--lo": _FUZZ_NUMBERS,
+    "--hi": _FUZZ_NUMBERS,
+    "--n": st.one_of(st.integers(-2, 40).map(str), st.sampled_from(["10001", "1e3", "3.5", "x", ""])),
+    "--spacing": st.sampled_from(["linear", "geometric", "cubic"]),
+    "--tol": _FUZZ_NUMBERS,
+}
+
+
+class TestSubaddCheckFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(_FUZZ_S, st.fixed_dictionaries({}, optional=_FUZZ_FLAGS))
+    def test_exit_code_is_documented_and_no_traceback(self, s, flags):
+        # every failure reaches the user as exit 1, 2 or 3, never as an exception out of main
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["subadd", "check", f"--s={s}", *(f"{flag}={value}" for flag, value in flags.items())])
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        assert (code == 0) == (out.getvalue().count("\n") == 2)

@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from regvar import popa
 from regvar.kernels import GoldieAux, KernelParams, goldie_integral, kernel_eval
 from regvar.popa import INFINITY, ZERO, DomainError, PopaParam, PopaPoint, circle, iso_exp, iso_log
 from regvar.subadd import (
@@ -30,6 +31,20 @@ class TestGridSpec:
     def test_geometric_points(self):
         g = GridSpec(1.0, 8.0, 4, spacing="geometric")
         assert np.allclose(g.points(), [1.0, 2.0, 4.0, 8.0])
+
+    @pytest.mark.parametrize("spacing", ["linear", "geometric"])
+    def test_points_stay_sorted_inside_tiny_relative_spans(self, spacing):
+        # 10**w errs by about |w| ulps, which can exceed a span of a few ulps: such geometric grids held points
+        # above hi and out of order, and subadditivity_check bisects its windows over sorted points
+        rng = random.Random(spacing)
+        cases = [(2.056541519646834e253, 2.0565415196469636e253, 10000)]
+        for _ in range(300):
+            lo = 10.0 ** rng.uniform(-300.0, 300.0) * (rng.choice((-1.0, 1.0)) if spacing == "linear" else 1.0)
+            cases.append((lo, lo + abs(lo) * 10.0 ** rng.uniform(-15.5, -8.0), rng.choice((3, 50, 1000))))
+        for lo, hi, n in cases:
+            if lo < hi < math.inf:
+                pts = GridSpec(lo, hi, n, spacing).points()
+                assert pts[0] == lo and pts[-1] == hi and all(a <= b for a, b in zip(pts, pts[1:])), (lo, hi, n)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -281,3 +296,141 @@ class TestFloatOnlyDriver:
             GridSpec(-1e308, 1e308, 5)
         pts = GridSpec(-1e308, 7e307, 3).points()  # a wide span that stays finite is kept
         assert (pts[0], pts[-1]) == (-1e308, 7e307) and all(map(math.isfinite, pts))
+
+
+def _parent_driver(S, rho, sigma, grid, tol=1e-10):
+    """The per-pair row loop that subadditivity_check ran before it bisected its windows, kept as the
+    reference for the order of S's calls, for the report where z leaves the carrier, and for errors."""
+
+    def image(x):
+        v = S(x)
+        try:
+            return popa._check_value(sigma, v)
+        except DomainError as exc:
+            raise DomainError(f"S({x!r}) = {v!r} is outside the codomain carrier") from exc
+
+    pts = [popa._check_value(rho, p) for p in grid.points()]
+    svals = [image(p) for p in pts]
+    rho_op, sigma_op = popa._float_op(rho), popa._float_op(sigma)
+    worst, worst_pair, checked, skipped = 0.0, (math.nan, math.nan), 0, 0
+    for i, x in enumerate(pts):
+        weight = 1
+        for y, sy in zip(pts[i:], svals[i:]):
+            z = rho_op(x, y)
+            if not grid.lo <= z <= grid.hi:
+                skipped += weight
+            else:
+                bound = popa._check_value(sigma, sigma_op(svals[i], sy))
+                violation = image(z) - bound
+                checked += weight
+                if violation > worst:
+                    worst, worst_pair = violation, (x, y)
+            weight = 2
+    return SubaddReport(worst <= tol, worst, worst_pair, checked, skipped)
+
+
+def _calls(driver, S, *args):
+    """The report of driver(S, *args), or the text of its DomainError, and the arguments S saw, as hex."""
+    seen = []
+    try:
+        result = _bits(driver(lambda t: seen.append(t.hex()) or S(t), *args))
+    except DomainError as exc:
+        result = str(exc)
+    return result, seen
+
+
+def _near_pole_case(seed):
+    """Finite rho and lo with 1 + rho*lo between 1e-16 and 1e-9, so rows x < 0 near the pole -1/rho, where
+    fl((x + y) + rho*(x*y)) steps back as y grows; S is bounded, so every bound and S(z) is in the carrier."""
+    rng = random.Random(f"pole:{seed}")
+    rho = 10.0 ** rng.uniform(-2.0, 3.0)
+    lo = -(1.0 - rng.choice((1e-12, 10.0 ** rng.uniform(-15.5, -9.0)))) / rho
+    hi = rng.choice((-lo * rng.uniform(1e-6, 2.0), 10.0 ** rng.uniform(-8.0, 0.0) / rho))
+    r, s = PopaParam(rho), PopaParam(rng.choice((0.0, 1.0, math.inf)))
+    kappa, eps = rng.uniform(0.5, 2.0), rng.uniform(0.0, 0.5)
+
+    def S(t):
+        w = math.atan(iso_log(r, t))
+        return iso_exp(s, kappa * w + eps * w * w)
+
+    return S, r, s, GridSpec(lo, hi, rng.randint(8, 300))
+
+
+def _split_windows(rho, grid):
+    """How many rows have an in-window set of partners that is not one slice of the grid."""
+    pts, op = grid.points(), popa._float_op(rho)
+    inside = ["".join("1" if grid.lo <= op(x, y) <= grid.hi else "0" for y in pts[i:]) for i, x in enumerate(pts)]
+    return sum("0" in row.strip("0") for row in inside)
+
+
+OVER_AND_UNDERFLOW = [  # grids whose combinations x o y leave the float range
+    (INFINITY, INFINITY, GridSpec(1.0, 1e300, 60), math.sqrt),  # products overflow
+    (INFINITY, INFINITY, GridSpec(1e-200, 1.0, 60), math.sqrt),  # products underflow to 0 or subnormals
+    (INFINITY, INFINITY, GridSpec(1e-200, 1e200, 60, "geometric"), math.sqrt),  # both
+    (ZERO, ZERO, GridSpec(1e307, 1.5e308, 60), lambda t: 0.5 * t),  # sums overflow
+    (ZERO, ZERO, GridSpec(-1e308, 7e307, 60), lambda t: 0.5 * t),  # negative sums overflow
+    (P1, P1, GridSpec(-0.5, 1e300, 60), lambda t: 0.999 * t),  # x*y overflows, and x < 0 rows
+    (P1, ZERO, GridSpec(1e-300, 1e300, 60, "geometric"), lambda t: math.log1p(t)),  # x*y under- and overflows
+]
+
+
+class TestBisectedWindows:
+    def test_rows_near_the_pole_match_the_row_loop_bitwise(self):
+        # _all_pairs_report cannot serve here: it raises where a rounded z out of the window leaves the carrier
+        split = 0
+        for seed in range(40):
+            S, r, s, grid = _near_pole_case(seed)
+            assert _calls(subadditivity_check, S, r, s, grid) == _calls(_parent_driver, S, r, s, grid), seed
+            split += _split_windows(r, grid)
+        assert split > 0  # some rows have windows that are not slices: bisecting there would drop pairs
+
+    @pytest.mark.parametrize("rho,sigma,grid,S", OVER_AND_UNDERFLOW)
+    def test_windows_that_over_or_underflow_match_the_row_loop(self, rho, sigma, grid, S):
+        want = _calls(_parent_driver, S, rho, sigma, grid)
+        assert _calls(subadditivity_check, S, rho, sigma, grid) == want
+        assert 0 < want[0][4] < grid.n**2  # some pairs skipped, some checked
+
+    @pytest.mark.parametrize("rho,sigma", [(0.0, math.inf), (1.0, 1.0), (math.inf, 0.0)])
+    @pytest.mark.parametrize("spacing", ["linear", "geometric"])
+    def test_grids_of_300_points_match_the_all_pairs_loop_bitwise(self, rho, sigma, spacing):
+        S, r, s, grid = _seeded_case(rho, sigma, spacing, True, 0)
+        wide = GridSpec(iso_exp(r, -3.0 if spacing == "linear" else 0.01), iso_exp(r, 3.0), 250, spacing)
+        for grid in (GridSpec(grid.lo, grid.hi, 300, spacing), wide):
+            assert _bits(subadditivity_check(S, r, s, grid)) == _bits(_all_pairs_report(S, r, s, grid))
+
+    @pytest.mark.parametrize("rho,sigma", CORNER_PAIRS)
+    @pytest.mark.parametrize("spacing", ["linear", "geometric"])
+    def test_S_sees_the_row_loop_arguments_in_order(self, rho, sigma, spacing):
+        for seed in range(3):
+            S, r, s, grid = _seeded_case(rho, sigma, spacing, seed == 1, seed)
+            assert _calls(subadditivity_check, S, r, s, grid) == _calls(_parent_driver, S, r, s, grid)
+
+
+class TestErrorPath:
+    # On this grid the row x = pts[1] has in-window partners pts[1:6], and S(x)*S(y) overflows from pts[2] on,
+    # so the first failing bound is partway through the row; no z of row 0 is one of row 1.
+    GRID = GridSpec(0.5, 2.0, 8, "geometric")
+
+    @pytest.mark.parametrize("k,fails", [(0, "image"), (1, "bound"), (3, "bound"), (None, "bound")])
+    def test_first_failing_pair_of_the_row_is_reported(self, k, fails):
+        pts = self.GRID.points()
+        row = [pts[1] + y for y in pts[1:6]]
+        table = dict(zip(pts, [1.0, 1e150, 1e200, 1e200, 1e200, 1e200, 1.0, 1.0]))
+        S = lambda t: math.nan if k is not None and t == row[k] else table.get(t, 1.0)
+        got, seen = _calls(subadditivity_check, S, ZERO, INFINITY, self.GRID)
+        want, parent_seen = _calls(_parent_driver, S, ZERO, INFINITY, self.GRID)
+        message = {"image": f"S({row[0]!r}) = nan is outside the codomain carrier",
+                   "bound": "point must be finite, got inf"}[fails]
+        assert got == want == message
+        assert seen[: len(parent_seen)] == parent_seen  # S saw what the row loop gave it up to the failure
+        assert seen[-len(row):] == [z.hex() for z in row]  # and then the rest of the row
+
+    def test_image_outside_the_codomain_partway_through_a_per_pair_row(self):
+        grid = GridSpec(-0.9, 1.0, 12)  # rho = 1: rows x < 0 test each pair
+        pts = grid.points()
+        row = [z for z in (pts[0] + y + pts[0] * y for y in pts) if -0.9 <= z <= 1.0]
+        S = lambda t: -5.0 if t == row[2] else 0.5 * t
+        got, seen = _calls(subadditivity_check, S, P1, P1, grid)
+        assert got == _calls(_parent_driver, S, P1, P1, grid)[0]
+        assert got == f"S({row[2]!r}) = -5.0 is outside the codomain carrier"
+        assert seen[12:] == [z.hex() for z in row] and len(row) > 3
