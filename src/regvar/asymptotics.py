@@ -21,7 +21,7 @@ from functools import partial
 from itertools import pairwise, takewhile
 from typing import Callable, Sequence
 
-from regvar.popa import DomainError, PopaParam, _powers, _Record, iso_log, power
+from regvar.popa import DomainError, PopaParam, _MAX_LISTED, _powers, _Record, iso_log, power
 
 __all__ = [
     "TableRangeError",
@@ -251,27 +251,20 @@ def estimate_limit(op_curve: Callable[[float], float], scheme: LimitScheme) -> E
     """Evaluate a curve along x0 * ratio^n and stop once the last
     ``stability_window`` values agree pairwise within tol (absolute plus
     relative, normalised by 1 + |last value|)."""
-    window: list[float] = []
-    last = math.nan
+    values: list[float] = []  # every value visited, in grid order
     delta = math.inf
-    steps = 0
     for n in range(scheme.max_steps):
         x = scheme.x0 * scheme.ratio**n
         try:
-            v = float(op_curve(x))
+            values.append(float(op_curve(x)))
         except Exception as exc:  # noqa: BLE001 - annotate with grid position
             raise LimitEvaluationError(n, x, exc) from exc
-        steps = n + 1
-        window.append(v)
-        if len(window) > scheme.stability_window:
-            window.pop(0)
-        last = v
-        if len(window) == scheme.stability_window:
-            spread = max(window) - min(window)
-            delta = spread / (1.0 + abs(last))
+        if n + 1 >= scheme.stability_window:
+            window = values[-scheme.stability_window:]
+            delta = (max(window) - min(window)) / (1.0 + abs(values[-1]))
             if delta <= scheme.tol:
-                return EstimationResult(last, True, delta, steps)
-    return EstimationResult(last, False, delta, steps)
+                return EstimationResult(values[-1], True, delta, n + 1)
+    return EstimationResult(values[-1], False, delta, len(values))
 
 
 def estimate_rho(
@@ -398,7 +391,6 @@ def two_point_index(
 
 
 _MAX_PARTITION = 10**8
-_MAX_LISTED = 100 * 2**20 // 32  # about 100 MB of list: an 8-byte slot and a 24-byte float per point
 
 
 def _beck_index(param: PopaParam, delta: float, u: float) -> int:

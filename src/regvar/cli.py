@@ -153,13 +153,19 @@ def _zero_extend(f):
 
 def _transform_input(f, p: PopaParam, pullback: bool):
     """With ``--pullback`` the table samples the multiplicative pullback; rebuild the group-side f."""
-    f = _zero_extend(f)
     if not pullback:
         return f
     if not p.is_finite:
         raise DomainError("--pullback requires a finite positive --rho")
     back = p.rho / (1.0 + p.rho)
     return lambda u: back * f(1.0 + p.rho * u)
+
+
+def _spec(label: str, text: str):
+    """``--truncation`` -> the QuadratureSpec of a transform; its command has loaded regvar.quadrature."""
+    from regvar.quadrature import QuadratureSpec
+
+    return QuadratureSpec(truncation=_float(label, text))
 
 
 def _subadd_function(s: str, rho: PopaParam, sigma: PopaParam, kappa: float, gamma: float):
@@ -180,24 +186,6 @@ def _subadd_function(s: str, rho: PopaParam, sigma: PopaParam, kappa: float, gam
 # handlers return a pair (text, every estimate converged), so that ``--strict`` can exit 3.
 
 
-def _fourier(m, rho, f, pullback, gamma, truncation):
-    return m.fourier_popa(_transform_input(f, rho, pullback), rho, gamma, m.QuadratureSpec(truncation=truncation))
-
-
-def _mellin(m, rho, f, pullback, z_re, z_im, truncation):
-    spec = m.QuadratureSpec(truncation=truncation)
-    return m.mellin_popa(_transform_input(f, rho, pullback), rho, complex(z_re, z_im), spec)
-
-
-def _popa_conv(m, rho, f, g, x, truncation):
-    spec = m.QuadratureSpec(truncation=truncation)
-    return m.popa_convolution(_zero_extend(f), _zero_extend(g), PopaPoint(rho, x), spec)
-
-
-def _beurling_conv(m, f, h, phi, x, truncation):
-    return m.beurling_convolution(_zero_extend(f), h, phi, x, m.QuadratureSpec(truncation=truncation))
-
-
 def _estimate_kernel(m, mode, f, phi, h, t, fit_rho, fit_sigma, **scheme):
     scheme = m.LimitScheme(**scheme)
     if mode == "karamata":
@@ -209,11 +197,8 @@ def _estimate_kernel(m, mode, f, phi, h, t, fit_rho, fit_sigma, **scheme):
     rows = [f"{_fmt(point)},{_fmt(res.value)},{_fmt_bool(res.converged)}" for point, res in results]
     fit_default = INFINITY if mode == "karamata" else ZERO
     usable = [(point, r.value) for point, r in results if math.isfinite(r.value)]
-    if usable:
-        kappa, rms = m.fit_kappa(usable, fit_rho or fit_default, fit_sigma or fit_default)
-        print(f"kappa={_fmt(kappa)} rms={_fmt(rms)}", file=sys.stderr)
-    else:
-        print("kappa=nan rms=nan", file=sys.stderr)
+    kappa, rms = m.fit_kappa(usable, fit_rho or fit_default, fit_sigma or fit_default) if usable else (math.nan,) * 2
+    print(f"kappa={_fmt(kappa)} rms={_fmt(rms)}", file=sys.stderr)
     if mode in ("beurling", "general"):
         rr = m.estimate_rho(phi, 1.0, scheme)
         print(f"rho_hat={_fmt(rr.value)} converged={_fmt_bool(rr.converged)}", file=sys.stderr)
@@ -222,11 +207,8 @@ def _estimate_kernel(m, mode, f, phi, h, t, fit_rho, fit_sigma, **scheme):
 
 def _eta_rho(m, phi, t_probe, **scheme):
     res = m.estimate_rho(phi, t_probe, m.LimitScheme(**scheme))
-    return (
-        f"rho_hat={_fmt(res.value)} converged={_fmt_bool(res.converged)} "
-        f"last_delta={_fmt(res.last_delta)} steps={res.steps_used}",
-        res.converged,
-    )
+    text = f"rho_hat={_fmt(res.value)} converged={_fmt_bool(res.converged)} last_delta={_fmt(res.last_delta)}"
+    return f"{text} steps={res.steps_used}", res.converged
 
 
 def _two_point(m, l1, g1, l2, g2, tol):
@@ -276,6 +258,7 @@ _KINDS = {
     **dict.fromkeys(("pullback", "strict"), "switch"),
     "points": "numbers",
     "tol": "tol",
+    "truncation": "spec",
     "mode": ("karamata", "bkdh", "beurling", "general"),
     "spacing": ("linear", "geometric"),
 }
@@ -286,6 +269,8 @@ _CONVERT = {
     "integer": _int,
     "numbers": _float_list,
     "function": lambda label, text: _resolve_function(text),
+    "profile": lambda label, text: _zero_extend(_resolve_function(text)),
+    "spec": _spec,
     "tol": _tol,
 }
 
@@ -305,10 +290,16 @@ _COMMANDS = {
         "measure": ("--rho=0 --lo --hi", lambda m, rho, lo, hi: m.haar_interval_measure(m.Interval(rho, lo, hi))),
         "integrate": ("--rho=0 --f --lo --hi --strict",
                       lambda m, rho, f, lo, hi: m.haar_integrate(f, m.Interval(rho, lo, hi))),
-        "fourier": (f"--rho=0 --f --pullback --gamma {_QUADRATURE}", _fourier),
-        "mellin": (f"--rho=0 --f --pullback --z-re=0 --z-im=0 {_QUADRATURE}", _mellin),
-        "popa-conv": (f"--rho=0 --f --g --x {_QUADRATURE}", _popa_conv),
-        "beurling-conv": (f"--f --h --phi --x {_QUADRATURE}", _beurling_conv),
+        "fourier": (f"--rho=0 --f:profile --pullback --gamma {_QUADRATURE}",
+                    lambda m, rho, f, pullback, gamma, truncation:
+                    m.fourier_popa(_transform_input(f, rho, pullback), rho, gamma, truncation)),
+        "mellin": (f"--rho=0 --f:profile --pullback --z-re=0 --z-im=0 {_QUADRATURE}",
+                   lambda m, rho, f, pullback, z_re, z_im, truncation:
+                   m.mellin_popa(_transform_input(f, rho, pullback), rho, complex(z_re, z_im), truncation)),
+        "popa-conv": (f"--rho=0 --f:profile --g:profile --x {_QUADRATURE}",
+                      lambda m, rho, f, g, x, truncation: m.popa_convolution(f, g, PopaPoint(rho, x), truncation)),
+        "beurling-conv": (f"--f:profile --h --phi --x {_QUADRATURE}",
+                          lambda m, f, h, phi, x, truncation: m.beurling_convolution(f, h, phi, x, truncation)),
     }),
     "kernel": ("canonical kernel family", "kernels", {
         "eval": ("--rho --sigma=0 --kappa=1 --t",
@@ -402,12 +393,6 @@ def _show(result) -> str:
     return result if isinstance(result, str) else _fmt(result)
 
 
-def _loaded(module: str, name: str) -> tuple:
-    """(regvar.<module>.<name>,) once that module is imported, else (): nothing it defines was raised."""
-    found = sys.modules.get(f"regvar.{module}")
-    return (getattr(found, name),) if found else ()
-
-
 def _run(args: argparse.Namespace, module) -> tuple[int, object]:
     """Exit code and error message of one parsed command line; prints the result."""
     try:
@@ -419,11 +404,11 @@ def _run(args: argparse.Namespace, module) -> tuple[int, object]:
         print(_show(result))
         if strict and not converged:
             return 3, "an estimate did not converge"
-    except _loaded("quadrature", "QuadratureWarning") as exc:  # raised as an error under --strict
+    except Warning as exc:  # a QuadratureWarning, raised as an error under --strict
         return 3, exc
     except ArithmeticError as exc:  # overflow in a closed form
         return 2, f"{exc} ({type(exc).__name__})"
-    except (ValueError, *_loaded("asymptotics", "LimitEvaluationError")) as exc:
+    except (ValueError, getattr(module, "LimitEvaluationError", ValueError)) as exc:
         return 2, exc
     return 0, None
 
@@ -441,9 +426,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 0
     module = importlib.import_module(f"regvar.{args.module}")
     with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        for category in _loaded("quadrature", "QuadratureWarning") if getattr(args, "strict", False) else ():
-            warnings.simplefilter("error", category)
+        warnings.simplefilter("error" if getattr(args, "strict", False) else "always")
         code, error = _run(args, module)
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)

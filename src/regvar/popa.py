@@ -52,6 +52,7 @@ __all__ = [
 _DOMAIN_GUARD = 1e-300
 _TINY = 2.0**-53  # |rho*t| below it: 1 + rho*t is 1, log(1+rho*t)/rho is t to working precision
 _LOG_DBL_MAX = math.log(sys.float_info.max)  # the largest T with exp(T) and expm1(T) finite
+_MAX_LISTED = 100 * 2**20 // 32  # the longest list of points a call builds: about 100 MB at 8 + 24 bytes a float
 _t = lambda w: w  # the t-line's L and E
 
 
@@ -160,7 +161,7 @@ def _check_value(param: PopaParam, value: float) -> float:
     v = float(value)
     if not math.isfinite(v):
         raise DomainError(f"point must be finite, got {value!r}")
-    if param.rho == 0.0:  # not is_zero: this runs once per pair in the grid drivers
+    if param.rho == 0.0:  # not is_zero: the grid drivers run this once per point and once per row batch
         return v
     if param.rho == math.inf:
         if v <= _DOMAIN_GUARD:

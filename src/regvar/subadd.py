@@ -54,8 +54,11 @@ class GridSpec(_Record, frozen=True):
         self._freeze(lo, hi, n, spacing)
 
     def points(self) -> list[float]:
-        """Non-decreasing points from lo to hi.  Geometric ones are 10**w over evenly spaced w = log10(t), with lo and
-        hi exact and each point clamped between its predecessor and hi."""
+        """Non-decreasing points from lo to hi, at most 3276800 of them (about 100 MB of list).  Geometric ones are
+        10**w over evenly spaced w = log10(t), with lo and hi exact and each point clamped between its predecessor
+        and hi."""
+        if self.n > popa._MAX_LISTED:
+            raise DomainError(f"grid of {self.n} points is too long to list (at most {popa._MAX_LISTED}, about 100 MB)")
         lo, hi = float(self.lo), float(self.hi)
         if self.spacing == "linear":
             return _linspace(lo, hi, self.n)
@@ -229,10 +232,12 @@ def sandwich_bound_check(
 
     must hold (group operations of the codomain on the outside).  If the
     premise already fails on the probe points the check passes vacuously,
-    with a warning.
+    with a warning.  At most 3276800 probes (about 100 MB of list) are allowed.
     """
     if probes < 2:
         raise ValueError("probes must be >= 2")
+    if probes > popa._MAX_LISTED:
+        raise DomainError(f"{probes} probes are too many to list (at most {popa._MAX_LISTED}, about 100 MB)")
     if not (delta > 0.0 and math.isfinite(delta)):
         raise DomainError(f"delta must be positive, got {delta!r}")
     pa = PopaPoint(rho, a)
@@ -242,9 +247,8 @@ def sandwich_bound_check(
     Mpt = PopaPoint(sigma, M)
 
     offsets = _linspace(-delta, delta, probes + 2)[1:-1]
-    ball_a = [pa.value + o for o in offsets]
     eps = 1e-12 * (1.0 + abs(M))
-    if any(S(x) > M + eps for x in ball_a):
+    if any(S(pa.value + o) > M + eps for o in offsets):
         warnings.warn(
             f"premise S <= {M} fails on B_{delta}({a}); sandwich passes vacuously",
             VacuousPremiseWarning,
@@ -258,10 +262,5 @@ def sandwich_bound_check(
     s_bainv = PopaPoint(sigma, _codomain_value(sigma, bainv, S(bainv)))
     lower = circle(s_ba, inverse(Mpt)).value
     upper = circle(s_bainv, Mpt).value
-    ball_b = [pb.value + o for o in offsets]
     slack = 1e-12 * (1.0 + abs(lower) + abs(upper))
-    for x in ball_b:
-        v = S(x)
-        if v < lower - slack or v > upper + slack:
-            return False
-    return True
+    return not any(v < lower - slack or v > upper + slack for v in (S(pb.value + o) for o in offsets))

@@ -11,9 +11,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from regvar import cli
 from regvar.cli import CsvFormatError, load_csv_function, main
 from regvar.asymptotics import TableRangeError
 from regvar.popa import DomainError
@@ -925,3 +926,110 @@ class TestSubaddCheckFuzz:
         assert code in (0, 1, 2, 3)
         assert "Traceback" not in err.getvalue()
         assert (code == 0) == (out.getvalue().count("\n") == 2)
+
+
+# Adversarial flag values by kind for every operation of the flag table.  Plain numbers have one decimal, so
+# that `beck sum` (up to 1e8 streamed cells, about 0.8 us each) and the integer flags below stay small.
+_ANY_NUMBER = st.one_of(
+    st.integers(-50, 50).map(lambda k: repr(k / 10)),
+    st.sampled_from(["0", "-0", "1e-320", "5e-324", "2.2250738585072014e-308", "1e308", "-1e308", "1e400", "nan",
+                     "inf", "-inf", "abc", "", "0x10", "709.78", "1e100"]),
+)
+_ANY_PARAM = st.sampled_from(["0", "1", "0.5", "7", "inf", "1e-300", "1e-320", "1e300", "-1", "-0", "nan", "Inf", "x"])
+_ANY_FUNCTION = st.sampled_from(["one", "x", "square", "sqrt", "exp", "log", "inv", "entropy", "gauss", "offset-sinc",
+                                 "@table", "@bad-header", "@missing", "no-such-name", ""])
+_ANY_VALUE = {
+    "param": _ANY_PARAM,
+    "number": _ANY_NUMBER,
+    "tol": _ANY_NUMBER,
+    "spec": _ANY_NUMBER,
+    "function": _ANY_FUNCTION,
+    "profile": _ANY_FUNCTION,
+    "text": st.one_of(_ANY_FUNCTION, st.sampled_from(["kappa-kernel", "goldie-fstar"])),
+    "numbers": st.one_of(st.lists(_ANY_NUMBER, max_size=4).map(",".join), st.just(",,")),
+}
+_ANY_INTEGER = {  # bounded, so that the suite stays fast; 99999999 probes exit 2 before any list is built
+    "n": st.one_of(st.integers(-2, 40).map(str), st.sampled_from(["10001", "1e3", "3.5", "x", ""])),
+    "i": st.one_of(st.integers(-2, 200).map(str), st.sampled_from(["100000001", "1e3", "x"])),
+    "probes": st.one_of(st.integers(-2, 50).map(str), st.sampled_from(["99999999", "3276801", "x"])),
+    "max-steps": st.one_of(st.integers(-1, 40).map(str), st.sampled_from(["x", ""])),
+    "stability-window": st.one_of(st.integers(-1, 6).map(str), st.sampled_from(["x", ""])),
+}
+_OPERATIONS = [(command, op, usage) for command, (_, _, ops) in cli._COMMANDS.items() for op, (usage, _) in ops.items()]
+
+
+def _any_argv(usage: str):
+    """Flags of a usage line, each present or not, with adversarial values; positional operands after ``--``."""
+    optional, operands = {}, []
+    for label, dest, kind, _ in cli._flags(usage):
+        name = label.lstrip("-")
+        if not label.startswith("-"):
+            operands.append(_ANY_NUMBER)
+        elif kind == "switch":
+            optional[label] = st.just(None)
+        elif isinstance(kind, tuple):
+            optional[label] = st.sampled_from([*kind, "bogus"])
+        else:
+            optional[label] = _ANY_INTEGER[name] if kind == "integer" else _ANY_VALUE[kind]
+    flags = st.fixed_dictionaries({}, optional=optional).map(
+        lambda d: [label if v is None else f"{label}={v}" for label, v in d.items()])
+    return st.tuples(flags, st.tuples(*operands).map(list)).map(lambda fo: fo[0] + (["--", *fo[1]] if fo[1] else []))
+
+
+@pytest.fixture(scope="module")
+def fuzz_paths(tmp_path_factory):
+    base = tmp_path_factory.mktemp("fuzz")
+    (base / "table.csv").write_text("x,fx\n" + "".join(f"{1.1**k!r},{1.1**k * math.exp(-1.1**k)!r}\n"
+                                                       for k in range(-60, 40)))
+    (base / "bad.csv").write_text("a,b\n1,2\n2,3\n")
+    return {"@table": str(base / "table.csv"), "@bad-header": str(base / "bad.csv"), "@missing": str(base / "no.csv")}
+
+
+class TestEveryOperationFuzz:
+    @pytest.mark.parametrize("command,op,usage", _OPERATIONS, ids=[f"{c} {o}" for c, o, _ in _OPERATIONS])
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_exit_code_is_documented_and_no_traceback(self, fuzz_paths, command, op, usage, data):
+        # every failure reaches the user as exit 1, 2 or 3, never as an exception out of main
+        argv = [command, op, *data.draw(_any_argv(usage))]
+        for token, path in fuzz_paths.items():
+            argv = [a.replace(token, path) for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2, 3), argv
+        assert "Traceback" not in err.getvalue(), argv
+        assert (code == 0) <= (out.getvalue() != ""), argv
+
+
+class TestFlagKinds:
+    def test_sandwich_probes_above_the_list_cap_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "subadd", "sandwich", "--s", "square", "--probes", "99999999")
+        assert (code, out) == (2, "")
+        assert err == "error: 99999999 probes are too many to list (at most 3276800, about 100 MB)\n"
+
+    @pytest.mark.parametrize("op,flags,want", [
+        ("fourier", ["--gamma", "1"], 0.7167962514226688),  # integral of exp(-i t) over [1/8, 1], real part
+        ("mellin", ["--rho", "1"], 2.0 * math.log(16.0 / 9.0)),  # Haar mass 2 dt/(1 + t) of [1/8, 1]
+        ("popa-conv", ["--g", "gauss", "--x", "0"], None),
+        ("beurling-conv", ["--h", "one", "--phi", "one", "--x", "0"], 0.875),
+    ])
+    def test_transform_tables_read_as_zero_outside_their_range(self, capsys, tmp_path, op, flags, want):
+        # a table of 1 on [1/8, 1]: the transforms integrate it as 0 outside, where `integrate` exits 2
+        path = tmp_path / "box.csv"
+        path.write_text("x,fx\n" + "".join(f"{k / 8!r},1\n" for k in range(1, 9)))
+        code, out, err = run_cli(capsys, "transform", op, "--f", str(path), *flags)
+        assert code == 0 and err == ""
+        assert float(out.split(",")[0]) == pytest.approx(want, abs=1e-8) if want else float(out) > 0.0
+        code, out, err = run_cli(capsys, "transform", "integrate", "--f", str(path), "--lo", "0", "--hi", "1")
+        assert (code, out, err) == (2, "", "error: table lookup needs x > 0, got 0.0\n")
+
+    @pytest.mark.parametrize("op", ["fourier", "mellin"])
+    def test_pullback_with_a_bad_truncation_names_the_truncation(self, capsys, tmp_path, op):
+        # --truncation is converted with the other flags, before the handler checks --pullback against --rho
+        path = tmp_path / "p.csv"
+        path.write_text("x,fx\n1,1\n2,1\n")
+        code, out, err = run_cli(capsys, "transform", op, "--rho", "inf", "--pullback", "--f", str(path),
+                                 *(["--gamma", "1"] if op == "fourier" else []), "--truncation", "nan")
+        assert (code, out) == (2, "")
+        assert err == "error: truncation must be positive with a finite span 2*truncation, got nan\n"

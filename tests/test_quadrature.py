@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from regvar.asymptotics import SampledFunction
 from regvar.quadrature import QuadratureResult, QuadratureSpec, _cc_integral, _cc_tables, _cc_weights, adaptive_integral
 
 SPEC = QuadratureSpec()
@@ -104,6 +105,20 @@ class TestHardIntegrands:
         fn = lambda x: 1.0 / math.sqrt(x) if x > 1e-14 else 0.0
         res = adaptive_integral(fn, 1e-12, 1.0, SPEC)
         assert res.value == pytest.approx(2.0, abs=5e-4)
+
+    def test_kinked_table_meets_its_bound_with_its_nodes_as_breakpoints(self):
+        # the 4000-row log-log table of s*exp(-s) over w = log s is piecewise exponential in w with a kink at every
+        # node; the Simpson gauge is not calibrated on kinks (without breakpoints: bound 1.0e-9, true error 1.3e-7),
+        # but with the nodes as breakpoints every cell is smooth
+        xs = [float(x) for x in np.geomspace(1e-6, 60.0, 4000)]
+        table = SampledFunction.from_table(xs, [x * math.exp(-x) for x in xs])
+        ws = [math.log(x) for x in xs]
+        ys = [math.log(x * math.exp(-x)) for x in xs]
+        exact = math.fsum(math.exp(y0) * (w1 - w0) * (math.expm1(y1 - y0) / (y1 - y0) if y1 != y0 else 1.0)
+                          for w0, w1, y0, y1 in zip(ws, ws[1:], ys, ys[1:]))
+        fn = lambda w: table(min(max(math.exp(w), xs[0]), xs[-1]))  # exp(log s) may leave the table by an ulp
+        res = adaptive_integral(fn, ws[0], ws[-1], breakpoints=ws)
+        assert res.converged and abs(res.value - exact) <= res.error <= 1e-11
 
 
 class TestComplex:

@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from regvar import popa
+from regvar import popa, subadd
 from regvar.kernels import GoldieAux, KernelParams, goldie_integral, kernel_eval
 from regvar.popa import INFINITY, ZERO, DomainError, PopaParam, PopaPoint, circle, iso_exp, iso_log
 from regvar.subadd import (
@@ -45,6 +45,16 @@ class TestGridSpec:
             if lo < hi < math.inf:
                 pts = GridSpec(lo, hi, n, spacing).points()
                 assert pts[0] == lo and pts[-1] == hi and all(a <= b for a, b in zip(pts, pts[1:])), (lo, hi, n)
+
+    @pytest.mark.parametrize("spacing", ["linear", "geometric"])
+    def test_points_are_capped_near_100_mb_before_any_list_is_made(self, monkeypatch, spacing):
+        cap, seen = popa._MAX_LISTED, []
+        monkeypatch.setattr(subadd, "_linspace", lambda lo, hi, n: seen.append(n) or [lo, hi])
+        with pytest.raises(DomainError, match="too long to list"):
+            GridSpec(1.0, 2.0, cap + 1, spacing).points()
+        assert seen == []
+        GridSpec(1.0, 2.0, cap, spacing).points()
+        assert seen == [cap]
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -193,6 +203,17 @@ class TestSandwichBound:
             sandwich_bound_check(math.sqrt, ZERO, ZERO, a=1.0, b=4.0, delta=0.0, M=2.0)
         with pytest.raises(ValueError):
             sandwich_bound_check(math.sqrt, ZERO, ZERO, a=1.0, b=4.0, delta=0.5, M=2.0, probes=1)
+
+    def test_probes_are_capped_near_100_mb_before_any_list_is_made(self, monkeypatch):
+        cap, seen = popa._MAX_LISTED, []
+        monkeypatch.setattr(subadd, "_linspace", lambda lo, hi, n: seen.append(n) or [0.0, 0.0])
+        calls = []
+        S = lambda u: calls.append(u) or 1.0
+        with pytest.raises(DomainError, match="too many to list"):
+            sandwich_bound_check(S, ZERO, ZERO, a=1.0, b=4.0, delta=0.5, M=2.0, probes=cap + 1)
+        assert seen == calls == []
+        assert sandwich_bound_check(S, ZERO, ZERO, a=1.0, b=4.0, delta=0.5, M=2.0, probes=cap) is True
+        assert seen == [cap + 2] and calls == [5.0, 3.0]  # the stub's ball has no probes: S sees b o a, b o inv(a)
 
 
 def _all_pairs_report(S, rho, sigma, grid, tol=1e-10):
