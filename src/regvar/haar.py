@@ -59,13 +59,15 @@ def _pull(f, E, d, c):
     return f if E is _t else lambda w: f(E(w))
 
 
-def _integrate(fn, lo: float, hi: float, spec: QuadratureSpec, what: str, depth=1, z=0.0) -> complex | float:
+def _integrate(fn, lo: float, hi: float, spec: QuadratureSpec, what: Callable[[], str], depth=1,
+               z=0.0) -> complex | float:
     """Integral of ``fn(w)*exp(-z*w)`` by Clenshaw-Curtis cells, or of ``fn`` by :func:`adaptive_integral` given
-    ``z=None``; non-convergence is warned about at the caller of the public function, ``depth`` frames above."""
+    ``z=None``; non-convergence is warned about at the caller of the public function, ``depth`` frames above,
+    naming the call by ``what()``, which is only built then."""
     res = adaptive_integral(fn, lo, hi, spec) if z is None else _cc_integral(fn, lo, hi, spec, z)
     if not res.converged:
         warnings.warn(
-            f"{what} did not converge: best estimate {res.value!r}, error bound {res.error:.3e}",
+            f"{what()} did not converge: best estimate {res.value!r}, error bound {res.error:.3e}",
             QuadratureWarning,
             stacklevel=2 + depth,
         )
@@ -79,7 +81,7 @@ def haar_integrate(
 ) -> float:
     """Integral of f over the interval against the invariant measure: of ``c*f(E(w)/d)`` dw in the chart."""
     L, E, d, c = _chart(iv.param, abs(iv.lo), abs(iv.hi))
-    what = f"haar_integrate over ({iv.lo}, {iv.hi})"
+    what = lambda: f"haar_integrate over ({iv.lo}, {iv.hi})"
     return float(_integrate(_pull(f, E, d, c), L(d * iv.lo), L(d * iv.hi), spec, what).real)
 
 
@@ -114,8 +116,8 @@ def _line_transform(f, param: PopaParam, z: complex, spec: QuadratureSpec, what:
         raise DomainError(f"{what}: |z|*T = {zT} is not finite")
     prof = _pull(f, E, d, c)
     if param.is_zero and not (z.imag and 2.0 * T / (math.pi / abs(z.imag)) > 64):  # the pinned Simpson path
-        return complex(_integrate(lambda w: prof(w) * cmath.exp(-z * w), -T, T, spec, what, 2, None))
-    return complex(_integrate(prof, -T, T, spec, what, 2, z if param.is_zero or E is not _t else 0.0))
+        return complex(_integrate(lambda w: prof(w) * cmath.exp(-z * w), -T, T, spec, lambda: what, 2, None))
+    return complex(_integrate(prof, -T, T, spec, lambda: what, 2, z if param.is_zero or E is not _t else 0.0))
 
 
 def fourier_popa(
@@ -161,7 +163,7 @@ def popa_convolution(
     else:  # x o t = eta_x*t + shift: (1+rho*x)*t + x, without the cancellation of (eta_x*e^w - 1)/rho, or x*t
         eta_x, shift = (x, 0.0) if p.is_infinite else (1.0 + p.rho * x, x)
         integrand = lambda w: c * f(E(-w) / d) * g(eta_x * E(w) / d + shift)
-    return float(_integrate(integrand, -T, T, spec, f"popa_convolution at x={x}").real)
+    return float(_integrate(integrand, -T, T, spec, lambda: f"popa_convolution at x={x}").real)
 
 
 def beurling_convolution(
@@ -189,4 +191,4 @@ def beurling_convolution(
             return 0.0
         return fv * H(x + t * px)
 
-    return float(_integrate(integrand, -T, T, spec, f"beurling_convolution at x={x}").real)
+    return float(_integrate(integrand, -T, T, spec, lambda: f"beurling_convolution at x={x}").real)

@@ -17,9 +17,10 @@ split reuses the end values, so a child costs 15 evaluations.
 
 Ties in the refinement queue are broken by cell position and the final value
 is accumulated in fixed left-to-right order with compensated summation, so a
-given integrand always produces bit-identical output.  Non-convergence is not
-fatal: the best estimate is returned together with ``converged=False`` and a
-conservative error bound.
+given integrand always produces bit-identical output on one Python version
+(from 3.12 on, the built-in sum of floats is compensated).  Non-convergence is
+not fatal: the best estimate is returned together with ``converged=False`` and
+a conservative error bound.
 """
 from __future__ import annotations
 
@@ -88,39 +89,26 @@ class _Cell:
         self.fq1, self.fq3 = fq1, fq3
 
 
-def _simpson_cell(fn, a, b, fa, fm, fb, nev) -> _Cell:
-    """A cell holding its five-point Simpson pair; the quarter points, and the centre if None, are evaluated here."""
-    if fm is None:
-        fm = fn(0.5 * (a + b))
-        nev[0] += 1
-    fq1, fq3 = fn(a + 0.25 * (b - a)), fn(a + 0.75 * (b - a))
-    nev[0] += 2
-    h = b - a
-    s1 = h * (fa + 4.0 * fm + fb) / 6.0
-    s2 = h * (fa + 4.0 * fq1 + 2.0 * fm + 4.0 * fq3 + fb) / 12.0
-    # Richardson-corrected value; the plain pair difference is kept as a
-    # deliberately conservative error gauge (no /15 reduction, which would
-    # overstate accuracy on non-smooth integrands).
-    return _Cell(a, b, fa, fm, fb, s2 + (s2 - s1) / 15.0, abs(s2 - s1), fq1, fq3)
-
-
-def adaptive_integral(
-    fn: Callable[[float], complex],
-    lo: float,
-    hi: float,
-    spec: QuadratureSpec = QuadratureSpec(),
-    *,
-    breakpoints: Sequence[float] = (),
-) -> QuadratureResult:
+def adaptive_integral(fn: Callable[[float], complex], lo: float, hi: float, spec: QuadratureSpec = QuadratureSpec(),
+                      *, breakpoints: Sequence[float] = ()) -> QuadratureResult:
     """Integrate ``fn`` over [lo, hi] with Simpson cells, from 64 initial cells; real or complex valued integrands.
 
     The gauge |S_fine - S_coarse| is not calibrated on kinked integrands: on a log-log table integrated over
     w = log s, a kink at every node, it can report convergence at a true error 100 times its bound.  Pass the
     kinks as ``breakpoints``, so that every cell is smooth."""
-    nev = [0]
-    cell = functools.partial(_simpson_cell, fn, nev=nev)
-    return _refine(fn, lo, hi, spec, breakpoints, 64, lambda a, b, fa, fb: cell(a, b, fa, None, fb),
-                   lambda c, m: (cell(c.a, m, c.fa, c.fq1, c.fm), cell(m, c.b, c.fm, c.fq3, c.fb)), nev)
+
+    def cell(a, b, fa, fm, fb):
+        """The cell's five-point Simpson pair, its quarter points evaluated here."""
+        fq1, fq3 = fn(a + 0.25 * (b - a)), fn(a + 0.75 * (b - a))
+        h = b - a
+        s1 = h * (fa + 4.0 * fm + fb) / 6.0
+        s2 = h * (fa + 4.0 * fq1 + 2.0 * fm + 4.0 * fq3 + fb) / 12.0
+        # Richardson-corrected value; the plain pair difference is kept as a deliberately conservative
+        # error gauge (no /15 reduction, which would overstate accuracy on non-smooth integrands).
+        return _Cell(a, b, fa, fm, fb, s2 + (s2 - s1) / 15.0, abs(s2 - s1), fq1, fq3)
+
+    return _refine(fn, lo, hi, spec, breakpoints, 64, lambda a, b, fa, fb: cell(a, b, fa, fn(0.5 * (a + b)), fb),
+                   lambda c, m: (cell(c.a, m, c.fa, c.fq1, c.fm), cell(m, c.b, c.fm, c.fq3, c.fb)), 3, 4)
 
 
 def _inverse(matrix: list) -> list:
@@ -143,15 +131,19 @@ def _cc_rule(w: list, interp: list) -> tuple:
 
 @functools.cache
 def _cc_tables() -> tuple:
-    """The nodes cos(k*pi/16), exactly mirrored; the columns k <= 8 of A = inverse of P_m(node_k), which
-    holds the Legendre coefficients of the Lagrange basis; the 9-point basis at the odd nodes; the plain rule."""
+    """The nodes cos(k*pi/16), exactly mirrored; the even and odd halves of the columns k <= 8 of A = inverse of
+    P_m(node_k), which holds the Legendre coefficients of the Lagrange basis; the 9-point basis at the odd nodes;
+    the plain rule."""
     half = [math.cos(k * math.pi / 16) for k in range(8)]
     nodes = half + [0.0] + [-x for x in reversed(half)]
     step = lambda p, k: p + [((2 * k + 1) * p[1] * p[k] - k * p[k - 1]) / (k + 1)]  # appends P_k+1(x); p[1] = x
     cols = [list(col) for col in zip(*_inverse([functools.reduce(step, range(1, 16), [1.0, x]) for x in nodes]))][:9]
     interp = [[math.prod((x - e) / (c - e) for e in nodes[0::2] if e != c) for c in nodes[0::2]] for x in nodes[1::2]]
     plain = [2.0 * col[0] for col in cols]  # mu = (2, 0, ..., 0) at theta = 0
-    return nodes, cols, interp, _cc_rule(plain + plain[-2::-1], interp)
+    return nodes, [(col[0::2], col[1::2]) for col in cols], interp, _cc_rule(plain + plain[-2::-1], interp)
+
+
+_NORMALISE = {sign: [(k + 0.5) * sign**k for k in range(61)] for sign in (-1.0, 1.0)}
 
 
 def _legendre_moments(theta: complex) -> list:
@@ -164,105 +156,124 @@ def _legendre_moments(theta: complex) -> list:
     # Miller: the ratios mu_k/mu_{k-1}, settled to an ulp long before k = 60, backward, normalised
     # by exp(-theta*s) = sum (k+1/2) mu_k P_k(s) at s = -1 (Re theta >= 0) or s = 1, where the terms
     # do not cancel (mu_0 alone vanishes at theta = i*pi, ..., 5i*pi)
-    ratios = itertools.accumulate(range(60, 0, -1), lambda r, k: theta / (theta * r - (2 * k + 1)), initial=0.0)
-    mu = list(itertools.accumulate(reversed(list(ratios)[1:]), mul, initial=1.0))
+    r, ratios = 0.0, []
+    for odd in range(121, 2, -2):  # 2k+1, k = 60, ..., 1
+        r = theta / (theta * r - odd)
+        ratios.append(r)
+    mu = list(itertools.accumulate(reversed(ratios), mul, initial=1.0))
     sign = -1.0 if theta.real >= 0.0 else 1.0
-    scale = cmath.exp(-sign * theta) / sum((k + 0.5) * sign**k * m for k, m in enumerate(mu))
+    scale = cmath.exp(-sign * theta) / sum(map(mul, _NORMALISE[sign], mu))
     return [scale * m for m in mu[:17]]
 
 
 def _cc_weights(theta: complex) -> list:
     """W_k = integral of exp(-theta*s) L_k(s) over [-1, 1]; by parity W_k, W_16-k share the halves of A's column k."""
     mu = _legendre_moments(theta)
+    even, odd = mu[0::2], mu[1::2]
     w = [0j] * 17
-    for k, col in enumerate(_cc_tables()[1]):
-        e, o = sum(map(mul, col[0::2], mu[0::2])), sum(map(mul, col[1::2], mu[1::2]))
+    for k, (col_even, col_odd) in enumerate(_cc_tables()[1]):
+        e, o = sum(map(mul, col_even, even)), sum(map(mul, col_odd, odd))
         w[k], w[16 - k] = e + o, e - o
     return w
 
 
 def _cc_integral(fn, lo: float, hi: float, spec: QuadratureSpec = QuadratureSpec(), z: complex = 0.0):
     """Integrate ``fn(w) * exp(-z*w)`` over [lo, hi] with Clenshaw-Curtis 17/9 cells."""
-    nodes, _, interp, plain = _cc_tables()
-    inner, w0 = nodes[1:16], plain[0]
-    rules, nev = {}, [0]  # the rule of the cells of half-width r, at theta = z*r; evaluations
+    nodes, _, interp, (w0, plain_pairs) = _cc_tables()
+    inner = nodes[1:16]
+    rules = {}  # the rule of the cells of half-width r, at theta = z*r
 
     def make(a, b, fa, fb):
         c, r = 0.5 * (a + b), 0.5 * (b - a)
         p = [fb, *[fn(c + r * s) for s in inner], fa]
-        nev[0] += 15
         plain_value = sum(map(mul, w0, p))
-        try:
-            if z and r not in rules:
-                rules[r] = _cc_rule(_cc_weights(z * r), interp)
-            e = r * cmath.exp(-z * c) if z else r
-            w, pairs = rules[r] if z else plain
-            value = e * sum(map(mul, w, p)) if z else r * plain_value
-            if z and not cmath.isfinite(value) and all(map(cmath.isfinite, p)):
-                raise OverflowError
-        except OverflowError:  # in exp(-z*w), its moments or the weighted sum, not in fn
-            raise DomainError(f"exp(-z*w) overflows for z={z} and w in [{lo!r}, {hi!r}] (truncation="
-                              f"{spec.truncation!r}): lower |Re z| or the truncation") from None
+        if not z:
+            e, value, pairs = r, r * plain_value, plain_pairs
+        else:
+            try:
+                if r not in rules:
+                    rules[r] = _cc_rule(_cc_weights(z * r), interp)
+                e = r * cmath.exp(-z * c)
+                w, pairs = rules[r]
+                value = e * sum(map(mul, w, p))
+                if not cmath.isfinite(value) and all(map(cmath.isfinite, p)):
+                    raise OverflowError
+            except OverflowError:  # in exp(-z*w), its moments or the weighted sum, not in fn
+                raise DomainError(f"exp(-z*w) overflows for z={z} and w in [{lo!r}, {hi!r}] (truncation="
+                                  f"{spec.truncation!r}): lower |Re z| or the truncation") from None
         coarse = p[0::2]
         d = sum(abs(wk * p[k] + wl * p[16 - k] - sum(map(mul, row, coarse))) for k, wk, wl, row in pairs)
-        scale = abs(e)
-        mean = 0.5 * plain_value
-        resasc = scale * sum(map(mul, w0, [abs(v - mean) for v in p]))
-        d *= scale
+        scale, mean = abs(e), 0.5 * plain_value
+        spread = sum(map(mul, w0, [abs(v - mean) for v in p]))
+        resasc, d, floor = scale * spread, d * scale, 50.0 * 2.0**-52 * scale
         err = min(d, resasc * (200.0 * d / resasc) ** 1.5) if resasc else d
-        err = max(err, 50.0 * 2.0**-52 * scale * sum(map(mul, w0, map(abs, p))))
+        # floor * sum(w0*|p|) <= floor * (spread + 2|mean|), the weights being positive with sum 2: where err
+        # exceeds that bound, with room for rounding and underflow, it exceeds the floor and the sum is skipped
+        if not err > floor * (1.001 * (spread + 2.0 * abs(mean)) + 1e-300):
+            err = max(err, floor * sum(map(mul, w0, map(abs, p))))
         return _Cell(a, b, fa, p[8], fb, value, err)
 
     panels = math.ceil(min(24.0, (hi - lo) / (spec.truncation / 12.0))) if lo < hi else 1  # else _refine raises
     split = lambda c, m: (make(c.a, m, c.fa, c.fm), make(m, c.b, c.fm, c.fb))
-    return _refine(fn, lo, hi, spec, (), panels, make, split, nev)
+    return _refine(fn, lo, hi, spec, (), panels, make, split, 15, 30)
 
 
-def _refine(fn, lo, hi, spec, breakpoints, min_cells, first, split, nev) -> QuadratureResult:
+def _refine(fn, lo, hi, spec, breakpoints, min_cells, first, split, first_cost, split_cost) -> QuadratureResult:
     """The adaptive loop from a grid of at least ``min_cells`` cells through the breakpoints, whose cells
-    ``first(a, b, fa, fb)`` makes; ``split(cell, midpoint)`` makes the two halves of a cell."""
+    ``first(a, b, fa, fb)`` makes; ``split(cell, midpoint)`` makes the two halves of a cell.  A first cell
+    evaluates ``fn`` ``first_cost`` times besides at its ends, a split ``split_cost`` times."""
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"bad integration interval [{lo}, {hi}]")
     span = hi - lo
-    edges = sorted({lo, hi, *(float(p) for p in breakpoints if lo < p < hi)})
-    grid = [lo]
-    for left, right in zip(edges[:-1], edges[1:]):
-        pieces = max(1, math.ceil((right - left) / span * max(1, min_cells)))
-        for k in range(1, pieces + 1):
-            grid.append(left + (right - left) * k / pieces)
-    grid[-1] = hi
-    fvals = [fn(x) for x in grid]
-    nev[0] += len(grid)
-    cells = [first(grid[i], grid[i + 1], fvals[i], fvals[i + 1]) for i in range(len(grid) - 1)]
-    heap = [(-c.err, c.a, c) for c in cells]
-    heapq.heapify(heap)
-    frozen = []  # cells at the width floor, no longer refinable
-    width_floor = span * _WIDTH_FLOOR_FACTOR
+    if breakpoints or not span < math.inf:  # an infinite span fails below, in math.ceil, as nan
+        edges = sorted({lo, hi, *(float(p) for p in breakpoints if lo < p < hi)})
+        grid = [lo]
+        for left, right in zip(edges[:-1], edges[1:]):
+            pieces = max(1, math.ceil((right - left) / span * max(1, min_cells)))
+            for k in range(1, pieces + 1):
+                grid.append(left + (right - left) * k / pieces)
+        grid[-1] = hi
+    else:  # the grid above, of max(1, min_cells) pieces
+        grid = [lo, *[lo + span * k / min_cells for k in range(1, min_cells)], hi]
+    fvals = list(map(fn, grid))
+    cells = list(map(first, grid, grid[1:], fvals, fvals[1:]))
+    abs_tol, rel_tol = spec.abs_tol, spec.rel_tol
     # running totals steer refinement; exact sums confirm the stop and make the result
-    run_value, run_err = sum(c.value for c in cells), sum(c.err for c in cells)
+    run_value, run_err = sum([c.value for c in cells]), sum([c.err for c in cells])
     splits = 0
-    while splits < spec.max_subdivisions and heap:
-        if run_err <= max(spec.abs_tol, spec.rel_tol * abs(run_value)):
-            # the running sums drift once they have held far larger terms: confirm afresh
-            active = [c for (_, _, c) in heap] + frozen
-            run_value, run_err = sum(c.value for c in active), math.fsum(c.err for c in active)
-            if run_err <= max(spec.abs_tol, spec.rel_tol * abs(run_value)):
-                break
-        _, _, worst = heapq.heappop(heap)
-        if worst.b - worst.a <= width_floor:
-            frozen.append(worst)
-            continue
-        left, right = split(worst, 0.5 * (worst.a + worst.b))
-        heapq.heappush(heap, (-left.err, left.a, left))
-        heapq.heappush(heap, (-right.err, right.a, right))
-        run_value += left.value + right.value - worst.value
-        run_err += left.err + right.err - worst.err
-        splits += 1
-
-    active = [c for (_, _, c) in heap] + frozen
-    active.sort(key=lambda c: c.a)
-    re, im = math.fsum(c.value.real for c in active), math.fsum(c.value.imag for c in active)
+    # a lone cell within tolerance is done: its running sums are exact, and the loop would stop at once
+    if len(cells) > 1 or not run_err <= max(abs_tol, rel_tol * abs(run_value)):
+        heap = [(-c.err, c.a, c) for c in cells]
+        heapq.heapify(heap)
+        pop, push = heapq.heappop, heapq.heappush
+        frozen = []  # cells at the width floor, no longer refinable
+        width_floor = span * _WIDTH_FLOOR_FACTOR
+        peak = run_err  # the largest running error since the last exact sum
+        while splits < spec.max_subdivisions and heap:
+            # the running sums drift once they have held far larger terms: confirm a stop afresh, and re-sum
+            # once the error sum falls 2**40 below its peak, where that drift may outweigh what is left
+            if run_err <= max(abs_tol, rel_tol * abs(run_value)) or run_err < peak * 2.0**-40:
+                active = [c for (_, _, c) in heap] + frozen
+                run_value, run_err = sum([c.value for c in active]), math.fsum([c.err for c in active])
+                peak = run_err
+                if run_err <= max(abs_tol, rel_tol * abs(run_value)):
+                    break
+            _, _, worst = pop(heap)
+            if worst.b - worst.a <= width_floor:
+                frozen.append(worst)
+                continue
+            left, right = split(worst, 0.5 * (worst.a + worst.b))
+            push(heap, (-left.err, left.a, left))
+            push(heap, (-right.err, right.a, right))
+            run_value += left.value + right.value - worst.value
+            run_err += left.err + right.err - worst.err
+            if run_err > peak:
+                peak = run_err
+            splits += 1
+        cells = [c for (_, _, c) in heap] + frozen
+        cells.sort(key=lambda c: c.a)  # in the queue's order fsum can overflow on the way where this order does not
+    re, im = math.fsum([c.value.real for c in cells]), math.fsum([c.value.imag for c in cells])
     total = complex(re, im) if im != 0.0 else re
-    err = math.fsum(c.err for c in active)
-    converged = err <= max(spec.abs_tol, spec.rel_tol * abs(total))
-    return QuadratureResult(value=total, error=err, converged=converged, evaluations=nev[0])
+    err = math.fsum([c.err for c in cells])
+    evaluations = len(grid) + first_cost * (len(grid) - 1) + split_cost * splits
+    return QuadratureResult(total, err, err <= max(abs_tol, rel_tol * abs(total)), evaluations)

@@ -436,6 +436,15 @@ class TestNonConvergenceWarning:
         with pytest.warns(QuadratureWarning):
             fourier_popa(f, P1, 1.0, tight)
 
+    def test_haar_integrate_names_its_interval_estimate_and_bound(self, cc_results):
+        tight = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12, max_subdivisions=16)
+        with pytest.warns(QuadratureWarning) as caught:
+            haar_integrate(lambda t: math.sin(1e6 * t), Interval(P1, 0.25, 1.0), tight)
+        (res,) = cc_results
+        assert [str(w.message) for w in caught] == [f"haar_integrate over (0.25, 1.0) did not converge: best "
+                                                    f"estimate {res.value!r}, error bound {res.error:.3e}"]
+        assert caught[0].filename == __file__  # reported at the caller
+
 
 GAUSS = lambda t: math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
 
@@ -719,3 +728,21 @@ class TestMellinKernelOverflow:
     def test_overflow_inside_f_is_not_renamed(self):
         with pytest.raises(OverflowError):
             fourier_popa(math.exp, INFINITY, 1.0, SPEC)
+
+
+class TestDriftedRunningSum:
+    """At rho near 1e-9 the first cells of fourier_popa carry error estimates near 1e8.  Once they are split,
+    the running error sum keeps a residue of their rounding above the tolerance, and refinement ran to its
+    budget of 4000 splits (120385 evaluations) unless that sum was made afresh."""
+
+    @pytest.mark.parametrize("rho", [1e-11, 1e-10, 1e-9, 1e-8, 1e-7])
+    def test_converges_well_inside_the_budget(self, rho, cc_results):
+        for T in (30.0, 100.0, 300.0, 500.0, 700.0):
+            calls = [0]
+
+            def f(t):
+                calls[0] += 1
+                return GAUSS(t)
+
+            fourier_popa(f, PopaParam(rho), 1.0, QuadratureSpec(truncation=T))
+            assert cc_results[-1].converged and calls[0] == cc_results[-1].evaluations <= 4000, T

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
 import cmath
+import functools
+import heapq
+import itertools
 import math
 import random
 import warnings
+from operator import mul
 
 import mpmath as mp
 import numpy as np
@@ -11,7 +15,9 @@ import pytest
 from scipy import integrate
 
 from regvar.asymptotics import SampledFunction
-from regvar.quadrature import QuadratureResult, QuadratureSpec, _cc_integral, _cc_tables, _cc_weights, adaptive_integral
+from regvar.popa import DomainError
+from regvar.quadrature import (QuadratureResult, QuadratureSpec, _cc_integral, _cc_rule, _cc_tables, _cc_weights, _Cell,
+                               adaptive_integral)
 
 SPEC = QuadratureSpec()
 
@@ -319,3 +325,223 @@ class TestClenshawCurtisCalibration:
             c = rng.uniform(-5.0, 5.0)
             res = _cc_integral(lambda w: math.exp(-0.5 * ((w - c) / s) ** 2), -30.0, 30.0, SPEC)
             assert not res.converged or abs(res.value - s * math.sqrt(2.0 * math.pi)) <= res.error
+
+
+# ----------------------------------------------------------------------------------------------------
+# The engine as it stood before its per-call and per-cell work was trimmed, kept as the reference for
+# every bit of its results: a one-cell call that meets its tolerance at once still goes through the heap,
+# the floor sum is always taken, the grid is always sorted, and the Filon weights are built with
+# accumulate and per-column slices.  It includes the re-sum of a drifted running error sum.
+
+
+def _ref_simpson_cell(fn, a, b, fa, fm, fb, nev):
+    if fm is None:
+        fm = fn(0.5 * (a + b))
+        nev[0] += 1
+    fq1, fq3 = fn(a + 0.25 * (b - a)), fn(a + 0.75 * (b - a))
+    nev[0] += 2
+    h = b - a
+    s1 = h * (fa + 4.0 * fm + fb) / 6.0
+    s2 = h * (fa + 4.0 * fq1 + 2.0 * fm + 4.0 * fq3 + fb) / 12.0
+    return _Cell(a, b, fa, fm, fb, s2 + (s2 - s1) / 15.0, abs(s2 - s1), fq1, fq3)
+
+
+def _ref_adaptive_integral(fn, lo, hi, spec=SPEC, *, breakpoints=()):
+    nev = [0]
+    cell = functools.partial(_ref_simpson_cell, fn, nev=nev)
+    return _ref_refine(fn, lo, hi, spec, breakpoints, 64, lambda a, b, fa, fb: cell(a, b, fa, None, fb),
+                       lambda c, m: (cell(c.a, m, c.fa, c.fq1, c.fm), cell(m, c.b, c.fm, c.fq3, c.fb)), nev)
+
+
+def _ref_legendre_moments(theta):
+    if abs(theta) >= 17.0:
+        mu = [m0 := 2.0 * cmath.sinh(theta) / theta, (m0 - 2.0 * cmath.cosh(theta)) / theta]
+        for k in range(1, 16):
+            mu.append(mu[k - 1] + (2 * k + 1) / theta * mu[k])
+        return mu
+    ratios = itertools.accumulate(range(60, 0, -1), lambda r, k: theta / (theta * r - (2 * k + 1)), initial=0.0)
+    mu = list(itertools.accumulate(reversed(list(ratios)[1:]), mul, initial=1.0))
+    sign = -1.0 if theta.real >= 0.0 else 1.0
+    scale = cmath.exp(-sign * theta) / sum((k + 0.5) * sign**k * m for k, m in enumerate(mu))
+    return [scale * m for m in mu[:17]]
+
+
+def _ref_cc_weights(theta):
+    mu = _ref_legendre_moments(theta)
+    w = [0j] * 17
+    for k, (col_even, col_odd) in enumerate(_cc_tables()[1]):  # col[0::2], col[1::2] of A's column k
+        e, o = sum(map(mul, col_even, mu[0::2])), sum(map(mul, col_odd, mu[1::2]))
+        w[k], w[16 - k] = e + o, e - o
+    return w
+
+
+def _ref_cc_integral(fn, lo, hi, spec=SPEC, z=0.0):
+    nodes, _, interp, plain = _cc_tables()
+    inner, w0 = nodes[1:16], plain[0]
+    rules, nev = {}, [0]
+
+    def make(a, b, fa, fb):
+        c, r = 0.5 * (a + b), 0.5 * (b - a)
+        p = [fb, *[fn(c + r * s) for s in inner], fa]
+        nev[0] += 15
+        plain_value = sum(map(mul, w0, p))
+        try:
+            if z and r not in rules:
+                rules[r] = _cc_rule(_ref_cc_weights(z * r), interp)
+            e = r * cmath.exp(-z * c) if z else r
+            w, pairs = rules[r] if z else plain
+            value = e * sum(map(mul, w, p)) if z else r * plain_value
+            if z and not cmath.isfinite(value) and all(map(cmath.isfinite, p)):
+                raise OverflowError
+        except OverflowError:
+            raise DomainError(f"exp(-z*w) overflows for z={z} and w in [{lo!r}, {hi!r}] (truncation="
+                              f"{spec.truncation!r}): lower |Re z| or the truncation") from None
+        coarse = p[0::2]
+        d = sum(abs(wk * p[k] + wl * p[16 - k] - sum(map(mul, row, coarse))) for k, wk, wl, row in pairs)
+        scale = abs(e)
+        mean = 0.5 * plain_value
+        resasc = scale * sum(map(mul, w0, [abs(v - mean) for v in p]))
+        d *= scale
+        err = min(d, resasc * (200.0 * d / resasc) ** 1.5) if resasc else d
+        err = max(err, 50.0 * 2.0**-52 * scale * sum(map(mul, w0, map(abs, p))))
+        return _Cell(a, b, fa, p[8], fb, value, err)
+
+    panels = math.ceil(min(24.0, (hi - lo) / (spec.truncation / 12.0))) if lo < hi else 1
+    split = lambda c, m: (make(c.a, m, c.fa, c.fm), make(m, c.b, c.fm, c.fb))
+    return _ref_refine(fn, lo, hi, spec, (), panels, make, split, nev)
+
+
+def _ref_refine(fn, lo, hi, spec, breakpoints, min_cells, first, split, nev):
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"bad integration interval [{lo}, {hi}]")
+    span = hi - lo
+    edges = sorted({lo, hi, *(float(p) for p in breakpoints if lo < p < hi)})
+    grid = [lo]
+    for left, right in zip(edges[:-1], edges[1:]):
+        pieces = max(1, math.ceil((right - left) / span * max(1, min_cells)))
+        for k in range(1, pieces + 1):
+            grid.append(left + (right - left) * k / pieces)
+    grid[-1] = hi
+    fvals = [fn(x) for x in grid]
+    nev[0] += len(grid)
+    cells = [first(grid[i], grid[i + 1], fvals[i], fvals[i + 1]) for i in range(len(grid) - 1)]
+    heap = [(-c.err, c.a, c) for c in cells]
+    heapq.heapify(heap)
+    frozen = []
+    width_floor = span * 2.0**-48
+    run_value, run_err = sum(c.value for c in cells), sum(c.err for c in cells)
+    peak = run_err
+    splits = 0
+    while splits < spec.max_subdivisions and heap:
+        if run_err <= max(spec.abs_tol, spec.rel_tol * abs(run_value)) or run_err < peak * 2.0**-40:
+            active = [c for (_, _, c) in heap] + frozen
+            run_value, run_err = sum(c.value for c in active), math.fsum(c.err for c in active)
+            peak = run_err
+            if run_err <= max(spec.abs_tol, spec.rel_tol * abs(run_value)):
+                break
+        _, _, worst = heapq.heappop(heap)
+        if worst.b - worst.a <= width_floor:
+            frozen.append(worst)
+            continue
+        left, right = split(worst, 0.5 * (worst.a + worst.b))
+        heapq.heappush(heap, (-left.err, left.a, left))
+        heapq.heappush(heap, (-right.err, right.a, right))
+        run_value += left.value + right.value - worst.value
+        run_err += left.err + right.err - worst.err
+        peak = max(peak, run_err)
+        splits += 1
+    active = [c for (_, _, c) in heap] + frozen
+    active.sort(key=lambda c: c.a)
+    re, im = math.fsum(c.value.real for c in active), math.fsum(c.value.imag for c in active)
+    total = complex(re, im) if im != 0.0 else re
+    err = math.fsum(c.err for c in active)
+    converged = err <= max(spec.abs_tol, spec.rel_tol * abs(total))
+    return QuadratureResult(value=total, error=err, converged=converged, evaluations=nev[0])
+
+
+def _bits(call, *args, **kwargs):
+    """A result as exact text: the type and float.hex of its value, float.hex of its error, converged and
+    evaluations; or the type and message of the exception it raised."""
+    try:
+        res = call(*args, **kwargs)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    value = complex(res.value)
+    return (type(res.value).__name__, value.real.hex(), value.imag.hex(), res.error.hex(), res.converged,
+            res.evaluations)
+
+
+EDGE_INTEGRANDS = {
+    "zeros": lambda w: 0.0 if w < 0.3 else math.sin(w),
+    "all zero": lambda w: 0.0,
+    "subnormal": lambda w: 5e-324 * (1 + (w > 0.1)),
+    "subnormal ramp": lambda w: 2.2e-308 * w,
+    "+-1e300": lambda w: 1e300 if w > 0.05 else -1e300,
+    "1e300 cos": lambda w: 1e300 * math.cos(w),
+    "nan": lambda w: math.nan if abs(w - 0.1) < 0.05 else 1.0,
+    "inf": lambda w: math.inf if abs(w - 0.1) < 0.05 else 1.0,
+    "-inf": lambda w: -math.inf if w > 0.2 else 1.0,
+    "constant": lambda w: 2.5,
+    "kink": lambda w: abs(w - 0.37),
+    "jump": lambda w: 1.0 if w < 0.21 else -2.0,
+    "complex": lambda w: complex(math.cos(w), math.sin(3.0 * w)),
+    "gauss": lambda w: math.exp(-0.5 * w * w),
+}
+# one cell, a narrow one, 24 panels, 9 panels, and a span that overflows
+EDGE_INTERVALS = [(-0.4, 0.6), (0.0, 1e-3), (-30.0, 30.0), (-5.0, 17.0), (-1e308, 1e308)]
+FREQUENCIES = [0.0, 0.1j, 1j, 10j, 100j, 1e3j, 1e4j, 1e5j, 1e6j, 0.3 + 2j, -0.7 + 40j, 1.5 - 0.2j, -0.01 + 1e3j]
+
+
+class TestBitForBitAgainstTheReference:
+    """The trimmed engine returns the reference's value, error, converged flag and evaluation count, bit for bit."""
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-9])
+    @pytest.mark.parametrize("family", ["smooth", "peaked", "kinked", "jump", "sqrt", "inv_sqrt", "log", "sin50"])
+    def test_calibration_families(self, family, tol):
+        rng = random.Random(f"bits-{family}-{tol}")
+        spec = QuadratureSpec(abs_tol=tol, rel_tol=tol)
+        for _ in range(6):
+            fn, lo, hi, _ = _calibration_case(family, rng)
+            assert _bits(_cc_integral, fn, lo, hi, spec) == _bits(_ref_cc_integral, fn, lo, hi, spec)
+            assert _bits(adaptive_integral, fn, lo, hi, spec) == _bits(_ref_adaptive_integral, fn, lo, hi, spec)
+
+    @pytest.mark.parametrize("name", list(EDGE_INTEGRANDS))
+    @pytest.mark.parametrize("tol,budget", [(1e-6, 300), (1e-12, 40)])
+    def test_edge_integrands_at_every_frequency(self, name, tol, budget):
+        fn, spec = EDGE_INTEGRANDS[name], QuadratureSpec(abs_tol=tol, rel_tol=tol, max_subdivisions=budget)
+        for lo, hi in EDGE_INTERVALS:
+            for z in FREQUENCIES:
+                assert _bits(_cc_integral, fn, lo, hi, spec, z) == _bits(_ref_cc_integral, fn, lo, hi, spec, z)
+
+    def test_cells_whose_gauge_sits_at_the_floor(self):
+        # p = 1 + eps*sin(7w) on one cell: err/floor rises through 1 near eps = 2.2e-10, in steps of 2e-4, so
+        # that some err falls inside the margin of the bound under which the floor sum is still taken
+        for k in range(1000):
+            fn = lambda w, eps=2e-10 * (1.0 + 2e-4 * k): 1.0 + eps * math.sin(7.0 * w)
+            assert _bits(_cc_integral, fn, -0.4, 0.6) == _bits(_ref_cc_integral, fn, -0.4, 0.6)
+
+    def test_cells_are_summed_in_position_order(self):
+        # plateaus of +-1.4e307, the positive ones with the larger gauges: in the order of the queue fsum meets
+        # 14 of them in a row and overflows on the way
+        f = lambda w: 1.4e307 * math.tanh(20.0 * math.sin(math.pi * w)) * (
+            1.0 - 0.05 * math.sin(40.0 * w) ** 2 if math.sin(math.pi * w) > 0.0 else 1.0)
+        spec = QuadratureSpec(max_subdivisions=3)
+        got = _bits(adaptive_integral, f, 0.0, 64.0, spec)
+        assert got == _bits(_ref_adaptive_integral, f, 0.0, 64.0, spec) and got[0] == "float"
+
+    @pytest.mark.parametrize("name", list(EDGE_INTEGRANDS))
+    @pytest.mark.parametrize("breakpoints", [(), (0.1, 0.37, -0.2, 5.0, 99.0)])
+    def test_simpson_cells_with_and_without_breakpoints(self, name, breakpoints):
+        fn, spec = EDGE_INTEGRANDS[name], QuadratureSpec(abs_tol=1e-9, rel_tol=1e-9, max_subdivisions=400)
+        for lo, hi in EDGE_INTERVALS:
+            got = _bits(adaptive_integral, fn, lo, hi, spec, breakpoints=breakpoints)
+            assert got == _bits(_ref_adaptive_integral, fn, lo, hi, spec, breakpoints=breakpoints)
+
+    def test_filon_weights_on_2000_seeded_frequencies(self):
+        rng = random.Random(2000)
+        for i in range(2000):
+            # a third of them about |theta| = 17, where Miller's recurrence gives way to the forward one
+            r = rng.uniform(16.5, 17.5) if i % 3 == 0 else 10.0 ** rng.uniform(-4.0, 2.5)
+            theta = cmath.rect(r, rng.uniform(-math.pi, math.pi)) if i % 5 else complex(0.0, rng.choice((-r, r)))
+            assert [w.hex() for v in _cc_weights(theta) for w in (v.real, v.imag)] == \
+                [w.hex() for v in _ref_cc_weights(theta) for w in (v.real, v.imag)], theta
