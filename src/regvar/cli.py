@@ -11,11 +11,11 @@ Conventions shared by every subcommand:
   * exit codes: 0 success, 1 usage error, 2 data/domain error, 3 numeric
     non-convergence when ``--strict`` was requested;
   * ``REGVAR_TOL`` overrides the default stability tolerance 1e-6;
-  * literal ``--`` separates flags from negative positional operands.
+  * a flag starts with ``--`` (or is ``-h``) and may be cut to a unique
+    prefix; every word after a literal ``--`` is an operand.
 """
 from __future__ import annotations
 
-import argparse
 import importlib
 import math
 import os
@@ -347,43 +347,89 @@ def _flags(usage: str) -> list[tuple[str, str, object, str | None]]:
     return flags
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str):  # usage errors exit 1, not argparse's 2
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(1)
+def _usage(flags) -> str:
+    """An op's flags as its help shows them: ``--f F``, ``--mode {a,b}``; optional ones in brackets, with a default."""
+    words = []
+    for label, dest, kind, default in flags:
+        value = "{" + ",".join(kind) + "}" if isinstance(kind, tuple) else dest.upper()
+        word = label if label[0] != "-" or kind == "switch" else f"{label}={default}" if default else f"{label} {value}"
+        words.append(word if default is None and kind != "switch" else f"[{word}]")
+    return " ".join(words)
 
 
-def build_parser(command: str | None = None) -> _Parser:
-    """The regvar parser; given a command, only that command's operations get parsers (and flags)."""
-    parser = _Parser(prog="regvar", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    commands = parser.add_subparsers(dest="command", required=True)
-    for name, (summary, module, ops) in _COMMANDS.items():
-        op_parsers = commands.add_parser(name, help=summary).add_subparsers(dest="op", required=True)
-        for op, (usage, handler) in ops.items() if command in (None, name) else ():
-            sp = op_parsers.add_parser(op)
-            flags = _flags(usage)
-            for label, dest, kind, default in flags:
-                if not label.startswith("-"):
-                    sp.add_argument(dest)
-                elif kind == "switch":
-                    sp.add_argument(label, dest=dest, action="store_true")
-                else:
-                    choices = kind if isinstance(kind, tuple) else None
-                    sp.add_argument(label, dest=dest, default=default or None, choices=choices)
-            sp.set_defaults(handler=handler, flags=flags, parser=sp, module=module)
-    return parser
+def _exit(code: int, prog: str, usage: str, text: str = ""):
+    """Print a help text (code 0) or a usage error (code 1), and exit with the code."""
+    print(f"usage: {prog} {usage}" + (f"\n{prog}: error: {text}" if code else f"\n\n{text}".rstrip()),
+          file=sys.stderr if code else sys.stdout)
+    raise SystemExit(code)
 
 
-def _convert(args: argparse.Namespace) -> dict:
+def _word(word: str, labels, prog: str, usage: str):
+    """(label, ``=`` text or None) of a flag, label None if unknown; None for an operand.  A flag, as argparse read
+    it, is -h or starts with -- and up to any ``=`` is a label or begins only one; unknown with a space, an operand."""
+    if word == "-h" or word[:2] != "--" or word == "--":
+        return ("--help", None) if word == "-h" else None
+    name, eq, text = word.partition("=")
+    matches = [name] if name in labels else [label for label in labels if label.startswith(name)]
+    if len(matches) > 1:
+        _exit(1, prog, usage, f"ambiguous option: {word} could match {', '.join(matches)}")
+    return (matches[0], text if eq else None) if matches else None if " " in word else (None, None)
+
+
+def _parse(argv: list[str]):
+    """(module name, handler, flags, flag texts) of a command line read against its op's usage line.  The first two
+    operands name the command and the op, the rest fill the op's operands in order, as does every word after a
+    ``--``.  A flag's value follows its ``=`` or is the next operand; the last repeat wins.  Help exits 0, errors 1."""
+    words, prog, extra, command, table = list(argv), "regvar", [], None, _COMMANDS
+    for level in ("command", "op"):
+        usage = "[-h] {" + ",".join(table) + "} ..."
+        while flag := words and _word(words[0], ["--help"], prog, usage):
+            if flag[1] is not None:
+                _exit(1, prog, usage, f"argument --help: ignored explicit argument {flag[1]!r}")
+            if flag[0]:
+                rows = "".join(f"\n  {name:<10} {summary}" for name, (summary, _, _) in _COMMANDS.items())
+                _exit(0, prog, usage, _COMMANDS[command][0] if command else f"{__doc__}\ncommands:{rows}")
+            extra.append(words.pop(0))
+        if not words or words[0] not in table:
+            _exit(1, prog, usage, f"argument {level}: invalid choice: {words[0]!r} (choose from {', '.join(table)})"
+                  if words else f"the following arguments are required: {level}")
+        name = words.pop(0)
+        prog, command, table = f"{prog} {name}", command or name, table[name] if command else table[name][2]
+    flags, handler = _flags(table[0]), table[1]  # table is now the op's (usage line, handler)
+    usage, kinds = "[-h] " + _usage(flags), {"--help": (None, "switch"), **{f[0]: f[1:3] for f in flags}}
+    texts = {dest: False if kind == "switch" else default or None for _, dest, kind, default in flags}
+    operands = [dest for label, dest, _, _ in flags if label[0] != "-"]
+    end = words.index("--") if "--" in words else len(words)  # argparse read every flag before it took any
+    read = [_word(word, kinds, prog, usage) for word in words[:end]] + [("--", None)] + [None] * len(words)
+    k, filled = 0, -1
+    while k < len(words):
+        word, flag, k = words[k], read[k], k + 1
+        if flag is None and operands:
+            texts[operands.pop(0)], filled = word, k
+        elif flag is None or flag[0] is None or flag[0] == "--" and k == len(words) and filled < k - 1:
+            extra.append(word)  # a surplus operand, an unknown flag or, as argparse had it, a final -- after no operand
+        elif flag[0] != "--":
+            (label, text), (dest, kind) = flag, kinds[flag[0]]
+            if text is None and kind != "switch":  # the value is the next word, which must be an operand
+                if k == len(words) or read[k] is not None:
+                    _exit(1, prog, usage, f"argument {label}: expected one argument")
+                text, k = words[k], k + 1
+            if kind == "switch" and text is not None:
+                _exit(1, prog, usage, f"argument {label}: ignored explicit argument {text!r}")
+            if isinstance(kind, tuple) and text not in kind:
+                _exit(1, prog, usage, f"argument {label}: invalid choice: {text!r} (choose from {', '.join(kind)})")
+            texts[dest] = text if kind != "switch" else True if dest else _exit(0, prog, usage)  # --help has no dest
+    missing = [label for label, dest, _, default in flags if default is None and texts[dest] is None]
+    if extra or missing:  # every missing flag is reported (exit 1) before any value is converted (exit 2)
+        _exit(1, prog, usage, f"unrecognized arguments: {' '.join(extra)}" if extra else
+              f"{', '.join(missing)} {'is' if len(missing) == 1 else 'are'} required for this operation")
+    return _COMMANDS[command][1], handler, flags, texts
+
+
+def _convert(flags, texts: dict) -> dict:
     """Flag texts -> handler arguments."""
-    values = {}
-    for label, dest, kind, _ in args.flags:
-        value = getattr(args, dest)
-        if kind in _CONVERT and (value is not None or kind == "tol"):
-            value = _CONVERT[kind](label, value)
-        values[dest] = value
-    return values
+    return {dest: _CONVERT[kind](label, texts[dest]) if kind in _CONVERT and (texts[dest] is not None or kind == "tol")
+            else texts[dest] for label, dest, kind, _ in flags}
 
 
 def _show(result) -> str:
@@ -393,12 +439,12 @@ def _show(result) -> str:
     return result if isinstance(result, str) else _fmt(result)
 
 
-def _run(args: argparse.Namespace, module) -> tuple[int, object]:
+def _run(module, handler, flags, texts: dict) -> tuple[int, object]:
     """Exit code and error message of one parsed command line; prints the result."""
     try:
-        values = _convert(args)
+        values = _convert(flags, texts)
         strict = values.pop("strict", False)
-        result, converged = args.handler(module, **values), True
+        result, converged = handler(module, **values), True
         if isinstance(result, tuple):
             result, converged = result
         print(_show(result))
@@ -414,20 +460,14 @@ def _run(args: argparse.Namespace, module) -> tuple[int, object]:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser(next((a for a in argv if not a.startswith("-")), None)).parse_args(argv)
-        # every missing flag is reported (exit 1) before any value is converted (exit 2)
-        missing = [label for label, dest, _, default in args.flags if default is None and getattr(args, dest) is None]
-        if missing:
-            verb = "is" if len(missing) == 1 else "are"
-            args.parser.error(f"{', '.join(missing)} {verb} required for this operation")
+        module, handler, flags, texts = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 0
-    module = importlib.import_module(f"regvar.{args.module}")
+        return exc.code
+    module = importlib.import_module(f"regvar.{module}")
     with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("error" if getattr(args, "strict", False) else "always")
-        code, error = _run(args, module)
+        warnings.simplefilter("error" if texts.get("strict") else "always")
+        code, error = _run(module, handler, flags, texts)
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
     if error is not None:

@@ -81,8 +81,11 @@ def haar_integrate(
 ) -> float:
     """Integral of f over the interval against the invariant measure: of ``c*f(E(w)/d)`` dw in the chart."""
     L, E, d, c = _chart(iv.param, abs(iv.lo), abs(iv.hi))
+    lo, hi = L(d * iv.lo), L(d * iv.hi)
     what = lambda: f"haar_integrate over ({iv.lo}, {iv.hi})"
-    return float(_integrate(_pull(f, E, d, c), L(d * iv.lo), L(d * iv.hi), spec, what).real)
+    if not math.isfinite(hi - lo):
+        raise DomainError(f"{what()}: the chart span L(d*hi) - L(d*lo) = {hi - lo} is not finite")
+    return float(_integrate(_pull(f, E, d, c), lo, hi, spec, what).real)
 
 
 def character_eval(param: PopaParam, gamma: float, u: float) -> complex:

@@ -130,6 +130,15 @@ class TestHaarIntegrate:
             v = haar_integrate(f, Interval(PopaParam(rho), lo, hi), SPEC)
         assert v == pytest.approx(haar_integrate(f, Interval(ZERO, lo, hi), SPEC), rel=1e-12)
 
+    @pytest.mark.parametrize("param,lo,hi", [
+        (ZERO, -1e308, 1e308),  # hi - lo overflows
+        (PopaParam(7.0), 1.0, 1.7e308),  # L(d*hi) = log1p(7*hi) overflows, though the measure is 810.96
+    ])
+    def test_an_infinite_chart_span_is_a_domain_error(self, param, lo, hi):
+        span = re.escape(f"haar_integrate over ({lo}, {hi}): the chart span L(d*hi) - L(d*lo) = inf is not finite")
+        with pytest.raises(DomainError, match=f"^{span}$"):
+            haar_integrate(lambda t: 1.0, Interval(param, lo, hi), SPEC)
+
 
 class TestCharacters:
     @pytest.mark.parametrize("param", PARAM_SET)

@@ -36,6 +36,9 @@ _COMMAND_MODULES = [
     (["group", "circle", "--rho", "1", "--", "1", "1"], _GROUP),
     (["group", "circle", "--rho", "1"], _GROUP),  # a usage error
     (["bogus"], _GROUP),
+    (["--help"], _GROUP),
+    (["group", "circle", "-h"], _GROUP),
+    (["group", "circle", "--rho", "1", "-1e-3", "2"], _GROUP),
     (["kernel", "goldie-g", "--rho", "1", "--u", "2"], {"popa", "kernels"}),
     (["transform", "fourier", "--rho", "1", "--f", "gauss", "--gamma", "1"], {"popa", "haar", "quadrature"}),
     (["transform", "measure", "--rho", "1", "--lo", "0", "--hi", "1"], {"popa", "haar", "quadrature"}),
@@ -87,6 +90,18 @@ _HEAVY = {"dataclasses", "inspect", "ast", "dis", "tokenize", "fractions", "deci
 @pytest.mark.parametrize("argv", [a for a, _ in _COMMAND_MODULES], ids=[" ".join(a) for a, _ in _COMMAND_MODULES])
 def test_no_command_loads_dataclasses_fractions_or_decimal(argv):
     assert not _modules_after(_PROBE, *argv) & _HEAVY
+
+
+@pytest.mark.parametrize("argv", [a for a, _ in _COMMAND_MODULES], ids=[" ".join(a) for a, _ in _COMMAND_MODULES])
+def test_no_command_loads_argparse_or_gettext(argv):
+    # cli._parse reads the command line against the usage table; argparse and the gettext it imports cost 6-10 ms
+    assert not _modules_after(_PROBE, *argv) & {"argparse", "gettext"}
+
+
+def test_a_negative_operand_needs_no_separator():
+    done = subprocess.run([sys.executable, "-m", "regvar.cli", "group", "circle", "--rho", "1", "-1e-3", "2"],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert (done.returncode, done.stdout, done.stderr) == (0, "1.997\n", "")
 
 
 def test_import_regvar_loads_no_dataclasses_fractions_or_decimal():
