@@ -54,8 +54,8 @@ class TableRangeError(DomainError):
     """Requested abscissa falls outside a table-backed function's range."""
 
 
-class LimitEvaluationError(RuntimeError):
-    """An operator curve failed to evaluate at some grid position."""
+class LimitEvaluationError(RuntimeError, ValueError):
+    """An operator curve failed to evaluate at some grid position; a ValueError, so the CLI exits 2 on it."""
 
     def __init__(self, step: int, x: float, cause: Exception):
         super().__init__(f"evaluation failed at grid step {step} (x={x!r}): {cause}")
@@ -142,6 +142,8 @@ class LimitScheme(_Record, frozen=True):
             raise ValueError("ratio must exceed 1")
         if max_steps < 1:
             raise ValueError("max_steps must be >= 1")
+        if max_steps > _MAX_LISTED:  # estimate_limit keeps every value it visits
+            raise ValueError(f"max_steps must be at most {_MAX_LISTED} (about 100 MB of values)")
         if not (tol > 0.0):
             raise ValueError("tol must be positive")
         if stability_window < 2:

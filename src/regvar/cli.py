@@ -11,8 +11,8 @@ Conventions shared by every subcommand:
   * exit codes: 0 success, 1 usage error, 2 data/domain error, 3 numeric
     non-convergence when ``--strict`` was requested;
   * ``REGVAR_TOL`` overrides the default stability tolerance 1e-6;
-  * a flag starts with ``--`` (or is ``-h``) and may be cut to a unique
-    prefix; every word after a literal ``--`` is an operand.
+  * a flag is ``-h`` or its name after ``--``, spelled in full; a literal
+    ``--`` ends the flags, and every word after it is an operand.
 """
 from __future__ import annotations
 
@@ -364,16 +364,13 @@ def _exit(code: int, prog: str, usage: str, text: str = ""):
     raise SystemExit(code)
 
 
-def _word(word: str, labels, prog: str, usage: str):
-    """(label, ``=`` text or None) of a flag, label None if unknown; None for an operand.  A flag, as argparse read
-    it, is -h or starts with -- and up to any ``=`` is a label or begins only one; unknown with a space, an operand."""
+def _word(word: str, labels):
+    """(label, ``=`` text or None) of a flag, label None if unknown; None for an operand.  A flag is -h or starts
+    with -- and up to any ``=`` is one of the labels; an unknown one with a space is an operand."""
     if word == "-h" or word[:2] != "--" or word == "--":
         return ("--help", None) if word == "-h" else None
     name, eq, text = word.partition("=")
-    matches = [name] if name in labels else [label for label in labels if label.startswith(name)]
-    if len(matches) > 1:
-        _exit(1, prog, usage, f"ambiguous option: {word} could match {', '.join(matches)}")
-    return (matches[0], text if eq else None) if matches else None if " " in word else (None, None)
+    return (name, text if eq else None) if name in labels else None if " " in word else (None, None)
 
 
 def _parse(argv: list[str]):
@@ -383,7 +380,7 @@ def _parse(argv: list[str]):
     words, prog, extra, command, table = list(argv), "regvar", [], None, _COMMANDS
     for level in ("command", "op"):
         usage = "[-h] {" + ",".join(table) + "} ..."
-        while flag := words and _word(words[0], ["--help"], prog, usage):
+        while flag := words and _word(words[0], ["--help"]):
             if flag[1] is not None:
                 _exit(1, prog, usage, f"argument --help: ignored explicit argument {flag[1]!r}")
             if flag[0]:
@@ -399,15 +396,14 @@ def _parse(argv: list[str]):
     usage, kinds = "[-h] " + _usage(flags), {"--help": (None, "switch"), **{f[0]: f[1:3] for f in flags}}
     texts = {dest: False if kind == "switch" else default or None for _, dest, kind, default in flags}
     operands = [dest for label, dest, _, _ in flags if label[0] != "-"]
-    end = words.index("--") if "--" in words else len(words)  # argparse read every flag before it took any
-    read = [_word(word, kinds, prog, usage) for word in words[:end]] + [("--", None)] + [None] * len(words)
-    k, filled = 0, -1
+    end = words.index("--") if "--" in words else len(words)  # the first -- ends the flags and is no value
+    read, k = [_word(word, kinds) for word in words[:end]] + [("--", None)] + [None] * len(words), 0
     while k < len(words):
         word, flag, k = words[k], read[k], k + 1
         if flag is None and operands:
-            texts[operands.pop(0)], filled = word, k
-        elif flag is None or flag[0] is None or flag[0] == "--" and k == len(words) and filled < k - 1:
-            extra.append(word)  # a surplus operand, an unknown flag or, as argparse had it, a final -- after no operand
+            texts[operands.pop(0)] = word
+        elif flag is None or flag[0] is None:
+            extra.append(word)  # a surplus operand or an unknown flag
         elif flag[0] != "--":
             (label, text), (dest, kind) = flag, kinds[flag[0]]
             if text is None and kind != "switch":  # the value is the next word, which must be an operand
@@ -454,7 +450,7 @@ def _run(module, handler, flags, texts: dict) -> tuple[int, object]:
         return 3, exc
     except ArithmeticError as exc:  # overflow in a closed form
         return 2, f"{exc} ({type(exc).__name__})"
-    except (ValueError, getattr(module, "LimitEvaluationError", ValueError)) as exc:
+    except ValueError as exc:
         return 2, exc
     return 0, None
 

@@ -107,7 +107,7 @@ def adaptive_integral(fn: Callable[[float], complex], lo: float, hi: float, spec
         # error gauge (no /15 reduction, which would overstate accuracy on non-smooth integrands).
         return _Cell(a, b, fa, fm, fb, s2 + (s2 - s1) / 15.0, abs(s2 - s1), fq1, fq3)
 
-    return _refine(fn, lo, hi, spec, breakpoints, 64, lambda a, b, fa, fb: cell(a, b, fa, fn(0.5 * (a + b)), fb),
+    return _refine(fn, lo, hi, spec, breakpoints, 64, lambda a, b, fa, fb: cell(a, b, fa, fn(0.5 * a + 0.5 * b), fb),
                    lambda c, m: (cell(c.a, m, c.fa, c.fq1, c.fm), cell(m, c.b, c.fm, c.fq3, c.fb)), 3, 4)
 
 
@@ -184,7 +184,7 @@ def _cc_integral(fn, lo: float, hi: float, spec: QuadratureSpec = QuadratureSpec
     rules = {}  # the rule of the cells of half-width r, at theta = z*r
 
     def make(a, b, fa, fb):
-        c, r = 0.5 * (a + b), 0.5 * (b - a)
+        c, r = 0.5 * a + 0.5 * b, 0.5 * (b - a)  # a + b may overflow
         p = [fb, *[fn(c + r * s) for s in inner], fa]
         plain_value = sum(map(mul, w0, p))
         if not z:
@@ -218,6 +218,13 @@ def _cc_integral(fn, lo: float, hi: float, spec: QuadratureSpec = QuadratureSpec
     return _refine(fn, lo, hi, spec, (), panels, make, split, 15, 30)
 
 
+def _steps(lo: float, span: float, n: int, last: int) -> list:
+    """lo + span*k/n for k = 1, ..., last; as lo + span/n*k where span*k overflows, a finite span above DBL_MAX/k."""
+    if span * last < math.inf:  # the test per node costs a short integral 3%
+        return [lo + span * k / n for k in range(1, last + 1)]
+    return [lo + (span * k / n if span * k < math.inf else span / n * k) for k in range(1, last + 1)]
+
+
 def _refine(fn, lo, hi, spec, breakpoints, min_cells, first, split, first_cost, split_cost) -> QuadratureResult:
     """The adaptive loop from a grid of at least ``min_cells`` cells through the breakpoints, whose cells
     ``first(a, b, fa, fb)`` makes; ``split(cell, midpoint)`` makes the two halves of a cell.  A first cell
@@ -230,11 +237,10 @@ def _refine(fn, lo, hi, spec, breakpoints, min_cells, first, split, first_cost, 
         grid = [lo]
         for left, right in zip(edges[:-1], edges[1:]):
             pieces = max(1, math.ceil((right - left) / span * max(1, min_cells)))
-            for k in range(1, pieces + 1):
-                grid.append(left + (right - left) * k / pieces)
+            grid += _steps(left, right - left, pieces, pieces)
         grid[-1] = hi
     else:  # the grid above, of max(1, min_cells) pieces
-        grid = [lo, *[lo + span * k / min_cells for k in range(1, min_cells)], hi]
+        grid = [lo, *_steps(lo, span, min_cells, min_cells - 1), hi]
     fvals = list(map(fn, grid))
     cells = list(map(first, grid, grid[1:], fvals, fvals[1:]))
     abs_tol, rel_tol = spec.abs_tol, spec.rel_tol
@@ -262,7 +268,7 @@ def _refine(fn, lo, hi, spec, breakpoints, min_cells, first, split, first_cost, 
             if worst.b - worst.a <= width_floor:
                 frozen.append(worst)
                 continue
-            left, right = split(worst, 0.5 * (worst.a + worst.b))
+            left, right = split(worst, 0.5 * worst.a + 0.5 * worst.b)
             push(heap, (-left.err, left.a, left))
             push(heap, (-right.err, right.a, right))
             run_value += left.value + right.value - worst.value

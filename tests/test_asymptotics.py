@@ -200,6 +200,16 @@ class TestLimitScheme:
         with pytest.raises(ValueError):
             LimitScheme(**kwargs)
 
+    def test_max_steps_is_bounded_by_the_list_budget(self):
+        # estimate_limit keeps every value it visits: 10**9 steps would ask for about 34 GB
+        assert LimitScheme(max_steps=asymptotics._MAX_LISTED).max_steps == 3276800
+        with pytest.raises(ValueError, match="at most 3276800"):
+            LimitScheme(max_steps=asymptotics._MAX_LISTED + 1)
+
+    def test_limit_evaluation_error_is_a_value_error(self):
+        err = LimitEvaluationError(0, 10.0, ZeroDivisionError("x"))
+        assert isinstance(err, ValueError) and isinstance(err, RuntimeError)
+
 
 class TestEstimateLimit:
     def test_constant_converges_in_window_steps(self):

@@ -729,6 +729,17 @@ class TestFlagTable:
         assert run_cli(capsys, "transform", "integrate", *argv, "--f", "one") == (2, "", want)
         assert run_cli(capsys, "transform", "measure", *argv) == (0, "inf\n", "")
 
+    def test_integrate_over_a_span_of_1e308(self, capsys):
+        argv = ["transform", "integrate", "--rho", "0", "--f", "one", "--lo=-5e307", "--hi", "5e307"]
+        assert run_cli(capsys, *argv) == (0, "1e+308\n", "")
+
+    def test_max_steps_above_the_list_budget_exits_2_before_any_step(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setitem(cli._REGISTRY, "sqrt", lambda x: calls.append(x) or math.sqrt(x))
+        code, out, err = run_cli(capsys, "estimate", "eta-rho", "--phi", "sqrt", "--max-steps", "3276801")
+        assert (code, out, calls) == (2, "", [])
+        assert err == "error: max_steps must be at most 3276800 (about 100 MB of values)\n"
+
     def test_subnormal_rho_measure_is_the_length(self, capsys):
         code, out, err = run_cli(capsys, "transform", "measure", "--rho", "1e-320", "--lo", "0", "--hi", "1")
         assert (code, out, err) == (0, "1\n", "")
@@ -1043,7 +1054,8 @@ class TestFlagKinds:
 
 
 # ---------------------------------------------------------------- the argparse reference ----
-# The parser that cli._parse replaces, kept as it stood: an op's flags added to argparse from its usage line.
+# The parser that cli._parse replaces, kept as it stood but for prefixes: an op's flags added to argparse from its
+# usage line, every parser built with allow_abbrev=False, as cli._parse reads a flag by its full name only.
 
 
 class _ArgparseParser(argparse.ArgumentParser):
@@ -1055,13 +1067,14 @@ class _ArgparseParser(argparse.ArgumentParser):
 
 def build_parser(command: str | None = None) -> _ArgparseParser:
     """The regvar parser; given a command, only that command's operations get parsers (and flags)."""
-    parser = _ArgparseParser(prog="regvar", description=cli.__doc__,
+    parser = _ArgparseParser(prog="regvar", description=cli.__doc__, allow_abbrev=False,
                              formatter_class=argparse.RawDescriptionHelpFormatter)
     commands = parser.add_subparsers(dest="command", required=True)
     for name, (summary, module, ops) in cli._COMMANDS.items():
-        op_parsers = commands.add_parser(name, help=summary).add_subparsers(dest="op", required=True)
+        command_parser = commands.add_parser(name, help=summary, allow_abbrev=False)
+        op_parsers = command_parser.add_subparsers(dest="op", required=True)
         for op, (usage, handler) in ops.items() if command in (None, name) else ():
-            sp = op_parsers.add_parser(op)
+            sp = op_parsers.add_parser(op, allow_abbrev=False)
             flags = cli._flags(usage)
             for label, dest, kind, default in flags:
                 if not label.startswith("-"):
@@ -1108,17 +1121,12 @@ def _command_line(draw, command: str, op: str, usage: str):
     """An argv of one op: its flags spelled out or as prefixes, in = or split form, some repeated, some missing,
     with bad choices, unknown flags and help words, operands in any place or after a ``--``."""
     flags = cli._flags(usage)
-    labels = ["--help", *(label for label, *_ in flags if label[0] == "-")]
-    # argparse 3.11 reports an ambiguous prefix before an earlier -h, 3.13 after: keep the two apart
-    with_help = draw(st.integers(0, 3)) == 0
     items = []
     for label, _, kind, _ in flags:
         if label[0] != "-":
             continue
         for _ in range(draw(st.sampled_from([0, 1, 1, 1, 1, 2]))):
             spellings = [label[:n] for n in range(3, len(label) + 1)]
-            if with_help:
-                spellings = [s for s in spellings if s in labels or sum(lb.startswith(s) for lb in labels) == 1]
             word = draw(st.sampled_from([label] * len(spellings) + spellings))
             if kind == "switch":
                 items.append([word + draw(st.sampled_from([""] * 5 + ["=x"]))])
@@ -1126,7 +1134,7 @@ def _command_line(draw, command: str, op: str, usage: str):
             value = draw(st.sampled_from([*kind, "bogus"]) if isinstance(kind, tuple) else _VALUES)
             items.append([f"{word}={value}"] if draw(st.booleans()) else [word, value])
     if draw(st.integers(0, 3)) == 0:
-        items.append([draw(st.one_of(_NOISE, _HELP) if with_help else _NOISE)])
+        items.append([draw(st.one_of(_NOISE, _HELP))])
     count = sum(label[0] != "-" for label, *_ in flags)
     operands = draw(st.lists(_VALUES, min_size=count, max_size=count) | st.lists(_VALUES, max_size=count + 1))
     after = draw(st.integers(0, len(operands)))  # the last ones follow a --, if any do
@@ -1137,8 +1145,9 @@ def _command_line(draw, command: str, op: str, usage: str):
 
 
 class TestParserAgainstArgparse:
-    """cli._parse reads every command line as argparse did, but for words with one leading - such as -1e-3:
-    argparse refused those that its negative-number rule does not match, and now they are operands or values."""
+    """cli._parse reads every command line as argparse without prefixes does, but for words with one leading - such
+    as -1e-3: argparse refuses those that its negative-number rule does not match, and here they are operands or
+    values."""
 
     @pytest.mark.parametrize("command,op,usage", _OPERATIONS, ids=[f"{c} {o}" for c, o, _ in _OPERATIONS])
     @settings(max_examples=80, deadline=None)
@@ -1158,17 +1167,17 @@ class TestParserAgainstArgparse:
 
     @pytest.mark.parametrize("argv", [
         ["group", "circle", "--rho", "1", "--", "1", "1"],
-        ["group", "circle", "1", "--rh=1", "--", "1"],
-        ["estimate", "kernel", "--mo", "beurling", "--f", "x", "--ph=x", "--t", "1", "--fit-r", "1", "--str"],
-        ["subadd", "check", "--s", "square", "--si", "1", "--s", "x", "--spacing=geometric", "--n=3"],
-        ["transform", "fourier", "--f", "gauss", "--gamma", "1", "--pull", "--pullback", "--rho=0"],
+        ["group", "circle", "1", "--rho=1", "--", "1"],
+        ["estimate", "kernel", "--mode", "beurling", "--f", "x", "--phi=x", "--t", "1", "--fit-rho", "1", "--strict"],
+        ["subadd", "check", "--s", "square", "--sigma", "1", "--s", "x", "--spacing=geometric", "--n=3"],
+        ["transform", "fourier", "--f", "gauss", "--gamma", "1", "--pullback", "--pullback", "--rho=0"],
     ])
     def test_documented_forms_parse_as_before(self, argv):
         assert _parse_reads(argv) == _argparse_reads(argv)
         assert _parse_reads(argv)[0] == "parsed"
 
     @pytest.mark.parametrize("argv", [
-        ["transform", "measure", "--h", "1"],  # --help or --hi
+        ["transform", "measure", "--h", "1"],  # neither --help nor --hi
         ["group", "circle", "--rho", "1", "1", "1", "--strict"],
         ["estimate", "kernel", "--mode", "bogus", "-h"],
         ["subadd", "check", "--s", "x", "--spacing=cubic"],
@@ -1176,11 +1185,17 @@ class TestParserAgainstArgparse:
     def test_usage_errors_exit_1_as_before(self, argv):
         assert _parse_reads(argv) == _argparse_reads(argv) == ("exit", 1)
 
+    @pytest.mark.parametrize("argv, texts", [
+        (["transform", "measure", "--lo", "0", "--hi", "1", "--"], {"rho": "0", "lo": "0", "hi": "1"}),
+        (["group", "circle", "1", "1", "--rho", "1", "--"], {"rho": "1", "x": "1", "y": "1"}),
+    ])
+    def test_a_final_separator_only_ends_the_flags(self, argv, texts):
+        # argparse 3.10 to 3.13.0 refuses a final -- that follows no operand as a surplus argument
+        assert _argparse_reads(argv) == ("exit", 1)
+        assert _parse_reads(argv)[::2] == ("parsed", texts) == _argparse_reads(argv[:-1])[::2]
+
     @pytest.mark.parametrize("argv, code", [
-        (["transform", "measure", "--lo", "0", "--hi", "1", "--"], 1),  # a final -- that follows no operand
-        (["group", "circle", "1", "1", "--rho", "1", "--"], 1),
         (["group", "circle", "--rho", "1", "1", "1", "--"], None),
-        (["transform", "measure", "-h", "--h"], 1),  # an ambiguous prefix anywhere comes before help
         (["--", "group", "circle", "--rho", "1", "1", "1"], 1),
         (["group", "circle", "--rho", "--", "1", "1"], 1),  # -- is no value
     ])
@@ -1189,11 +1204,22 @@ class TestParserAgainstArgparse:
         assert _parse_reads(argv)[0] == "parsed" if code is None else _parse_reads(argv) == ("exit", code)
 
     @pytest.mark.parametrize("argv", [
-        ["-h"], ["--he", "group"], ["--bogus", "group", "-h"], ["group", "--help"],
-        ["group", "circle", "-h", "--bogus"], ["transform", "fourier", "--h"], ["subadd", "check", "-h", "--he=x"],
+        ["-h"], ["--help", "group"], ["--bogus", "group", "-h"], ["group", "--help"],
+        ["group", "circle", "-h", "--bogus"], ["transform", "fourier", "--help"], ["subadd", "check", "-h", "--he=x"],
+        ["transform", "measure", "-h", "--h"],
     ])
     def test_help_exits_0_as_before(self, argv):
         assert _parse_reads(argv) == _argparse_reads(argv) == ("exit", 0)
+
+    @pytest.mark.parametrize("argv, word", [
+        (["transform", "integrate", "--f", "one", "--lo", "0", "--hi", "1", "--str"], "--str"),
+        (["transform", "fourier", "--f", "gauss", "--gamma=1", "--pull"], "--pull"),
+        (["group", "circle", "--rh=1", "--", "1", "1"], "--rh=1"),
+    ])
+    def test_a_cut_flag_is_unrecognized(self, capsys, argv, word):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.endswith(f": error: unrecognized arguments: {word}\n")
 
     @pytest.mark.parametrize("argv, out", [
         (["group", "circle", "--rho", "1", "-1e-3", "2"], "1.997\n"),  # argparse: "... arguments are required: y"

@@ -139,6 +139,17 @@ class TestHaarIntegrate:
         with pytest.raises(DomainError, match=f"^{span}$"):
             haar_integrate(lambda t: 1.0, Interval(param, lo, hi), SPEC)
 
+    def test_a_finite_chart_span_up_to_dbl_max_integrates(self):
+        # span 1e308: span*k of the first grid overflowed for k >= 2, and the cell sums met -inf + inf
+        calls = []
+        assert haar_integrate(lambda t: calls.append(t) or 0.0, Interval(ZERO, -5e307, 5e307), SPEC) == 0.0
+        assert len(calls) == 385
+        assert haar_integrate(lambda t: 1.0, Interval(ZERO, -1e308, 7e307), SPEC) == pytest.approx(1.7e308, rel=1e-15)
+
+    def test_a_gaussian_over_a_span_of_1e308_is_not_missed_silently(self):
+        with pytest.warns(QuadratureWarning, match=r"haar_integrate over \(-5e\+307, 5e\+307\) did not converge"):
+            haar_integrate(lambda t: math.exp(-0.5 * t * t), Interval(ZERO, -5e307, 5e307), SPEC)
+
 
 class TestCharacters:
     @pytest.mark.parametrize("param", PARAM_SET)

@@ -127,6 +127,24 @@ class TestHardIntegrands:
         assert res.converged and abs(res.value - exact) <= res.error <= 1e-11
 
 
+class TestWideSpans:
+    """A finite span above DBL_MAX/k: span*k of the first grid overflowed, and so did a + b of a cell's centre."""
+
+    def test_zero_over_a_span_of_1e308_converges_on_the_first_grid(self):
+        res = _cc_integral(lambda w: 0.0, -5e307, 5e307, SPEC)
+        assert (res.value, res.error, res.converged, res.evaluations) == (0.0, 0.0, True, 385)
+
+    @pytest.mark.parametrize("rule", ["cc", "simpson"])
+    @pytest.mark.parametrize("lo, hi, breakpoints", [(-5e307, 5e307, ()), (-5e307, 5e307, (1.0,)), (-1e308, 7e307, ())])
+    def test_every_node_is_finite(self, rule, lo, hi, breakpoints):
+        nodes = []
+        fn = lambda w: nodes.append(w) or 1.0
+        res = _cc_integral(fn, lo, hi, SPEC) if rule == "cc" else adaptive_integral(fn, lo, hi, SPEC,
+                                                                                      breakpoints=breakpoints)
+        assert all(map(math.isfinite, nodes)) and min(nodes) == lo and max(nodes) == hi
+        assert res.converged and res.value == pytest.approx(hi - lo, rel=1e-15)
+
+
 class TestComplex:
     def test_complex_exponential(self):
         res = adaptive_integral(lambda x: complex(math.cos(x), math.sin(x)), 0.0, 1.0, SPEC)
