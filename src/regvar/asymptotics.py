@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import warnings
 from bisect import bisect_right
+from collections import deque
 from functools import partial
 from itertools import pairwise, takewhile
 from typing import Callable, Sequence
@@ -70,19 +71,10 @@ class RationalRatioWarning(UserWarning):
 
 
 class SampledFunction:
-    """A positive function given either by a rule or by a sample table.
+    """A positive function given as a log-log table of samples ``values`` at ``xs``: linear in log x and log f
+    between the nodes, and refused outside the sampled range rather than extrapolated."""
 
-    Table mode interpolates log-linearly (linear in log x and log f) and
-    refuses to extrapolate beyond the sampled range.
-    """
-
-    def __init__(self, *, fn=None, xs=None, values=None):
-        if (fn is None) == (xs is None):
-            raise ValueError("provide either a rule or a table, not both")
-        self._fn = fn
-        if fn is not None:
-            self._log_xs = None
-            return
+    def __init__(self, xs: Sequence[float], values: Sequence[float]) -> None:
         try:
             xs, values = [float(x) for x in xs], [float(v) for v in values]
         except TypeError:  # not two flat sequences of numbers
@@ -101,21 +93,7 @@ class SampledFunction:
         self._log_vs = [math.log(v) for v in values]
         self.x_min, self.x_max = xs[0], xs[-1]
 
-    @classmethod
-    def from_rule(cls, fn: Callable[[float], float]) -> "SampledFunction":
-        return cls(fn=fn)
-
-    @classmethod
-    def from_table(cls, xs: Sequence[float], values: Sequence[float]) -> "SampledFunction":
-        return cls(xs=xs, values=values)
-
-    @property
-    def is_table(self) -> bool:
-        return self._log_xs is not None
-
     def __call__(self, x: float) -> float:
-        if self._fn is not None:
-            return float(self._fn(x))
         if not (x > 0.0):
             raise TableRangeError(f"table lookup needs x > 0, got {x!r}")
         if x < self.x_min or x > self.x_max:
@@ -144,6 +122,8 @@ class LimitScheme(_Record, frozen=True):
             raise ValueError("max_steps must be >= 1")
         if max_steps > _MAX_LISTED:  # estimate_limit keeps every value it visits
             raise ValueError(f"max_steps must be at most {_MAX_LISTED} (about 100 MB of values)")
+        if not math.isfinite(tol):
+            raise ValueError(f"tol must be finite, got {tol!r}")
         if not (tol > 0.0):
             raise ValueError("tol must be positive")
         if stability_window < 2:
@@ -254,18 +234,36 @@ def estimate_limit(op_curve: Callable[[float], float], scheme: LimitScheme) -> E
     ``stability_window`` values agree pairwise within tol (absolute plus
     relative, normalised by 1 + |last value|)."""
     values: list[float] = []  # every value visited, in grid order
+    window = scheme.stability_window
+    # the window's max() and min() lead two monotone queues of indices; as with max() and min(), the first of equal
+    # values wins, and a nan counts only as the window's first value
+    highs, lows = deque(), deque()
     delta = math.inf
     for n in range(scheme.max_steps):
         x = scheme.x0 * scheme.ratio**n
         try:
-            values.append(float(op_curve(x)))
+            v = float(op_curve(x))
         except Exception as exc:  # noqa: BLE001 - annotate with grid position
             raise LimitEvaluationError(n, x, exc) from exc
-        if n + 1 >= scheme.stability_window:
-            window = values[-scheme.stability_window:]
-            delta = (max(window) - min(window)) / (1.0 + abs(values[-1]))
+        values.append(v)
+        if v == v:
+            while highs and values[highs[-1]] < v:
+                highs.pop()
+            highs.append(n)
+            while lows and values[lows[-1]] > v:
+                lows.pop()
+            lows.append(n)
+        first = n + 1 - window
+        if first >= 0:
+            if highs and highs[0] < first:  # one index at most leaves the window per step
+                highs.popleft()
+            if lows and lows[0] < first:
+                lows.popleft()
+            lead = values[first]
+            hi, lo = (values[highs[0]], values[lows[0]]) if lead == lead else (lead, lead)
+            delta = (hi - lo) / (1.0 + abs(v))
             if delta <= scheme.tol:
-                return EstimationResult(values[-1], True, delta, n + 1)
+                return EstimationResult(v, True, delta, n + 1)
     return EstimationResult(values[-1], False, delta, len(values))
 
 

@@ -116,7 +116,7 @@ def load_csv_function(path: str) -> SampledFunction:
     if len(xs) < 2:
         raise CsvFormatError(f"{path}: need at least 2 data rows")
     try:
-        return SampledFunction.from_table(xs, vs)
+        return SampledFunction(xs, vs)
     except ValueError as exc:
         raise CsvFormatError(f"{path}: {exc}") from exc
 

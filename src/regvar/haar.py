@@ -20,7 +20,7 @@ import warnings
 from typing import Callable
 
 from regvar.popa import DomainError, PopaParam, PopaPoint, _Record, _chart, _haar_length, _t, iso_log
-from regvar.quadrature import QuadratureSpec, QuadratureWarning, _cc_integral, adaptive_integral
+from regvar.quadrature import QuadratureResult, QuadratureSpec, QuadratureWarning, _cc_integral, adaptive_integral
 
 __all__ = [
     "Interval",
@@ -59,18 +59,12 @@ def _pull(f, E, d, c):
     return f if E is _t else lambda w: f(E(w))
 
 
-def _integrate(fn, lo: float, hi: float, spec: QuadratureSpec, what: Callable[[], str], depth=1,
-               z=0.0) -> complex | float:
-    """Integral of ``fn(w)*exp(-z*w)`` by Clenshaw-Curtis cells, or of ``fn`` by :func:`adaptive_integral` given
-    ``z=None``; non-convergence is warned about at the caller of the public function, ``depth`` frames above,
+def _value(res: QuadratureResult, what: Callable[[], str]) -> complex | float:
+    """``res.value``; non-convergence is warned about at the caller of the public function that passed ``res``,
     naming the call by ``what()``, which is only built then."""
-    res = adaptive_integral(fn, lo, hi, spec) if z is None else _cc_integral(fn, lo, hi, spec, z)
     if not res.converged:
-        warnings.warn(
-            f"{what()} did not converge: best estimate {res.value!r}, error bound {res.error:.3e}",
-            QuadratureWarning,
-            stacklevel=2 + depth,
-        )
+        warnings.warn(f"{what()} did not converge: best estimate {res.value!r}, error bound {res.error:.3e}",
+                      QuadratureWarning, stacklevel=3)
     return res.value
 
 
@@ -85,7 +79,7 @@ def haar_integrate(
     what = lambda: f"haar_integrate over ({iv.lo}, {iv.hi})"
     if not math.isfinite(hi - lo):
         raise DomainError(f"{what()}: the chart span L(d*hi) - L(d*lo) = {hi - lo} is not finite")
-    return float(_integrate(_pull(f, E, d, c), lo, hi, spec, what).real)
+    return float(_value(_cc_integral(_pull(f, E, d, c), lo, hi, spec), what).real)
 
 
 def character_eval(param: PopaParam, gamma: float, u: float) -> complex:
@@ -107,20 +101,21 @@ def pullback_multiplicative(f: Callable[[float], float], param: PopaParam) -> Ca
     return g
 
 
-def _line_transform(f, param: PopaParam, z: complex, spec: QuadratureSpec, what: str) -> complex:
-    """Line integral of ``c*f(E(w)/d) * exp(-z*w)`` over ``[-T, T]`` in the chart of ``param``; on the
+def _line_transform(f, param: PopaParam, z: complex, spec: QuadratureSpec,
+                    what: Callable[[], str]) -> QuadratureResult:
+    """The line integral of ``c*f(E(w)/d) * exp(-z*w)`` over ``[-T, T]`` in the chart of ``param``; on the
     t-line at rho > 0 the character is 1, which leaves the Haar integral of f over t in [-T, T]."""
     if not cmath.isfinite(z):
-        raise DomainError(f"{what}: the exponent must be finite")
+        raise DomainError(f"{what()}: the exponent must be finite")
     T = spec.truncation
     zT = abs(z) * T
     _, E, d, c = _chart(param, zT, T=T if zT < math.inf else 0.0)  # an infinite |z|*T is reported first
     if zT == math.inf:
-        raise DomainError(f"{what}: |z|*T = {zT} is not finite")
+        raise DomainError(f"{what()}: |z|*T = {zT} is not finite")
     prof = _pull(f, E, d, c)
     if param.is_zero and not (z.imag and 2.0 * T / (math.pi / abs(z.imag)) > 64):  # the pinned Simpson path
-        return complex(_integrate(lambda w: prof(w) * cmath.exp(-z * w), -T, T, spec, lambda: what, 2, None))
-    return complex(_integrate(prof, -T, T, spec, lambda: what, 2, z if param.is_zero or E is not _t else 0.0))
+        return adaptive_integral(lambda w: prof(w) * cmath.exp(-z * w), -T, T, spec)
+    return _cc_integral(prof, -T, T, spec, z if param.is_zero or E is not _t else 0.0)
 
 
 def fourier_popa(
@@ -131,7 +126,8 @@ def fourier_popa(
 ) -> complex:
     """Fourier coefficient of f against the character with frequency gamma:
     the Mellin-type transform below at ``z = i*gamma``, for every rho."""
-    return _line_transform(f, param, complex(0.0, gamma), spec, f"fourier_popa(gamma={gamma})")
+    what = lambda: f"fourier_popa(gamma={gamma})"
+    return complex(_value(_line_transform(f, param, complex(0.0, gamma), spec, what), what))
 
 
 def mellin_popa(
@@ -144,7 +140,8 @@ def mellin_popa(
     if not param.is_finite:
         raise DomainError("mellin transform requires a finite positive parameter")
     z = complex(z)
-    return _line_transform(f, param, z, spec, f"mellin_popa(z={z})")
+    what = lambda: f"mellin_popa(z={z})"
+    return complex(_value(_line_transform(f, param, z, spec, what), what))
 
 
 def popa_convolution(
@@ -166,7 +163,7 @@ def popa_convolution(
     else:  # x o t = eta_x*t + shift: (1+rho*x)*t + x, without the cancellation of (eta_x*e^w - 1)/rho, or x*t
         eta_x, shift = (x, 0.0) if p.is_infinite else (1.0 + p.rho * x, x)
         integrand = lambda w: c * f(E(-w) / d) * g(eta_x * E(w) / d + shift)
-    return float(_integrate(integrand, -T, T, spec, lambda: f"popa_convolution at x={x}").real)
+    return float(_value(_cc_integral(integrand, -T, T, spec), lambda: f"popa_convolution at x={x}").real)
 
 
 def beurling_convolution(
@@ -194,4 +191,4 @@ def beurling_convolution(
             return 0.0
         return fv * H(x + t * px)
 
-    return float(_integrate(integrand, -T, T, spec, lambda: f"beurling_convolution at x={x}").real)
+    return float(_value(_cc_integral(integrand, -T, T, spec), lambda: f"beurling_convolution at x={x}").real)

@@ -229,10 +229,10 @@ def _refine(fn, lo, hi, spec, breakpoints, min_cells, first, split, first_cost, 
     """The adaptive loop from a grid of at least ``min_cells`` cells through the breakpoints, whose cells
     ``first(a, b, fa, fb)`` makes; ``split(cell, midpoint)`` makes the two halves of a cell.  A first cell
     evaluates ``fn`` ``first_cost`` times besides at its ends, a split ``split_cost`` times."""
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise ValueError(f"bad integration interval [{lo}, {hi}]")
     span = hi - lo
-    if breakpoints or not span < math.inf:  # an infinite span fails below, in math.ceil, as nan
+    if not (lo < hi and span < math.inf):  # so lo and hi are finite too
+        raise ValueError(f"bad integration interval [{lo}, {hi}]")
+    if breakpoints:
         edges = sorted({lo, hi, *(float(p) for p in breakpoints if lo < p < hi)})
         grid = [lo]
         for left, right in zip(edges[:-1], edges[1:]):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -44,21 +45,15 @@ P1 = PopaParam(1.0)
 
 
 class TestSampledFunction:
-    def test_rule_passthrough(self):
-        f = SampledFunction.from_rule(lambda x: x * x)
-        assert not f.is_table
-        assert f(3.0) == 9.0
-
     def test_table_loglog_exact_on_powers(self):
         xs = np.geomspace(1.0, 1e4, 9)
-        f = SampledFunction.from_table(xs, xs**2.5)
-        assert f.is_table
+        f = SampledFunction(xs, xs**2.5)
         # log-log interpolation reproduces a pure power everywhere in range
         for x in (1.7, 31.6, 999.0):
             assert f(x) == pytest.approx(x**2.5, rel=1e-12)
 
     def test_refuses_extrapolation(self):
-        f = SampledFunction.from_table([1.0, 10.0, 100.0], [1.0, 2.0, 3.0])
+        f = SampledFunction([1.0, 10.0, 100.0], [1.0, 2.0, 3.0])
         assert f.x_min == 1.0 and f.x_max == 100.0
         with pytest.raises(TableRangeError):
             f(0.5)
@@ -81,13 +76,7 @@ class TestSampledFunction:
     )
     def test_rejects_bad_tables(self, xs, values):
         with pytest.raises(ValueError):
-            SampledFunction.from_table(xs, values)
-
-    def test_rule_and_table_are_exclusive(self):
-        with pytest.raises(ValueError):
-            SampledFunction(fn=lambda x: x, xs=[1.0, 2.0], values=[1.0, 2.0])
-        with pytest.raises(ValueError):
-            SampledFunction()
+            SampledFunction(xs, values)
 
 
 class TestOperators:
@@ -247,6 +236,44 @@ class TestEstimateLimit:
         assert exc_info.value.step == 2
         assert exc_info.value.x == 40.0
         assert isinstance(exc_info.value.cause, ValueError)
+
+    def test_stop_test_matches_the_sliced_window_on_seeded_sequences(self):
+        # signed zeros, infinities, nans, ties and a tiny value: max() and min() of the sliced window keep the first
+        # of equal values, and return a nan only when it is the window's first value
+        rng = random.Random(20000)
+        pool = [0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan, 1e-300]
+        for _ in range(20000):
+            seq = []
+            for _ in range(rng.randint(1, 40)):
+                roll = rng.random()
+                seq.append(rng.choice(pool) if roll < 0.5 else seq[-1] if roll < 0.7 and seq else rng.uniform(-2, 2))
+            scheme = LimitScheme(max_steps=len(seq), tol=rng.choice([1e-12, 1e-3, 0.5, 3.0]),
+                                 stability_window=rng.randint(2, 8))
+            got, want = (run(lambda x, it=iter(seq): next(it), scheme) for run in (estimate_limit, _sliced_limit))
+            assert (repr(got.value), got.converged, repr(got.last_delta), got.steps_used) == \
+                (repr(want.value), want.converged, repr(want.last_delta), want.steps_used), (seq, scheme)
+
+    def test_stop_test_is_linear_in_the_window(self):
+        # slicing the window took 16-17 s on a 2-vCPU host: 40000 steps, each slicing 20000 values
+        scheme = LimitScheme(tol=1e-300, ratio=1.0000001, max_steps=40000, stability_window=20000)
+        start = time.perf_counter()
+        res = estimate_limit(math.sqrt, scheme)
+        assert time.perf_counter() - start < 2.0
+        assert (res.value.hex(), res.converged, res.last_delta.hex(), res.steps_used) == \
+            ("0x1.9594f5a6d14e7p+1", False, "0x1.8e4c62268adb6p-11", 40000)
+
+
+def _sliced_limit(op_curve, scheme):
+    """estimate_limit's stop test by slicing the window at every step, its time quadratic in the window."""
+    values, delta = [], math.inf
+    for n in range(scheme.max_steps):
+        values.append(float(op_curve(scheme.x0 * scheme.ratio**n)))
+        if n + 1 >= scheme.stability_window:
+            window = values[-scheme.stability_window:]
+            delta = (max(window) - min(window)) / (1.0 + abs(values[-1]))
+            if delta <= scheme.tol:
+                return EstimationResult(values[-1], True, delta, n + 1)
+    return EstimationResult(values[-1], False, delta, len(values))
 
 
 class TestEstimateRho:

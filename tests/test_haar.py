@@ -442,7 +442,26 @@ class TestConvolutionTheorem:
         assert abs(lhs - rhs) <= 1e-3 * max(1.0, abs(rhs))
 
 
+WIGGLE = lambda t: math.sin(1e6 * t)
+
+
 class TestNonConvergenceWarning:
+    @pytest.mark.parametrize("fn,args", [
+        (haar_integrate, (WIGGLE, Interval(P1, 0.25, 1.0))),
+        (fourier_popa, (WIGGLE, ZERO, 1.0)),
+        (fourier_popa, (WIGGLE, P1, 1.0)),
+        (mellin_popa, (WIGGLE, P1, 0.5j)),
+        (popa_convolution, (WIGGLE, WIGGLE, PopaPoint(P1, 0.5))),
+        (beurling_convolution, (WIGGLE, WIGGLE, lambda x: 1.0, 0.5)),
+    ], ids=["haar_integrate", "fourier_popa-simpson", "fourier_popa-cc", "mellin_popa", "popa_convolution",
+            "beurling_convolution"])
+    def test_one_warning_reported_at_the_caller(self, fn, args):
+        # called in this frame, whose caller lies in pytest: a warning one frame off lands in regvar or in pytest
+        with pytest.warns(QuadratureWarning) as caught:
+            fn(*args, QuadratureSpec(max_subdivisions=2))
+        assert [(type(w.message), w.filename) for w in caught] == [(QuadratureWarning, __file__)]
+        assert str(caught[0].message).startswith(fn.__name__)
+
     def test_warns_and_returns_best_estimate(self):
         f = lambda t: math.sin(1e6 * t)
         tight = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12, max_subdivisions=16)

@@ -117,7 +117,7 @@ class TestHardIntegrands:
         # node; the Simpson gauge is not calibrated on kinks (without breakpoints: bound 1.0e-9, true error 1.3e-7),
         # but with the nodes as breakpoints every cell is smooth
         xs = [float(x) for x in np.geomspace(1e-6, 60.0, 4000)]
-        table = SampledFunction.from_table(xs, [x * math.exp(-x) for x in xs])
+        table = SampledFunction(xs, [x * math.exp(-x) for x in xs])
         ws = [math.log(x) for x in xs]
         ys = [math.log(x * math.exp(-x)) for x in xs]
         exact = math.fsum(math.exp(y0) * (w1 - w0) * (math.expm1(y1 - y0) / (y1 - y0) if y1 != y0 else 1.0)
@@ -143,6 +143,17 @@ class TestWideSpans:
                                                                                       breakpoints=breakpoints)
         assert all(map(math.isfinite, nodes)) and min(nodes) == lo and max(nodes) == hi
         assert res.converged and res.value == pytest.approx(hi - lo, rel=1e-15)
+
+    @pytest.mark.parametrize("integrate", [
+        lambda fn: _cc_integral(fn, -1e308, 1e308, SPEC),
+        lambda fn: adaptive_integral(fn, -1e308, 1e308, SPEC),
+        lambda fn: adaptive_integral(fn, -1e308, 1e308, SPEC, breakpoints=(1.0,)),
+    ], ids=["cc", "simpson", "simpson-breakpoints"])
+    def test_a_span_that_overflows_is_refused_before_any_evaluation(self, integrate):
+        nodes = []
+        with pytest.raises(ValueError, match=r"^bad integration interval \[-1e\+308, 1e\+308\]$"):
+            integrate(lambda w: nodes.append(w) or 1.0)
+        assert nodes == []
 
 
 class TestComplex:
@@ -430,7 +441,7 @@ def _ref_cc_integral(fn, lo, hi, spec=SPEC, z=0.0):
 
 
 def _ref_refine(fn, lo, hi, spec, breakpoints, min_cells, first, split, nev):
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi and hi - lo < math.inf):
         raise ValueError(f"bad integration interval [{lo}, {hi}]")
     span = hi - lo
     edges = sorted({lo, hi, *(float(p) for p in breakpoints if lo < p < hi)})

@@ -206,7 +206,7 @@ def test_table_lookup_is_the_parent_interp(seed):
         if len(xs) < 2:
             continue
         vs = [10.0 ** rng.uniform(-6, 6) for _ in xs]
-        f = SampledFunction.from_table(xs, vs)
+        f = SampledFunction(xs, vs)
         log_xs, log_vs = [math.log(x) for x in xs], [math.log(v) for v in vs]
         # an ulp of difference between np.log and math.log in a table entry moves the result by
         # about that ulp of |log v|, relative
@@ -227,4 +227,4 @@ def test_table_lookup_is_the_parent_interp(seed):
 ])
 def test_bad_table_shapes_raise_value_error(xs, values):
     with pytest.raises(ValueError):
-        SampledFunction.from_table(xs, values)
+        SampledFunction(xs, values)
