@@ -390,11 +390,8 @@ def two_point_index(
     return 0.5 * (r1 + r2), abs(r1 - r2) <= tol
 
 
-_MAX_PARTITION = 10**8
-
-
 def _beck_index(param: PopaParam, delta: float, u: float) -> int:
-    """The unique i with delta^((i-1) o) <= u < delta^(i o)."""
+    """The unique i with delta^((i-1) o) <= u < delta^(i o), the partition's cells: at most popa._MAX_LISTED."""
     delta, u = float(delta), float(u)
     step_w = iso_log(param, delta)
     if not step_w > 0.0:
@@ -402,21 +399,21 @@ def _beck_index(param: PopaParam, delta: float, u: float) -> int:
     u_w = iso_log(param, u)
     if u_w < 0.0:
         raise DomainError(f"u={u!r} lies below the identity {1.0 if param.is_infinite else 0.0}")
-    # candidate index from the additive scale, then correct the boundary
-    i = max(1, math.floor(u_w / step_w) + 1)
-    while _MAX_PARTITION >= i > 1 and power(param, delta, i - 1) > u:  # one step at a time, so capped
+    # candidate index from the additive scale, within a step of i below the budget, then correct the boundary
+    i = max(1, math.floor(min(u_w / step_w, 2.0 * _MAX_LISTED)) + 1)
+    while _MAX_LISTED + 1 >= i > 1 and power(param, delta, i - 1) > u:
         i -= 1
-    while i <= _MAX_PARTITION and power(param, delta, i) <= u:
+    while i <= _MAX_LISTED and power(param, delta, i) <= u:
         i += 1
-    if i > _MAX_PARTITION:
-        raise DomainError("partition is too fine (more than 1e8 cells)")
+    if i > _MAX_LISTED:
+        raise DomainError(f"partition is too fine: more than {_MAX_LISTED} cells, the budget of one call")
     return i
 
 
 def beck_partition(param: PopaParam, delta: float, u: float) -> list[float]:
     """Partition points delta^(0 o), ..., delta^(i o) where i is the unique
     index with delta^((i-1) o) <= u < delta^(i o).  The list may hold at
-    most 3276800 points (about 100 MB); beck_riemann_sum streams up to 1e8 cells."""
+    most 3276800 points (about 100 MB)."""
     i = _beck_index(param, delta, u)
     if i >= _MAX_LISTED:
         raise DomainError(f"partition of {i + 1} points is too long to list (at most {_MAX_LISTED}, about 100 MB)")
@@ -427,8 +424,8 @@ def beck_riemann_sum(
     g: Callable[[float], float], param: PopaParam, delta: float, u: float
 ) -> float:
     """Riemann sum of g/eta over the partition of [identity, u] induced by the
-    o-iterates of delta, the final cell clipped at u.  Converges to the
-    integral of g(x)/eta(x) dx at first order in delta."""
+    o-iterates of delta, at most 3276800 cells, the final cell clipped at u.
+    Converges to the integral of g(x)/eta(x) dx at first order in delta."""
     nodes = (min(p, u) for p in _powers(param, delta, range(_beck_index(param, delta, u) + 1)))
     cells = takewhile(lambda c: c[0] < c[1], pairwise(nodes))  # up to the first empty cell
     rho, multiplicative = param.rho, param.is_infinite  # eta(param, x) inline: x is in [identity, u]
@@ -442,10 +439,10 @@ def goldie_sum(
     delta: float,
     i: int,
 ) -> float:
-    """Discrete functional-equation sum K_delta * sum_{m=1..i} g(delta^((m-1) o))."""
+    """Discrete functional-equation sum K_delta * sum_{m=1..i} g(delta^((m-1) o)), of at most 3276800 terms."""
     i = int(i)
     if i < 0:
         raise DomainError(f"i must be >= 0, got {i}")
-    if i > _MAX_PARTITION:
-        raise DomainError("sum is too long (more than 1e8 terms)")
+    if i > _MAX_LISTED:
+        raise DomainError(f"sum is too long: {i} terms, more than {_MAX_LISTED}, the budget of one call")
     return K_delta * math.fsum(map(g, _powers(param, delta, range(i))) if i else ())  # i = 0: delta unchecked

@@ -151,16 +151,6 @@ def _zero_extend(f):
     return lambda u: 0.0 if u < f.x_min or u > f.x_max else f(u)
 
 
-def _transform_input(f, p: PopaParam, pullback: bool):
-    """With ``--pullback`` the table samples the multiplicative pullback; rebuild the group-side f."""
-    if not pullback:
-        return f
-    if not p.is_finite:
-        raise DomainError("--pullback requires a finite positive --rho")
-    back = p.rho / (1.0 + p.rho)
-    return lambda u: back * f(1.0 + p.rho * u)
-
-
 def _spec(label: str, text: str):
     """``--truncation`` -> the QuadratureSpec of a transform; its command has loaded regvar.quadrature."""
     from regvar.quadrature import QuadratureSpec
@@ -255,7 +245,7 @@ _KINDS = {
     **dict.fromkeys(("rho", "sigma", "fit-rho", "fit-sigma"), "param"),
     **dict.fromkeys(("f", "g", "h", "phi"), "function"),
     **dict.fromkeys(("n", "i", "probes", "max-steps", "stability-window"), "integer"),
-    **dict.fromkeys(("pullback", "strict"), "switch"),
+    "strict": "switch",
     "points": "numbers",
     "tol": "tol",
     "truncation": "spec",
@@ -290,12 +280,10 @@ _COMMANDS = {
         "measure": ("--rho=0 --lo --hi", lambda m, rho, lo, hi: m.haar_interval_measure(m.Interval(rho, lo, hi))),
         "integrate": ("--rho=0 --f --lo --hi --strict",
                       lambda m, rho, f, lo, hi: m.haar_integrate(f, m.Interval(rho, lo, hi))),
-        "fourier": (f"--rho=0 --f:profile --pullback --gamma {_QUADRATURE}",
-                    lambda m, rho, f, pullback, gamma, truncation:
-                    m.fourier_popa(_transform_input(f, rho, pullback), rho, gamma, truncation)),
-        "mellin": (f"--rho=0 --f:profile --pullback --z-re=0 --z-im=0 {_QUADRATURE}",
-                   lambda m, rho, f, pullback, z_re, z_im, truncation:
-                   m.mellin_popa(_transform_input(f, rho, pullback), rho, complex(z_re, z_im), truncation)),
+        "fourier": (f"--rho=0 --f:profile --gamma {_QUADRATURE}",
+                    lambda m, rho, f, gamma, truncation: m.fourier_popa(f, rho, gamma, truncation)),
+        "mellin": (f"--rho=0 --f:profile --z-re=0 --z-im=0 {_QUADRATURE}",
+                   lambda m, rho, f, z_re, z_im, truncation: m.mellin_popa(f, rho, complex(z_re, z_im), truncation)),
         "popa-conv": (f"--rho=0 --f:profile --g:profile --x {_QUADRATURE}",
                       lambda m, rho, f, g, x, truncation: m.popa_convolution(f, g, PopaPoint(rho, x), truncation)),
         "beurling-conv": (f"--f:profile --h --phi --x {_QUADRATURE}",

@@ -9,8 +9,9 @@ characters and ``x o t`` are 1 and x + t to working precision.  Elsewhere
 spec.truncation``: T <= log(DBL_MAX).  The characters are ``exp(i*gamma*w)``, so
 the transforms are Fourier/Laplace integrals on the line, by the Clenshaw-Curtis
 cells of :mod:`regvar.quadrature`, Filon-Clenshaw-Curtis for ``exp(-z*w)``, whose
-cost follows the profile and not the frequency; only ``fourier_popa`` at rho = 0
-with 2T|gamma| <= 64 pi keeps the Simpson rule, whose output there is pinned.
+cost follows the profile and not the frequency.  Only ``fourier_popa`` at rho = 0
+with 2T|gamma| <= 64 pi starts with the Simpson rule, whose output there is
+pinned, and hands the integrals it does not converge on to those cells.
 """
 from __future__ import annotations
 
@@ -114,7 +115,9 @@ def _line_transform(f, param: PopaParam, z: complex, spec: QuadratureSpec,
         raise DomainError(f"{what()}: |z|*T = {zT} is not finite")
     prof = _pull(f, E, d, c)
     if param.is_zero and not (z.imag and 2.0 * T / (math.pi / abs(z.imag)) > 64):  # the pinned Simpson path
-        return adaptive_integral(lambda w: prof(w) * cmath.exp(-z * w), -T, T, spec)
+        res = adaptive_integral(lambda w: prof(w) * cmath.exp(-z * w), -T, T, spec)
+        if res.converged:  # its misses go to the cells below
+            return res
     return _cc_integral(prof, -T, T, spec, z if param.is_zero or E is not _t else 0.0)
 
 
@@ -136,9 +139,11 @@ def mellin_popa(
     z: complex,
     spec: QuadratureSpec = QuadratureSpec(),
 ) -> complex:
-    """Mellin-type transform of the pullback: integral of f_rho(t) t^-z dt/t."""
-    if not param.is_finite:
-        raise DomainError("mellin transform requires a finite positive parameter")
+    """Mellin-type transform for rho > 0: integral of f(t) eta(t)^-z against the Haar measure, that is of
+    ``c*f(E(w)/d) * exp(-z*w) dw`` in the chart.  At rho = inf it is the classical Mellin transform, integral of
+    f(t) t^-z dt/t; at a finite rho it is the classical one of :func:`pullback_multiplicative` of f."""
+    if param.is_zero:
+        raise DomainError("mellin transform requires a positive parameter")
     z = complex(z)
     what = lambda: f"mellin_popa(z={z})"
     return complex(_value(_line_transform(f, param, z, spec, what), what))

@@ -15,12 +15,13 @@ mirror pairs of odd nodes; d sums their moduli, which cannot cancel.  There
 are min(24, ceil(span / (T/12))) initial panels, T = ``spec.truncation``; a
 split reuses the end values, so a child costs 15 evaluations.
 
-Ties in the refinement queue are broken by cell position and the final value
-is accumulated in fixed left-to-right order with compensated summation, so a
-given integrand always produces bit-identical output on one Python version
-(from 3.12 on, the built-in sum of floats is compensated).  Non-convergence is
-not fatal: the best estimate is returned together with ``converged=False`` and
-a conservative error bound.
+Ties in the refinement queue are broken by cell position.  The value and the
+bound are ``math.fsum`` of the cells in position order, which is correctly
+rounded; the running sums that steer the refinement, and the weighted sums of
+a cell, use the built-in ``sum``, which is compensated from Python 3.12 on.  So
+a given integrand always produces bit-identical output on one Python version.
+Non-convergence is not fatal: the best estimate is returned together with
+``converged=False`` and a conservative error bound.
 """
 from __future__ import annotations
 

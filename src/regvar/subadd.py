@@ -130,16 +130,18 @@ def subadditivity_check(
     grid: GridSpec,
     tol: float = 1e-10,
 ) -> SubaddReport:
-    """Probe S(x o y) <= S(x) o S(y) over all pairs of a grid of at most 10**4
-    points whose combination stays inside [lo, hi]; out-of-window pairs are
-    skipped and counted.  S is called once per point and once per unordered
-    in-window pair, row by row; off the diagonal a pair counts twice, as
-    x o y = y o x.  A row's window is bisected where fl(x o y) is non-decreasing
-    in y, and its pairs are checked as one batch: if a bound or an S(z) is
-    outside sigma's carrier, the DomainError names the first such pair of the
-    row, and S may already have been called on the rest of that row."""
-    if grid.n > 10**4:  # 10**8 pairs, the most cells asymptotics allows for a partition
-        raise DomainError(f"grid of {grid.n} points is too large (at most 1e4 points, 1e8 pairs)")
+    """Probe S(x o y) <= S(x) o S(y) over all pairs of a grid of at most 3276800
+    unordered pairs (n <= 2559) whose combination stays inside [lo, hi];
+    out-of-window pairs are skipped and counted.  S is called once per point and
+    once per unordered in-window pair, row by row; off the diagonal a pair
+    counts twice, as x o y = y o x.  A row's window is bisected where fl(x o y)
+    is non-decreasing in y, and its pairs are checked as one batch: if a bound
+    or an S(z) is outside sigma's carrier, the DomainError names the first such
+    pair of the row, and S may already have been called on the rest of it."""
+    pairs = grid.n * (grid.n + 1) // 2
+    if pairs > popa._MAX_LISTED:
+        raise DomainError(f"grid of {grid.n} points has {pairs} unordered pairs, more than {popa._MAX_LISTED}, "
+                          "the budget of one call")
     pts = [popa._check_value(rho, p) for p in grid.points()]
     svals = [_codomain_value(sigma, p, S(p)) for p in pts]
     rho_op, sigma_op = popa._float_op(rho), popa._float_op(sigma)

@@ -548,14 +548,14 @@ class TestBeckPartition:
         assert len(seen) == 1
 
     def test_riemann_sum_streams_past_the_list_cap(self, monkeypatch):
-        seen = []
+        # the budget of cells is the list cap, and the cap + 1 nodes of its cells are streamed, not listed
+        cap, seen = asymptotics._MAX_LISTED, []
         monkeypatch.setattr(asymptotics, "_powers", lambda param, delta, ns: seen.append(ns) or iter(()))
-        u = 10.0 * asymptotics._MAX_LISTED
-        assert beck_riemann_sum(lambda t: 1.0, ZERO, 1.0, u) == 0.0 and seen == [range(int(u) + 2)]
+        assert beck_riemann_sum(lambda t: 1.0, ZERO, 1.0, cap - 1.0) == 0.0 and seen == [range(cap + 1)]
 
     def test_cli_partition_above_the_cap_exits_2(self, capsys):
-        assert main(["beck", "partition", "--rho", "0", "--delta", "1", "--u", "1e7"]) == 2
-        assert "error: partition of 10000002 points is too long to list" in capsys.readouterr().err
+        assert main(["beck", "partition", "--rho", "0", "--delta", "1", "--u", "3276799"]) == 2
+        assert "error: partition of 3276801 points is too long to list" in capsys.readouterr().err
 
 
 class TestBeckRiemannSum:
@@ -606,10 +606,13 @@ class TestGoldieSum:
         with pytest.raises(DomainError):
             goldie_sum(1.0, lambda t: 1.0, P1, 0.1, -1)
 
-    def test_rejects_more_than_1e8_terms_before_any_term(self):
+    def test_rejects_more_than_the_budget_of_terms_before_any_term(self, monkeypatch):
+        cap, seen = asymptotics._MAX_LISTED, []
         g = lambda t: pytest.fail("no term may be evaluated")
-        with pytest.raises(DomainError, match=r"sum is too long \(more than 1e8 terms\)"):
-            goldie_sum(1.0, g, P1, 0.1, 10**8 + 1)
+        with pytest.raises(DomainError, match=rf"^sum is too long: {cap + 1} terms, more than {cap}, the budget"):
+            goldie_sum(1.0, g, P1, 0.1, cap + 1)
+        monkeypatch.setattr(asymptotics, "_powers", lambda param, delta, ns: seen.append(ns) or iter(()))
+        assert goldie_sum(1.0, g, P1, 0.1, cap) == 0.0 and seen == [range(cap)]  # the budget itself is accepted
 
 
 STREAM_PARAMS = [ZERO, PopaParam(0.5), P1, PopaParam(7.0), INFINITY]
@@ -671,6 +674,29 @@ class TestStreamedIterates:
         pts = beck_partition(param, delta, u)
         assert len(pts) == index + 1
         assert power(param, delta, index - 1) <= u < power(param, delta, index)
+
+    @pytest.mark.parametrize("param,delta", [(ZERO, 2.0**-20), (PopaParam(0.5), 2.0**-20), (INFINITY, 1.0 + 2.0**-20)],
+                             ids=str)
+    def test_budget_of_cells_is_exact(self, param, delta):
+        # delta^((cap-1) o) <= u < delta^(cap o): cap cells, the budget; one more iterate of delta is over it
+        cap = asymptotics._MAX_LISTED
+        assert asymptotics._beck_index(param, delta, power(param, delta, cap - 1)) == cap
+        with pytest.raises(DomainError, match=f"^partition is too fine: more than {cap} cells, the budget"):
+            asymptotics._beck_index(param, delta, power(param, delta, cap))
+
+    def test_sum_over_the_budget_is_refused_before_any_cell(self, capsys):
+        g = lambda t: pytest.fail("no cell may be evaluated")
+        with pytest.raises(DomainError, match="more than 3276800 cells"):
+            beck_riemann_sum(g, ZERO, 1e-8, 0.99)  # 99000000 cells
+        assert main(["beck", "sum", "--rho", "0", "--delta", "1e-8", "--u", "0.99"]) == 2
+        assert capsys.readouterr().err == \
+            "error: partition is too fine: more than 3276800 cells, the budget of one call\n"
+
+    @pytest.mark.parametrize("delta", [5e-324, 1e-320])
+    def test_subnormal_step_is_refused_as_too_fine(self, delta):
+        # u/delta overflows to inf; the candidate index is clamped before math.floor sees it
+        with pytest.raises(DomainError, match="too fine"):
+            beck_riemann_sum(lambda t: pytest.fail("no cell may be evaluated"), ZERO, delta, 1.0)
 
     def test_far_candidate_index_is_refused_at_once(self):
         # u/delta = 3e300: the downward boundary correction used to step one index at a time

@@ -6,6 +6,7 @@ import re
 import sys
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -265,11 +266,29 @@ class TestMellin:
         with pytest.raises(DomainError, match="z="):
             mellin_popa(f, P1, z, SPEC)
 
-    def test_requires_finite_param(self):
-        with pytest.raises(DomainError):
+    def test_refuses_zero_param(self):
+        with pytest.raises(DomainError, match="positive parameter"):
             mellin_popa(lambda t: 1.0, ZERO, 0.5, SPEC)
-        with pytest.raises(DomainError):
-            mellin_popa(lambda t: 1.0, INFINITY, 0.5, SPEC)
+
+    @pytest.mark.parametrize("z", [-2.0, complex(-1.5, 2.0)])
+    def test_classical_mellin_transform_at_rho_inf(self, z):
+        # integral of exp(-t) t^-z dt/t over (0, inf) is Gamma(-z)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = mellin_popa(lambda t: math.exp(-t), INFINITY, z, SPEC)
+        assert abs(got - complex(mpmath.gamma(-mpmath.mpc(z)))) <= 1e-9
+
+    @pytest.mark.parametrize("rho", [0.5, 1.0, 7.0, 1e6])
+    def test_transforms_are_those_of_the_pullback_at_rho_inf(self, rho):
+        # the chart of G_rho maps onto that of G_inf, where pullback_multiplicative(f) is f on (0, inf)
+        p, f = PopaParam(rho), lambda t: math.exp(-0.5 * t * t)
+        g = pullback_multiplicative(f, p)
+        for z in (-2.0, complex(-0.5, 1.0), complex(0.25, 3.0), 2j):
+            want = mellin_popa(f, p, z, SPEC)
+            assert abs(mellin_popa(g, INFINITY, z, SPEC) - want) <= 1e-12 * abs(want), z
+        for gamma in (0.1, 1.0, 3.35, 10.0):
+            want = fourier_popa(f, p, gamma, SPEC)
+            assert abs(fourier_popa(g, INFINITY, gamma, SPEC) - want) <= 1e-12 * abs(want), gamma
 
     def test_agrees_with_fourier_on_imaginary_axis(self):
         f = lambda t: math.exp(-(math.log1p(t) ** 2))
@@ -547,6 +566,18 @@ class TestFilonTransforms:
         p = PopaParam(rho)
         f = _on_group(p, lambda w: math.exp(-0.5 * w * w))
         self._check(lambda: mellin_popa(f, p, z, SPEC), z, cc_results)
+
+    @pytest.mark.parametrize("gamma", [3.0, 3.35, 32.0 * math.pi / 30.0])
+    def test_simpson_misses_go_to_the_cells(self, gamma, cc_results):
+        # the Simpson cells miss 1e-9 on this slowly decaying profile just below the gate; the Filon-CC cells do not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = fourier_popa(lambda t: 1.0 / (1.0 + t * t), ZERO, gamma, SPEC)
+        (res,) = cc_results
+        assert res.converged and res.evaluations < 1000
+        with mpmath.workdps(30):
+            want = mpmath.quad(lambda t: mpmath.cos(gamma * t) / (1 + t * t), mpmath.linspace(-30, 30, 121))
+        assert abs(got - complex(want)) <= 1e-12
 
     def test_continuous_across_the_gate(self, cc_results):
         f = lambda w: math.exp(-0.5 * w * w)

@@ -306,11 +306,15 @@ class TestFloatOnlyDriver:
         def no_points(self):
             raise AssertionError("points() called")
 
+        S = lambda t: pytest.fail("S may not be called")
         monkeypatch.setattr(GridSpec, "points", no_points)
-        with pytest.raises(DomainError, match="too large"):
-            subadditivity_check(math.sqrt, ZERO, ZERO, GridSpec(0.0, 1.0, 10**8))
-        with pytest.raises(DomainError, match="too large"):
-            subadditivity_check(math.sqrt, ZERO, ZERO, GridSpec(0.0, 1.0, 10**4 + 1))
+        with pytest.raises(DomainError, match="the budget of one call"):
+            subadditivity_check(S, ZERO, ZERO, GridSpec(0.0, 1.0, 10**8))
+        # 2560*2561/2 unordered pairs are over the budget of 3276800; 2559*2560/2 = 3275520 are within it
+        with pytest.raises(DomainError, match="^grid of 2560 points has 3278080 unordered pairs, more than 3276800"):
+            subadditivity_check(S, ZERO, ZERO, GridSpec(0.0, 1.0, 2560))
+        with pytest.raises(AssertionError, match="points"):
+            subadditivity_check(S, ZERO, ZERO, GridSpec(0.0, 1.0, 2559))
 
     def test_span_must_not_overflow(self):
         with pytest.raises(ValueError, match="span"):
