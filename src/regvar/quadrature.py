@@ -214,7 +214,8 @@ def _cc_integral(fn, lo: float, hi: float, spec: QuadratureSpec = QuadratureSpec
             err = max(err, floor * sum(map(mul, w0, map(abs, p))))
         return _Cell(a, b, fa, p[8], fb, value, err)
 
-    panels = math.ceil(min(24.0, (hi - lo) / (spec.truncation / 12.0))) if lo < hi else 1  # else _refine raises
+    step = spec.truncation / 12.0  # 0 for a T of a few subnormals, whose spans get the 24 panels of any wide span
+    panels = math.ceil(min(24.0, (hi - lo) / step)) if lo < hi and step else 24  # where lo >= hi _refine raises
     split = lambda c, m: (make(c.a, m, c.fa, c.fm), make(m, c.b, c.fm, c.fb))
     return _refine(fn, lo, hi, spec, (), panels, make, split, 15, 30)
 
@@ -250,7 +251,10 @@ def _refine(fn, lo, hi, spec, breakpoints, min_cells, first, split, first_cost, 
     splits = 0
     # a lone cell within tolerance is done: its running sums are exact, and the loop would stop at once
     if len(cells) > 1 or not run_err <= max(abs_tol, rel_tol * abs(run_value)):
-        heap = [(-c.err, c.a, c) for c in cells]
+        # a cell's serial number breaks the ties of cells alike in error and start: those of zero width, which a
+        # grid or split of a span of a few subnormals makes
+        heap = [(-c.err, c.a, k, c) for k, c in enumerate(cells)]
+        serial = len(heap)
         heapq.heapify(heap)
         pop, push = heapq.heappop, heapq.heappush
         frozen = []  # cells at the width floor, no longer refinable
@@ -260,24 +264,24 @@ def _refine(fn, lo, hi, spec, breakpoints, min_cells, first, split, first_cost, 
             # the running sums drift once they have held far larger terms: confirm a stop afresh, and re-sum
             # once the error sum falls 2**40 below its peak, where that drift may outweigh what is left
             if run_err <= max(abs_tol, rel_tol * abs(run_value)) or run_err < peak * 2.0**-40:
-                active = [c for (_, _, c) in heap] + frozen
+                active = [c for (_, _, _, c) in heap] + frozen
                 run_value, run_err = sum([c.value for c in active]), math.fsum([c.err for c in active])
                 peak = run_err
                 if run_err <= max(abs_tol, rel_tol * abs(run_value)):
                     break
-            _, _, worst = pop(heap)
+            _, _, _, worst = pop(heap)
             if worst.b - worst.a <= width_floor:
                 frozen.append(worst)
                 continue
             left, right = split(worst, 0.5 * worst.a + 0.5 * worst.b)
-            push(heap, (-left.err, left.a, left))
-            push(heap, (-right.err, right.a, right))
+            push(heap, (-left.err, left.a, serial + 2 * splits, left))
+            push(heap, (-right.err, right.a, serial + 2 * splits + 1, right))
             run_value += left.value + right.value - worst.value
             run_err += left.err + right.err - worst.err
             if run_err > peak:
                 peak = run_err
             splits += 1
-        cells = [c for (_, _, c) in heap] + frozen
+        cells = [c for (_, _, _, c) in heap] + frozen
         cells.sort(key=lambda c: c.a)  # in the queue's order fsum can overflow on the way where this order does not
     re, im = math.fsum([c.value.real for c in cells]), math.fsum([c.value.imag for c in cells])
     total = complex(re, im) if im != 0.0 else re

@@ -156,6 +156,38 @@ class TestWideSpans:
         assert nodes == []
 
 
+class TestSubnormalSpans:
+    """A span of a few subnormals: the first grid repeats its nodes, and T/12 underflows to 0."""
+
+    @pytest.mark.parametrize("lo, hi", [(-5e-324, 5e-324), (0.0, 2e-323), (0.0, 5e-324)])
+    @pytest.mark.parametrize("rule", ["simpson", "simpson-breakpoints"])
+    def test_simpson_integrates_a_constant_exactly(self, rule, lo, hi):
+        spec = QuadratureSpec(truncation=5e-324)
+        res = adaptive_integral(lambda w: 1.0, lo, hi, spec, breakpoints=(0.5 * lo + 0.5 * hi,) * (rule != "simpson"))
+        assert (res.value, res.error, res.converged) == (hi - lo, 0.0, True)
+
+    @pytest.mark.parametrize("lo, hi", [(-5e-324, 5e-324), (0.0, 2e-323), (0.0, 5e-324)])
+    def test_clenshaw_curtis_converges_within_the_tolerance(self, lo, hi):
+        # a cell's half-width of half a subnormal rounds to 0, so the value may lose the span, which is below abs_tol
+        spec = QuadratureSpec(truncation=5e-324)
+        res = _cc_integral(lambda w: 1.0, lo, hi, spec)
+        assert res.converged and abs(res.value - (hi - lo)) <= spec.abs_tol
+
+    def test_zero_width_cells_that_tie_are_split_in_a_fixed_order(self):
+        spec = QuadratureSpec(abs_tol=5e-324, rel_tol=0.0, max_subdivisions=50, truncation=5e-324)
+        runs = [adaptive_integral(lambda w: 1.0 if w > 0.0 else 0.5, -5e-324, 5e-324, spec) for _ in range(2)]
+        assert runs[0] == runs[1] and runs[0].evaluations > 0
+
+    def test_cli_transform_at_the_least_truncation(self, capsys):
+        from regvar.cli import main
+
+        for argv, out in [(["transform", "fourier", "--rho=0", "--f=one", "--gamma=0.0"], "9.88131291682493e-324,0"),
+                          (["transform", "mellin", "--rho=1", "--f=one", "--z-re=0.5"], None)]:
+            assert main([*argv, "--strict", "--truncation=5e-324"]) == 0
+            text = capsys.readouterr().out.strip()
+            assert out is None or text == out
+
+
 class TestComplex:
     def test_complex_exponential(self):
         res = adaptive_integral(lambda x: complex(math.cos(x), math.sin(x)), 0.0, 1.0, SPEC)
