@@ -284,6 +284,9 @@ def _estimate_grid(
 ) -> list[tuple[float, EstimationResult]]:
     """Limit in x of op(t, x) at each t of the grid; a point whose curve fails
     to evaluate is reported as unconverged, not raised."""
+    if len(t_grid) * scheme.max_steps > _MAX_LISTED:  # one walk per point
+        raise DomainError(f"grid of {len(t_grid)} points times {scheme.max_steps} steps is more than {_MAX_LISTED} "
+                          "steps, the budget of one call")
     out = []
     for t in t_grid:
         try:

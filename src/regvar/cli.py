@@ -10,7 +10,6 @@ Conventions shared by every subcommand:
     ``x,fx`` and strictly increasing positive abscissae;
   * exit codes: 0 success, 1 usage error, 2 data/domain error, 3 numeric
     non-convergence when ``--strict`` was requested;
-  * ``REGVAR_TOL`` overrides the default stability tolerance 1e-6;
   * a flag is ``-h`` or its name after ``--``, spelled in full; a literal
     ``--`` ends the flags, and every word after it is an operand.
 """
@@ -64,11 +63,8 @@ def _float_list(label: str, text: str) -> list[float]:
     return [_float(label, p) for p in items]
 
 
-def _tol(label: str, text: str | None) -> float:
-    """The flag if given, else ``REGVAR_TOL``, else 1e-6; either must be a positive number."""
-    if text is None:
-        text = os.environ.get("REGVAR_TOL", "1e-6")
-        label = f"REGVAR_TOL={text!r}"
+def _tol(label: str, text: str) -> float:
+    """A tolerance: a positive finite number."""
     tol = _float(label, text)
     if not (tol > 0.0 and math.isfinite(tol)):
         raise DomainError(f"{label} must be a positive number")
@@ -183,13 +179,13 @@ def _estimate_kernel(m, mode, f, phi, h, t, fit_rho, fit_sigma, **scheme):
     elif mode == "beurling":
         results = m.estimate_beurling(f, phi, t, scheme)
     else:
-        results = m.estimate_kernel(f, phi if mode == "general" else _REGISTRY["one"], h, t, scheme)
+        results = m.estimate_kernel(f, phi, h, t, scheme)
     rows = [f"{_fmt(point)},{_fmt(res.value)},{_fmt_bool(res.converged)}" for point, res in results]
     fit_default = INFINITY if mode == "karamata" else ZERO
     usable = [(point, r.value) for point, r in results if math.isfinite(r.value)]
     kappa, rms = m.fit_kappa(usable, fit_rho or fit_default, fit_sigma or fit_default) if usable else (math.nan,) * 2
     print(f"kappa={_fmt(kappa)} rms={_fmt(rms)}", file=sys.stderr)
-    if mode in ("beurling", "general"):
+    if mode != "karamata":
         rr = m.estimate_rho(phi, 1.0, scheme)
         print(f"rho_hat={_fmt(rr.value)} converged={_fmt_bool(rr.converged)}", file=sys.stderr)
     return "\n".join(["t,value,converged", *rows]), all(r.converged for _, r in results)
@@ -249,7 +245,7 @@ _KINDS = {
     "points": "numbers",
     "tol": "tol",
     "truncation": "spec",
-    "mode": ("karamata", "bkdh", "beurling", "general"),
+    "mode": ("karamata", "beurling", "general"),
     "spacing": ("linear", "geometric"),
 }
 
@@ -264,7 +260,7 @@ _CONVERT = {
     "tol": _tol,
 }
 
-_SCHEME = "--tol= --x0=10 --ratio=2 --max-steps=40 --stability-window=3 --strict"
+_SCHEME = "--tol=1e-6 --x0=10 --ratio=2 --max-steps=40 --stability-window=3 --strict"
 _QUADRATURE = "--truncation=30 --strict"
 _SUBADD = "--s:text --rho=0 --sigma=0 --kappa=1 --gamma=1"
 
@@ -298,7 +294,7 @@ _COMMANDS = {
     }),
     "estimate": ("limit estimation and index fitting", "asymptotics", {
         "kernel": (f"--mode --f --phi=one --h=one --t:numbers --fit-rho= --fit-sigma= {_SCHEME}", _estimate_kernel),
-        "two-point": ("--l1 --g1 --l2 --g2 --tol=", _two_point),
+        "two-point": ("--l1 --g1 --l2 --g2 --tol=1e-6", _two_point),
         "eta-rho": (f"--phi --t-probe=1 {_SCHEME}", _eta_rho),
     }),
     "beck": ("iterate partitions and discrete sums", "asymptotics", {
@@ -309,9 +305,9 @@ _COMMANDS = {
                        lambda m, rho, delta, g, i, k_delta: m.goldie_sum(k_delta, g, rho, delta, i)),
     }),
     "subadd": ("subadditivity diagnostics", "subadd", {
-        "check": (f"{_SUBADD} --lo=0.1 --hi=5 --n=20 --spacing=linear --tol=", _subadd_check),
-        "bounded": (f"{_SUBADD} --points=0.5,1,2 --tol=", _subadd_bounded),
-        "hs-probe": (f"{_SUBADD} --tol=", _hs_probe),
+        "check": (f"{_SUBADD} --lo=0.1 --hi=5 --n=20 --spacing=linear --tol=1e-6", _subadd_check),
+        "bounded": (f"{_SUBADD} --points=0.5,1,2 --tol=1e-6", _subadd_bounded),
+        "hs-probe": (f"{_SUBADD} --tol=1e-6", _hs_probe),
         "sandwich": (f"{_SUBADD} --a=1 --b=4 --delta=0.5 --m=1 --probes=33", _sandwich),
     }),
     "cocycle": ("pre-limit cocycle identity residuals", "asymptotics", {
@@ -412,8 +408,8 @@ def _parse(argv: list[str]):
 
 def _convert(flags, texts: dict) -> dict:
     """Flag texts -> handler arguments."""
-    return {dest: _CONVERT[kind](label, texts[dest]) if kind in _CONVERT and (texts[dest] is not None or kind == "tol")
-            else texts[dest] for label, dest, kind, _ in flags}
+    return {dest: _CONVERT[kind](label, texts[dest]) if kind in _CONVERT and texts[dest] is not None else texts[dest]
+            for label, dest, kind, _ in flags}
 
 
 def _show(result) -> str:

@@ -212,6 +212,8 @@ def _cc_integral(fn, lo: float, hi: float, spec: QuadratureSpec = QuadratureSpec
         # exceeds that bound, with room for rounding and underflow, it exceeds the floor and the sum is skipped
         if not err > floor * (1.001 * (spread + 2.0 * abs(mean)) + 1e-300):
             err = max(err, floor * sum(map(mul, w0, map(abs, p))))
+        if r < 2.0**-1022:  # a subnormal r (0 included) may be off by an ulp, a value that underflows too: bound both
+            err += (sum(map(mul, w0, map(abs, p))) * math.exp(-z.real * c) + 1.0) * 2.0**-1074
         return _Cell(a, b, fa, p[8], fb, value, err)
 
     step = spec.truncation / 12.0  # 0 for a T of a few subnormals, whose spans get the 24 panels of any wide span

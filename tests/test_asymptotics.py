@@ -340,6 +340,38 @@ class TestEstimateKernel:
             assert res.value == pytest.approx(math.exp(t), rel=1e-12)
 
 
+class TestGridBudget:
+    """A grid walks once per point, so its points times ``max_steps`` are held to the budget of one call."""
+
+    @pytest.mark.parametrize("estimate", [
+        lambda fn, grid, scheme: estimate_kernel(fn, fn, fn, grid, scheme),
+        lambda fn, grid, scheme: estimate_beurling(fn, fn, grid, scheme),
+        lambda fn, grid, scheme: estimate_karamata(fn, grid, scheme),
+    ], ids=["kernel", "beurling", "karamata"])
+    def test_a_grid_above_the_budget_is_refused_before_any_call(self, estimate):
+        calls = []
+
+        def fn(x):
+            calls.append(x)
+            raise AssertionError("a user function was called")
+
+        scheme = LimitScheme(max_steps=asymptotics._MAX_LISTED // 4)
+        with pytest.raises(DomainError, match=r"^grid of 5 points times 819200 steps is more than 3276800 steps"):
+            estimate(fn, [1.0, 2.0, 3.0, 4.0, 5.0], scheme)
+        assert calls == []
+        out = estimate(fn, [1.0, 2.0, 3.0, 4.0], scheme)  # at the budget: each walk fails at its first step
+        assert [(t, res.converged, res.steps_used) for t, res in out] == [(t, False, 0) for t in (1.0, 2.0, 3.0, 4.0)]
+        assert len(calls) == 4
+
+    def test_cli_exits_2(self, capsys):
+        code = main(["estimate", "kernel", "--mode", "karamata", "--f", "square", "--t", "2,3",
+                     "--max-steps", "3276800"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == ("error: grid of 2 points times 3276800 steps is more than 3276800 steps, "
+                                "the budget of one call\n")
+
+
 class TestEstimateKaramata:
     def test_pure_power_is_exact(self):
         out = estimate_karamata(lambda x: x * x, [0.5, 2.0, 3.0])

@@ -449,31 +449,6 @@ class TestSubaddCommand:
         assert code == 0
         assert out.strip().splitlines()[1].startswith("true,")
 
-    def test_env_tol_flips_verdict(self, capsys, monkeypatch):
-        argv = ["subadd", "check", "--s", "square", "--rho", "0", "--sigma", "0",
-                "--lo", "0.5", "--hi", "2", "--n", "4"]
-        monkeypatch.setenv("REGVAR_TOL", "5")
-        code, out, _ = run_cli(capsys, *argv)
-        assert code == 0
-        assert out.strip().splitlines()[1].startswith("true,")
-        monkeypatch.delenv("REGVAR_TOL")
-        code, out, _ = run_cli(capsys, *argv)
-        assert out.strip().splitlines()[1].startswith("false,")
-
-    def test_env_tol_must_be_numeric(self, capsys, monkeypatch):
-        monkeypatch.setenv("REGVAR_TOL", "lots")
-        code, _, err = run_cli(capsys, "subadd", "check", "--s", "square")
-        assert code == 2
-        assert "REGVAR_TOL" in err
-
-    def test_explicit_tol_beats_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("REGVAR_TOL", "5")
-        code, out, _ = run_cli(capsys, "subadd", "check", "--s", "square", "--rho", "0",
-                               "--sigma", "0", "--lo", "0.5", "--hi", "2", "--n", "4",
-                               "--tol", "1e-10")
-        assert code == 0
-        assert out.strip().splitlines()[1].startswith("false,")
-
     def test_bounded(self, capsys):
         code, out, _ = run_cli(capsys, "subadd", "bounded", "--s", "sqrt", "--rho", "0",
                                "--sigma", "0", "--kappa", "1", "--points", "0.5,1,2")
@@ -633,18 +608,6 @@ class TestFlagTable:
         assert out == "holds=true\n"
         assert err == "warning: premise S <= 0.1 fails on B_0.5(1.0); sandwich passes vacuously\n"
 
-    @pytest.mark.parametrize("raw", ["lots", "0", "-1", "inf", "nan"])
-    def test_bad_env_tol_is_a_domain_error(self, capsys, monkeypatch, raw):
-        from regvar.cli import _tol
-
-        monkeypatch.setenv("REGVAR_TOL", raw)
-        with pytest.raises(DomainError) as info:
-            _tol("--tol", None)
-        assert not isinstance(info.value, CsvFormatError)
-        code, out, err = run_cli(capsys, "subadd", "hs-probe", "--s", "entropy")
-        assert (code, out) == (2, "")
-        assert err.startswith("error: REGVAR_TOL=")
-
     @pytest.mark.parametrize("argv", [
         ["group", "power", "--rho", "1", "--", "1", "2000"],
         ["kernel", "eval", "--rho", "1", "--sigma", "inf", "--kappa", "1000", "--t", "10"],
@@ -663,12 +626,41 @@ class TestFlagTable:
     @pytest.mark.parametrize("argv", [
         ["subadd", "check", "--s", "square", "--tol", "nan"],
         ["subadd", "hs-probe", "--s", "entropy", "--tol", "-1"],
+        ["subadd", "hs-probe", "--s", "entropy", "--tol", "0"],
+        ["subadd", "bounded", "--s", "sqrt", "--tol", "inf"],
         ["estimate", "two-point", "--l1", "2", "--g1", "4", "--l2", "3", "--g2", "9", "--tol", "-5"],
+        ["estimate", "eta-rho", "--phi", "x", "--tol", "lots"],
     ])
     def test_explicit_tol_must_be_positive(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
-        assert err == "error: --tol must be a positive number\n"
+        assert err == ("error: --tol must be a number, got 'lots'\n" if argv[-1] == "lots" else
+                       "error: --tol must be a positive number\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "kernel", "--mode", "karamata", "--f", "square", "--t", "2"],
+        ["estimate", "eta-rho", "--phi", "x"],
+        ["estimate", "two-point", "--l1", "2", "--g1", "4", "--l2", "3", "--g2", "9"],
+        ["subadd", "check", "--s", "square", "--lo", "0.5", "--hi", "2", "--n", "4"],
+        ["subadd", "check", "--s", "square", "--lo", "0.5", "--hi", "2", "--n", "4", "--tol", "1e-10"],
+        ["subadd", "bounded", "--s", "sqrt"],
+        ["subadd", "hs-probe", "--s", "entropy"],
+    ])
+    def test_command_ignores_the_environment(self, capsys, monkeypatch, argv):
+        """A tolerance comes from --tol or its default 1e-6; the environment changes no output."""
+        monkeypatch.delenv("REGVAR_TOL", raising=False)
+        unset = run_cli(capsys, *argv)
+        for raw in ("", "5", "lots"):
+            monkeypatch.setenv("REGVAR_TOL", raw)
+            assert run_cli(capsys, *argv) == unset
+        if argv[:2] == ["subadd", "check"]:  # REGVAR_TOL=5 would let the square pass
+            assert unset == (0, "holds,worst_violation,worst_x,worst_y,pairs_checked,pairs_skipped\n"
+                                "false,2,1,1,6,10\n", "")
+
+    def test_mode_bkdh_is_not_a_choice(self, capsys):
+        code, out, err = run_cli(capsys, "estimate", "kernel", "--mode", "bkdh", "--f", "log", "--t", "1")
+        assert (code, out) == (1, "")
+        assert "argument --mode: invalid choice: 'bkdh'" in err
 
     @pytest.mark.parametrize("argv,name", [
         (["transform", "fourier", "--f", "gauss", "--gamma", "nan"], "gamma=nan"),

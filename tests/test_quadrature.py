@@ -7,6 +7,7 @@ import itertools
 import math
 import random
 import warnings
+from fractions import Fraction
 from operator import mul
 
 import mpmath as mp
@@ -172,6 +173,25 @@ class TestSubnormalSpans:
         spec = QuadratureSpec(truncation=5e-324)
         res = _cc_integral(lambda w: 1.0, lo, hi, spec)
         assert res.converged and abs(res.value - (hi - lo)) <= spec.abs_tol
+
+    @pytest.mark.parametrize("z", [0.0, 2j, 1 + 3j])
+    @pytest.mark.parametrize("c, slope", [(1.0, 0.0), (1.0, 1.0), (1e300, 0.0), (1e-10, 0.0)])
+    def test_clenshaw_curtis_bound_holds(self, z, c, slope):
+        """Spans of 1 to 39 subnormal units from 0, 1, 7 and 1000 units: the bound covers the exact error.  On them
+        exp(-z*w) = 1 - z*w + R, |R| <= |z*w|**2, so the exact integral is known up to a remainder added to the
+        bound."""
+        unit, cf, sf, zr, zi = (Fraction(v) for v in (5e-324, c, slope, z.real, z.imag))
+        zabs = abs(zr) + abs(zi)  # at least |z|
+        specs = (SPEC, QuadratureSpec(truncation=5e-324))
+        for start, n, spec in itertools.product((0, 1, 7, 1000), range(1, 40), specs):
+            lo, hi = start * unit, (start + n) * unit
+            res = _cc_integral(lambda w: c + slope * w, float(lo), float(hi), spec, z)
+            half_squares = (hi * hi - lo * lo) / 2
+            re, im = cf * n * unit + (sf - cf * zr) * half_squares, -cf * zi * half_squares
+            rest = (abs(sf) * zabs + (abs(cf) + abs(sf) * hi) * zabs * zabs) * hi * hi * n * unit
+            value = complex(res.value)
+            miss = (Fraction(value.real) - re) ** 2 + (Fraction(value.imag) - im) ** 2
+            assert miss <= (Fraction(res.error) + rest) ** 2, (start, n, spec.truncation, value, res.error)
 
     def test_zero_width_cells_that_tie_are_split_in_a_fixed_order(self):
         spec = QuadratureSpec(abs_tol=5e-324, rel_tol=0.0, max_subdivisions=50, truncation=5e-324)
