@@ -27,9 +27,6 @@ __all__ = [
     "ParameterMismatchError",
     "PopaParam",
     "PopaPoint",
-    "QuadratureResult",
-    "QuadratureSpec",
-    "QuadratureWarning",
     "circle",
     "eta",
     "from_multiplicative",
@@ -40,11 +37,3 @@ __all__ = [
     "power",
     "to_multiplicative",
 ]
-
-
-def __getattr__(name: str):
-    """The quadrature names load ``regvar.quadrature`` on first use, so ``import regvar`` stays light."""
-    if name in ("QuadratureResult", "QuadratureSpec", "QuadratureWarning"):
-        from regvar import quadrature
-        return getattr(quadrature, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -185,9 +185,6 @@ def _estimate_kernel(m, mode, f, phi, h, t, fit_rho, fit_sigma, **scheme):
     usable = [(point, r.value) for point, r in results if math.isfinite(r.value)]
     kappa, rms = m.fit_kappa(usable, fit_rho or fit_default, fit_sigma or fit_default) if usable else (math.nan,) * 2
     print(f"kappa={_fmt(kappa)} rms={_fmt(rms)}", file=sys.stderr)
-    if mode != "karamata":
-        rr = m.estimate_rho(phi, 1.0, scheme)
-        print(f"rho_hat={_fmt(rr.value)} converged={_fmt_bool(rr.converged)}", file=sys.stderr)
     return "\n".join(["t,value,converged", *rows]), all(r.converged for _, r in results)
 
 
@@ -270,7 +267,7 @@ _COMMANDS = {
         "inverse": ("--rho x", lambda m, rho, x: m.inverse(PopaPoint(rho, x)).value),
         "norm": ("--rho x", lambda m, rho, x: m.norm(PopaPoint(rho, x))),
         "eta": ("--rho t", lambda m, rho, t: m.eta(rho, t)),
-        "power": ("--rho delta n", lambda m, rho, delta, n: m.power(rho, delta, n)),
+        "power": ("--rho delta n", lambda m, rho, delta, n: PopaPoint(rho, m.power(rho, delta, n)).value),
     }),
     "transform": ("invariant measure, transforms, convolutions", "haar", {
         "measure": ("--rho=0 --lo --hi", lambda m, rho, lo, hi: m.haar_interval_measure(m.Interval(rho, lo, hi))),
@@ -286,10 +283,10 @@ _COMMANDS = {
                           lambda m, f, h, phi, x, truncation: m.beurling_convolution(f, h, phi, x, truncation)),
     }),
     "kernel": ("canonical kernel family", "kernels", {
-        "eval": ("--rho --sigma=0 --kappa=1 --t",
-                 lambda m, rho, sigma, kappa, t: m.kernel_eval(m.KernelParams(rho, sigma, kappa), t)),
-        "inverse": ("--rho --sigma=0 --kappa=1 --z",
-                    lambda m, rho, sigma, kappa, z: m.kernel_inverse(m.KernelParams(rho, sigma, kappa), z)),
+        "eval": ("--rho --sigma=0 --kappa=1 --t", lambda m, rho, sigma, kappa, t:
+                 PopaPoint(sigma, m.kernel_eval(m.KernelParams(rho, sigma, kappa), t)).value),
+        "inverse": ("--rho --sigma=0 --kappa=1 --z", lambda m, rho, sigma, kappa, z:
+                    PopaPoint(rho, m.kernel_inverse(m.KernelParams(rho, sigma, kappa), z)).value),
         "goldie-g": ("--rho --gamma=1 --u", lambda m, rho, gamma, u: m.goldie_integral(m.GoldieAux(rho, gamma), u)),
     }),
     "estimate": ("limit estimation and index fitting", "asymptotics", {

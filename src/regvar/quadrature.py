@@ -76,10 +76,6 @@ class QuadratureResult(_Record):
         self.value, self.error = value, error  # pairs: no tuple is built
         self.converged, self.evaluations = converged, evaluations
 
-    @property
-    def real(self) -> float:
-        return self.value.real
-
 
 class _Cell:
     """A cell: its ends and centre with their values, estimate and gauge, and Simpson's quarter points."""
@@ -106,7 +102,10 @@ def adaptive_integral(fn: Callable[[float], complex], lo: float, hi: float, spec
         s2 = h * (fa + 4.0 * fq1 + 2.0 * fm + 4.0 * fq3 + fb) / 12.0
         # Richardson-corrected value; the plain pair difference is kept as a deliberately conservative
         # error gauge (no /15 reduction, which would overstate accuracy on non-smooth integrands).
-        return _Cell(a, b, fa, fm, fb, s2 + (s2 - s1) / 15.0, abs(s2 - s1), fq1, fq3)
+        err = abs(s2 - s1)
+        if h < 2.0**-1022:  # as in _cc_integral: a subnormal h (0 included) may be off by an ulp, s2 may underflow
+            err += ((abs(fa) + 4.0 * abs(fq1) + 2.0 * abs(fm) + 4.0 * abs(fq3) + abs(fb)) / 12.0 + 1.0) * 2.0**-1074
+        return _Cell(a, b, fa, fm, fb, s2 + (s2 - s1) / 15.0, err, fq1, fq3)
 
     return _refine(fn, lo, hi, spec, breakpoints, 64, lambda a, b, fa, fb: cell(a, b, fa, fn(0.5 * a + 0.5 * b), fb),
                    lambda c, m: (cell(c.a, m, c.fa, c.fq1, c.fm), cell(m, c.b, c.fm, c.fq3, c.fb)), 3, 4)

@@ -368,15 +368,24 @@ class TestEstimateCommand:
         assert code == 3
         assert "error:" in err
 
-    def test_beurling_mode_reports_rho_hat(self, capsys):
+    def test_beurling_mode_reports_kappa_alone(self, capsys):
+        # phi's Popa parameter is estimate eta-rho's to print
         code, out, err = run_cli(capsys, "estimate", "kernel", "--mode", "beurling",
                                  "--f", "exp", "--phi", "one", "--t", "0.5,1")
         assert code == 0
         rows = [line.split(",") for line in out.strip().splitlines()[1:]]
         assert float(rows[0][1]) == pytest.approx(math.exp(0.5), rel=1e-9)
         assert float(rows[1][1]) == pytest.approx(math.e, rel=1e-9)
-        rho_line = [l for l in err.splitlines() if l.startswith("rho_hat=")][0]
-        assert "rho_hat=0 converged=true" == rho_line
+        assert err == "kappa=2.83411397104729 rms=0.183146698418118\n"
+
+    def test_beurling_rows_survive_an_auxiliary_table_past_its_range(self, tmp_path, capsys):
+        # phi(x + phi(x)) lies past the table, but no row needs it
+        path = tmp_path / "phi.csv"
+        path.write_text("x,fx\n1,1\n10000,100\n")
+        code, out, err = run_cli(capsys, "estimate", "kernel", "--mode", "beurling", "--f", "x", "--phi", str(path),
+                                 "--t", "0.5,1", "--x0", "9990", "--max-steps", "1")
+        assert (code, out, err) == (0, "t,value,converged\n0.5,1.00500250187656,false\n1,1.01000500375313,false\n",
+                                    "kappa=1.21000500375313 rms=0.316227766016838\n")
 
     def test_two_point_consistent_with_warning(self, capsys):
         code, out, err = run_cli(capsys, "estimate", "two-point",
@@ -611,6 +620,13 @@ class TestFlagTable:
     @pytest.mark.parametrize("argv", [
         ["group", "power", "--rho", "1", "--", "1", "2000"],
         ["kernel", "eval", "--rho", "1", "--sigma", "inf", "--kappa", "1000", "--t", "10"],
+        # a result outside its group: 0 where the group is (0, inf), the pole -1/rho, or an infinity
+        ["group", "power", "--rho", "inf", "--", "1e-10", "40"],
+        ["group", "power", "--rho", "1", "--", "-0.5", "2000"],
+        ["group", "power", "--rho", "0", "--", "-1e308", "10"],
+        ["kernel", "eval", "--rho", "0", "--sigma", "0", "--kappa", "1e300", "--t", "1e300"],
+        ["kernel", "eval", "--rho", "1", "--sigma", "inf", "--kappa", "-1000", "--t", "10"],
+        ["kernel", "inverse", "--rho", "0", "--sigma", "0", "--kappa", "1e-300", "--z", "1e300"],
     ])
     def test_arithmetic_overflow_exits_2(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
@@ -801,10 +817,10 @@ class TestEstimateFlags:
         # K(t) = e^t: log K = 1 * t, so the (0, inf) fit is exact where the default (0, 0) fit is not
         argv = ["estimate", "kernel", "--mode", "beurling", "--f", "exp", "--phi", "one", "--t", "0.5,1"]
         code, out, err = run_cli(capsys, *argv, "--fit-sigma", "inf")
-        assert (code, err) == (0, "kappa=1 rms=0\nrho_hat=0 converged=true\n")
+        assert (code, err) == (0, "kappa=1 rms=0\n")
         code, default_out, default_err = run_cli(capsys, *argv)  # kappa = (0.5*e**0.5 + e)/(0.5**2 + 1)
         assert (code, default_out) == (0, out)
-        assert default_err == "kappa=2.83411397104729 rms=0.183146698418118\nrho_hat=0 converged=true\n"
+        assert default_err == "kappa=2.83411397104729 rms=0.183146698418118\n"
 
     @pytest.mark.parametrize("flags, rho, sigma", [
         (["--fit-sigma", "0"], math.inf, 0.0),

@@ -163,9 +163,10 @@ class TestSubnormalSpans:
     @pytest.mark.parametrize("lo, hi", [(-5e-324, 5e-324), (0.0, 2e-323), (0.0, 5e-324)])
     @pytest.mark.parametrize("rule", ["simpson", "simpson-breakpoints"])
     def test_simpson_integrates_a_constant_exactly(self, rule, lo, hi):
+        # each of the 64 cells of subnormal width adds (12/12 + 1) subnormal units to the bound
         spec = QuadratureSpec(truncation=5e-324)
         res = adaptive_integral(lambda w: 1.0, lo, hi, spec, breakpoints=(0.5 * lo + 0.5 * hi,) * (rule != "simpson"))
-        assert (res.value, res.error, res.converged) == (hi - lo, 0.0, True)
+        assert (res.value, res.error, res.converged) == (hi - lo, 128 * 5e-324, True)
 
     @pytest.mark.parametrize("lo, hi", [(-5e-324, 5e-324), (0.0, 2e-323), (0.0, 5e-324)])
     def test_clenshaw_curtis_converges_within_the_tolerance(self, lo, hi):
@@ -193,6 +194,17 @@ class TestSubnormalSpans:
             miss = (Fraction(value.real) - re) ** 2 + (Fraction(value.imag) - im) ** 2
             assert miss <= (Fraction(res.error) + rest) ** 2, (start, n, spec.truncation, value, res.error)
 
+    @pytest.mark.parametrize("c, slope", [(1.0, 0.0), (1.0, 1.0), (1e300, 0.0), (1e-10, 0.0)])
+    def test_simpson_bound_holds(self, c, slope):
+        """The probe set of the Clenshaw-Curtis bound above: the Simpson bound covers the exact error too."""
+        unit, cf, sf = Fraction(5e-324), Fraction(c), Fraction(slope)
+        specs = (SPEC, QuadratureSpec(truncation=5e-324))
+        for start, n, spec in itertools.product((0, 1, 7, 1000), range(1, 40), specs):
+            lo, hi = start * unit, (start + n) * unit
+            res = adaptive_integral(lambda w: c + slope * w, float(lo), float(hi), spec)
+            exact = cf * n * unit + sf * (hi * hi - lo * lo) / 2
+            assert abs(Fraction(res.value) - exact) <= Fraction(res.error), (start, n, spec.truncation, res)
+
     def test_zero_width_cells_that_tie_are_split_in_a_fixed_order(self):
         spec = QuadratureSpec(abs_tol=5e-324, rel_tol=0.0, max_subdivisions=50, truncation=5e-324)
         runs = [adaptive_integral(lambda w: 1.0 if w > 0.0 else 0.5, -5e-324, 5e-324, spec) for _ in range(2)]
@@ -219,9 +231,9 @@ class TestComplex:
         res = adaptive_integral(lambda x: x * x, 0.0, 1.0, SPEC)
         assert isinstance(res.value, float)
 
-    def test_real_property(self):
+    def test_a_complex_integrand_with_zero_imaginary_part_returns_float(self):
         res = adaptive_integral(lambda x: complex(x, 0.0), 0.0, 1.0, SPEC)
-        assert res.real == pytest.approx(0.5, abs=1e-12)
+        assert isinstance(res.value, float) and res.value == pytest.approx(0.5, abs=1e-12)
 
 
 class TestDeterminism:

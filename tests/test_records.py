@@ -157,7 +157,3 @@ def test_missing_and_extra_arguments_raise_type_error():
 def test_validation_messages(make, exc, match):
     with pytest.raises(exc, match=match):
         make()
-
-
-def test_quadrature_result_real_part():
-    assert QuadratureResult(1.5 + 2j, 0.0, True, 1).real == 1.5
