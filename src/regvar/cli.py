@@ -22,7 +22,7 @@ import sys
 import warnings
 from typing import TYPE_CHECKING
 
-from regvar.popa import INFINITY, ZERO, DomainError, PopaParam, PopaPoint
+from regvar.popa import INFINITY, ZERO, DomainError, PopaParam, PopaPoint, _is_member
 
 if TYPE_CHECKING:
     from regvar.asymptotics import SampledFunction
@@ -182,10 +182,21 @@ def _estimate_kernel(m, mode, f, phi, h, t, fit_rho, fit_sigma, **scheme):
         results = m.estimate_kernel(f, phi, h, t, scheme)
     rows = [f"{_fmt(point)},{_fmt(res.value)},{_fmt_bool(res.converged)}" for point, res in results]
     fit_default = INFINITY if mode == "karamata" else ZERO
-    usable = [(point, r.value) for point, r in results if math.isfinite(r.value)]
-    kappa, rms = m.fit_kappa(usable, fit_rho or fit_default, fit_sigma or fit_default) if usable else (math.nan,) * 2
+    fit_rho, fit_sigma = fit_rho or fit_default, fit_sigma or fit_default
+    usable = [(point, r.value) for point, r in results
+              if _is_member(fit_rho, point) and _is_member(fit_sigma, r.value)]
+    try:
+        kappa, rms = m.fit_kappa(usable, fit_rho, fit_sigma)
+    except ValueError:  # no usable point, or all of them at the identity: the rows stand without a fit
+        kappa = rms = math.nan
     print(f"kappa={_fmt(kappa)} rms={_fmt(rms)}", file=sys.stderr)
     return "\n".join(["t,value,converged", *rows]), all(r.converged for _, r in results)
+
+
+def _beck_partition(m, rho, delta, u):
+    points = m.beck_partition(rho, delta, u)
+    PopaPoint(rho, points[-1])  # the last point, delta^(i o), may overflow: a printed point is a group element
+    return "\n".join(map(_fmt, points))
 
 
 def _eta_rho(m, phi, t_probe, **scheme):
@@ -295,8 +306,7 @@ _COMMANDS = {
         "eta-rho": (f"--phi --t-probe=1 {_SCHEME}", _eta_rho),
     }),
     "beck": ("iterate partitions and discrete sums", "asymptotics", {
-        "partition": ("--rho --delta --u",
-                      lambda m, rho, delta, u: "\n".join(map(_fmt, m.beck_partition(rho, delta, u)))),
+        "partition": ("--rho --delta --u", _beck_partition),
         "sum": ("--rho --delta --u --g=one", lambda m, rho, delta, u, g: m.beck_riemann_sum(g, rho, delta, u)),
         "goldie-sum": ("--rho --delta --g=one --i --k-delta=1",
                        lambda m, rho, delta, g, i, k_delta: m.goldie_sum(k_delta, g, rho, delta, i)),

@@ -74,13 +74,19 @@ def haar_integrate(
     iv: Interval,
     spec: QuadratureSpec = QuadratureSpec(),
 ) -> float:
-    """Integral of f over the interval against the invariant measure: of ``c*f(E(w)/d)`` dw in the chart."""
+    """Integral of f over the interval against the invariant measure: of ``c*f(E(w)/d)`` dw in the chart, or of f
+    times the density ``(1+rho)/(1+rho*t)`` (``1/t`` at rho = inf) dt where the chart maps the interval to one float."""
     L, E, d, c = _chart(iv.param, abs(iv.lo), abs(iv.hi))
     lo, hi = L(d * iv.lo), L(d * iv.hi)
     what = lambda: f"haar_integrate over ({iv.lo}, {iv.hi})"
     if not math.isfinite(hi - lo):
         raise DomainError(f"{what()}: the chart span L(d*hi) - L(d*lo) = {hi - lo} is not finite")
-    return float(_value(_cc_integral(_pull(f, E, d, c), lo, hi, spec), what).real)
+    if lo == hi:  # a few ulps far from the identity, one float in the chart: f times the density, in t
+        rho, lo, hi = iv.param.rho, iv.lo, iv.hi
+        fn = (lambda t: f(t) / t) if iv.param.is_infinite else (lambda t: f(t) * ((1.0 + rho) / (1.0 + rho * t)))
+    else:
+        fn = _pull(f, E, d, c)
+    return float(_value(_cc_integral(fn, lo, hi, spec), what).real)
 
 
 def character_eval(param: PopaParam, gamma: float, u: float) -> complex:

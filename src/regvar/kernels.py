@@ -14,7 +14,7 @@ additivity property the property tests pin down.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 from regvar.popa import (
     DomainError,
@@ -27,9 +27,6 @@ from regvar.popa import (
     iso_log,
 )
 
-if TYPE_CHECKING:
-    from regvar.quadrature import QuadratureSpec
-
 __all__ = [
     "KernelParams",
     "GoldieAux",
@@ -39,7 +36,6 @@ __all__ = [
     "cj_residual",
     "k_from_multiplier",
     "goldie_integral",
-    "goldie_integral_quadrature",
     "goldie_ode_residual",
 ]
 
@@ -133,18 +129,6 @@ def goldie_integral(aux: GoldieAux, u: float) -> float:
     if aux.gamma == 0.0:
         return w / r
     return -math.expm1(-aux.gamma * w) / (aux.gamma * r)
-
-
-def goldie_integral_quadrature(aux: GoldieAux, u: float, spec: QuadratureSpec | None = None) -> float:
-    """Quadrature twin of :func:`goldie_integral`: the Haar integral of g
-    between 0 and u, divided by 1+rho (``spec`` None reads as ``QuadratureSpec()``)."""
-    from regvar.haar import Interval, QuadratureSpec, haar_integrate
-
-    if u == 0.0:
-        return 0.0
-    spec = QuadratureSpec() if spec is None else spec
-    value = haar_integrate(aux.g, Interval(aux.rho, min(0.0, u), max(0.0, u)), spec) / (1.0 + aux.rho.rho)
-    return -value if u < 0.0 else value
 
 
 def goldie_ode_residual(aux: GoldieAux, c1: float, kappa_const: float, u: float) -> float:

@@ -172,6 +172,15 @@ def _check_value(param: PopaParam, value: float) -> float:
     return v
 
 
+def _is_member(param: PopaParam, value: float) -> bool:
+    """Whether :func:`_check_value` passes: value is finite and in the carrier."""
+    try:
+        _check_value(param, value)
+    except DomainError:
+        return False
+    return True
+
+
 class PopaPoint(_Record, frozen=True):
     """A validated element of the group with parameter ``param``."""
 
@@ -230,21 +239,42 @@ def inverse(x: PopaPoint) -> PopaPoint:
 def power(param: PopaParam, delta: float, n: int) -> float:
     """n-fold o-iterate of delta: ((1+rho*delta)^n - 1)/rho for finite rho.
 
-    Negative n is the iterate of the inverse element.
+    Negative n is the iterate of the inverse element; an iterate past the float range is +-inf.
     """
     return next(_powers(param, delta, (int(n),)))
 
 
 def _powers(param: PopaParam, delta: float, ns: Iterable[int]) -> Iterator[float]:
-    """:func:`power` of delta for each n in ns, streamed: delta is checked and
-    log1p(rho*delta) taken once."""
+    """:func:`power` of delta for each n in ns, streamed: delta is checked and log1p(rho*delta) taken once (as
+    log(rho) + log(delta) where rho*delta overflows).  An iterate past the float range is +-inf at every rho."""
     delta = _check_value(param, delta)
     if param.is_zero:
         return (n * delta for n in ns)
     if param.is_infinite:
-        return (delta**n for n in ns)
-    rho, step = param.rho, math.log1p(param.rho * delta)
-    return (math.expm1(n * step) / rho for n in ns)
+        return _multiplicative_powers(delta, ns)
+    rho = param.rho
+    step = math.log1p(rho * delta) if rho * delta < math.inf else math.log(rho) + math.log(delta)
+    return _chart_powers(rho, step, ns)
+
+
+def _multiplicative_powers(delta: float, ns: Iterable[int]) -> Iterator[float]:
+    """delta**n for each n in ns, inf where it overflows."""
+    for n in ns:
+        try:
+            yield delta**n
+        except OverflowError:
+            yield math.inf
+
+
+def _chart_powers(rho: float, step: float, ns: Iterable[int]) -> Iterator[float]:
+    """expm1(n*step)/rho for each n in ns; where expm1 overflows, exp(n*step)/rho = exp(n*step - log(rho)), inf
+    where that overflows too."""
+    for n in ns:
+        try:
+            yield math.expm1(n * step) / rho
+        except OverflowError:
+            w = n * step - math.log(rho)
+            yield math.exp(w) if w <= _LOG_DBL_MAX else math.inf
 
 
 def _coordinate(param: PopaParam, scale: float) -> tuple:
@@ -279,7 +309,8 @@ def _haar_length(param: PopaParam, a: float, b: float) -> float:
     e = a if param.is_infinite else 1.0 + d * a
     if e == math.inf:  # rho*a overflows: on [a, b] eta(t) is rho*t to working precision
         e, d = a, 1.0
-    q = (b - a) / e * d
+    q = (b - a) / e
+    q = q * d if q >= sys.float_info.min else (b - a) * (d / e)  # a subnormal (b - a)/e has lost its digits
     w = math.log1p(q) if q < math.inf else (L(d * b) if d * b < math.inf else math.log(d) + math.log(b)) - L(d * a)
     return c * w if c < math.inf else (1.0 + d) * (w / d)
 

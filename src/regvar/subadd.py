@@ -26,7 +26,6 @@ __all__ = [
     "subadditivity_check",
     "additively_bounded_check",
     "heiberg_seneta_probe",
-    "default_probe_sequence",
     "sandwich_bound_check",
 ]
 
@@ -116,11 +115,7 @@ def _in_carrier(param: PopaParam, vals: list[float]) -> bool:
     least v decides."""
     if not (vals and math.isfinite(sum(vals))):
         return not vals
-    try:
-        popa._check_value(param, min(vals))
-    except DomainError:
-        return False
-    return True
+    return popa._is_member(param, min(vals))
 
 
 def subadditivity_check(
@@ -192,22 +187,17 @@ def additively_bounded_check(
     return SubaddReport(worst <= tol, worst, worst_pair, len(sample_set), 0)
 
 
-def default_probe_sequence(n: int = 40) -> list[float]:
-    """The dyadic probe u_k = 2^-k, k = 1..n."""
-    return [2.0**-k for k in range(1, n + 1)]
-
-
 def heiberg_seneta_probe(
     S: Callable[[float], float],
     sequence: Sequence[float] | None = None,
     tol: float = 1e-4,
 ) -> tuple[float, bool]:
-    """Estimate limsup of S along a sequence decreasing to 0.
+    """Estimate limsup of S along a sequence decreasing to 0, by default u_k = 2^-k, k = 1..40.
 
     Returns (estimate, passes) where the estimate is the maximum of S over
     the tail half of the sequence and passes means estimate <= tol.
     """
-    seq = default_probe_sequence() if sequence is None else [float(u) for u in sequence]
+    seq = [2.0**-k for k in range(1, 41)] if sequence is None else [float(u) for u in sequence]
     if len(seq) < 8:
         raise ValueError("probe sequence must have at least 8 points")
     if not (seq[-1] > 0.0 and all(a > b for a, b in zip(seq, seq[1:]))):

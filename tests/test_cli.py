@@ -103,6 +103,11 @@ class TestGroupCommand:
         assert code == 2
         assert "error:" in err
 
+    def test_power_where_rho_delta_overflows(self, capsys):
+        assert run_cli(capsys, "group", "power", "--rho", "10", "--", "2e307", "0") == (0, "0\n", "")
+        assert run_cli(capsys, "group", "power", "--rho", "1", "--", "1", "2000") == (
+            2, "", "error: point must be finite, got inf\n")
+
     def test_non_integer_power_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "group", "power", "--rho", "1", "0.1", "1.5")
         assert code == 2
@@ -335,6 +340,14 @@ class TestEstimateCommand:
         code, out, err = run_cli(capsys, "estimate", "kernel", "--mode", "karamata", "--f", str(path), "--t", "2,3")
         assert (code, out, err) == (0, "t,value,converged\n2,nan,false\n3,nan,false\n", "kappa=nan rms=nan\n")
 
+    @pytest.mark.parametrize("argv, out, err", [
+        (["--mode", "karamata", "--f", "square", "--t", "1"], "1,1,true\n", "kappa=nan rms=nan\n"),  # all at 1
+        (["--mode", "general", "--f", "x", "--t=-1,1", "--fit-sigma", "inf"], "-1,-1,true\n1,1,true\n",
+         "kappa=0 rms=0\n"),  # -1 lies outside the fit-sigma group
+    ])
+    def test_rows_are_printed_whatever_the_fit(self, capsys, argv, out, err):
+        assert run_cli(capsys, "estimate", "kernel", *argv) == (0, "t,value,converged\n" + out, err)
+
     @pytest.mark.parametrize("t", [",", " , ,"])
     def test_empty_t_list_exits_2(self, capsys, t):
         code, out, err = run_cli(capsys, "estimate", "kernel", "--mode", "karamata", "--f", "square", f"--t={t}")
@@ -436,6 +449,22 @@ class TestBeckCommand:
                                "--g", "one", "--k-delta", "0.5", "--i", "4")
         assert code == 0
         assert out == "2\n"
+
+    @pytest.mark.parametrize("argv, out", [
+        (["--rho", "inf", "--delta", "2", "--u", "1e308"], "511.601153432569\n"),  # 1023 cells of 0.5, then the clip
+        (["--rho", "10", "--delta", "1e306", "--u", "1.5e307"], "0.193333333333333\n"),
+        (["--rho", "0", "--delta", "1e308", "--u", "1.5e308"], "1.5e+308\n"),
+    ])
+    def test_sum_clips_an_overflowing_last_point(self, capsys, argv, out):
+        assert run_cli(capsys, "beck", "sum", *argv) == (0, out, "")
+
+    @pytest.mark.parametrize("argv", [
+        ["--rho", "inf", "--delta", "2", "--u", "1e308"],
+        ["--rho", "10", "--delta", "1e306", "--u", "1.5e307"],
+        ["--rho", "0", "--delta", "1e308", "--u", "1.5e308"],
+    ])
+    def test_partition_exits_2_where_its_last_point_overflows(self, capsys, argv):
+        assert run_cli(capsys, "beck", "partition", *argv) == (2, "", "error: point must be finite, got inf\n")
 
     def test_too_fine_partition_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "beck", "partition", "--rho", "0", "--delta", "1e-9", "--u", "1")
@@ -878,8 +907,17 @@ class TestHaarLengths:
         (["--rho", "inf", "--lo", "2e-300", "--hi", "1e300"], "1380.85790861587\n"),
         (["--rho", "1e-310", "--lo", "1", "--hi", "1e307"], "9.99500333083533e+306\n"),
         (["--rho", "7", "--lo", "1", "--hi", "1.7e308"], "810.963777714976\n"),  # 7*hi overflows
+        (["--rho", "1e300", "--lo", "1", "--hi", "1.0000000000000002"], "2.22044604925031e-16\n"),
     ])
     def test_measure(self, capsys, argv, out):
+        assert run_cli(capsys, "transform", "measure", *argv) == (0, out, "")
+
+    @pytest.mark.parametrize("argv, out", [
+        (["--rho", "1e300", "--lo", "1", "--hi", "1.0000000000000002"], "2.22044604925031e-16\n"),
+        (["--rho", "inf", "--lo", "1e300", "--hi", "1.0000000000000002e300"], "1.48701690847778e-16\n"),
+    ])
+    def test_integrate_over_one_chart_float_is_the_measure(self, capsys, argv, out):
+        assert run_cli(capsys, "transform", "integrate", "--f", "one", *argv) == (0, out, "")
         assert run_cli(capsys, "transform", "measure", *argv) == (0, out, "")
 
     @pytest.mark.parametrize("argv, out", [

@@ -89,6 +89,11 @@ class TestIntervalMeasure:
         m = haar_interval_measure(Interval(PopaParam(rho), 0.2, 1.7))
         assert m == pytest.approx(haar_interval_measure(Interval(ZERO, 0.2, 1.7)), rel=1e-12)
 
+    def test_a_few_ulps_far_from_the_identity_keep_their_digits(self):
+        # (b - a)/eta(a) = 2.2e-16/1e300 is subnormal
+        m = haar_interval_measure(Interval(PopaParam(1e300), 1.0, 1.0000000000000002))
+        assert m == pytest.approx(2.220446049250313e-16, rel=1e-15, abs=0.0)
+
     def test_large_rho_limit_is_log_ratio(self):
         p = PopaParam(1e6)
         m = haar_interval_measure(Interval(p, 0.2, 1.7))
@@ -146,6 +151,17 @@ class TestHaarIntegrate:
         assert haar_integrate(lambda t: calls.append(t) or 0.0, Interval(ZERO, -5e307, 5e307), SPEC) == 0.0
         assert len(calls) == 385
         assert haar_integrate(lambda t: 1.0, Interval(ZERO, -1e308, 7e307), SPEC) == pytest.approx(1.7e308, rel=1e-15)
+
+    @pytest.mark.parametrize("param,lo,hi", [
+        (PopaParam(1e300), 1.0, 1.0000000000000002),
+        (INFINITY, 1e300, 1.0000000000000002e300),
+    ])
+    def test_an_interval_of_one_chart_float_integrates_in_t(self, param, lo, hi):
+        # both ends map to one float w = L(d*t): the integral of the density over [lo, hi] is the measure
+        iv = Interval(param, lo, hi)
+        m = haar_interval_measure(iv)
+        assert haar_integrate(lambda t: 1.0, iv, SPEC) == pytest.approx(m, rel=1e-15, abs=0.0)
+        assert haar_integrate(lambda t: t, iv, SPEC) == pytest.approx(lo * m, rel=1e-15, abs=0.0)
 
     def test_a_gaussian_over_a_span_of_1e308_is_not_missed_silently(self):
         with pytest.warns(QuadratureWarning, match=r"haar_integrate over \(-5e\+307, 5e\+307\) did not converge"):

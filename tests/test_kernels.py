@@ -16,7 +16,6 @@ from regvar.kernels import (
     bg_residual,
     cj_residual,
     goldie_integral,
-    goldie_integral_quadrature,
     goldie_ode_residual,
     k_from_multiplier,
     kernel_eval,
@@ -36,6 +35,13 @@ from regvar.quadrature import QuadratureSpec, QuadratureWarning
 
 P1 = PopaParam(1.0)
 THREE_CORNERS = [ZERO, P1, INFINITY]
+
+
+def haar_twin(aux: GoldieAux, u: float, spec: QuadratureSpec = QuadratureSpec()) -> float:
+    """goldie_integral by quadrature: the Haar integral of g between 0 and u, divided by 1+rho, signed as u."""
+    value = haar_integrate(aux.g, Interval(aux.rho, min(0.0, u), max(0.0, u)), spec) / (1.0 + aux.rho.rho)
+    return -value if u < 0.0 else value
+
 
 cell_st = st.tuples(st.sampled_from(PARAM_SET), st.sampled_from(PARAM_SET))
 w_st = st.floats(-2.0, 2.0, allow_nan=False)
@@ -228,13 +234,13 @@ class TestGoldieIntegral:
     def test_quadrature_twin(self, gamma, u):
         aux = GoldieAux(P1, gamma)
         exact = goldie_integral(aux, u)
-        quad = goldie_integral_quadrature(aux, u)
+        quad = haar_twin(aux, u)
         assert quad == pytest.approx(exact, rel=1e-9, abs=1e-12)
 
     def test_quadrature_twin_negative_u(self):
         aux = GoldieAux(P1, 0.5)
         u = -0.5
-        assert goldie_integral_quadrature(aux, u) == pytest.approx(goldie_integral(aux, u), rel=1e-9)
+        assert haar_twin(aux, u) == pytest.approx(goldie_integral(aux, u), rel=1e-9)
 
     @pytest.mark.parametrize("gamma", [0.0, 1.5])
     def test_scipy_oracle(self, gamma):
@@ -255,15 +261,12 @@ class TestGoldieIntegral:
     @pytest.mark.parametrize("u", [-0.1, 0.3, 2.5, 10.0])
     def test_quadrature_twin_is_tight(self, rho, gamma, u):
         aux = GoldieAux(PopaParam(rho), gamma)
-        assert goldie_integral_quadrature(aux, u) == pytest.approx(goldie_integral(aux, u), rel=1e-13)
-
-    def test_quadrature_twin_at_zero(self):
-        assert goldie_integral_quadrature(GoldieAux(P1, 0.8), 0.0) == 0.0
+        assert haar_twin(aux, u) == pytest.approx(goldie_integral(aux, u), rel=1e-13)
 
     def test_quadrature_twin_warns_on_non_convergence(self):
         tight = QuadratureSpec(abs_tol=1e-300, rel_tol=0.0, max_subdivisions=3)
         with pytest.warns(QuadratureWarning, match="did not converge"):
-            v = goldie_integral_quadrature(GoldieAux(P1, 0.8), 2.5, tight)
+            v = haar_twin(GoldieAux(P1, 0.8), 2.5, tight)
         assert v == pytest.approx(goldie_integral(GoldieAux(P1, 0.8), 2.5), rel=1e-6)
 
 

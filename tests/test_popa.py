@@ -142,6 +142,13 @@ class TestArithmetic:
         inv = inverse(delta)
         assert power(param, delta.value, -3) == pytest.approx(power(param, inv.value, 3), rel=1e-12)
 
+    def test_power_past_the_float_range_is_inf_at_every_rho(self):
+        assert power(PopaParam(10.0), 2e307, 0) == 0.0  # 10*2e307 overflows: the step is log(10) + log(2e307)
+        assert power(PopaParam(10.0), 2e307, 1) == pytest.approx(2e307, rel=1e-13)
+        assert power(PopaParam(1.0), 1.0, 2000) == math.inf
+        assert power(INFINITY, 1e10, 40) == math.inf
+        assert power(ZERO, -1e308, 10) == -math.inf
+
 
 class TestGroupLaws:
     @settings(max_examples=200)

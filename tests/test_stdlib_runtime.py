@@ -116,16 +116,19 @@ def test_a_table_function_adds_asymptotics_and_csv(tmp_path):
     assert "csv" in loaded
 
 
-def test_import_regvar_defers_quadrature():
+def test_import_regvar_loads_no_submodule():
+    # each name has one import path, its module's: the package re-exports none
     code = """
 import sys, regvar
-deferred = "regvar.quadrature" not in sys.modules
-try:
-    regvar.QuadratureSpec
-except AttributeError:
-    print(deferred, "regvar.quadrature" not in sys.modules)
+loaded = lambda: sorted(m for m in sys.modules if m.startswith("regvar."))
+print(loaded())
+for name in ("PopaParam", "power", "QuadratureSpec"):
+    try:
+        getattr(regvar, name)
+    except AttributeError:
+        print(name, loaded())
 """
-    assert _child(code) == "True True\n"
+    assert _child(code) == "[]\nPopaParam []\npower []\nQuadratureSpec []\n"
 
 
 def test_package_getattr_raises_attribute_error():

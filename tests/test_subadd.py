@@ -14,7 +14,6 @@ from regvar.subadd import (
     SubaddReport,
     VacuousPremiseWarning,
     additively_bounded_check,
-    default_probe_sequence,
     heiberg_seneta_probe,
     sandwich_bound_check,
     subadditivity_check,
@@ -146,8 +145,9 @@ class TestAdditivelyBounded:
 
 class TestHeibergSenetaProbe:
     def test_default_sequence_is_dyadic(self):
-        seq = default_probe_sequence(5)
-        assert seq == [0.5, 0.25, 0.125, 0.0625, 0.03125]
+        probes = []
+        heiberg_seneta_probe(lambda u: probes.append(u) or 0.0)
+        assert probes == [2.0**-k for k in range(21, 41)]
 
     def test_entropy_function_passes(self):
         S = lambda u: -u * math.log(u)
