@@ -239,9 +239,18 @@ def inverse(x: PopaPoint) -> PopaPoint:
 def power(param: PopaParam, delta: float, n: int) -> float:
     """n-fold o-iterate of delta: ((1+rho*delta)^n - 1)/rho for finite rho.
 
-    Negative n is the iterate of the inverse element; an iterate past the float range is +-inf.
+    Negative n is the iterate of the inverse element; an iterate past the float range is +-inf, for any int n.
     """
     return next(_powers(param, delta, (int(n),)))
+
+
+def _times(n: int, x: float) -> float:
+    """n*x for an int n and a finite x; where float(n) overflows, n*x rounded once, +-inf where it overflows."""
+    try:
+        return n * x
+    except OverflowError:  # x = num/den, and n*num/den rounds to +-inf from 2**1024 - 2**970 on
+        num, den = x.as_integer_ratio()
+        return n * num / den if abs(n * num) < den * (2**1024 - 2**970) else math.copysign(math.inf, x if n > 0 else -x)
 
 
 def _powers(param: PopaParam, delta: float, ns: Iterable[int]) -> Iterator[float]:
@@ -249,7 +258,7 @@ def _powers(param: PopaParam, delta: float, ns: Iterable[int]) -> Iterator[float
     log(rho) + log(delta) where rho*delta overflows).  An iterate past the float range is +-inf at every rho."""
     delta = _check_value(param, delta)
     if param.is_zero:
-        return (n * delta for n in ns)
+        return (_times(n, delta) for n in ns)
     if param.is_infinite:
         return _multiplicative_powers(delta, ns)
     rho = param.rho
@@ -258,12 +267,12 @@ def _powers(param: PopaParam, delta: float, ns: Iterable[int]) -> Iterator[float
 
 
 def _multiplicative_powers(delta: float, ns: Iterable[int]) -> Iterator[float]:
-    """delta**n for each n in ns, inf where it overflows."""
+    """delta**n for each n in ns, delta**(+-inf) where it overflows or n is past the float range."""
     for n in ns:
         try:
             yield delta**n
         except OverflowError:
-            yield math.inf
+            yield delta ** (math.inf if n > 0 else -math.inf)
 
 
 def _chart_powers(rho: float, step: float, ns: Iterable[int]) -> Iterator[float]:
@@ -272,9 +281,9 @@ def _chart_powers(rho: float, step: float, ns: Iterable[int]) -> Iterator[float]
     for n in ns:
         try:
             yield math.expm1(n * step) / rho
-        except OverflowError:
-            w = n * step - math.log(rho)
-            yield math.exp(w) if w <= _LOG_DBL_MAX else math.inf
+        except OverflowError:  # in expm1, or in float(n) for an n past the float range
+            w = (x := _times(n, step)) - math.log(rho)
+            yield math.expm1(x) / rho if x <= _LOG_DBL_MAX else math.exp(w) if w <= _LOG_DBL_MAX else math.inf
 
 
 def _coordinate(param: PopaParam, scale: float) -> tuple:

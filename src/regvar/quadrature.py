@@ -17,20 +17,19 @@ split reuses the end values, so a child costs 15 evaluations.
 
 Ties in the refinement queue are broken by cell position.  The value and the
 bound are ``math.fsum`` of the cells in position order, which is correctly
-rounded; the running sums that steer the refinement, and the weighted sums of
-a cell, use the built-in ``sum``, which is compensated from Python 3.12 on.  So
-a given integrand always produces bit-identical output on one Python version.
+rounded; every other sum adds left to right from 0.0, as the built-in ``sum``
+did before Python 3.12, so results are bit-identical on every supported Python.
 Non-convergence is not fatal: the best estimate is returned together with
 ``converged=False`` and a conservative error bound.
 """
 from __future__ import annotations
 
 import cmath
-import functools
 import heapq
 import itertools
 import math
-from operator import mul
+from functools import cache, reduce
+from operator import add, mul
 from typing import Callable, Sequence
 
 from regvar.popa import DomainError, _Record
@@ -129,7 +128,7 @@ def _cc_rule(w: list, interp: list) -> tuple:
                for k in (1, 3, 5, 7)]
 
 
-@functools.cache
+@cache
 def _cc_tables() -> tuple:
     """The nodes cos(k*pi/16), exactly mirrored; the even and odd halves of the columns k <= 8 of A = inverse of
     P_m(node_k), which holds the Legendre coefficients of the Lagrange basis; the 9-point basis at the odd nodes;
@@ -137,10 +136,18 @@ def _cc_tables() -> tuple:
     half = [math.cos(k * math.pi / 16) for k in range(8)]
     nodes = half + [0.0] + [-x for x in reversed(half)]
     step = lambda p, k: p + [((2 * k + 1) * p[1] * p[k] - k * p[k - 1]) / (k + 1)]  # appends P_k+1(x); p[1] = x
-    cols = [list(col) for col in zip(*_inverse([functools.reduce(step, range(1, 16), [1.0, x]) for x in nodes]))][:9]
+    cols = [list(col) for col in zip(*_inverse([reduce(step, range(1, 16), [1.0, x]) for x in nodes]))][:9]
     interp = [[math.prod((x - e) / (c - e) for e in nodes[0::2] if e != c) for c in nodes[0::2]] for x in nodes[1::2]]
     plain = [2.0 * col[0] for col in cols]  # mu = (2, 0, ..., 0) at theta = 0
     return nodes, [(col[0::2], col[1::2]) for col in cols], interp, _cc_rule(plain + plain[-2::-1], interp)
+
+
+def _dot17(w, p):
+    """0.0 + w[0]*p[0] + ... + w[16]*p[16], added left to right as the built-in sum did before Python 3.12."""
+    w0, w1, w2, w3, w4, w5, w6, w7, w8, w9, w10, w11, w12, w13, w14, w15, w16 = w
+    p0, p1, p2, p3, p4, p5, p6, p7, p8, p9, p10, p11, p12, p13, p14, p15, p16 = p
+    return (0.0 + w0 * p0 + w1 * p1 + w2 * p2 + w3 * p3 + w4 * p4 + w5 * p5 + w6 * p6 + w7 * p7 + w8 * p8 + w9 * p9
+            + w10 * p10 + w11 * p11 + w12 * p12 + w13 * p13 + w14 * p14 + w15 * p15 + w16 * p16)
 
 
 _NORMALISE = {sign: [(k + 0.5) * sign**k for k in range(61)] for sign in (-1.0, 1.0)}
@@ -162,7 +169,7 @@ def _legendre_moments(theta: complex) -> list:
         ratios.append(r)
     mu = list(itertools.accumulate(reversed(ratios), mul, initial=1.0))
     sign = -1.0 if theta.real >= 0.0 else 1.0
-    scale = cmath.exp(-sign * theta) / sum(map(mul, _NORMALISE[sign], mu))
+    scale = cmath.exp(-sign * theta) / reduce(add, map(mul, _NORMALISE[sign], mu), 0.0)
     return [scale * m for m in mu[:17]]
 
 
@@ -172,7 +179,7 @@ def _cc_weights(theta: complex) -> list:
     even, odd = mu[0::2], mu[1::2]
     w = [0j] * 17
     for k, (col_even, col_odd) in enumerate(_cc_tables()[1]):
-        e, o = sum(map(mul, col_even, even)), sum(map(mul, col_odd, odd))
+        e, o = reduce(add, map(mul, col_even, even), 0.0), reduce(add, map(mul, col_odd, odd), 0.0)
         w[k], w[16 - k] = e + o, e - o
     return w
 
@@ -186,7 +193,7 @@ def _cc_integral(fn, lo: float, hi: float, spec: QuadratureSpec = QuadratureSpec
     def make(a, b, fa, fb):
         c, r = 0.5 * a + 0.5 * b, 0.5 * (b - a)  # a + b may overflow
         p = [fb, *[fn(c + r * s) for s in inner], fa]
-        plain_value = sum(map(mul, w0, p))
+        plain_value = _dot17(w0, p)
         if not z:
             e, value, pairs = r, r * plain_value, plain_pairs
         else:
@@ -195,24 +202,26 @@ def _cc_integral(fn, lo: float, hi: float, spec: QuadratureSpec = QuadratureSpec
                     rules[r] = _cc_rule(_cc_weights(z * r), interp)
                 e = r * cmath.exp(-z * c)
                 w, pairs = rules[r]
-                value = e * sum(map(mul, w, p))
+                value = e * _dot17(w, p)
                 if not cmath.isfinite(value) and all(map(cmath.isfinite, p)):
                     raise OverflowError
             except OverflowError:  # in exp(-z*w), its moments or the weighted sum, not in fn
                 raise DomainError(f"exp(-z*w) overflows for z={z} and w in [{lo!r}, {hi!r}] (truncation="
                                   f"{spec.truncation!r}): lower |Re z| or the truncation") from None
-        coarse = p[0::2]
-        d = sum(abs(wk * p[k] + wl * p[16 - k] - sum(map(mul, row, coarse))) for k, wk, wl, row in pairs)
+        d, (q0, q1, q2, q3, q4, q5, q6, q7, q8) = 0.0, p[0::2]
+        for k, wk, wl, (r0, r1, r2, r3, r4, r5, r6, r7, r8) in pairs:  # 9 terms left to right from 0.0, as in _dot17
+            d += abs(wk * p[k] + wl * p[16 - k] - (0.0 + r0 * q0 + r1 * q1 + r2 * q2 + r3 * q3 + r4 * q4 + r5 * q5
+                                                    + r6 * q6 + r7 * q7 + r8 * q8))
         scale, mean = abs(e), 0.5 * plain_value
-        spread = sum(map(mul, w0, [abs(v - mean) for v in p]))
+        spread = _dot17(w0, [abs(v - mean) for v in p])
         resasc, d, floor = scale * spread, d * scale, 50.0 * 2.0**-52 * scale
         err = min(d, resasc * (200.0 * d / resasc) ** 1.5) if resasc else d
         # floor * sum(w0*|p|) <= floor * (spread + 2|mean|), the weights being positive with sum 2: where err
         # exceeds that bound, with room for rounding and underflow, it exceeds the floor and the sum is skipped
         if not err > floor * (1.001 * (spread + 2.0 * abs(mean)) + 1e-300):
-            err = max(err, floor * sum(map(mul, w0, map(abs, p))))
+            err = max(err, floor * _dot17(w0, map(abs, p)))
         if r < 2.0**-1022:  # a subnormal r (0 included) may be off by an ulp, a value that underflows too: bound both
-            err += (sum(map(mul, w0, map(abs, p))) * math.exp(-z.real * c) + 1.0) * 2.0**-1074
+            err += (_dot17(w0, map(abs, p)) * math.exp(-z.real * c) + 1.0) * 2.0**-1074
         return _Cell(a, b, fa, p[8], fb, value, err)
 
     step = spec.truncation / 12.0  # 0 for a T of a few subnormals, whose spans get the 24 panels of any wide span
@@ -248,7 +257,7 @@ def _refine(fn, lo, hi, spec, breakpoints, min_cells, first, split, first_cost, 
     cells = list(map(first, grid, grid[1:], fvals, fvals[1:]))
     abs_tol, rel_tol = spec.abs_tol, spec.rel_tol
     # running totals steer refinement; exact sums confirm the stop and make the result
-    run_value, run_err = sum([c.value for c in cells]), sum([c.err for c in cells])
+    run_value, run_err = reduce(add, [c.value for c in cells], 0.0), reduce(add, [c.err for c in cells], 0.0)
     splits = 0
     # a lone cell within tolerance is done: its running sums are exact, and the loop would stop at once
     if len(cells) > 1 or not run_err <= max(abs_tol, rel_tol * abs(run_value)):
@@ -266,7 +275,7 @@ def _refine(fn, lo, hi, spec, breakpoints, min_cells, first, split, first_cost, 
             # once the error sum falls 2**40 below its peak, where that drift may outweigh what is left
             if run_err <= max(abs_tol, rel_tol * abs(run_value)) or run_err < peak * 2.0**-40:
                 active = [c for (_, _, _, c) in heap] + frozen
-                run_value, run_err = sum([c.value for c in active]), math.fsum([c.err for c in active])
+                run_value, run_err = reduce(add, [c.value for c in active], 0.0), math.fsum([c.err for c in active])
                 peak = run_err
                 if run_err <= max(abs_tol, rel_tol * abs(run_value)):
                     break

@@ -108,6 +108,24 @@ class TestGroupCommand:
         assert run_cli(capsys, "group", "power", "--rho", "1", "--", "1", "2000") == (
             2, "", "error: point must be finite, got inf\n")
 
+    @pytest.mark.parametrize("rho", ["0", "1", "inf"])
+    def test_power_of_an_n_past_the_float_range(self, capsys, rho):
+        n = "1" + "0" * 309  # 10**309 > DBL_MAX
+        want = (2, "", "error: point must be finite, got inf\n")
+        assert run_cli(capsys, "group", "power", "--rho", rho, "--", "1.5", n) == want
+        identity = "1" if rho == "inf" else "0"
+        assert run_cli(capsys, "group", "power", "--rho", rho, "--", identity, n) == (0, identity + "\n", "")
+        assert run_cli(capsys, "group", "power", "--rho", rho, "--", identity, "-" + n) == (0, identity + "\n", "")
+
+    def test_power_of_an_n_past_the_float_range_at_the_pole_or_zero(self, capsys):
+        n = "1" + "0" * 309
+        assert run_cli(capsys, "group", "power", "--rho", "1", "--", "1.5", "-" + n) == (
+            2, "", "error: point -1.0 violates 1 + 1.0*t > 0\n")
+        assert run_cli(capsys, "group", "power", "--rho", "inf", "--", "0.5", n) == (
+            2, "", "error: point 0.0 outside (0, inf)\n")
+        # at rho = 0 the product n*delta is finite where |delta| < DBL_MAX/n
+        assert run_cli(capsys, "group", "power", "--rho", "0", "--", "0.1", n) == (0, "1e+308\n", "")
+
     def test_non_integer_power_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "group", "power", "--rho", "1", "0.1", "1.5")
         assert code == 2
@@ -209,6 +227,12 @@ class TestTransformCommand:
                                "--f", "x", "--lo", "0", "--hi", "2")
         assert code == 0
         assert float(out) == pytest.approx(2.0, rel=1e-10)
+
+    def test_integrate_prints_the_same_bits_on_every_python(self, capsys):
+        # the cells add left to right on every version: with the built-in sum, compensated from Python 3.12 on,
+        # 3.12 and 3.13 printed -0.9966955
+        argv = ["transform", "integrate", "--rho=0", "--f=x", "--lo=-3", "--hi=2.647"]
+        assert run_cli(capsys, *argv) == (0, "-0.996695500000001\n", "")
 
     def test_fourier_output_is_complex_pair(self, capsys):
         code, out, _ = run_cli(capsys, "transform", "fourier", "--rho", "1", "--f", "gauss", "--gamma", "2")

@@ -832,3 +832,26 @@ class TestDriftedRunningSum:
 
             fourier_popa(f, PopaParam(rho), 1.0, QuadratureSpec(truncation=T))
             assert cc_results[-1].converged and calls[0] == cc_results[-1].evaluations <= 4000, T
+
+
+class TestSameBitsOnEveryPython:
+    """Results whose last bits came out differently from Python 3.12 on, while the built-in sum of the cells was
+    compensated there: the cells now add left to right on every version, so each is pinned to the bit."""
+
+    BELL = staticmethod(lambda t: math.exp(-0.5 * t * t))
+    LORENTZ = staticmethod(lambda t: 1.0 / (1.0 + t * t))
+    XEXP = staticmethod(lambda t: t * math.exp(-t) if t > 0.0 else 0.0)
+    SECH = staticmethod(lambda t: 1.0 / math.cosh(t) if abs(t) < 700.0 else 0.0)
+
+    def test_fourier_popa_at_gamma_0(self):
+        assert fourier_popa(self.BELL, PopaParam(0.5), 0.0).real.hex() == "0x1.028022f4c7168p+4"
+        assert fourier_popa(self.XEXP, P1, 0.0).real.hex() == "0x1.9d571df710675p-1"
+
+    def test_mellin_popa_at_z_0(self):
+        assert mellin_popa(self.XEXP, INFINITY, 0).real.hex() == "0x1.ffffffffffcb4p-1"
+        assert mellin_popa(self.SECH, PopaParam(7.0), 0).real.hex() == "0x1.249d3a1ae7158p+5"
+
+    def test_popa_convolution(self):
+        assert popa_convolution(self.BELL, self.BELL, PopaPoint(ZERO, 0.5)).hex() == "0x1.aa41c8fb7fbe2p+0"
+        assert popa_convolution(self.LORENTZ, self.XEXP, PopaPoint(PopaParam(7.0), 2.0)).hex() == "0x1.8c4e814e97800p-1"
+        assert popa_convolution(self.BELL, self.LORENTZ, PopaPoint(INFINITY, 1.0)).hex() == "0x1.d887be0f4bedcp-2"

@@ -17,6 +17,7 @@ from regvar.popa import (
     ParameterMismatchError,
     PopaParam,
     PopaPoint,
+    _powers,
     circle,
     eta,
     from_multiplicative,
@@ -148,6 +149,26 @@ class TestArithmetic:
         assert power(PopaParam(1.0), 1.0, 2000) == math.inf
         assert power(INFINITY, 1e10, 40) == math.inf
         assert power(ZERO, -1e308, 10) == -math.inf
+
+    @pytest.mark.parametrize("param", [ZERO, P1, INFINITY])
+    def test_power_of_an_n_past_the_float_range(self, param):
+        n, identity = 10**309, 1.0 if param.is_infinite else 0.0
+        assert power(param, 1.5, n) == math.inf
+        assert power(param, identity, n) == power(param, identity, -n) == identity  # no 0*inf nan
+        assert power(param, 1.5, -n) == {0.0: -math.inf, 1.0: -1.0, math.inf: 0.0}[param.rho]  # -1.0: the pole -1/rho
+        assert power(param, 1.5, 2**1100) == power(param, 1.5, 10**400) == math.inf
+        assert list(_powers(param, 1.5, [n, -n, 3])) == [power(param, 1.5, k) for k in (n, -n, 3)]  # Beck's stream
+
+    def test_power_of_an_n_past_the_float_range_is_n_delta_rounded_once(self):
+        assert power(ZERO, 0.1, 10**309) == 1e308 and power(ZERO, -0.1, 10**309) == -1e308
+        assert power(ZERO, 2.0**-1074, 2**1100) == 2.0**26
+        # n*delta rounds to inf from 2**1024 - 2**970, halfway between DBL_MAX and 2**1024, on
+        assert power(ZERO, 0.5, 2**1025 - 2**971 - 1) == sys.float_info.max
+        assert power(ZERO, 0.5, 2**1025 - 2**971) == math.inf and power(ZERO, -0.5, 2**1025 - 2**971) == -math.inf
+        # at finite rho, n*log1p(rho*delta) is finite for tiny delta: (1 + 1e-307)**(10**309) - 1 is about e**100 - 1,
+        # the rounding of 1e-307 amplified 100 times
+        assert power(P1, 1e-307, 10**309) == pytest.approx(math.expm1(100.0), rel=1e-13)
+        assert power(INFINITY, 0.5, 10**309) == 0.0 and power(INFINITY, 0.5, -10**309) == math.inf
 
 
 class TestGroupLaws:

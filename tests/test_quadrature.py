@@ -8,7 +8,7 @@ import math
 import random
 import warnings
 from fractions import Fraction
-from operator import mul
+from operator import add, mul
 
 import mpmath as mp
 import numpy as np
@@ -18,7 +18,7 @@ from scipy import integrate
 from regvar.asymptotics import SampledFunction
 from regvar.popa import DomainError
 from regvar.quadrature import (QuadratureResult, QuadratureSpec, _cc_integral, _cc_rule, _cc_tables, _cc_weights, _Cell,
-                               adaptive_integral)
+                               _dot17, adaptive_integral)
 
 SPEC = QuadratureSpec()
 
@@ -427,6 +427,11 @@ class TestClenshawCurtisCalibration:
 # accumulate and per-column slices.  It includes the re-sum of a drifted running error sum.
 
 
+def _left_sum(terms):
+    """The terms added left to right from 0.0, as the built-in sum did before Python 3.12 (it compensates since)."""
+    return functools.reduce(add, terms, 0.0)
+
+
 def _ref_simpson_cell(fn, a, b, fa, fm, fb, nev):
     if fm is None:
         fm = fn(0.5 * (a + b))
@@ -455,7 +460,7 @@ def _ref_legendre_moments(theta):
     ratios = itertools.accumulate(range(60, 0, -1), lambda r, k: theta / (theta * r - (2 * k + 1)), initial=0.0)
     mu = list(itertools.accumulate(reversed(list(ratios)[1:]), mul, initial=1.0))
     sign = -1.0 if theta.real >= 0.0 else 1.0
-    scale = cmath.exp(-sign * theta) / sum((k + 0.5) * sign**k * m for k, m in enumerate(mu))
+    scale = cmath.exp(-sign * theta) / _left_sum((k + 0.5) * sign**k * m for k, m in enumerate(mu))
     return [scale * m for m in mu[:17]]
 
 
@@ -463,7 +468,7 @@ def _ref_cc_weights(theta):
     mu = _ref_legendre_moments(theta)
     w = [0j] * 17
     for k, (col_even, col_odd) in enumerate(_cc_tables()[1]):  # col[0::2], col[1::2] of A's column k
-        e, o = sum(map(mul, col_even, mu[0::2])), sum(map(mul, col_odd, mu[1::2]))
+        e, o = _left_sum(map(mul, col_even, mu[0::2])), _left_sum(map(mul, col_odd, mu[1::2]))
         w[k], w[16 - k] = e + o, e - o
     return w
 
@@ -477,26 +482,26 @@ def _ref_cc_integral(fn, lo, hi, spec=SPEC, z=0.0):
         c, r = 0.5 * (a + b), 0.5 * (b - a)
         p = [fb, *[fn(c + r * s) for s in inner], fa]
         nev[0] += 15
-        plain_value = sum(map(mul, w0, p))
+        plain_value = _left_sum(map(mul, w0, p))
         try:
             if z and r not in rules:
                 rules[r] = _cc_rule(_ref_cc_weights(z * r), interp)
             e = r * cmath.exp(-z * c) if z else r
             w, pairs = rules[r] if z else plain
-            value = e * sum(map(mul, w, p)) if z else r * plain_value
+            value = e * _left_sum(map(mul, w, p)) if z else r * plain_value
             if z and not cmath.isfinite(value) and all(map(cmath.isfinite, p)):
                 raise OverflowError
         except OverflowError:
             raise DomainError(f"exp(-z*w) overflows for z={z} and w in [{lo!r}, {hi!r}] (truncation="
                               f"{spec.truncation!r}): lower |Re z| or the truncation") from None
         coarse = p[0::2]
-        d = sum(abs(wk * p[k] + wl * p[16 - k] - sum(map(mul, row, coarse))) for k, wk, wl, row in pairs)
+        d = _left_sum(abs(wk * p[k] + wl * p[16 - k] - _left_sum(map(mul, row, coarse))) for k, wk, wl, row in pairs)
         scale = abs(e)
         mean = 0.5 * plain_value
-        resasc = scale * sum(map(mul, w0, [abs(v - mean) for v in p]))
+        resasc = scale * _left_sum(map(mul, w0, [abs(v - mean) for v in p]))
         d *= scale
         err = min(d, resasc * (200.0 * d / resasc) ** 1.5) if resasc else d
-        err = max(err, 50.0 * 2.0**-52 * scale * sum(map(mul, w0, map(abs, p))))
+        err = max(err, 50.0 * 2.0**-52 * scale * _left_sum(map(mul, w0, map(abs, p))))
         return _Cell(a, b, fa, p[8], fb, value, err)
 
     panels = math.ceil(min(24.0, (hi - lo) / (spec.truncation / 12.0))) if lo < hi else 1
@@ -522,13 +527,13 @@ def _ref_refine(fn, lo, hi, spec, breakpoints, min_cells, first, split, nev):
     heapq.heapify(heap)
     frozen = []
     width_floor = span * 2.0**-48
-    run_value, run_err = sum(c.value for c in cells), sum(c.err for c in cells)
+    run_value, run_err = _left_sum(c.value for c in cells), _left_sum(c.err for c in cells)
     peak = run_err
     splits = 0
     while splits < spec.max_subdivisions and heap:
         if run_err <= max(spec.abs_tol, spec.rel_tol * abs(run_value)) or run_err < peak * 2.0**-40:
             active = [c for (_, _, c) in heap] + frozen
-            run_value, run_err = sum(c.value for c in active), math.fsum(c.err for c in active)
+            run_value, run_err = _left_sum(c.value for c in active), math.fsum(c.err for c in active)
             peak = run_err
             if run_err <= max(spec.abs_tol, spec.rel_tol * abs(run_value)):
                 break
@@ -583,6 +588,39 @@ EDGE_INTEGRANDS = {
 # one cell, a narrow one, 24 panels, 9 panels, and a span that overflows
 EDGE_INTERVALS = [(-0.4, 0.6), (0.0, 1e-3), (-30.0, 30.0), (-5.0, 17.0), (-1e308, 1e308)]
 FREQUENCIES = [0.0, 0.1j, 1j, 10j, 100j, 1e3j, 1e4j, 1e5j, 1e6j, 0.3 + 2j, -0.7 + 40j, 1.5 - 0.2j, -0.01 + 1e3j]
+
+
+SPECIAL_TERMS = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e308, -1e308, math.inf, -math.inf, math.nan, 1e16, -1e16, 1.0]
+
+
+def _term(rng):
+    """A float of any magnitude, or one of the special terms."""
+    if rng.random() < 0.3:
+        return rng.choice(SPECIAL_TERMS)
+    return rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-320.0, 308.0)
+
+
+class TestFixedOrderSums:
+    """The cell kernel's 17-term dot product adds left to right from 0.0, on every supported Python (its 9-term
+    sums, written out in the kernel, are held to the reference by TestBitForBitAgainstTheReference)."""
+
+    @pytest.mark.parametrize("kind", ["float", "complex w", "complex both"])
+    def test_dot17_is_the_left_to_right_reduction(self, kind):
+        rng = random.Random(f"dot-17-{kind}")
+        cplx = lambda: complex(_term(rng), _term(rng))
+        for _ in range(4000):
+            w = [cplx() if kind != "float" else _term(rng) for _ in range(17)]
+            p = [cplx() if kind == "complex both" else _term(rng) for _ in range(17)]
+            got, want = _dot17(w, p), _left_sum(map(mul, w, p))
+            assert type(got) is type(want)
+            assert (complex(got).real.hex(), complex(got).imag.hex()) == \
+                (complex(want).real.hex(), complex(want).imag.hex()), (w, p)
+
+    def test_no_compensation(self):
+        # 1e16 + 1 rounds to 1e16 before -1e16 cancels it, where a compensated sum gives 1.0; and the sum starts at
+        # 0.0, so terms that are all -0.0 add up to 0.0
+        assert _dot17([1.0] * 17, [1e16, 1.0, -1e16] + [0.0] * 14) == 0.0
+        assert math.copysign(1.0, _dot17([-1.0] * 17, [0.0] * 17)) == 1.0
 
 
 class TestBitForBitAgainstTheReference:
