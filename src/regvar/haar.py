@@ -28,7 +28,6 @@ __all__ = [
     "haar_interval_measure",
     "haar_integrate",
     "character_eval",
-    "pullback_multiplicative",
     "fourier_popa",
     "mellin_popa",
     "popa_convolution",
@@ -94,20 +93,6 @@ def character_eval(param: PopaParam, gamma: float, u: float) -> complex:
     return cmath.exp(1j * gamma * iso_log(param, u))
 
 
-def pullback_multiplicative(f: Callable[[float], float], param: PopaParam) -> Callable[[float], float]:
-    """Transport f from a finite-rho group to (0, inf): t -> (1+rho)/rho * f((t-1)/rho)."""
-    if not param.is_finite:
-        raise DomainError("pullback requires a finite positive parameter")
-    _, _, rho, scale = _chart(param, math.inf)  # t spans (0, inf), off the t-line: c = (1+rho)/rho must be finite
-
-    def g(t: float) -> float:
-        if t <= 0.0:
-            raise DomainError(f"pullback argument must be positive, got {t!r}")
-        return scale * f((t - 1.0) / rho)
-
-    return g
-
-
 def _line_transform(f, param: PopaParam, z: complex, spec: QuadratureSpec,
                     what: Callable[[], str]) -> QuadratureResult:
     """The line integral of ``c*f(E(w)/d) * exp(-z*w)`` over ``[-T, T]`` in the chart of ``param``; on the
@@ -116,7 +101,7 @@ def _line_transform(f, param: PopaParam, z: complex, spec: QuadratureSpec,
         raise DomainError(f"{what()}: the exponent must be finite")
     T = spec.truncation
     zT = abs(z) * T
-    _, E, d, c = _chart(param, zT, T=T if zT < math.inf else 0.0)  # an infinite |z|*T is reported first
+    _, E, d, c = chart = _chart(param, zT, T=T if zT < math.inf else 0.0)  # an infinite |z|*T is reported first
     if zT == math.inf:
         raise DomainError(f"{what()}: |z|*T = {zT} is not finite")
     prof = _pull(f, E, d, c)
@@ -124,7 +109,7 @@ def _line_transform(f, param: PopaParam, z: complex, spec: QuadratureSpec,
         res = adaptive_integral(lambda w: prof(w) * cmath.exp(-z * w), -T, T, spec)
         if res.converged:  # its misses go to the cells below
             return res
-    return _cc_integral(prof, -T, T, spec, z if param.is_zero or E is not _t else 0.0)
+    return _cc_integral(prof, -T, T, spec, z if chart == param._row.chart else 0.0)  # 0 on the t-line of a rho > 0
 
 
 def fourier_popa(
@@ -147,7 +132,7 @@ def mellin_popa(
 ) -> complex:
     """Mellin-type transform for rho > 0: integral of f(t) eta(t)^-z against the Haar measure, that is of
     ``c*f(E(w)/d) * exp(-z*w) dw`` in the chart.  At rho = inf it is the classical Mellin transform, integral of
-    f(t) t^-z dt/t; at a finite rho it is the classical one of :func:`pullback_multiplicative` of f."""
+    f(t) t^-z dt/t; at a finite rho it is the classical one of the transport ``(1+rho)/rho * f((t-1)/rho)``."""
     if param.is_zero:
         raise DomainError("mellin transform requires a positive parameter")
     z = complex(z)
@@ -171,8 +156,8 @@ def popa_convolution(
     _, E, d, c = _chart(p, abs(x), T=T)
     if E is _t:  # x o t = x + t; calling the identity maps here costs a tenth more time per call
         integrand = lambda w: c * f(-w) * g(w + x)
-    else:  # x o t = eta_x*t + shift: (1+rho*x)*t + x, without the cancellation of (eta_x*e^w - 1)/rho, or x*t
-        eta_x, shift = (x, 0.0) if p.is_infinite else (1.0 + p.rho * x, x)
+    else:  # x o t = eta(x)*t + x o 0, without the cancellation of (eta_x*e^w - 1)/rho
+        eta_x, shift = p._row.eta(x), p._row.op(x, 0.0)
         integrand = lambda w: c * f(E(-w) / d) * g(eta_x * E(w) / d + shift)
     return float(_value(_cc_integral(integrand, -T, T, spec), lambda: f"popa_convolution at x={x}").real)
 

@@ -7,13 +7,15 @@ additive reals (rho = 0) and the multiplicative positive half-line
 ``t -> 1 + rho*t`` is an isomorphism onto ``(0, inf)`` for finite rho > 0,
 which is what most of the closed forms below exploit.
 
-The Haar measure, density ``(1+rho)/eta(t)`` with ``eta(t) = 1 + rho*t`` (t at
-rho = inf), is ``c*dw`` in the group's chart ``w = L(d*t)``, ``t = E(w)/d``:
+The three readings of the formula, rho = 0, a finite rho > 0 and rho = inf, are
+the rows of one case table, :func:`_row`: identity and centre, operation, inverse
+and eta, iso_log and iso_exp, the o-powers and the chart.  A :class:`PopaParam`
+picks its row once, when it is made, and the functions below read it.
 
-    rho                                     L      E      d    c
-    finite                                  log1p  expm1  rho  (1+rho)/rho
-    inf                                     log    exp    1    1
-    0, or rho*s < 2**-53 for every scale s  t      t      1    1+rho   (the t-line)
+The Haar measure, density ``(1+rho)/eta(t)`` with ``eta(t) = 1 + rho*t`` (t at
+rho = inf), is ``c*dw`` in the group's chart ``w = L(d*t)``, ``t = E(w)/d``.
+Where ``rho*s < 2**-53`` for every scale s in play, a test of scale and not of
+the case, the chart is the t-line ``(t, t, 1, 1+rho)``.
 
 The length of ``[a, b]`` is the norm of ``b o a^-1 = (b - a)/eta(a)``: ``c*(b - a)``
 on the t-line, else ``c*log1p(d*(b - a)/eta(a))``, which subtracts no logarithms.
@@ -25,6 +27,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
+from collections import namedtuple
 from typing import Callable, Iterable, Iterator
 
 __all__ = [
@@ -41,8 +44,6 @@ __all__ = [
     "power",
     "norm",
     "leq",
-    "to_multiplicative",
-    "from_multiplicative",
     "iso_log",
     "iso_exp",
 ]
@@ -68,20 +69,22 @@ _set = object.__setattr__  # how a frozen record's __init__ assigns its fields
 
 
 class _Record:
-    """A value record over ``__slots__``, its fields in order: == and repr by field.  ``frozen=True`` subclasses
-    are hashable and refuse assignment; the others are unhashable."""
+    """A value record over ``__slots__``, its fields the slots not named with a leading underscore, in order: ==,
+    hash, repr and pickling by field.  ``frozen=True`` subclasses are hashable and refuse assignment; the others
+    are unhashable."""
 
     __slots__ = ()
 
     def __init_subclass__(cls, frozen: bool = False) -> None:
-        cls._values = operator.attrgetter(*cls.__slots__)
+        cls._fields = tuple(f for f in cls.__slots__ if not f.startswith("_"))
+        cls._values = operator.attrgetter(*cls._fields)
         if frozen:
             cls.__hash__ = lambda self: hash(self._values(self))
             cls.__setattr__ = cls.__delattr__ = _Record._refuse
 
     def _freeze(self, *values) -> None:
         """A frozen record's __init__ sets its fields, in order, here."""
-        for name, value in zip(self.__slots__, values):
+        for name, value in zip(self._fields, values):
             _set(self, name, value)
 
     def _refuse(self, name: str, *value) -> None:
@@ -93,22 +96,88 @@ class _Record:
         return self is other or self._values(self) == other._values(other)
 
     def __repr__(self) -> str:
-        return f"{type(self).__qualname__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self.__slots__)})"
+        return f"{type(self).__qualname__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._fields)})"
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, f) for f in self.__slots__)
+        return type(self), tuple(getattr(self, f) for f in self._fields)
+
+
+def _times(n: int, x: float) -> float:
+    """n*x for an int n and a finite x; where float(n) overflows, n*x rounded once, +-inf where it overflows."""
+    try:
+        return n * x
+    except OverflowError:  # x = num/den, and n*num/den rounds to +-inf from 2**1024 - 2**970 on
+        num, den = x.as_integer_ratio()
+        return n * num / den if abs(n * num) < den * (2**1024 - 2**970) else math.copysign(math.inf, x if n > 0 else -x)
+
+
+def _exp_over(E: Callable[[float], float], d: float) -> Callable[[float], float]:
+    """``w -> E(w)/d``, iso_exp in the chart (E, d): exp(w - log(d)) where E(w) overflows, +inf where that does too."""
+
+    def iso_exp(w: float) -> float:
+        try:
+            return E(w) / d
+        except OverflowError:
+            w -= math.log(d)
+            return math.exp(w) if w <= _LOG_DBL_MAX else math.inf
+
+    return iso_exp
+
+
+def _multiplicative_powers(delta: float, ns: Iterable[int]) -> Iterator[float]:
+    """delta**n for each n in ns, delta**(+-inf) where it overflows or n is past the float range."""
+    for n in ns:
+        try:
+            yield delta**n
+        except OverflowError:
+            yield delta ** (math.inf if n > 0 else -math.inf)
+
+
+def _chart_powers(rho: float, iso_exp: Callable[[float], float], delta: float, ns: Iterable[int]) -> Iterator[float]:
+    """expm1(n*step)/rho for each n in ns, step = log1p(rho*delta) (log(rho) + log(delta) where rho*delta
+    overflows); where expm1 or float(n) overflows, the overflow-safe iso_exp of n*step."""
+    step = math.log1p(rho * delta) if rho * delta < math.inf else math.log(rho) + math.log(delta)
+    for n in ns:
+        try:
+            yield math.expm1(n * step) / rho
+        except OverflowError:
+            yield iso_exp(_times(n, step))
+
+
+# One group of the case table: its identity and centre, the operation, inverse and eta on unchecked floats, iso_log
+# and iso_exp, the o-powers ``(delta, ns) -> iterator`` and the chart (L, E, d, c) off the t-line.
+_Row = namedtuple("_Row", "identity centre op inverse eta iso_log iso_exp powers chart")
+_ADDITIVE = _Row(0.0, -math.inf, operator.add, operator.neg, lambda t: 1.0, _t, _t,
+                 lambda delta, ns: (_times(n, delta) for n in ns), (_t, _t, 1.0, 1.0))
+_MULTIPLICATIVE = _Row(1.0, 0.0, operator.mul, lambda t: 1.0 / t, _t, math.log, _exp_over(math.exp, 1.0),
+                       _multiplicative_powers, (math.log, math.exp, 1.0, 1.0))
+
+
+def _row(rho: float) -> _Row:
+    """The case table: the row of the additive reals (rho = 0), of the multiplicative half-line (rho = inf), or
+    of a finite rho > 0, whose chart is (log1p, expm1, rho, (1+rho)/rho); c is inf at subnormal rho."""
+    if rho == 0.0:
+        return _ADDITIVE
+    if rho == math.inf:
+        return _MULTIPLICATIVE
+    iso_exp = _exp_over(math.expm1, rho)
+    return _Row(0.0, -1.0 / rho, lambda x, y: (x + y) + rho * (x * y), lambda t: -t / (1.0 + rho * t),
+                lambda t: 1.0 + rho * t, lambda t: math.log1p(rho * t), iso_exp,
+                lambda delta, ns: _chart_powers(rho, iso_exp, delta, ns),
+                (math.log1p, math.expm1, rho, (1.0 + rho) / rho))
 
 
 class PopaParam(_Record, frozen=True):
     """Group parameter: 0.0, a positive finite float, or math.inf."""
 
-    __slots__ = ("rho",)
+    __slots__ = ("rho", "_row")
 
     def __init__(self, rho: float) -> None:
-        r = float(rho)
+        r = float(rho) + 0.0  # -0.0 is 0.0
         if isinstance(rho, bool) or math.isnan(r) or r < 0.0:
             raise DomainError(f"group parameter must be 0, positive or inf, got {rho!r}")
-        self._freeze(r)
+        _set(self, "rho", r)
+        _set(self, "_row", _row(r))
 
     @property
     def is_zero(self) -> bool:
@@ -125,11 +194,7 @@ class PopaParam(_Record, frozen=True):
     @property
     def centre(self) -> float:
         """Excluded boundary point -1/rho (the pole of the carrier)."""
-        if self.is_zero:
-            return -math.inf
-        if self.is_infinite:
-            return 0.0
-        return -1.0 / self.rho
+        return self._row.centre
 
     @classmethod
     def parse(cls, text: str) -> "PopaParam":
@@ -146,10 +211,6 @@ class PopaParam(_Record, frozen=True):
         return cls(r)
 
     def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        if self.is_infinite:
-            return "inf"
         return format(self.rho, ".17g")
 
 
@@ -161,7 +222,8 @@ def _check_value(param: PopaParam, value: float) -> float:
     v = float(value)
     if not math.isfinite(v):
         raise DomainError(f"point must be finite, got {value!r}")
-    if param.rho == 0.0:  # not is_zero: the grid drivers run this once per point and once per row batch
+    # the case inline, not a call of the row's eta, which costs the grid drivers' call per point a third more at rho = 0
+    if param.rho == 0.0:
         return v
     if param.rho == math.inf:
         if v <= _DOMAIN_GUARD:
@@ -193,16 +255,11 @@ class PopaPoint(_Record, frozen=True):
 
 def eta(param: PopaParam, t: float) -> float:
     """Auxiliary factor of the group: 1 + rho*t (1 for rho = 0, t for rho = inf)."""
-    t = _check_value(param, t)
-    if param.is_zero:
-        return 1.0
-    if param.is_infinite:
-        return t
-    return 1.0 + param.rho * t
+    return param._row.eta(_check_value(param, t))
 
 
 def identity(param: PopaParam) -> PopaPoint:
-    return PopaPoint(param, 1.0 if param.is_infinite else 0.0)
+    return PopaPoint(param, param._row.identity)
 
 
 def _same_param(x: PopaPoint, y: PopaPoint) -> PopaParam:
@@ -211,29 +268,15 @@ def _same_param(x: PopaPoint, y: PopaPoint) -> PopaParam:
     return x.param
 
 
-def _float_op(param: PopaParam) -> Callable[[float, float], float]:
-    """The group operation on plain floats, unchecked: x + y, x * y or (x + y) + rho*(x*y)."""
-    if param.is_zero:
-        return operator.add
-    if param.is_infinite:
-        return operator.mul
-    return lambda x, y, rho=param.rho: (x + y) + rho * (x * y)
-
-
 def circle(x: PopaPoint, y: PopaPoint) -> PopaPoint:
     """Group operation x o y = x + y + rho*x*y."""
     param = _same_param(x, y)
-    return PopaPoint(param, _float_op(param)(x.value, y.value))
+    return PopaPoint(param, param._row.op(x.value, y.value))
 
 
 def inverse(x: PopaPoint) -> PopaPoint:
     """Group inverse: -t/(1 + rho*t); negation at rho = 0, reciprocal at rho = inf."""
-    param = x.param
-    if param.is_zero:
-        return PopaPoint(param, -x.value)
-    if param.is_infinite:
-        return PopaPoint(param, 1.0 / x.value)
-    return PopaPoint(param, -x.value / (1.0 + param.rho * x.value))
+    return PopaPoint(x.param, x.param._row.inverse(x.value))
 
 
 def power(param: PopaParam, delta: float, n: int) -> float:
@@ -244,61 +287,19 @@ def power(param: PopaParam, delta: float, n: int) -> float:
     return next(_powers(param, delta, (int(n),)))
 
 
-def _times(n: int, x: float) -> float:
-    """n*x for an int n and a finite x; where float(n) overflows, n*x rounded once, +-inf where it overflows."""
-    try:
-        return n * x
-    except OverflowError:  # x = num/den, and n*num/den rounds to +-inf from 2**1024 - 2**970 on
-        num, den = x.as_integer_ratio()
-        return n * num / den if abs(n * num) < den * (2**1024 - 2**970) else math.copysign(math.inf, x if n > 0 else -x)
-
-
 def _powers(param: PopaParam, delta: float, ns: Iterable[int]) -> Iterator[float]:
-    """:func:`power` of delta for each n in ns, streamed: delta is checked and log1p(rho*delta) taken once (as
-    log(rho) + log(delta) where rho*delta overflows).  An iterate past the float range is +-inf at every rho."""
-    delta = _check_value(param, delta)
-    if param.is_zero:
-        return (_times(n, delta) for n in ns)
-    if param.is_infinite:
-        return _multiplicative_powers(delta, ns)
-    rho = param.rho
-    step = math.log1p(rho * delta) if rho * delta < math.inf else math.log(rho) + math.log(delta)
-    return _chart_powers(rho, step, ns)
-
-
-def _multiplicative_powers(delta: float, ns: Iterable[int]) -> Iterator[float]:
-    """delta**n for each n in ns, delta**(+-inf) where it overflows or n is past the float range."""
-    for n in ns:
-        try:
-            yield delta**n
-        except OverflowError:
-            yield delta ** (math.inf if n > 0 else -math.inf)
-
-
-def _chart_powers(rho: float, step: float, ns: Iterable[int]) -> Iterator[float]:
-    """expm1(n*step)/rho for each n in ns; where expm1 overflows, exp(n*step)/rho = exp(n*step - log(rho)), inf
-    where that overflows too."""
-    for n in ns:
-        try:
-            yield math.expm1(n * step) / rho
-        except OverflowError:  # in expm1, or in float(n) for an n past the float range
-            w = (x := _times(n, step)) - math.log(rho)
-            yield math.expm1(x) / rho if x <= _LOG_DBL_MAX else math.exp(w) if w <= _LOG_DBL_MAX else math.inf
+    """:func:`power` of delta for each n in ns, streamed: delta is checked at once, and log1p(rho*delta) once."""
+    return param._row.powers(_check_value(param, delta), ns)
 
 
 def _coordinate(param: PopaParam, scale: float) -> tuple:
-    """(L, E, d, c) of the chart for scales up to ``scale``; c = (1+rho)/rho is inf at subnormal rho."""
-    rho = param.rho
-    if rho == 0.0 or rho * scale < _TINY:
-        return _t, _t, 1.0, 1.0 + rho
-    if param.is_infinite:
-        return math.log, math.exp, 1.0, 1.0
-    return math.log1p, math.expm1, rho, (1.0 + rho) / rho
+    """(L, E, d, c) of the chart for scales up to ``scale``: the t-line where rho*scale < _TINY, else the row's."""
+    return (_t, _t, 1.0, 1.0 + param.rho) if param.rho * scale < _TINY else param._row.chart
 
 
 def _chart(param: PopaParam, *scales: float, T: float = 0.0) -> tuple:
-    """(L, E, d, c) of the chart table in the module docstring, the t-line where rho*s < _TINY for T and every
-    scale s.  Off it c must be finite, and so must E(T) when w ranges over [-T, T] (T = 0 where it does not)."""
+    """(L, E, d, c) of the group's chart, the t-line where rho*s < _TINY for T and every scale s.  Off it c must
+    be finite, and so must E(T) when w ranges over [-T, T] (T = 0 where it does not)."""
     L, E, d, c = _coordinate(param, max((T, *scales)))
     if math.isinf(c):
         raise DomainError(f"rho={param.rho!r} is too small for the coordinate log(1+rho*t)")
@@ -315,7 +316,7 @@ def _haar_length(param: PopaParam, a: float, b: float) -> float:
     L, _, d, c = _coordinate(param, max(abs(a), abs(b)))
     if L is _t:
         return c * (b - a)
-    e = a if param.is_infinite else 1.0 + d * a
+    e = param._row.eta(a)
     if e == math.inf:  # rho*a overflows: on [a, b] eta(t) is rho*t to working precision
         e, d = a, 1.0
     q = (b - a) / e
@@ -327,7 +328,7 @@ def _haar_length(param: PopaParam, a: float, b: float) -> float:
 def norm(x: PopaPoint) -> float:
     """Group norm, the Haar length between the identity and x: |t| at rho = 0, |log t| at rho = inf,
     |log(1 + rho*t)|*(1+rho)/rho at finite rho."""
-    e = identity(x.param).value
+    e = x.param._row.identity
     return _haar_length(x.param, min(e, x.value), max(e, x.value))
 
 
@@ -337,43 +338,11 @@ def leq(x: PopaPoint, y: PopaPoint) -> bool:
     return x.value <= y.value
 
 
-def to_multiplicative(x: PopaPoint) -> float:
-    """Isomorphism onto (0, inf): 1 + rho*t, exp(t) at rho = 0, t at rho = inf."""
-    param = x.param
-    if param.is_zero:
-        return math.exp(x.value)
-    if param.is_infinite:
-        return x.value
-    return 1.0 + param.rho * x.value
-
-
-def from_multiplicative(param: PopaParam, v: float) -> PopaPoint:
-    """Inverse of :func:`to_multiplicative`; v must be positive."""
-    v = float(v)
-    if not (v > 0.0 and math.isfinite(v)):
-        raise DomainError(f"multiplicative representative must be in (0, inf), got {v!r}")
-    if param.is_zero:
-        return PopaPoint(param, math.log(v))
-    if param.is_infinite:
-        return PopaPoint(param, v)
-    return PopaPoint(param, (v - 1.0) / param.rho)
-
-
 def iso_log(param: PopaParam, t: float) -> float:
-    """log of :func:`to_multiplicative`, evaluated stably: log1p(rho*t) for finite rho."""
-    t = _check_value(param, t)
-    if param.is_zero:
-        return t
-    if param.is_infinite:
-        return math.log(t)
-    return math.log1p(param.rho * t)
+    """Isomorphism onto the additive reals, log(1 + rho*t) evaluated stably: t at rho = 0, log(t) at rho = inf."""
+    return param._row.iso_log(_check_value(param, t))
 
 
 def iso_exp(param: PopaParam, w: float) -> float:
-    """Inverse of :func:`iso_log`: expm1(w)/rho for finite rho."""
-    w = float(w)
-    if param.is_zero:
-        return w
-    if param.is_infinite:
-        return math.exp(w)
-    return math.expm1(w) / param.rho
+    """Inverse of :func:`iso_log`: expm1(w)/rho for finite rho; +inf where the value is past the float range."""
+    return param._row.iso_exp(float(w))

@@ -139,7 +139,7 @@ def subadditivity_check(
                           "the budget of one call")
     pts = [popa._check_value(rho, p) for p in grid.points()]
     svals = [_codomain_value(sigma, p, S(p)) for p in pts]
-    rho_op, sigma_op = popa._float_op(rho), popa._float_op(sigma)
+    rho_op, sigma_op = rho._row.op, sigma._row.op
     lo, hi, n = grid.lo, grid.hi, len(pts)
     worst, worst_pair = 0.0, (math.nan, math.nan)
     checked = skipped = 0

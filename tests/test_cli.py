@@ -356,6 +356,13 @@ class TestKernelCommand:
         assert code == 0
         assert out == "0.5\n"
 
+    def test_eval_near_and_past_the_float_range(self, capsys):
+        # expm1(kappa*w) overflows where the kernel, exp(kappa*w - log(sigma)), does not: 203235701.0936063 (mpmath)
+        argv = ["kernel", "eval", "--rho", "1e300", "--sigma", "1e300", "--kappa", "1.001", "--t", "1e8"]
+        assert run_cli(capsys, *argv) == (0, "203235701.093613\n", "")
+        argv = ["kernel", "eval", "--rho", "1", "--sigma", "inf", "--kappa", "1000", "--t", "10"]
+        assert run_cli(capsys, *argv) == (2, "", "error: point must be finite, got inf\n")
+
 
 class TestEstimateCommand:
     def test_every_curve_leaving_its_table_prints_nan_fit(self, tmp_path, capsys):

@@ -154,6 +154,27 @@ class TestKernelEval:
                 assert 1.0 + s * kernel_eval(kp, t) == pytest.approx(target, rel=1e-12)
             assert kernel_eval(flat, t) == pytest.approx(math.log(target), rel=1e-12)
 
+    @pytest.mark.parametrize("rho, sigma, kappa, t", [
+        (1e300, 1e300, 1.001, 1e8),  # w = 709.9 > log(DBL_MAX), K = 2.03e8
+        (1e300, 1e300, 1.9, 1e8),  # w = 1347.5, K = 1.6e285
+        (1.0, 1e300, 1.0, 1e307),  # w = log1p(1e307) < log(DBL_MAX): expm1(w)/sigma in range
+        (1.0, 1e300, 2.0, 1e150),  # w = 690.8
+        (1.0, 1.0, 1000.0, 10.0),  # past the float range
+        (1.0, INFINITY.rho, 1000.0, 10.0),
+        (1e300, 0.5, 1.0005, 1e8),  # expm1(w) is finite, expm1(w)/sigma is not
+    ])
+    def test_near_and_past_the_float_range(self, rho, sigma, kappa, t):
+        import mpmath
+
+        with mpmath.workdps(40):
+            w = kappa * mpmath.log1p(mpmath.mpf(rho) * t)
+            exact = mpmath.exp(w) if math.isinf(sigma) else mpmath.expm1(w) / mpmath.mpf(sigma)
+        got = kernel_eval(KernelParams(PopaParam(rho), PopaParam(sigma), kappa), t)
+        if exact > 1.7976931348623157e308:
+            assert got == math.inf
+        else:
+            assert abs(got - exact) <= 1e-12 * exact
+
 
 class TestCocycles:
     def test_affine_pair_from_multiplier(self):

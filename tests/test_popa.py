@@ -17,10 +17,12 @@ from regvar.popa import (
     ParameterMismatchError,
     PopaParam,
     PopaPoint,
+    _chart,
+    _is_member,
     _powers,
+    _t,
     circle,
     eta,
-    from_multiplicative,
     identity,
     inverse,
     iso_exp,
@@ -28,7 +30,6 @@ from regvar.popa import (
     leq,
     norm,
     power,
-    to_multiplicative,
 )
 
 P_HALF = PopaParam(0.5)
@@ -71,6 +72,13 @@ class TestParam:
         for text in ("-1", "nan", "abc", "Infinity", ""):
             with pytest.raises(DomainError):
                 PopaParam.parse(text)
+
+    @pytest.mark.parametrize("make", [lambda: PopaParam(-0.0), lambda: PopaParam.parse("-0")])
+    def test_negative_zero_is_zero(self, make):
+        p = make()
+        assert repr(p) == "PopaParam(rho=0.0)" and str(p) == "0" and math.copysign(1.0, p.rho) == 1.0
+        assert p == ZERO and hash(p) == hash(ZERO)
+        assert (p.centre, identity(p).value, eta(p, 5.0), iso_exp(p, 2.0)) == (-math.inf, 0.0, 1.0, 2.0)
 
 
 class TestDomain:
@@ -197,25 +205,18 @@ class TestGroupLaws:
 
     @settings(max_examples=200)
     @given(params_st, w_st, w_st)
-    def test_homomorphism_to_multiplicative(self, param, w1, w2):
+    def test_iso_log_is_a_homomorphism(self, param, w1, w2):
         x, y = point_from_w(param, w1), point_from_w(param, w2)
-        lhs = to_multiplicative(circle(x, y))
-        rhs = to_multiplicative(x) * to_multiplicative(y)
+        lhs = iso_log(param, circle(x, y).value)
+        rhs = iso_log(param, x.value) + iso_log(param, y.value)
         assert rel_residual(lhs, rhs) <= 1e-12
 
     @settings(max_examples=200)
     @given(params_st, w_st)
-    def test_multiplicative_round_trip(self, param, w):
+    def test_iso_exp_inverts_iso_log(self, param, w):
         x = point_from_w(param, w)
-        v = to_multiplicative(x)
-        back = from_multiplicative(param, v).value
+        back = iso_exp(param, iso_log(param, x.value))
         assert back == pytest.approx(x.value, rel=1e-12, abs=1e-15)
-
-    def test_from_multiplicative_rejects_nonpositive(self):
-        with pytest.raises(DomainError):
-            from_multiplicative(P1, 0.0)
-        with pytest.raises(DomainError):
-            from_multiplicative(ZERO, -2.0)
 
 
 class TestNorm:
@@ -300,6 +301,20 @@ class TestIso:
     def test_iso_round_trip(self, param, w):
         t = iso_exp(param, w)
         assert iso_log(param, t) == pytest.approx(w, rel=1e-12, abs=1e-13)
+
+    @pytest.mark.parametrize("rho", [0.5, 1.0, 7.0, 1e300, math.inf])
+    def test_iso_exp_near_and_past_the_float_range(self, rho):
+        # expm1(w) overflows from w = log(DBL_MAX) on, while expm1(w)/rho is finite up to w = log(DBL_MAX*rho)
+        import mpmath
+
+        for w in (700.0, 709.0, 709.78, 709.8, 710.0, 1000.0, 1400.0, 1400.5, 1401.0, 2000.0):
+            with mpmath.workdps(40):
+                exact = mpmath.exp(w) if math.isinf(rho) else mpmath.expm1(w) / mpmath.mpf(rho)
+            got = iso_exp(PopaParam(rho), w)
+            if exact > sys.float_info.max:
+                assert got == math.inf, w
+            else:
+                assert abs(got - exact) <= 1e-12 * exact, w
 
     def test_iso_log_small_argument_precision(self):
         p = PopaParam(1e-8)
@@ -414,3 +429,83 @@ class TestHaarLength:
         a, b, c = (point_from_w(param, w).value for w in (-1.0, 0.3, 2.0))
         m = lambda lo, hi: haar_interval_measure(Interval(param, lo, hi))
         assert m(a, b) + m(b, c) == pytest.approx(m(a, c), rel=1e-14)
+
+
+class TestRowParity:
+    """Each group's row gives, bit for bit, the per-case formulas it replaced, which are written out here."""
+
+    RHOS = [0.0, 1e-300, 1e-17, 0.5, 1.0, 1e300, math.inf]
+
+    @staticmethod
+    def case(rho, additive, finite, multiplicative):
+        return additive() if rho == 0.0 else multiplicative() if math.isinf(rho) else finite()
+
+    def points(self, rho):
+        """Seeded points of the carrier, with pairs on both sides of the t-line threshold rho*|t| = 2**-53."""
+        rng = np.random.default_rng(20261019)
+        ts = [iso_exp(PopaParam(rho), w) for w in rng.uniform(-3.0, 3.0, 12)]
+        if 0.0 < rho < math.inf:
+            edge = 2.0**-53 / rho
+            ts += [s * f * edge for s in (1.0, -1.0) for f in (0.5, 0.999, 1.001, 2.0) if math.isfinite(f * edge)]
+        return ts
+
+    @staticmethod
+    def same(got, want):
+        assert float(got).hex() == float(want).hex()
+
+    @pytest.mark.parametrize("rho", RHOS)
+    def test_centre_identity_eta_inverse_and_iso_log(self, rho):
+        p = PopaParam(rho)
+        self.same(p.centre, self.case(rho, lambda: -math.inf, lambda: -1.0 / rho, lambda: 0.0))
+        self.same(identity(p).value, self.case(rho, lambda: 0.0, lambda: 0.0, lambda: 1.0))
+        for t in self.points(rho):
+            self.same(eta(p, t), self.case(rho, lambda: 1.0, lambda: 1.0 + rho * t, lambda: t))
+            self.same(iso_log(p, t), self.case(rho, lambda: t, lambda: math.log1p(rho * t), lambda: math.log(t)))
+            want = self.case(rho, lambda: -t, lambda: -t / (1.0 + rho * t), lambda: 1.0 / t)
+            if _is_member(p, want):
+                self.same(inverse(PopaPoint(p, t)).value, want)
+
+    @pytest.mark.parametrize("rho", RHOS)
+    def test_circle_and_norm(self, rho):
+        p = PopaParam(rho)
+        ts = self.points(rho)
+        for x, y in zip(ts, ts[::-1]):
+            want = self.case(rho, lambda: x + y, lambda: (x + y) + rho * (x * y), lambda: x * y)
+            if _is_member(p, want):
+                self.same(circle(PopaPoint(p, x), PopaPoint(p, y)).value, want)
+            else:
+                with pytest.raises(DomainError):
+                    circle(PopaPoint(p, x), PopaPoint(p, y))
+        for t in ts:
+            e = 1.0 if math.isinf(rho) else 0.0
+            a, b = min(e, t), max(e, t)
+            if rho == 0.0 or rho * max(abs(a), abs(b)) < 2.0**-53:
+                want = (1.0 + rho) * (b - a)
+            else:  # c*log1p(d*(b - a)/eta(a)), the quotient taken after d where (b - a)/eta(a) is subnormal
+                e, d, c = (a, 1.0, 1.0) if math.isinf(rho) else (1.0 + rho * a, rho, (1.0 + rho) / rho)
+                q = (b - a) / e
+                want = c * math.log1p(q * d if q >= sys.float_info.min else (b - a) * (d / e))
+            self.same(norm(PopaPoint(p, t)), want)
+
+    @pytest.mark.parametrize("rho", RHOS)
+    def test_iso_exp_and_power_in_range(self, rho):
+        p = PopaParam(rho)
+        for w in np.random.default_rng(7).uniform(-3.0, 3.0, 12):
+            self.same(iso_exp(p, w), self.case(rho, lambda: w, lambda: math.expm1(w) / rho, lambda: math.exp(w)))
+        for delta in self.points(rho):
+            for n in (-3, -1, 0, 1, 2, 5):
+                want = self.case(rho, lambda: n * delta, lambda: math.expm1(n * math.log1p(rho * delta)) / rho,
+                                 lambda: delta**n)
+                self.same(power(p, delta, n), want)
+
+    @pytest.mark.parametrize("rho", RHOS)
+    def test_chart_on_and_off_the_t_line(self, rho):
+        p = PopaParam(rho)
+        for s in map(abs, self.points(rho)):
+            if rho == 0.0 or rho * s < 2.0**-53:
+                want = (_t, _t, 1.0, 1.0 + rho)
+            elif math.isinf(rho):
+                want = (math.log, math.exp, 1.0, 1.0)
+            else:
+                want = (math.log1p, math.expm1, rho, (1.0 + rho) / rho)
+            assert _chart(p, s) == want, s

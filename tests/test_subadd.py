@@ -336,7 +336,7 @@ def _parent_driver(S, rho, sigma, grid, tol=1e-10):
 
     pts = [popa._check_value(rho, p) for p in grid.points()]
     svals = [image(p) for p in pts]
-    rho_op, sigma_op = popa._float_op(rho), popa._float_op(sigma)
+    rho_op, sigma_op = rho._row.op, sigma._row.op
     worst, worst_pair, checked, skipped = 0.0, (math.nan, math.nan), 0, 0
     for i, x in enumerate(pts):
         weight = 1
@@ -383,7 +383,7 @@ def _near_pole_case(seed):
 
 def _split_windows(rho, grid):
     """How many rows have an in-window set of partners that is not one slice of the grid."""
-    pts, op = grid.points(), popa._float_op(rho)
+    pts, op = grid.points(), rho._row.op
     inside = ["".join("1" if grid.lo <= op(x, y) <= grid.hi else "0" for y in pts[i:]) for i, x in enumerate(pts)]
     return sum("0" in row.strip("0") for row in inside)
 
