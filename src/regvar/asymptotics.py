@@ -15,14 +15,15 @@ admissible f, phi, h.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from bisect import bisect_right
 from collections import deque
 from functools import partial
-from itertools import pairwise, takewhile
+from itertools import chain, compress, count
 from typing import Callable, Sequence
 
-from regvar.popa import DomainError, PopaParam, _MAX_LISTED, _powers, _Record, identity, iso_log, power
+from regvar.popa import DomainError, PopaParam, _MAX_LISTED, _power_blocks, _powers, _Record, identity, iso_log, power
 
 __all__ = [
     "TableRangeError",
@@ -429,11 +430,17 @@ def beck_riemann_sum(
     """Riemann sum of g/eta over the partition of [identity, u] induced by the
     o-iterates of delta, at most 3276800 cells, the final cell clipped at u.
     Converges to the integral of g(x)/eta(x) dx at first order in delta."""
-    nodes = (min(p, u) for p in _powers(param, delta, range(_beck_index(param, delta, u) + 1)))
-    cells = takewhile(lambda c: c[0] < c[1], pairwise(nodes))  # up to the first empty cell
     rho, multiplicative = param.rho, param.is_infinite  # eta(param, x) inline: x is in [identity, u], and
     # a call of the row's eta per cell costs the sum up to 8%
-    return math.fsum(g(x) / (x if multiplicative else 1.0 + rho * x) * (x - a) for a, x in cells)
+    def terms(nodes=()):  # a block's nodes, clipped as min(p, u), after the last node of the block before
+        for block in _power_blocks(param, delta, range(_beck_index(param, delta, u) + 1)):
+            nodes = [*nodes[-1:], *[u if u < p else p for p in block]]
+            end = next(compress(count(1), map(operator.ge, nodes, nodes[1:])), None)  # the first empty cell ends it
+            yield [g(x) / (x if multiplicative else 1.0 + rho * x) * (x - a) for a, x in zip(nodes, nodes[1:end])]
+            if end:
+                return
+
+    return math.fsum(chain.from_iterable(terms()))
 
 
 def goldie_sum(

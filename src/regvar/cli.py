@@ -298,7 +298,8 @@ _COMMANDS = {
                  PopaPoint(sigma, m.kernel_eval(m.KernelParams(rho, sigma, kappa), t)).value),
         "inverse": ("--rho --sigma=0 --kappa=1 --z", lambda m, rho, sigma, kappa, z:
                     PopaPoint(rho, m.kernel_inverse(m.KernelParams(rho, sigma, kappa), z)).value),
-        "goldie-g": ("--rho --gamma=1 --u", lambda m, rho, gamma, u: m.goldie_integral(m.GoldieAux(rho, gamma), u)),
+        "goldie-g": ("--rho --gamma=1 --u", lambda m, rho, gamma, u:
+                     PopaPoint(ZERO, m.goldie_integral(m.GoldieAux(rho, gamma), u)).value),
     }),
     "estimate": ("limit estimation and index fitting", "asymptotics", {
         "kernel": (f"--mode --f --phi=one --h=one --t:numbers --fit-rho= --fit-sigma= {_SCHEME}", _estimate_kernel),

@@ -17,6 +17,7 @@ import math
 from typing import Callable
 
 from regvar.popa import (
+    _LOG_DBL_MAX,
     DomainError,
     PopaParam,
     PopaPoint,
@@ -111,11 +112,22 @@ class GoldieAux(_Record, frozen=True):
         self._freeze(rho, gamma)
 
     def g(self, t: float) -> float:
-        return math.exp(-self.gamma * math.log1p(self.rho.rho * t))
+        try:
+            return math.exp(-self.gamma * math.log1p(self.rho.rho * t))
+        except OverflowError:
+            return math.inf
 
     def g_prime(self, t: float) -> float:
-        r = self.rho.rho
-        return -self.gamma * r * math.exp(-(self.gamma + 1.0) * math.log1p(r * t))
+        r, w = self.rho.rho, -(self.gamma + 1.0) * math.log1p(self.rho.rho * t)
+        try:
+            return -self.gamma * r * math.exp(w)
+        except OverflowError:
+            return self._past_exp(w, 1.0)
+
+    def _past_exp(self, w: float, k: float) -> float:
+        """-sign(gamma)*exp(w)*|gamma*rho|**k for an exp(w) past the float range (so gamma != 0), +-inf past it too."""
+        w += k * (math.log(abs(self.gamma)) + math.log(self.rho.rho))
+        return math.copysign(math.exp(w) if w <= _LOG_DBL_MAX else math.inf, -self.gamma)
 
 
 def goldie_integral(aux: GoldieAux, u: float) -> float:
@@ -128,7 +140,10 @@ def goldie_integral(aux: GoldieAux, u: float) -> float:
     w = math.log1p(r * u)  # validates 1 + rho*u > 0 via ValueError on log1p
     if aux.gamma == 0.0:
         return w / r
-    return -math.expm1(-aux.gamma * w) / (aux.gamma * r)
+    try:
+        return -math.expm1(-aux.gamma * w) / (aux.gamma * r)
+    except OverflowError:  # (1+rho*u)^-gamma is past the float range, and so is the value unless |gamma*rho| is large
+        return aux._past_exp(-aux.gamma * w, -1.0)
 
 
 def goldie_ode_residual(aux: GoldieAux, c1: float, kappa_const: float, u: float) -> float:

@@ -10,7 +10,9 @@ which is what most of the closed forms below exploit.
 The three readings of the formula, rho = 0, a finite rho > 0 and rho = inf, are
 the rows of one case table, :func:`_row`: identity and centre, operation, inverse
 and eta, iso_log and iso_exp, the o-powers and the chart.  A :class:`PopaParam`
-picks its row once, when it is made, and the functions below read it.
+picks its row once, when it is made, and the functions below read it.  The grid
+drivers read its list forms: ``ops(x, ys)``, x o y for each y, and the o-powers,
+which :func:`_powers` streams a comprehension of ``_BLOCK`` of them at a time.
 
 The Haar measure, density ``(1+rho)/eta(t)`` with ``eta(t) = 1 + rho*t`` (t at
 rho = inf), is ``c*dw`` in the group's chart ``w = L(d*t)``, ``t = E(w)/d``.
@@ -28,7 +30,8 @@ import math
 import operator
 import sys
 from collections import namedtuple
-from typing import Callable, Iterable, Iterator
+from itertools import chain
+from typing import Callable, Iterator, Sequence
 
 __all__ = [
     "DomainError",
@@ -54,6 +57,7 @@ _DOMAIN_GUARD = 1e-300
 _TINY = 2.0**-53  # |rho*t| below it: 1 + rho*t is 1, log(1+rho*t)/rho is t to working precision
 _LOG_DBL_MAX = math.log(sys.float_info.max)  # the largest T with exp(T) and expm1(T) finite
 _MAX_LISTED = 100 * 2**20 // 32  # the longest list of points a call builds: about 100 MB at 8 + 24 bytes a float
+_BLOCK = 1024  # o-powers per comprehension of a stream, about 32 kB of floats: 4096 was no faster on a grid pass
 _t = lambda w: w  # the t-line's L and E
 
 
@@ -124,46 +128,39 @@ def _exp_over(E: Callable[[float], float], d: float) -> Callable[[float], float]
     return iso_exp
 
 
-def _multiplicative_powers(delta: float, ns: Iterable[int]) -> Iterator[float]:
-    """delta**n for each n in ns, delta**(+-inf) where it overflows or n is past the float range."""
-    for n in ns:
-        try:
-            yield delta**n
-        except OverflowError:
-            yield delta ** (math.inf if n > 0 else -math.inf)
+def _multiplicative_power(delta: float, n: int) -> float:
+    """delta**n, delta**(+-inf) where it overflows or n is past the float range."""
+    try:
+        return delta**n
+    except OverflowError:
+        return delta ** (math.inf if n > 0 else -math.inf)
 
 
-def _chart_powers(rho: float, iso_exp: Callable[[float], float], delta: float, ns: Iterable[int]) -> Iterator[float]:
-    """expm1(n*step)/rho for each n in ns, step = log1p(rho*delta) (log(rho) + log(delta) where rho*delta
-    overflows); where expm1 or float(n) overflows, the overflow-safe iso_exp of n*step."""
-    step = math.log1p(rho * delta) if rho * delta < math.inf else math.log(rho) + math.log(delta)
-    for n in ns:
-        try:
-            yield math.expm1(n * step) / rho
-        except OverflowError:
-            yield iso_exp(_times(n, step))
-
-
-# One group of the case table: its identity and centre, the operation, inverse and eta on unchecked floats, iso_log
-# and iso_exp, the o-powers ``(delta, ns) -> iterator`` and the chart (L, E, d, c) off the t-line.
-_Row = namedtuple("_Row", "identity centre op inverse eta iso_log iso_exp powers chart")
-_ADDITIVE = _Row(0.0, -math.inf, operator.add, operator.neg, lambda t: 1.0, _t, _t,
-                 lambda delta, ns: (_times(n, delta) for n in ns), (_t, _t, 1.0, 1.0))
-_MULTIPLICATIVE = _Row(1.0, 0.0, operator.mul, lambda t: 1.0 / t, _t, math.log, _exp_over(math.exp, 1.0),
-                       _multiplicative_powers, (math.log, math.exp, 1.0, 1.0))
+# One group of the case table: its identity and centre, the operation and ``ops(x, ys) = [x o y for y in ys]``, inverse
+# and eta on unchecked floats, iso_log and iso_exp, the o-powers and the chart (L, E, d, c) off the t-line.  delta^(n o)
+# is ``power(step(delta), n)``, +-inf past the float range; ``powers(step, ns)`` lists them, or raises OverflowError.
+_Row = namedtuple("_Row", "identity centre op ops inverse eta iso_log iso_exp step power powers chart")
+_ADDITIVE = _Row(0.0, -math.inf, operator.add, lambda x, ys: [x + y for y in ys], operator.neg, lambda t: 1.0, _t, _t,
+                 _t, lambda delta, n: _times(n, delta), lambda delta, ns: [n * delta for n in ns], (_t, _t, 1.0, 1.0))
+_MULTIPLICATIVE = _Row(1.0, 0.0, operator.mul, lambda x, ys: [x * y for y in ys], lambda t: 1.0 / t, _t, math.log,
+                       _exp_over(math.exp, 1.0), _t, _multiplicative_power, lambda delta, ns: [delta**n for n in ns],
+                       (math.log, math.exp, 1.0, 1.0))
 
 
 def _row(rho: float) -> _Row:
     """The case table: the row of the additive reals (rho = 0), of the multiplicative half-line (rho = inf), or
-    of a finite rho > 0, whose chart is (log1p, expm1, rho, (1+rho)/rho); c is inf at subnormal rho."""
+    of a finite rho > 0, whose chart is (log1p, expm1, rho, (1+rho)/rho); c is inf at subnormal rho.  Its o-powers
+    are iso_exp(n*step), step = log1p(rho*delta) (log(rho) + log(delta) where rho*delta overflows)."""
     if rho == 0.0:
         return _ADDITIVE
     if rho == math.inf:
         return _MULTIPLICATIVE
     iso_exp = _exp_over(math.expm1, rho)
-    return _Row(0.0, -1.0 / rho, lambda x, y: (x + y) + rho * (x * y), lambda t: -t / (1.0 + rho * t),
+    return _Row(0.0, -1.0 / rho, lambda x, y: (x + y) + rho * (x * y),
+                lambda x, ys: [(x + y) + rho * (x * y) for y in ys], lambda t: -t / (1.0 + rho * t),
                 lambda t: 1.0 + rho * t, lambda t: math.log1p(rho * t), iso_exp,
-                lambda delta, ns: _chart_powers(rho, iso_exp, delta, ns),
+                lambda delta: math.log1p(rho * delta) if rho * delta < math.inf else math.log(rho) + math.log(delta),
+                lambda step, n: iso_exp(_times(n, step)), lambda step, ns: [math.expm1(n * step) / rho for n in ns],
                 (math.log1p, math.expm1, rho, (1.0 + rho) / rho))
 
 
@@ -284,12 +281,25 @@ def power(param: PopaParam, delta: float, n: int) -> float:
 
     Negative n is the iterate of the inverse element; an iterate past the float range is +-inf, for any int n.
     """
-    return next(_powers(param, delta, (int(n),)))
+    return param._row.power(param._row.step(_check_value(param, delta)), int(n))
 
 
-def _powers(param: PopaParam, delta: float, ns: Iterable[int]) -> Iterator[float]:
-    """:func:`power` of delta for each n in ns, streamed: delta is checked at once, and log1p(rho*delta) once."""
-    return param._row.powers(_check_value(param, delta), ns)
+def _power_blocks(param: PopaParam, delta: float, ns: Sequence[int]) -> Iterator[list[float]]:
+    """The lists of :func:`power` of delta over ns[k:k + _BLOCK] for k = 0, _BLOCK, ...: delta is checked and its
+    step taken once, and a block is one comprehension, or one term at a time where that overflows."""
+    row = param._row
+    step = row.step(_check_value(param, delta))
+    for k in range(0, len(ns), _BLOCK):
+        part = ns[k:k + _BLOCK]
+        try:
+            yield row.powers(step, part)
+        except OverflowError:
+            yield [row.power(step, n) for n in part]
+
+
+def _powers(param: PopaParam, delta: float, ns: Sequence[int]) -> Iterator[float]:
+    """:func:`power` of delta for each n in ns, streamed a block at a time."""
+    return chain.from_iterable(_power_blocks(param, delta, ns))
 
 
 def _coordinate(param: PopaParam, scale: float) -> tuple:

@@ -12,7 +12,7 @@ import math
 import warnings
 from bisect import bisect_left, bisect_right
 from functools import partial
-from itertools import accumulate, repeat
+from itertools import accumulate, compress
 from typing import Callable, Sequence
 
 from regvar import popa
@@ -139,21 +139,23 @@ def subadditivity_check(
                           "the budget of one call")
     pts = [popa._check_value(rho, p) for p in grid.points()]
     svals = [_codomain_value(sigma, p, S(p)) for p in pts]
-    rho_op, sigma_op = rho._row.op, sigma._row.op
+    rho_op, rho_ops, sigma_ops = rho._row.op, rho._row.ops, sigma._row.ops
     lo, hi, n = grid.lo, grid.hi, len(pts)
     worst, worst_pair = 0.0, (math.nan, math.nan)
     checked = skipped = 0
     for i, x in enumerate(pts):
-        x_op = partial(rho_op, x)
         if x >= 0.0 or not rho.is_finite:  # every rounded op of x o y is monotone in y: the window is a slice
+            x_op = partial(rho_op, x)
             j0 = bisect_left(pts, lo, i, n, key=x_op)
             j1 = bisect_right(pts, hi, j0, n, key=x_op)
             ys, sy = pts[j0:j1], svals[j0:j1]
-        else:  # (x + y) + rho*(x*y) can step back an ulp as y grows: test each pair
-            js = [j for j in range(i, n) if lo <= x_op(pts[j]) <= hi]
-            j0, ys, sy = js[0] if js else n, [pts[j] for j in js], [svals[j] for j in js]
-        zs = list(map(x_op, ys))  # each z lies between two points of the carrier, so it is one too
-        bounds = list(map(sigma_op, repeat(svals[i], len(ys)), sy))
+            zs = rho_ops(x, ys)  # each z lies between two points of the carrier, so it is one too
+        else:  # (x + y) + rho*(x*y) can step back an ulp as y grows: the row is made once and each pair tested
+            zs = rho_ops(x, pts[i:])
+            inside = [lo <= z <= hi for z in zs]
+            j0 = i + inside.index(True) if True in inside else n
+            ys, sy, zs = (list(compress(v, inside)) for v in (pts[i:], svals[i:], zs))
+        bounds = sigma_ops(svals[i], sy)
         values = list(map(S, zs))
         images = list(map(float, values))
         if not (_in_carrier(sigma, bounds) and _in_carrier(sigma, images)):
@@ -162,7 +164,7 @@ def subadditivity_check(
                 _codomain_value(sigma, z, v)
         row = 2 * len(ys) - (bool(ys) and j0 == i)  # the diagonal pair (x, x) counts once
         checked, skipped = checked + row, skipped + 2 * (n - i) - 1 - row
-        violations = list(map(float.__sub__, images, bounds))
+        violations = [v - b for v, b in zip(images, bounds)]
         top = max(violations, default=0.0)
         if top > worst:
             worst, worst_pair = top, (x, ys[violations.index(top)])

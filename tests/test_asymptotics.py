@@ -39,7 +39,7 @@ from regvar.asymptotics import (
 )
 from regvar.cli import main
 from regvar.kernels import KernelParams, cj_residual, kernel_eval
-from regvar.popa import INFINITY, ZERO, DomainError, PopaParam, eta, iso_exp, iso_log, power
+from regvar.popa import _BLOCK, INFINITY, ZERO, DomainError, PopaParam, eta, iso_exp, iso_log, power
 
 P1 = PopaParam(1.0)
 
@@ -582,7 +582,7 @@ class TestBeckPartition:
     def test_riemann_sum_streams_past_the_list_cap(self, monkeypatch):
         # the budget of cells is the list cap, and the cap + 1 nodes of its cells are streamed, not listed
         cap, seen = asymptotics._MAX_LISTED, []
-        monkeypatch.setattr(asymptotics, "_powers", lambda param, delta, ns: seen.append(ns) or iter(()))
+        monkeypatch.setattr(asymptotics, "_power_blocks", lambda param, delta, ns: seen.append(ns) or iter(()))
         assert beck_riemann_sum(lambda t: 1.0, ZERO, 1.0, cap - 1.0) == 0.0 and seen == [range(cap + 1)]
 
     def test_cli_partition_above_the_cap_exits_2(self, capsys):
@@ -690,6 +690,28 @@ class TestStreamedIterates:
             for i in (1, 2, 17, 3000):
                 want = 1.3 * math.fsum(g(power(param, delta, m)) for m in range(i))
                 assert goldie_sum(1.3, g, param, delta, i).hex() == want.hex()
+
+    @pytest.mark.parametrize("param", STREAM_PARAMS)
+    @pytest.mark.parametrize("m", [_BLOCK - 1, 2 * _BLOCK - 1, 2 * _BLOCK - 2, _BLOCK + 100],
+                             ids=["first-edge", "second-edge", "last-of-a-block", "inside"])
+    def test_riemann_sum_at_block_edges(self, param, m):
+        # u = delta^(m o): the partition has m + 2 nodes, the last clipped to u, so cell m is the first empty one;
+        # m + 1 = k*_BLOCK puts it across the edge between two blocks of iterates
+        delta, g = iso_exp(param, 1e-3), self._case(param, 3)[2]
+        u = power(param, delta, m)
+        pts = [min(power(param, delta, k), u) for k in range(m + 2)]
+        assert pts[m] == pts[m + 1] == u and len(beck_partition(param, delta, u)) == m + 2
+        want = math.fsum(g(x) / eta(param, x) * (x - a) for a, x in zip(pts[:m], pts[1 : m + 1]))
+        seen = []
+        assert beck_riemann_sum(lambda x: seen.append(x) or g(x), param, delta, u).hex() == want.hex()
+        assert seen == pts[1 : m + 1]  # g sees each node of a non-empty cell once, in order, and no more
+
+    @pytest.mark.parametrize("param", STREAM_PARAMS)
+    def test_goldie_sum_at_block_edges(self, param):
+        delta, _, g = self._case(param, 4)
+        for i in (_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1):
+            want = 0.9 * math.fsum(g(power(param, delta, m)) for m in range(i))
+            assert goldie_sum(0.9, g, param, delta, i).hex() == want.hex()
 
     def test_empty_goldie_sum_never_checks_delta(self):
         assert goldie_sum(0.7, lambda t: 1.0, P1, -5.0, 0) == 0.0

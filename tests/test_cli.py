@@ -356,6 +356,17 @@ class TestKernelCommand:
         assert code == 0
         assert out == "0.5\n"
 
+    @pytest.mark.parametrize("gamma, u, value", [("-1000", "1e10", "inf"), ("1000", "-0.999999", "-inf")])
+    def test_goldie_g_past_the_float_range_exits_2_naming_the_value(self, capsys, gamma, u, value):
+        code, out, err = run_cli(capsys, "kernel", "goldie-g", "--rho", "1", "--gamma", gamma, f"--u={u}")
+        assert (code, out, err) == (2, "", f"error: point must be finite, got {value}\n")  # G(u), a real number
+
+    def test_goldie_fstar_past_the_float_range_is_outside_the_codomain(self, capsys):
+        code, out, err = run_cli(capsys, "subadd", "check", "--s", "goldie-fstar", "--rho", "1", "--gamma", "-1000",
+                                 "--lo", "0.1", "--hi", "1e10")
+        assert (code, out) == (2, "")
+        assert err.endswith(" = inf is outside the codomain carrier\n") and err.startswith("error: S(")
+
     def test_eval_near_and_past_the_float_range(self, capsys):
         # expm1(kappa*w) overflows where the kernel, exp(kappa*w - log(sigma)), does not: 203235701.0936063 (mpmath)
         argv = ["kernel", "eval", "--rho", "1e300", "--sigma", "1e300", "--kappa", "1.001", "--t", "1e8"]

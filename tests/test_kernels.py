@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -289,6 +290,40 @@ class TestGoldieIntegral:
         with pytest.warns(QuadratureWarning, match="did not converge"):
             v = haar_twin(GoldieAux(P1, 0.8), 2.5, tight)
         assert v == pytest.approx(goldie_integral(GoldieAux(P1, 0.8), 2.5), rel=1e-6)
+
+
+class TestPastTheFloatRange:
+    """Where (1+rho*t)^-gamma passes the float range, g, g_prime and G are +-inf with the sign of the true value, or
+    finite where their factor gamma*rho or 1/(gamma*rho) brings them back into range."""
+
+    @pytest.mark.parametrize("gamma, t, sign", [(-1000.0, 1e10, 1.0), (1000.0, -0.999999, -1.0)])
+    def test_signed_inf(self, gamma, t, sign):
+        aux = GoldieAux(P1, gamma)
+        assert goldie_integral(aux, t) == sign * math.inf
+        assert aux.g(t) == math.inf
+        assert aux.g_prime(t) == -math.copysign(math.inf, gamma)
+
+    def test_integral_near_the_edge(self):
+        # gamma = -100, rho = 1: expm1(100*w) overflows from w = log1p(u) = 7.0978 on, while G(u) ~ exp(100*w)/100
+        # stays finite up to w = 7.1438
+        aux = GoldieAux(P1, -100.0)
+        for w in (7.0, 7.09, 7.0978):  # below the edge: the closed form, unchanged
+            u = math.expm1(w)
+            assert goldie_integral(aux, u) == -math.expm1(100.0 * math.log1p(u)) / -100.0 < math.inf
+        for w in (7.0979, 7.12, 7.1437):  # past it: exp(100*w - log(100)), against mpmath
+            u = math.expm1(w)
+            want = (1 - (1 + mpmath.mpf(u)) ** 100) / -100
+            assert goldie_integral(aux, u) == pytest.approx(float(want), rel=1e-12)
+        assert goldie_integral(aux, math.expm1(7.144)) == math.inf
+
+    def test_g_prime_past_the_edge_of_exp(self):
+        # gamma = -100, rho = 1e-3: exp(99*log1p(rho*t)) overflows, and 0.1 times it is finite up to 712.08
+        aux = GoldieAux(PopaParam(1e-3), -100.0)
+        for w in (709.0, 710.5, 712.0):
+            t = math.expm1(w / 99.0) / 1e-3
+            want = 100 * mpmath.mpf(1e-3) * (1 + mpmath.mpf(1e-3) * mpmath.mpf(t)) ** 99
+            assert aux.g_prime(t) == pytest.approx(float(want), rel=1e-12)
+        assert aux.g_prime(math.expm1(712.1 / 99.0) / 1e-3) == math.inf
 
 
 class TestGoldieOde:

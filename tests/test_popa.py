@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from helpers import PARAM_SET, point_from_w, rel_residual
 from regvar.haar import Interval, haar_interval_measure
 from regvar.popa import (
+    _BLOCK,
     INFINITY,
     ZERO,
     DomainError,
@@ -497,6 +498,31 @@ class TestRowParity:
                 want = self.case(rho, lambda: n * delta, lambda: math.expm1(n * math.log1p(rho * delta)) / rho,
                                  lambda: delta**n)
                 self.same(power(p, delta, n), want)
+
+    @pytest.mark.parametrize("rho", RHOS)
+    def test_ops_is_op_for_each_y(self, rho):
+        row = PopaParam(rho)._row
+        tiny = sys.float_info.min
+        ts = self.points(rho) + [0.0, -0.0, 5e-324, -5e-324, tiny / 3, 1e200, -1e200, 1e-200, 3e307, 1.0, -1.0]
+        for x in ts:  # products over- and underflow at 1e200*1e200 and 1e-200*1e-200; -0.0 + -0.0 stays -0.0
+            assert [z.hex() for z in row.ops(x, ts)] == [row.op(x, y).hex() for y in ts], x
+
+    @pytest.mark.parametrize("rho, delta, ns", [
+        (math.inf, 2.0, range(1000, 1100)),  # 2**1024 overflows inside the block
+        (math.inf, 2.0, range(-5, 2 * _BLOCK + 9)),  # ... inside the second of three blocks
+        (math.inf, 0.5, range(-1100, 3)),  # negative n: 0.5**-1024 overflows
+        (0.5, 1.0, range(3 * _BLOCK)),  # expm1(n*log1p(0.5)) overflows from n = 1751 on, inside the second block
+        (0.5, 1.0, range(-3000, 5)),  # down to the pole -1/rho
+        (1e300, 1e10, range(-3, 2 * _BLOCK)),  # rho*delta overflows: the step is log(rho) + log(delta)
+        (1e-300, 1e-10, range(_BLOCK - 2, _BLOCK + 2)),
+        (0.0, 1e305, range(-2 * _BLOCK, 10)),  # n*delta overflows to -inf without an exception
+        (0.0, 1.5, range(10**309 - 2, 10**309 + 3)),  # n past the float range: float(n) overflows
+        (0.0, 1.5, [3, 10**309, -(10**309), 4]),
+        (1.0, 1.5, range(10**309 - 2, 10**309 + 3)),
+    ], ids=str)
+    def test_streamed_powers_are_power_for_each_n(self, rho, delta, ns):
+        p = PopaParam(rho)
+        assert [v.hex() for v in _powers(p, delta, ns)] == [power(p, delta, n).hex() for n in ns]
 
     @pytest.mark.parametrize("rho", RHOS)
     def test_chart_on_and_off_the_t_line(self, rho):
