@@ -1,17 +1,19 @@
 """Invariant measure and harmonic analysis on the Popa groups.
 
-:func:`haar_interval_measure` is a Haar length, and every integral below an
-ordinary integral of ``c*f(E(w)/d) dw``, in the group's chart ``w = L(d*t)``,
-``t = E(w)/d`` of :mod:`regvar.popa`, where the measure ``(1+rho)/(1+rho*t) dt``
-is ``c*dw``.  The t-line's scales are |lo|, |hi|; T, |z|*T; |x|, T: there the
-characters and ``x o t`` are 1 and x + t to working precision.  Elsewhere
-(1+rho)/rho must be finite, and so must E(T) on ``[-T, T]``, ``T =
-spec.truncation``: T <= log(DBL_MAX).  The characters are ``exp(i*gamma*w)``, so
-the transforms are Fourier/Laplace integrals on the line, by the Clenshaw-Curtis
-cells of :mod:`regvar.quadrature`, Filon-Clenshaw-Curtis for ``exp(-z*w)``, whose
-cost follows the profile and not the frequency.  Only ``fourier_popa`` at rho = 0
-with 2T|gamma| <= 64 pi starts with the Simpson rule, whose output there is
-pinned, and hands the integrals it does not converge on to those cells.
+:func:`haar_interval_measure` and :func:`haar_integrate` read the span of the
+interval in the group's chart of :mod:`regvar.popa`, off the t-line its
+translate to the identity, where the measure ``(1+rho)/(1+rho*t) dt`` is
+``c*dv``.  The transforms and :func:`popa_convolution` integrate
+``c*f(E(w)/d) dw`` over ``[-T, T]``, ``T = spec.truncation``, in the chart
+``w = L(d*t)``, ``t = E(w)/d``, whose t-line scales are T, |z|*T and |x|, T:
+there the characters and ``x o t`` are 1 and x + t to working precision.
+Elsewhere (1+rho)/rho must be finite, and so must E(T): T <= log(DBL_MAX).  The
+characters are ``exp(i*gamma*w)``, so the transforms are Fourier/Laplace
+integrals on the line, by the Clenshaw-Curtis cells of :mod:`regvar.quadrature`,
+Filon-Clenshaw-Curtis for ``exp(-z*w)``, whose cost follows the profile and not
+the frequency.  Only ``fourier_popa`` at rho = 0 with 2T|gamma| <= 64 pi starts
+with the Simpson rule, whose output there is pinned, and hands the integrals it
+does not converge on to those cells.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ import math
 import warnings
 from typing import Callable
 
-from regvar.popa import DomainError, PopaParam, PopaPoint, _Record, _chart, _haar_length, _t, iso_log
+from regvar.popa import DomainError, PopaParam, PopaPoint, _Record, _chart, _haar_length, _span, _t, iso_log
 from regvar.quadrature import QuadratureResult, QuadratureSpec, QuadratureWarning, _cc_integral, adaptive_integral
 
 __all__ = [
@@ -73,19 +75,13 @@ def haar_integrate(
     iv: Interval,
     spec: QuadratureSpec = QuadratureSpec(),
 ) -> float:
-    """Integral of f over the interval against the invariant measure: of ``c*f(E(w)/d)`` dw in the chart, or of f
-    times the density ``(1+rho)/(1+rho*t)`` (``1/t`` at rho = inf) dt where the chart maps the interval to one float."""
-    L, E, d, c = _chart(iv.param, abs(iv.lo), abs(iv.hi))
-    lo, hi = L(d * iv.lo), L(d * iv.hi)
+    """Integral of f over the interval against the invariant measure: of ``c*f(t(v))`` dv over the interval's span
+    in the chart, off the t-line its translate to the identity (``regvar.popa._span``)."""
+    lo, hi, g, _ = _span(iv.param, iv.lo, iv.hi, f, _chart(iv.param, abs(iv.lo), abs(iv.hi)))
     what = lambda: f"haar_integrate over ({iv.lo}, {iv.hi})"
     if not math.isfinite(hi - lo):
         raise DomainError(f"{what()}: the chart span L(d*hi) - L(d*lo) = {hi - lo} is not finite")
-    if lo == hi:  # a few ulps far from the identity, one float in the chart: f times the density, in t
-        rho, lo, hi = iv.param.rho, iv.lo, iv.hi
-        fn = (lambda t: f(t) / t) if iv.param.is_infinite else (lambda t: f(t) * ((1.0 + rho) / (1.0 + rho * t)))
-    else:
-        fn = _pull(f, E, d, c)
-    return float(_value(_cc_integral(fn, lo, hi, spec), what).real)
+    return float(_value(_cc_integral(g, lo, hi, spec), what).real)
 
 
 def character_eval(param: PopaParam, gamma: float, u: float) -> complex:

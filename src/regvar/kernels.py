@@ -14,10 +14,12 @@ additivity property the property tests pin down.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Callable
 
 from regvar.popa import (
     _LOG_DBL_MAX,
+    INFINITY,
     DomainError,
     PopaParam,
     PopaPoint,
@@ -112,13 +114,10 @@ class GoldieAux(_Record, frozen=True):
         self._freeze(rho, gamma)
 
     def g(self, t: float) -> float:
-        try:
-            return math.exp(-self.gamma * math.log1p(self.rho.rho * t))
-        except OverflowError:
-            return math.inf
+        return iso_exp(INFINITY, -self.gamma * iso_log(self.rho, t))
 
     def g_prime(self, t: float) -> float:
-        r, w = self.rho.rho, -(self.gamma + 1.0) * math.log1p(self.rho.rho * t)
+        r, w = self.rho.rho, -(self.gamma + 1.0) * iso_log(self.rho, t)
         try:
             return -self.gamma * r * math.exp(w)
         except OverflowError:
@@ -136,14 +135,16 @@ def goldie_integral(aux: GoldieAux, u: float) -> float:
     Equals (1 - (1+rho*u)^-gamma)/(gamma*rho) for gamma != 0 and
     log(1+rho*u)/rho for gamma = 0.
     """
-    r = aux.rho.rho
-    w = math.log1p(r * u)  # validates 1 + rho*u > 0 via ValueError on log1p
-    if aux.gamma == 0.0:
+    r, w = aux.rho.rho, iso_log(aux.rho, u)
+    x, tiny = aux.gamma * w, sys.float_info.min
+    if not abs(x) >= tiny:  # gamma*w is subnormal, 0, or nan (gamma = 0 where w overflows): -expm1(-x)/x is 1
         return w / r
+    if abs(aux.gamma * r) < tiny and abs(x) < math.inf:  # dividing by a subnormal gamma*rho would lose its digits
+        return (w / r) * (-math.expm1(-x) / x)
     try:
-        return -math.expm1(-aux.gamma * w) / (aux.gamma * r)
+        return -math.expm1(-x) / (aux.gamma * r)
     except OverflowError:  # (1+rho*u)^-gamma is past the float range, and so is the value unless |gamma*rho| is large
-        return aux._past_exp(-aux.gamma * w, -1.0)
+        return aux._past_exp(-x, -1.0)
 
 
 def goldie_ode_residual(aux: GoldieAux, c1: float, kappa_const: float, u: float) -> float:

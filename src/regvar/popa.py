@@ -17,12 +17,10 @@ which :func:`_powers` streams a comprehension of ``_BLOCK`` of them at a time.
 The Haar measure, density ``(1+rho)/eta(t)`` with ``eta(t) = 1 + rho*t`` (t at
 rho = inf), is ``c*dw`` in the group's chart ``w = L(d*t)``, ``t = E(w)/d``.
 Where ``rho*s < 2**-53`` for every scale s in play, a test of scale and not of
-the case, the chart is the t-line ``(t, t, 1, 1+rho)``.
-
-The length of ``[a, b]`` is the norm of ``b o a^-1 = (b - a)/eta(a)``: ``c*(b - a)``
-on the t-line, else ``c*log1p(d*(b - a)/eta(a))``, which subtracts no logarithms.
-:func:`norm` and ``regvar.haar.haar_interval_measure`` are such lengths, and
-every Haar integral of :mod:`regvar.haar` is taken in the chart.
+the case, the chart is the t-line ``(t, t, 1, 1+rho)``.  Off it the measure of
+``[a, b]``, left-invariant, is that of its translate to the identity, ``c*dv``
+on ``[0, log1p(d*(b - a)/eta(a))]`` at ``t = a + eta(a)/d*expm1(v)``: no
+logarithms are subtracted.  :func:`norm` and :mod:`regvar.haar` read :func:`_span`.
 """
 from __future__ import annotations
 
@@ -286,7 +284,8 @@ def power(param: PopaParam, delta: float, n: int) -> float:
 
 def _power_blocks(param: PopaParam, delta: float, ns: Sequence[int]) -> Iterator[list[float]]:
     """The lists of :func:`power` of delta over ns[k:k + _BLOCK] for k = 0, _BLOCK, ...: delta is checked and its
-    step taken once, and a block is one comprehension, or one term at a time where that overflows."""
+    step taken once, and a block is one comprehension, or one term at a time where that overflows.  The iterates
+    are monotone in n over an increasing ns, so a block whose first and last terms are the same infinity is filled."""
     row = param._row
     step = row.step(_check_value(param, delta))
     for k in range(0, len(ns), _BLOCK):
@@ -294,7 +293,11 @@ def _power_blocks(param: PopaParam, delta: float, ns: Sequence[int]) -> Iterator
         try:
             yield row.powers(step, part)
         except OverflowError:
-            yield [row.power(step, n) for n in part]
+            first = row.power(step, part[0])
+            if math.isinf(first) and first == row.power(step, part[-1]):
+                yield [first] * len(part)
+            else:
+                yield [row.power(step, n) for n in part]
 
 
 def _powers(param: PopaParam, delta: float, ns: Sequence[int]) -> Iterator[float]:
@@ -319,20 +322,29 @@ def _chart(param: PopaParam, *scales: float, T: float = 0.0) -> tuple:
     return L, E, d, c
 
 
-def _haar_length(param: PopaParam, a: float, b: float) -> float:
-    """Haar measure c*log1p(q) of [a, b], a <= b, in the chart, q = (b - a)/eta(a)*d.  Where q overflows, either
-    eta(b)/eta(a) > DBL_MAX or eta(a) < 1, so nothing cancels in L(d*b) - L(d*a); where d*b overflows too, L(d*b) is
-    log(d) + log(b).  Where c overflows (subnormal rho), the length is (1+rho)*(w/rho)."""
-    L, _, d, c = _coordinate(param, max(abs(a), abs(b)))
+def _span(param: PopaParam, a: float, b: float, f: Callable | None = None, chart: tuple | None = None) -> tuple:
+    """(v0, v1, g, c): on [a, b], a <= b, the Haar measure is c*dv for v in [v0, v1] and f's integral that of g(v) =
+    c*f(t(v)); v is t on the t-line of ``chart`` (:func:`_coordinate` of [a, b] by default).  Where q overflows,
+    eta(b)/eta(a) > DBL_MAX or eta(a) < 1: nothing cancels in the chart's [L(d*a), L(d*b)], t = iso_exp(v)."""
+    L, _, d, c = chart or _coordinate(param, max(abs(a), abs(b)))
     if L is _t:
-        return c * (b - a)
+        return a, b, f if c == 1.0 else lambda v: c * f(v), c
     e = param._row.eta(a)
     if e == math.inf:  # rho*a overflows: on [a, b] eta(t) is rho*t to working precision
         e, d = a, 1.0
     q = (b - a) / e
     q = q * d if q >= sys.float_info.min else (b - a) * (d / e)  # a subnormal (b - a)/e has lost its digits
-    w = math.log1p(q) if q < math.inf else (L(d * b) if d * b < math.inf else math.log(d) + math.log(b)) - L(d * a)
-    return c * w if c < math.inf else (1.0 + d) * (w / d)
+    if q < math.inf:  # the translate to the identity, q = d*(b - a)/eta(a), at t = a + eta(a)/d*expm1(v)
+        s, E = e / d, math.expm1
+        return 0.0, math.log1p(q), lambda v: c * f(a + s * E(v)), c
+    E = param._row.iso_exp
+    return L(d * a), L(d * b) if d * b < math.inf else math.log(d) + math.log(b), lambda v: c * f(E(v)), c
+
+
+def _haar_length(param: PopaParam, a: float, b: float) -> float:
+    """Haar measure of [a, b], a <= b: c times the width w of its :func:`_span`, (1+rho)*(w/rho) where c overflows."""
+    v0, v1, _, c = _span(param, a, b)
+    return c * (v1 - v0) if c < math.inf else (1.0 + param.rho) * ((v1 - v0) / param.rho)
 
 
 def norm(x: PopaPoint) -> float:

@@ -137,12 +137,64 @@ class TestHaarIntegrate:
 
     @pytest.mark.parametrize("param,lo,hi", [
         (ZERO, -1e308, 1e308),  # hi - lo overflows
-        (PopaParam(7.0), 1.0, 1.7e308),  # L(d*hi) = log1p(7*hi) overflows, though the measure is 810.96
     ])
     def test_an_infinite_chart_span_is_a_domain_error(self, param, lo, hi):
         span = re.escape(f"haar_integrate over ({lo}, {hi}): the chart span L(d*hi) - L(d*lo) = inf is not finite")
         with pytest.raises(DomainError, match=f"^{span}$"):
             haar_integrate(lambda t: 1.0, Interval(param, lo, hi), SPEC)
+
+    def test_a_span_whose_chart_end_overflows_integrates(self):
+        # L(d*hi) = log1p(7*hi) overflows, while the translate to the identity spans log1p(7*(hi - 1)/8) = 709.6
+        iv = Interval(PopaParam(7.0), 1.0, 1.7e308)
+        m = haar_interval_measure(iv)
+        assert m == pytest.approx(810.963777714976, rel=1e-15)
+        assert haar_integrate(lambda t: 1.0, iv, SPEC) == m
+
+    @staticmethod
+    def _interval_table():
+        """rho from 0 to inf, lo from the identity up to 1e300 and near the pole, widths 1e-12 to 1e5 relative to
+        max(|lo|, 1), with the two intervals whose chart end L(d*hi) overflows or which are one chart float."""
+        for rho in (0.0, 1e-9, 1.0, 7.0, 1e300, math.inf):
+            lows = (0.0, 0.5, 3.0, 1e100, 1e300) + ((-0.9 / rho,) if 0.0 < rho < math.inf else ())
+            for lo in lows:
+                for width in (1e-12, 1e-3, 1.0, 1e5):
+                    if rho < math.inf or lo > 0.0:
+                        yield Interval(PopaParam(rho), lo, lo + width * max(abs(lo), 1.0))
+        yield Interval(PopaParam(7.0), 1.0, 1.7e308)
+        yield Interval(PopaParam(1e300), 1.0, 1.0000000000000002)
+
+    def test_the_integral_of_one_is_the_measure_on_every_interval(self):
+        # both read the interval's span in popa's chart: far from the identity L(d*hi) - L(d*lo) lost up to 2.3%
+        ivs = list(self._interval_table())
+        assert len(ivs) == 134
+        for iv in ivs:
+            m = haar_interval_measure(iv)
+            assert abs(haar_integrate(lambda t: 1.0, iv, SPEC) - m) <= 4 * math.ulp(m), iv
+
+    @pytest.mark.parametrize("param,lo,hi", [
+        (INFINITY, 1e300, 1.000000000001e300),  # far from the identity
+        (P1, 1e300, 1.000000000001e300),
+        (PopaParam(7.0), 1e100, 1.001e100),
+        (PopaParam(1e300), 1.0, 1.0000000000000002),  # one chart float
+        (INFINITY, 1e300, 1.0000000000000002e300),
+        (P1, -0.9999999, 1.0),  # near the pole
+        (PopaParam(4.0), -0.25 + 2.0**-40, 0.0),  # 1 + rho*lo exact: its rounding is the group arithmetic's
+        (PopaParam(7.0), 1.0, 1.7e308),  # L(d*hi) overflows
+        (PopaParam(7.0), 0.0, 1.7e308),  # so does d*(hi - lo)/eta(lo): the span is L(d*hi) - L(d*lo)
+        (PopaParam(1e300), -9.999e-301, 1e8),  # d*(hi - lo)/eta(lo) overflows near the pole
+    ], ids=str)
+    def test_a_smooth_f_against_mpmath(self, param, lo, hi):
+        # exp(-t/s) against (1+rho)/(1+rho*t) dt, as c*exp(-t/s) dw at 40 digits, t = expm1(w)/rho (e^w at inf)
+        s = max(abs(lo), abs(hi))
+        got = haar_integrate(lambda t: math.exp(-t / s), Interval(param, lo, hi), SPEC)
+        with mpmath.workdps(40):
+            rho, a, b = mpmath.mpf(param.rho), mpmath.mpf(lo), mpmath.mpf(hi)
+            if param.is_infinite:
+                want = mpmath.quad(lambda w: mpmath.exp(-mpmath.exp(w) / s), [mpmath.log(a), mpmath.log(b)])
+            else:
+                want = (1 + rho) / rho * mpmath.quad(lambda w: mpmath.exp(-mpmath.expm1(w) / rho / s),
+                                                     [mpmath.log1p(rho * a), mpmath.log1p(rho * b)])
+        assert got == pytest.approx(float(want), rel=1e-14, abs=0.0)
 
     def test_a_finite_chart_span_up_to_dbl_max_integrates(self):
         # span 1e308: span*k of the first grid overflowed for k >= 2, and the cell sums met -inf + inf

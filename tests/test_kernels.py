@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -324,6 +325,36 @@ class TestPastTheFloatRange:
             want = 100 * mpmath.mpf(1e-3) * (1 + mpmath.mpf(1e-3) * mpmath.mpf(t)) ** 99
             assert aux.g_prime(t) == pytest.approx(float(want), rel=1e-12)
         assert aux.g_prime(math.expm1(712.1 / 99.0) / 1e-3) == math.inf
+
+
+class TestTinyGammaAndRho:
+    """Where gamma*rho or gamma*w is subnormal or 0, G is (w/rho)*(-expm1(-x)/x), x = gamma*w, the factor 1 where
+    x is subnormal or 0, where dividing by gamma*rho would lose its digits or divide by 0.  The grid holds G(1) = 1 at
+    (gamma, rho) = (1e-30, 1e-300), G(5) = 5 at (1e-200, 1e-200) and G(5) = log 6 at (1e-320, 1)."""
+
+    @pytest.mark.parametrize("gamma", [1e-320, -1e-320, 1e-310, 1e-300, -1e-200, 1e-200, 1e-30, -1e-30, 1e-10])
+    @pytest.mark.parametrize("rho", [1e-310, 1e-300, 1e-200, 1e-30, 1.0])
+    def test_against_mpmath(self, gamma, rho):
+        aux = GoldieAux(PopaParam(rho), gamma)
+        for u in (-0.5, 1.0, 5.0, 1e10, 1e300):
+            if abs(rho * u) < sys.float_info.min:  # a subnormal rho*u: log1p(rho*u) has lost digits before G is formed
+                continue
+            with mpmath.workdps(60):
+                g, r = mpmath.mpf(gamma), mpmath.mpf(rho)
+                want = -mpmath.expm1(-g * mpmath.log1p(r * u)) / (g * r)
+            assert goldie_integral(aux, u) == pytest.approx(float(want), rel=1e-15, abs=0.0), u
+
+
+class TestOutsideTheCarrier:
+    @pytest.mark.parametrize("call", [
+        lambda aux: aux.g(-2.0),
+        lambda aux: aux.g_prime(-2.0),
+        lambda aux: goldie_integral(aux, -2.0),
+    ], ids=["g", "g_prime", "goldie_integral"])
+    def test_a_point_outside_names_it(self, call):
+        # iso_log checks the point, where log1p raised a bare "math domain error"
+        with pytest.raises(DomainError, match=r"^point -2\.0 violates 1 \+ 1\.0\*t > 0$"):
+            call(GoldieAux(P1, 1.0))
 
 
 class TestGoldieOde:

@@ -524,6 +524,21 @@ class TestRowParity:
         p = PopaParam(rho)
         assert [v.hex() for v in _powers(p, delta, ns)] == [power(p, delta, n).hex() for n in ns]
 
+    @pytest.mark.parametrize("rho, delta, crossing", [(math.inf, 2.0, 1024), (0.5, 1.0, 1749)])
+    def test_a_saturated_block_is_filled_at_once(self, rho, delta, crossing):
+        # past the crossing every iterate is inf: a block whose first and last are inf costs two power calls, where
+        # each of its terms cost a call and an OverflowError; the block the crossing falls in goes a term at a time
+        p, calls = PopaParam(rho), []
+        row = p._row
+        object.__setattr__(p, "_row", row._replace(power=lambda step, n: calls.append(n) or row.power(step, n)))
+        ns = range(10 * _BLOCK)
+        got = list(_powers(p, delta, ns))
+        assert got[crossing - 1] < math.inf and got[crossing:] == [math.inf] * (len(ns) - crossing)
+        assert [v.hex() for v in got] == [power(PopaParam(rho), delta, n).hex() for n in ns]
+        term_by_term = _BLOCK + 1 if crossing % _BLOCK else 0
+        saturated = len(ns) // _BLOCK - crossing // _BLOCK - (term_by_term > 0)
+        assert len(calls) == 2 * saturated + term_by_term
+
     @pytest.mark.parametrize("rho", RHOS)
     def test_chart_on_and_off_the_t_line(self, rho):
         p = PopaParam(rho)
