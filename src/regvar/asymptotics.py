@@ -436,7 +436,12 @@ def beck_riemann_sum(
         for block in _power_blocks(param, delta, range(_beck_index(param, delta, u) + 1)):
             nodes = [*nodes[-1:], *[u if u < p else p for p in block]]
             end = next(compress(count(1), map(operator.ge, nodes, nodes[1:])), None)  # the first empty cell ends it
-            yield [g(x) / (x if multiplicative else 1.0 + rho * x) * (x - a) for a, x in zip(nodes, nodes[1:end])]
+            cells = zip(nodes, nodes[1:end])
+            if multiplicative or rho * nodes[-1] < math.inf:
+                yield [g(x) / (x if multiplicative else 1.0 + rho * x) * (x - a) for a, x in cells]
+            else:  # where rho*x overflows, eta(x) is rho*x to working precision
+                yield [g(x) / (1.0 + rho * x) * (x - a) if rho * x < math.inf else g(x) * ((x - a) / x) / rho
+                       for a, x in cells]
             if end:
                 return
 

@@ -5,7 +5,7 @@ interval in the group's chart of :mod:`regvar.popa`, off the t-line its
 translate to the identity, where the measure ``(1+rho)/(1+rho*t) dt`` is
 ``c*dv``.  The transforms and :func:`popa_convolution` integrate
 ``c*f(E(w)/d) dw`` over ``[-T, T]``, ``T = spec.truncation``, in the chart
-``w = L(d*t)``, ``t = E(w)/d``, whose t-line scales are T, |z|*T and |x|, T:
+(E, d, c), ``t = E(w)/d``, whose t-line scales are T, |z|*T and |x|, T:
 there the characters and ``x o t`` are 1 and x + t to working precision.
 Elsewhere (1+rho)/rho must be finite, and so must E(T): T <= log(DBL_MAX).  The
 characters are ``exp(i*gamma*w)``, so the transforms are Fourier/Laplace
@@ -97,7 +97,7 @@ def _line_transform(f, param: PopaParam, z: complex, spec: QuadratureSpec,
         raise DomainError(f"{what()}: the exponent must be finite")
     T = spec.truncation
     zT = abs(z) * T
-    _, E, d, c = chart = _chart(param, zT, T=T if zT < math.inf else 0.0)  # an infinite |z|*T is reported first
+    E, d, c = chart = _chart(param, zT, T=T if zT < math.inf else 0.0)  # an infinite |z|*T is reported first
     if zT == math.inf:
         raise DomainError(f"{what()}: |z|*T = {zT} is not finite")
     prof = _pull(f, E, d, c)
@@ -149,7 +149,7 @@ def popa_convolution(
     """
     p, x = x.param, x.value
     T = spec.truncation
-    _, E, d, c = _chart(p, abs(x), T=T)
+    E, d, c = _chart(p, abs(x), T=T)
     if E is _t:  # x o t = x + t; calling the identity maps here costs a tenth more time per call
         integrand = lambda w: c * f(-w) * g(w + x)
     else:  # x o t = eta(x)*t + x o 0, without the cancellation of (eta_x*e^w - 1)/rho

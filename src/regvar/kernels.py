@@ -18,7 +18,6 @@ import sys
 from typing import Callable
 
 from regvar.popa import (
-    _LOG_DBL_MAX,
     INFINITY,
     DomainError,
     PopaParam,
@@ -126,7 +125,7 @@ class GoldieAux(_Record, frozen=True):
     def _past_exp(self, w: float, k: float) -> float:
         """-sign(gamma)*exp(w)*|gamma*rho|**k for an exp(w) past the float range (so gamma != 0), +-inf past it too."""
         w += k * (math.log(abs(self.gamma)) + math.log(self.rho.rho))
-        return math.copysign(math.exp(w) if w <= _LOG_DBL_MAX else math.inf, -self.gamma)
+        return math.copysign(iso_exp(INFINITY, w), -self.gamma)
 
 
 def goldie_integral(aux: GoldieAux, u: float) -> float:
@@ -137,7 +136,7 @@ def goldie_integral(aux: GoldieAux, u: float) -> float:
     """
     r, w = aux.rho.rho, iso_log(aux.rho, u)
     x, tiny = aux.gamma * w, sys.float_info.min
-    if not abs(x) >= tiny:  # gamma*w is subnormal, 0, or nan (gamma = 0 where w overflows): -expm1(-x)/x is 1
+    if not abs(x) >= tiny:  # gamma*w is subnormal or 0: -expm1(-x)/x is 1
         return w / r
     if abs(aux.gamma * r) < tiny and abs(x) < math.inf:  # dividing by a subnormal gamma*rho would lose its digits
         return (w / r) * (-math.expm1(-x) / x)

@@ -15,11 +15,11 @@ drivers read its list forms: ``ops(x, ys)``, x o y for each y, and the o-powers,
 which :func:`_powers` streams a comprehension of ``_BLOCK`` of them at a time.
 
 The Haar measure, density ``(1+rho)/eta(t)`` with ``eta(t) = 1 + rho*t`` (t at
-rho = inf), is ``c*dw`` in the group's chart ``w = L(d*t)``, ``t = E(w)/d``.
-Where ``rho*s < 2**-53`` for every scale s in play, a test of scale and not of
-the case, the chart is the t-line ``(t, t, 1, 1+rho)``.  Off it the measure of
-``[a, b]``, left-invariant, is that of its translate to the identity, ``c*dv``
-on ``[0, log1p(d*(b - a)/eta(a))]`` at ``t = a + eta(a)/d*expm1(v)``: no
+rho = inf), is ``c*dw`` in the group's chart (E, d, c): ``w = iso_log(t)``, ``t =
+E(w)/d``.  Where ``rho*s < 2**-53`` for every scale s in play, a test of scale and
+not of the case, the chart is the t-line ``(identity, 1, 1+rho)``, w = t.  Off it
+the measure of ``[a, b]``, left-invariant, is that of its translate to the identity,
+``c*dv`` on ``[0, log1p(d*(b - a)/eta(a))]`` at ``t = a + eta(a)/d*expm1(v)``: no
 logarithms are subtracted.  :func:`norm` and :mod:`regvar.haar` read :func:`_span`.
 """
 from __future__ import annotations
@@ -56,7 +56,7 @@ _TINY = 2.0**-53  # |rho*t| below it: 1 + rho*t is 1, log(1+rho*t)/rho is t to w
 _LOG_DBL_MAX = math.log(sys.float_info.max)  # the largest T with exp(T) and expm1(T) finite
 _MAX_LISTED = 100 * 2**20 // 32  # the longest list of points a call builds: about 100 MB at 8 + 24 bytes a float
 _BLOCK = 1024  # o-powers per comprehension of a stream, about 32 kB of floats: 4096 was no faster on a grid pass
-_t = lambda w: w  # the t-line's L and E
+_t = lambda w: w  # the identity map: the t-line's E
 
 
 class DomainError(ValueError):
@@ -135,31 +135,32 @@ def _multiplicative_power(delta: float, n: int) -> float:
 
 
 # One group of the case table: its identity and centre, the operation and ``ops(x, ys) = [x o y for y in ys]``, inverse
-# and eta on unchecked floats, iso_log and iso_exp, the o-powers and the chart (L, E, d, c) off the t-line.  delta^(n o)
-# is ``power(step(delta), n)``, +-inf past the float range; ``powers(step, ns)`` lists them, or raises OverflowError.
-_Row = namedtuple("_Row", "identity centre op ops inverse eta iso_log iso_exp step power powers chart")
+# and eta on unchecked floats, iso_log and iso_exp, the o-powers and the chart (E, d, c) off the t-line.  delta^(n o) is
+# ``power(delta, n)``, +-inf past the float range; ``powers(delta, ns)`` lists them, or raises OverflowError.
+_Row = namedtuple("_Row", "identity centre op ops inverse eta iso_log iso_exp power powers chart")
 _ADDITIVE = _Row(0.0, -math.inf, operator.add, lambda x, ys: [x + y for y in ys], operator.neg, lambda t: 1.0, _t, _t,
-                 _t, lambda delta, n: _times(n, delta), lambda delta, ns: [n * delta for n in ns], (_t, _t, 1.0, 1.0))
+                 lambda delta, n: _times(n, delta), lambda delta, ns: [n * delta for n in ns], (_t, 1.0, 1.0))
 _MULTIPLICATIVE = _Row(1.0, 0.0, operator.mul, lambda x, ys: [x * y for y in ys], lambda t: 1.0 / t, _t, math.log,
-                       _exp_over(math.exp, 1.0), _t, _multiplicative_power, lambda delta, ns: [delta**n for n in ns],
-                       (math.log, math.exp, 1.0, 1.0))
+                       _exp_over(math.exp, 1.0), _multiplicative_power, lambda delta, ns: [delta**n for n in ns],
+                       (math.exp, 1.0, 1.0))
 
 
 def _row(rho: float) -> _Row:
     """The case table: the row of the additive reals (rho = 0), of the multiplicative half-line (rho = inf), or
-    of a finite rho > 0, whose chart is (log1p, expm1, rho, (1+rho)/rho); c is inf at subnormal rho.  Its o-powers
-    are iso_exp(n*step), step = log1p(rho*delta) (log(rho) + log(delta) where rho*delta overflows)."""
+    of a finite rho > 0, whose chart is (expm1, rho, (1+rho)/rho); c is inf at subnormal rho.  Its iso_log is
+    log1p(rho*t), log(rho) + log(t) where rho*t overflows, and its o-powers are iso_exp(n*iso_log(delta))."""
     if rho == 0.0:
         return _ADDITIVE
     if rho == math.inf:
         return _MULTIPLICATIVE
+    iso_log = lambda t: math.log1p(rho * t) if rho * t < math.inf else math.log(rho) + math.log(t)
     iso_exp = _exp_over(math.expm1, rho)
     return _Row(0.0, -1.0 / rho, lambda x, y: (x + y) + rho * (x * y),
-                lambda x, ys: [(x + y) + rho * (x * y) for y in ys], lambda t: -t / (1.0 + rho * t),
-                lambda t: 1.0 + rho * t, lambda t: math.log1p(rho * t), iso_exp,
-                lambda delta: math.log1p(rho * delta) if rho * delta < math.inf else math.log(rho) + math.log(delta),
-                lambda step, n: iso_exp(_times(n, step)), lambda step, ns: [math.expm1(n * step) / rho for n in ns],
-                (math.log1p, math.expm1, rho, (1.0 + rho) / rho))
+                lambda x, ys: [(x + y) + rho * (x * y) for y in ys],
+                lambda t: -t / (1.0 + rho * t) if rho * t < math.inf else -1.0 / (rho + 1.0 / t),
+                lambda t: 1.0 + rho * t, iso_log, iso_exp, lambda delta, n: iso_exp(_times(n, iso_log(delta))),
+                lambda delta, ns: [math.expm1(n * w) / rho for w in (iso_log(delta),) for n in ns],
+                (math.expm1, rho, (1.0 + rho) / rho))
 
 
 class PopaParam(_Record, frozen=True):
@@ -279,25 +280,25 @@ def power(param: PopaParam, delta: float, n: int) -> float:
 
     Negative n is the iterate of the inverse element; an iterate past the float range is +-inf, for any int n.
     """
-    return param._row.power(param._row.step(_check_value(param, delta)), int(n))
+    return param._row.power(_check_value(param, delta), int(n))
 
 
 def _power_blocks(param: PopaParam, delta: float, ns: Sequence[int]) -> Iterator[list[float]]:
-    """The lists of :func:`power` of delta over ns[k:k + _BLOCK] for k = 0, _BLOCK, ...: delta is checked and its
-    step taken once, and a block is one comprehension, or one term at a time where that overflows.  The iterates
-    are monotone in n over an increasing ns, so a block whose first and last terms are the same infinity is filled."""
+    """The lists of :func:`power` of delta over ns[k:k + _BLOCK] for k = 0, _BLOCK, ...: delta is checked once, and
+    a block is one comprehension, or one term at a time where that overflows.  The iterates are monotone in n over
+    an increasing ns, so a block whose first and last terms are the same infinity is filled."""
     row = param._row
-    step = row.step(_check_value(param, delta))
+    delta = _check_value(param, delta)
     for k in range(0, len(ns), _BLOCK):
         part = ns[k:k + _BLOCK]
         try:
-            yield row.powers(step, part)
+            yield row.powers(delta, part)
         except OverflowError:
-            first = row.power(step, part[0])
-            if math.isinf(first) and first == row.power(step, part[-1]):
+            first = row.power(delta, part[0])
+            if math.isinf(first) and first == row.power(delta, part[-1]):
                 yield [first] * len(part)
             else:
-                yield [row.power(step, n) for n in part]
+                yield [row.power(delta, n) for n in part]
 
 
 def _powers(param: PopaParam, delta: float, ns: Sequence[int]) -> Iterator[float]:
@@ -306,28 +307,28 @@ def _powers(param: PopaParam, delta: float, ns: Sequence[int]) -> Iterator[float
 
 
 def _coordinate(param: PopaParam, scale: float) -> tuple:
-    """(L, E, d, c) of the chart for scales up to ``scale``: the t-line where rho*scale < _TINY, else the row's."""
-    return (_t, _t, 1.0, 1.0 + param.rho) if param.rho * scale < _TINY else param._row.chart
+    """(E, d, c) of the chart for scales up to ``scale``: the t-line where rho*scale < _TINY, else the row's."""
+    return (_t, 1.0, 1.0 + param.rho) if param.rho * scale < _TINY else param._row.chart
 
 
 def _chart(param: PopaParam, *scales: float, T: float = 0.0) -> tuple:
-    """(L, E, d, c) of the group's chart, the t-line where rho*s < _TINY for T and every scale s.  Off it c must
+    """(E, d, c) of the group's chart, the t-line where rho*s < _TINY for T and every scale s.  Off it c must
     be finite, and so must E(T) when w ranges over [-T, T] (T = 0 where it does not)."""
-    L, E, d, c = _coordinate(param, max((T, *scales)))
+    E, d, c = _coordinate(param, max((T, *scales)))
     if math.isinf(c):
         raise DomainError(f"rho={param.rho!r} is too small for the coordinate log(1+rho*t)")
     if T > _LOG_DBL_MAX and E is not _t:
         raise DomainError(f"truncation={T!r} overflows {E.__name__}(truncation) at rho={param}: "
                           f"it must be at most log(DBL_MAX) = {_LOG_DBL_MAX!r}")
-    return L, E, d, c
+    return E, d, c
 
 
 def _span(param: PopaParam, a: float, b: float, f: Callable | None = None, chart: tuple | None = None) -> tuple:
     """(v0, v1, g, c): on [a, b], a <= b, the Haar measure is c*dv for v in [v0, v1] and f's integral that of g(v) =
     c*f(t(v)); v is t on the t-line of ``chart`` (:func:`_coordinate` of [a, b] by default).  Where q overflows,
-    eta(b)/eta(a) > DBL_MAX or eta(a) < 1: nothing cancels in the chart's [L(d*a), L(d*b)], t = iso_exp(v)."""
-    L, _, d, c = chart or _coordinate(param, max(abs(a), abs(b)))
-    if L is _t:
+    eta(b)/eta(a) > DBL_MAX or eta(a) < 1: nothing cancels in [iso_log(a), iso_log(b)], t = iso_exp(v)."""
+    E, d, c = chart or _coordinate(param, max(abs(a), abs(b)))
+    if E is _t:
         return a, b, f if c == 1.0 else lambda v: c * f(v), c
     e = param._row.eta(a)
     if e == math.inf:  # rho*a overflows: on [a, b] eta(t) is rho*t to working precision
@@ -337,8 +338,8 @@ def _span(param: PopaParam, a: float, b: float, f: Callable | None = None, chart
     if q < math.inf:  # the translate to the identity, q = d*(b - a)/eta(a), at t = a + eta(a)/d*expm1(v)
         s, E = e / d, math.expm1
         return 0.0, math.log1p(q), lambda v: c * f(a + s * E(v)), c
-    E = param._row.iso_exp
-    return L(d * a), L(d * b) if d * b < math.inf else math.log(d) + math.log(b), lambda v: c * f(E(v)), c
+    iso_log, E = param._row.iso_log, param._row.iso_exp
+    return iso_log(a), iso_log(b), lambda v: c * f(E(v)), c
 
 
 def _haar_length(param: PopaParam, a: float, b: float) -> float:

@@ -4,6 +4,7 @@ import math
 import random
 import time
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -615,6 +616,43 @@ class TestBeckRiemannSum:
         e1 = abs(beck_riemann_sum(lambda t: 1.0, P1, 0.02, 1.0) - exact)
         e2 = abs(beck_riemann_sum(lambda t: 1.0, P1, 0.01, 1.0) - exact)
         assert 1.6 <= e1 / e2 <= 2.4
+
+
+def _beck_truth(rho: float, delta: float, u: float) -> float:
+    """The Beck sum of g = 1 at 40 digits, on the exact iterates ((1 + rho*delta)^m - 1)/rho clipped at u."""
+    with mpmath.workdps(40):
+        r, d, u = mpmath.mpf(rho), mpmath.mpf(delta), mpmath.mpf(u)
+        terms, a, m = [], mpmath.mpf(0), 1
+        while a < u:
+            x = min(mpmath.expm1(m * mpmath.log1p(r * d)) / r, u)
+            terms.append((x - a) / (1 + r * x))
+            a, m = x, m + 1
+        return float(mpmath.fsum(terms))
+
+
+class TestBeckPastRhoXDblMax:
+    """Cells past rho*x = DBL_MAX, where eta(x) = 1 + rho*x overflows and is rho*x to working precision."""
+
+    @pytest.mark.parametrize("rho, delta, u", [
+        (7.0, 1e307, 1.7e308),  # the clipped cell's node overflows
+        (7.0, 1e308, 1.7e308),  # so do both nodes
+        (7.0, 1e307, 1e308),  # so does the last of four cells
+        (2.0, 1e300, 1.7e308),
+    ])
+    def test_against_mpmath(self, rho, delta, u):
+        assert beck_riemann_sum(lambda t: 1.0, PopaParam(rho), delta, u) == pytest.approx(
+            _beck_truth(rho, delta, u), rel=1e-13)
+
+    def test_an_overflowing_term_is_g_times_the_relative_width_over_rho(self):
+        p, g = PopaParam(7.0), lambda t: 2.0 + math.cos(t)
+        x1 = power(p, 1e307, 1)
+        want = math.fsum([g(x1) / (1.0 + 7.0 * x1) * x1, g(1.7e308) * ((1.7e308 - x1) / 1.7e308) / 7.0])
+        assert beck_riemann_sum(g, p, 1e307, 1.7e308).hex() == want.hex()
+
+    def test_cli_partition_names_the_overflowing_point(self, capsys):
+        # its second point overflows: it is not a partition too fine to list
+        assert main(["beck", "partition", "--rho", "7", "--delta", "1e307", "--u", "1.7e308"]) == 2
+        assert capsys.readouterr() == ("", "error: point must be finite, got inf\n")
 
 
 class TestGoldieSum:

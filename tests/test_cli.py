@@ -93,6 +93,12 @@ class TestGroupCommand:
         assert err.startswith("error:")
         assert "violates" in err
 
+    @pytest.mark.parametrize("rho, t", [("7", "1.7e308"), ("1e300", "1e10")])
+    def test_inverse_where_rho_t_overflows_exits_2(self, capsys, rho, t):
+        # the inverse rounds to the pole -1/rho, as at --rho 7 -- 2e307, and is not -0.0
+        code, out, err = run_cli(capsys, "group", "inverse", "--rho", rho, "--", t)
+        assert (code, out) == (2, "") and err.startswith("error: point -") and "violates" in err
+
     def test_wrong_arity_exits_1(self, capsys):
         code, _, err = run_cli(capsys, "group", "circle", "--rho", "1", "1")
         assert code == 1
@@ -367,6 +373,16 @@ class TestKernelCommand:
         assert (code, out) == (2, "")
         assert err.endswith(" = inf is outside the codomain carrier\n") and err.startswith("error: S(")
 
+    @pytest.mark.parametrize("argv, out", [
+        # mpmath: 4.92805380304581e+153, exp acting on the rounding of w = log(7) + log(1.7e308) ~ 711.6
+        (["eval", "--rho", "7", "--sigma", "7", "--kappa", "0.5", "--t", "1.7e308"], "4.92805380304569e+153\n"),
+        (["inverse", "--rho", "7", "--sigma", "7", "--kappa", "2", "--z", "1.7e308"], "4.92805380304569e+153\n"),
+        (["goldie-g", "--rho", "7", "--gamma", "0", "--u", "1.7e308"], "101.667535291755\n"),
+        (["eval", "--rho", "1e300", "--sigma", "0", "--kappa", "1", "--t", "1e10"], "713.801378828154\n"),
+    ])
+    def test_past_rho_t_dbl_max_iso_log_is_finite(self, capsys, argv, out):
+        assert run_cli(capsys, "kernel", *argv) == (0, out, "")
+
     def test_eval_near_and_past_the_float_range(self, capsys):
         # expm1(kappa*w) overflows where the kernel, exp(kappa*w - log(sigma)), does not: 203235701.0936063 (mpmath)
         argv = ["kernel", "eval", "--rho", "1e300", "--sigma", "1e300", "--kappa", "1.001", "--t", "1e8"]
@@ -498,6 +514,15 @@ class TestBeckCommand:
         (["--rho", "0", "--delta", "1e308", "--u", "1.5e308"], "1.5e+308\n"),
     ])
     def test_sum_clips_an_overflowing_last_point(self, capsys, argv, out):
+        assert run_cli(capsys, "beck", "sum", *argv) == (0, out, "")
+
+    @pytest.mark.parametrize("argv, out", [  # mpmath: the same digits, 0.201680672268908 for the second
+        (["--rho", "7", "--delta", "1e307", "--u", "1.7e308"], "0.277310924369748\n"),
+        (["--rho", "7", "--delta", "1e308", "--u", "1.7e308"], "0.201680672268906\n"),
+        (["--rho", "7", "--delta", "1e307", "--u", "1e308"], "0.271428571428571\n"),
+        (["--rho", "2", "--delta", "1e300", "--u", "1.7e308"], "0.999999997058824\n"),
+    ])
+    def test_sum_keeps_the_cells_past_rho_x_dbl_max(self, capsys, argv, out):
         assert run_cli(capsys, "beck", "sum", *argv) == (0, out, "")
 
     @pytest.mark.parametrize("argv", [

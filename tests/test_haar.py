@@ -758,31 +758,31 @@ class TestSubnormalRhoTransforms:
 
 
 class TestChart:
-    """One chart w = L(d*t), t = E(w)/d, measure c*dw, picks the coordinate and the density of every integral."""
+    """One chart (E, d, c), w = iso_log(t), t = E(w)/d, measure c*dw, picks the coordinate and the density of every integral."""
 
     BOUND = math.log(sys.float_info.max)
     ABOVE = math.nextafter(BOUND, math.inf)
 
     @pytest.mark.parametrize("rho, want", [
-        (0.5, (math.log1p, math.expm1, 0.5, 3.0)),
-        (math.inf, (math.log, math.exp, 1.0, 1.0)),
+        (0.5, (math.expm1, 0.5, 3.0)),
+        (math.inf, (math.exp, 1.0, 1.0)),
     ])
     def test_the_two_coordinates_off_the_t_line(self, rho, want):
         assert haar._chart(PopaParam(rho), 1.0, T=30.0) == want
 
     @pytest.mark.parametrize("rho", [0.0, 1e-20, 1e-320])
     def test_the_t_line(self, rho):
-        L, E, d, c = haar._chart(PopaParam(rho), 1.0, T=30.0)
-        assert (L(0.25), E(-0.75), d, c) == (0.25, -0.75, 1.0, 1.0 + rho)
+        E, d, c = haar._chart(PopaParam(rho), 1.0, T=30.0)
+        assert (E(-0.75), d, c) == (-0.75, 1.0, 1.0 + rho)
 
     def test_t_line_below_two_to_the_minus_53(self):
-        # rho*s = 2**-53 exactly takes log1p; one ulp of s below it, the t-line; the largest scale decides
+        # rho*s = 2**-53 exactly takes expm1; one ulp of s below it, the t-line; the largest scale decides
         rho, s = 2.0**-60, 2.0**7
         below = math.nextafter(s, 0.0)
-        assert haar._chart(PopaParam(rho), s)[0] is math.log1p
-        assert haar._chart(PopaParam(rho), below)[3] == 1.0 + rho
-        assert haar._chart(PopaParam(rho), below, T=below)[3] == 1.0 + rho
-        assert haar._chart(PopaParam(rho), below, T=s)[0] is math.log1p
+        assert haar._chart(PopaParam(rho), s)[0] is math.expm1
+        assert haar._chart(PopaParam(rho), below)[2] == 1.0 + rho
+        assert haar._chart(PopaParam(rho), below, T=below)[2] == 1.0 + rho
+        assert haar._chart(PopaParam(rho), below, T=s)[0] is math.expm1
 
     def test_density_overflow_names_rho(self):
         for rho, scale in ((1e-320, 1e305), (1e-310, math.inf), (5e-324, math.inf)):
@@ -811,7 +811,7 @@ class TestChart:
     @pytest.mark.parametrize("rho", [0.0, 1e-300])
     def test_t_line_has_no_truncation_bound(self, rho):
         # rho*T < 2**-53: the integral is taken in t, where nothing overflows
-        assert haar._chart(PopaParam(rho), T=1e200)[3] == 1.0 + rho
+        assert haar._chart(PopaParam(rho), T=1e200)[2] == 1.0 + rho
 
     def test_infinite_phase_span_is_reported_before_the_truncation(self):
         with pytest.raises(DomainError, match=r"\|z\|\*T = inf is not finite"):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from helpers import PARAM_SET, point_from_w, rel_residual
-from regvar.haar import Interval, haar_integrate
+from regvar.haar import Interval, character_eval, haar_integrate
 from regvar.kernels import (
     GoldieAux,
     KernelParams,
@@ -32,6 +32,7 @@ from regvar.popa import (
     circle,
     identity,
     iso_exp,
+    iso_log,
 )
 from regvar.quadrature import QuadratureSpec, QuadratureWarning
 
@@ -325,6 +326,44 @@ class TestPastTheFloatRange:
             want = 100 * mpmath.mpf(1e-3) * (1 + mpmath.mpf(1e-3) * mpmath.mpf(t)) ** 99
             assert aux.g_prime(t) == pytest.approx(float(want), rel=1e-12)
         assert aux.g_prime(math.expm1(712.1 / 99.0) / 1e-3) == math.inf
+
+
+def _past_rho_t_max():
+    """(rho, t) on both sides of rho*t = DBL_MAX, t = DBL_MAX/rho times 0.5, 1 -+ 2**-52 and 2 where finite, and
+    t = 1.7e308."""
+    for rho in (1.5, 7.0, 1e10, 1e300):
+        ts = [sys.float_info.max / rho * f for f in (0.5, 1.0 - 2.0**-52, 1.0 + 2.0**-52, 2.0)]
+        yield from ((rho, t) for t in [*filter(math.isfinite, ts), 1.7e308])
+
+
+class TestPastRhoTDblMax:
+    """iso_log is log1p(rho*t) where rho*t is finite and log(rho) + log(t) where it overflows, and the maps that read
+    it are finite there, against mpmath at 40 digits.  A map whose value is exp(k*w), w = iso_log(t) ~ 700 to 1400,
+    turns the rounding of w into a relative error of |k*w|*2**-53: k is at most 1/2 here."""
+
+    @pytest.mark.parametrize("rho, t", list(_past_rho_t_max()), ids=str)
+    def test_against_mpmath(self, rho, t):
+        p = PopaParam(rho)
+        w = iso_log(p, t)
+        if rho * t < math.inf:
+            assert w.hex() == math.log1p(rho * t).hex()
+        with mpmath.workdps(40):
+            r, L = mpmath.mpf(rho), mpmath.log1p(mpmath.mpf(rho) * mpmath.mpf(t))
+            back = iso_exp(p, w)
+            assert abs(back - t) <= abs(w) * 2.0**-52 * t  # the round trip reads w's rounding
+            cases = [
+                ("iso_log", w, L),
+                ("iso_exp(iso_log(t))", back, mpmath.expm1(mpmath.mpf(w)) / r),
+                ("kernel_eval", kernel_eval(KernelParams(p, p, 0.5), t), mpmath.expm1(L / 2) / r),
+                ("kernel_eval sigma=0", kernel_eval(KernelParams(p, ZERO, 1.0), t), L),
+                ("kernel_inverse", kernel_inverse(KernelParams(p, p, 2.0), t), mpmath.expm1(L / 2) / r),
+                ("goldie_integral gamma=0", goldie_integral(GoldieAux(p, 0.0), t), L / r),
+                ("goldie_integral gamma=1/2", goldie_integral(GoldieAux(p, 0.5), t), -mpmath.expm1(-L / 2) / (r / 2)),
+                ("goldie_integral gamma=-1/2", goldie_integral(GoldieAux(p, -0.5), t), mpmath.expm1(L / 2) / (r / 2)),
+                ("character_eval", character_eval(p, 0.5, t), mpmath.exp(0.5j * L)),
+            ]
+            for name, got, want in cases:
+                assert abs(got - want) <= 1e-13 * abs(want), name
 
 
 class TestTinyGammaAndRho:

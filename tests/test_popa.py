@@ -146,6 +146,15 @@ class TestArithmetic:
         direct = power(param, delta.value, n)
         assert rel_residual(direct, acc.value) <= 1e-10
 
+    @pytest.mark.parametrize("rho, t", [(7.0, 1.7e308), (1e300, 1e10)])
+    def test_inverse_where_rho_t_overflows_rounds_to_the_pole(self, rho, t):
+        # the true inverse, -1/rho + 1/(rho*(1 + rho*t)), is far less than an ulp from the pole -1/rho, outside the
+        # carrier at these rho; -t/(1 + rho*t) would be -0.0, a group member
+        p = PopaParam(rho)
+        assert p._row.inverse(t) == -1.0 / rho
+        with pytest.raises(DomainError, match="violates"):
+            inverse(PopaPoint(p, t))
+
     @pytest.mark.parametrize("param", PARAM_SET)
     def test_negative_power_is_inverse_iterate(self, param):
         delta = point_from_w(param, 0.4)
@@ -544,9 +553,9 @@ class TestRowParity:
         p = PopaParam(rho)
         for s in map(abs, self.points(rho)):
             if rho == 0.0 or rho * s < 2.0**-53:
-                want = (_t, _t, 1.0, 1.0 + rho)
+                want = (_t, 1.0, 1.0 + rho)
             elif math.isinf(rho):
-                want = (math.log, math.exp, 1.0, 1.0)
+                want = (math.exp, 1.0, 1.0)
             else:
-                want = (math.log1p, math.expm1, rho, (1.0 + rho) / rho)
+                want = (math.expm1, rho, (1.0 + rho) / rho)
             assert _chart(p, s) == want, s
