@@ -15,12 +15,11 @@ admissible f, phi, h.
 from __future__ import annotations
 
 import math
-import operator
 import warnings
 from bisect import bisect_right
 from collections import deque
 from functools import partial
-from itertools import chain, compress, count
+from itertools import chain
 from typing import Callable, Sequence
 
 from regvar.popa import DomainError, PopaParam, _MAX_LISTED, _power_blocks, _powers, _Record, identity, iso_log, power
@@ -430,20 +429,23 @@ def beck_riemann_sum(
     """Riemann sum of g/eta over the partition of [identity, u] induced by the
     o-iterates of delta, at most 3276800 cells, the final cell clipped at u.
     Converges to the integral of g(x)/eta(x) dx at first order in delta."""
-    rho, multiplicative = param.rho, param.is_infinite  # eta(param, x) inline: x is in [identity, u], and
-    # a call of the row's eta per cell costs the sum up to 8%
-    def terms(nodes=()):  # a block's nodes, clipped as min(p, u), after the last node of the block before
-        for block in _power_blocks(param, delta, range(_beck_index(param, delta, u) + 1)):
-            nodes = [*nodes[-1:], *[u if u < p else p for p in block]]
-            end = next(compress(count(1), map(operator.ge, nodes, nodes[1:])), None)  # the first empty cell ends it
-            cells = zip(nodes, nodes[1:end])
-            if multiplicative or rho * nodes[-1] < math.inf:
-                yield [g(x) / (x if multiplicative else 1.0 + rho * x) * (x - a) for a, x in cells]
-            else:  # where rho*x overflows, eta(x) is rho*x to working precision
-                yield [g(x) / (1.0 + rho * x) * (x - a) if rho * x < math.inf else g(x) * ((x - a) / x) / rho
-                       for a, x in cells]
-            if end:
-                return
+    i, rho = _beck_index(param, delta, u), param.rho
+
+    def weighted(cells, last):  # g(x)/eta(x)*(x - a) over a block's cells up to the node last, eta inline and its
+        if param.is_infinite:  # form chosen once per block: a call of the row's eta per cell costs the sum up to 8%
+            return [g(x) / x * (x - a) for a, x in cells]
+        if rho * last < math.inf:
+            return [g(x) / (1.0 + rho * x) * (x - a) for a, x in cells]
+        # where rho*x overflows, eta(x) is rho*x to working precision
+        return [g(x) / (1.0 + rho * x) * (x - a) if rho * x < math.inf else g(x) * ((x - a) / x) / rho
+                for a, x in cells]
+
+    def terms(tail=()):  # the full cells x_0..x_(i-1), a block's nodes after the last node of the block before
+        for block in _power_blocks(param, delta, range(i)):
+            yield weighted(zip(chain(tail, block), block[1 - len(tail):]), block[-1])
+            tail = block[-1:]
+        if tail[0] < u:  # and the last cell [x_(i-1), u], clipped at u, where it is not empty
+            yield weighted([(tail[0], u)], u)
 
     return math.fsum(chain.from_iterable(terms()))
 

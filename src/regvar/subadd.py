@@ -13,6 +13,7 @@ import warnings
 from bisect import bisect_left, bisect_right
 from functools import partial
 from itertools import accumulate, compress
+from operator import sub
 from typing import Callable, Sequence
 
 from regvar import popa
@@ -109,15 +110,6 @@ def _codomain_value(sigma: PopaParam, x: float, v: float) -> float:
         raise DomainError(f"S({x!r}) = {v!r} is outside the codomain carrier") from exc
 
 
-def _in_carrier(param: PopaParam, vals: list[float]) -> bool:
-    """Whether popa._check_value(param, v) passes for every v: a non-finite v makes the sum non-finite (a sum
-    that overflows only sends the caller to its exact scan), and the test on 1 + rho*v is monotone in v, so the
-    least v decides."""
-    if not (vals and math.isfinite(sum(vals))):
-        return not vals
-    return popa._is_member(param, min(vals))
-
-
 def subadditivity_check(
     S: Callable[[float], float],
     rho: PopaParam,
@@ -130,9 +122,11 @@ def subadditivity_check(
     out-of-window pairs are skipped and counted.  S is called once per point and
     once per unordered in-window pair, row by row; off the diagonal a pair
     counts twice, as x o y = y o x.  A row's window is bisected where fl(x o y)
-    is non-decreasing in y, and its pairs are checked as one batch: if a bound
-    or an S(z) is outside sigma's carrier, the DomainError names the first such
-    pair of the row, and S may already have been called on the rest of it."""
+    is non-decreasing in x and y, and the rows past the first whose diagonal
+    x o x exceeds hi are skipped without a call of S.  A row's pairs are checked
+    as one batch: if a bound or an S(z) is outside sigma's carrier, the
+    DomainError names the first such pair of the row, and S may already have
+    been called on the rest of it."""
     pairs = grid.n * (grid.n + 1) // 2
     if pairs > popa._MAX_LISTED:
         raise DomainError(f"grid of {grid.n} points has {pairs} unordered pairs, more than {popa._MAX_LISTED}, "
@@ -143,11 +137,18 @@ def subadditivity_check(
     lo, hi, n = grid.lo, grid.hi, len(pts)
     worst, worst_pair = 0.0, (math.nan, math.nan)
     checked = skipped = 0
+    j1 = n  # the end of the last monotone row's window, which only falls from row to row
     for i, x in enumerate(pts):
-        if x >= 0.0 or not rho.is_finite:  # every rounded op of x o y is monotone in y: the window is a slice
-            x_op = partial(rho_op, x)
-            j0 = bisect_left(pts, lo, i, n, key=x_op)
-            j1 = bisect_right(pts, hi, j0, n, key=x_op)
+        if x >= 0.0 or not rho.is_finite:  # every rounded op of x o y is monotone in x and y: the window is a slice
+            x_op, diagonal = partial(rho_op, x), rho_op(x, x)
+            if diagonal > hi:  # this row and every later one lie above hi
+                skipped += (n - i) ** 2
+                break
+            j0 = i if diagonal >= lo else bisect_left(pts, lo, i + 1, j1, key=x_op)
+            j1 = bisect_right(pts, hi, j0, j1, key=x_op)
+            if j0 == j1:
+                skipped += 2 * (n - i) - 1
+                continue
             ys, sy = pts[j0:j1], svals[j0:j1]
             zs = rho_ops(x, ys)  # each z lies between two points of the carrier, so it is one too
         else:  # (x + y) + rho*(x*y) can step back an ulp as y grows: the row is made once and each pair tested
@@ -158,13 +159,14 @@ def subadditivity_check(
         bounds = sigma_ops(svals[i], sy)
         values = list(map(S, zs))
         images = list(map(float, values))
-        if not (_in_carrier(sigma, bounds) and _in_carrier(sigma, images)):
+        violations = list(map(sub, images, bounds))
+        # a finite sum has finite terms, so finite bounds and images, and the least of them decides the carrier
+        if ys and not (math.isfinite(sum(violations)) and popa._is_member(sigma, min(min(bounds), min(images)))):
             for z, bound, v in zip(zs, bounds, values):  # raise for the first failing pair
                 popa._check_value(sigma, bound)
                 _codomain_value(sigma, z, v)
         row = 2 * len(ys) - (bool(ys) and j0 == i)  # the diagonal pair (x, x) counts once
         checked, skipped = checked + row, skipped + 2 * (n - i) - 1 - row
-        violations = [v - b for v, b in zip(images, bounds)]
         top = max(violations, default=0.0)
         if top > worst:
             worst, worst_pair = top, (x, ys[violations.index(top)])

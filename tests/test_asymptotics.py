@@ -581,10 +581,11 @@ class TestBeckPartition:
         assert len(seen) == 1
 
     def test_riemann_sum_streams_past_the_list_cap(self, monkeypatch):
-        # the budget of cells is the list cap, and the cap + 1 nodes of its cells are streamed, not listed
-        cap, seen = asymptotics._MAX_LISTED, []
-        monkeypatch.setattr(asymptotics, "_power_blocks", lambda param, delta, ns: seen.append(ns) or iter(()))
-        assert beck_riemann_sum(lambda t: 1.0, ZERO, 1.0, cap - 1.0) == 0.0 and seen == [range(cap + 1)]
+        # the budget of cells is the list cap: the cap nodes x_0..x_(cap-1) of its full cells are streamed, not
+        # listed, and the last cell [x_(cap-1), u] is empty
+        cap, seen, blocks = asymptotics._MAX_LISTED, [], asymptotics._power_blocks
+        monkeypatch.setattr(asymptotics, "_power_blocks", lambda *args: seen.append(args[2]) or blocks(*args))
+        assert beck_riemann_sum(lambda t: 1.0, ZERO, 1.0, cap - 1.0) == cap - 1.0 and seen == [range(cap)]
 
     def test_cli_partition_above_the_cap_exits_2(self, capsys):
         assert main(["beck", "partition", "--rho", "0", "--delta", "1", "--u", "3276799"]) == 2

@@ -459,3 +459,37 @@ class TestErrorPath:
         assert got == _calls(_parent_driver, S, P1, P1, grid)[0]
         assert got == f"S({row[2]!r}) = -5.0 is outside the codomain carrier"
         assert seen[12:] == [z.hex() for z in row] and len(row) > 3
+
+
+# Windows (w_lo, w_hi) in the additive coordinate w = iso_log(t), linear spacing then geometric (lo > 0 there)
+EARLY_STOP_WINDOWS = {
+    "empties partway": ((-1.0, 2.0), (0.1, 2.0)),  # the diagonal x o x passes hi at w = 1
+    "every row empty": ((1.0, 1.5), (1.0, 1.5)),  # hi < lo o lo
+    "lower bisect first": ((-2.0, 1.0), (0.05, 1.0)),  # linear: x o x < lo in the first rows, x < 0 at rho = 1
+}
+
+
+class TestEarlyStop:
+    @pytest.mark.parametrize("rho,sigma", CORNER_PAIRS)
+    @pytest.mark.parametrize("spacing", ["linear", "geometric"])
+    @pytest.mark.parametrize("window", EARLY_STOP_WINDOWS)
+    def test_rows_past_the_first_empty_diagonal_match_the_row_loop(self, rho, sigma, spacing, window):
+        r, s = PopaParam(rho), PopaParam(sigma)
+        w_lo, w_hi = EARLY_STOP_WINDOWS[window][spacing == "geometric"]
+        S = lambda t: iso_exp(s, 1.3 * iso_log(r, t) + 0.2 * iso_log(r, t) ** 2)
+        for n in (2, 3, 40):
+            grid = GridSpec(iso_exp(r, w_lo), iso_exp(r, w_hi), n, spacing)
+            pts, op = grid.points(), r._row.op
+            got = _calls(subadditivity_check, S, r, s, grid)
+            assert got == _calls(_parent_driver, S, r, s, grid)
+            *_, checked, skipped = got[0]
+            assert checked + skipped == n * n
+            assert op(pts[-1], pts[-1]) > grid.hi  # the last rows are empty
+            if window == "every row empty":
+                assert (checked, skipped, len(got[1])) == (0, n * n, n)
+            else:
+                assert checked > 0
+            if window == "lower bisect first" and spacing == "linear":
+                assert op(pts[0], pts[0]) < grid.lo
+                # at finite rho the x < 0 rows test each pair, and then the monotone rows bisect
+                assert pts[0] < r._row.identity <= pts[-1]
