@@ -22,7 +22,8 @@ from functools import partial
 from itertools import chain
 from typing import Callable, Sequence
 
-from regvar.popa import DomainError, PopaParam, _MAX_LISTED, _power_blocks, _powers, _Record, identity, iso_log, power
+from regvar.popa import (DomainError, PopaParam, _MAX_LISTED, _positive, _power_blocks, _powers, _Record,
+                         _within_budget, identity, iso_log, power)
 
 __all__ = [
     "TableRangeError",
@@ -114,14 +115,12 @@ class LimitScheme(_Record, frozen=True):
 
     def __init__(self, x0: float = 10.0, ratio: float = 2.0, max_steps: int = 40, tol: float = 1e-6,
                  stability_window: int = 3) -> None:
-        if not (x0 > 0.0 and math.isfinite(x0)):
-            raise ValueError("x0 must be positive")
+        _positive("x0", x0)
         if not (ratio > 1.0 and math.isfinite(ratio)):
             raise ValueError("ratio must exceed 1")
         if max_steps < 1:
             raise ValueError("max_steps must be >= 1")
-        if max_steps > _MAX_LISTED:  # estimate_limit keeps every value it visits
-            raise ValueError(f"max_steps must be at most {_MAX_LISTED} (about 100 MB of values)")
+        _within_budget(max_steps, "steps in max_steps")  # estimate_limit keeps every value it visits
         if not math.isfinite(tol):
             raise ValueError(f"tol must be finite, got {tol!r}")
         if not (tol > 0.0):
@@ -137,12 +136,6 @@ class EstimationResult(_Record):
     def __init__(self, value: float, converged: bool, last_delta: float, steps_used: int) -> None:
         self.value, self.converged = value, converged
         self.last_delta, self.steps_used = last_delta, steps_used
-
-
-def _positive(name: str, v: float) -> float:
-    if not (v > 0.0 and math.isfinite(v)):
-        raise DomainError(f"{name} must be positive and finite, got {v!r}")
-    return v
 
 
 def karamata_op(f: Callable[[float], float], t: float, x: float) -> float:
@@ -284,9 +277,7 @@ def _estimate_grid(
 ) -> list[tuple[float, EstimationResult]]:
     """Limit in x of op(t, x) at each t of the grid; a point whose curve fails
     to evaluate is reported as unconverged, not raised."""
-    if len(t_grid) * scheme.max_steps > _MAX_LISTED:  # one walk per point
-        raise DomainError(f"grid of {len(t_grid)} points times {scheme.max_steps} steps is more than {_MAX_LISTED} "
-                          "steps, the budget of one call")
+    _within_budget(len(t_grid) * scheme.max_steps, "steps of the grid's walks")  # one walk per point
     out = []
     for t in t_grid:
         try:
@@ -409,17 +400,15 @@ def _beck_index(param: PopaParam, delta: float, u: float) -> int:
     while i <= _MAX_LISTED and power(param, delta, i) <= u:
         i += 1
     if i > _MAX_LISTED:
-        raise DomainError(f"partition is too fine: more than {_MAX_LISTED} cells, the budget of one call")
+        _within_budget(None, "partition cells")
     return i
 
 
 def beck_partition(param: PopaParam, delta: float, u: float) -> list[float]:
     """Partition points delta^(0 o), ..., delta^(i o) where i is the unique
-    index with delta^((i-1) o) <= u < delta^(i o).  The list may hold at
-    most 3276800 points (about 100 MB)."""
+    index with delta^((i-1) o) <= u < delta^(i o), at most 3276800 points."""
     i = _beck_index(param, delta, u)
-    if i >= _MAX_LISTED:
-        raise DomainError(f"partition of {i + 1} points is too long to list (at most {_MAX_LISTED}, about 100 MB)")
+    _within_budget(i + 1, "partition points")
     return list(_powers(param, delta, range(i + 1)))
 
 
@@ -461,6 +450,5 @@ def goldie_sum(
     i = int(i)
     if i < 0:
         raise DomainError(f"i must be >= 0, got {i}")
-    if i > _MAX_LISTED:
-        raise DomainError(f"sum is too long: {i} terms, more than {_MAX_LISTED}, the budget of one call")
+    _within_budget(i, "terms of the sum")
     return K_delta * math.fsum(map(g, _powers(param, delta, range(i))) if i else ())  # i = 0: delta unchecked

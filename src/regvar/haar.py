@@ -22,7 +22,7 @@ import math
 import warnings
 from typing import Callable
 
-from regvar.popa import DomainError, PopaParam, PopaPoint, _Record, _chart, _haar_length, _span, _t, iso_log
+from regvar.popa import DomainError, PopaParam, PopaPoint, _Record, _chart, _haar_length, _positive, _span, _t, iso_log
 from regvar.quadrature import QuadratureResult, QuadratureSpec, QuadratureWarning, _cc_integral, adaptive_integral
 
 __all__ = [
@@ -80,7 +80,7 @@ def haar_integrate(
     lo, hi, g, _ = _span(iv.param, iv.lo, iv.hi, f, _chart(iv.param, abs(iv.lo), abs(iv.hi)))
     what = lambda: f"haar_integrate over ({iv.lo}, {iv.hi})"
     if not math.isfinite(hi - lo):
-        raise DomainError(f"{what()}: the chart span L(d*hi) - L(d*lo) = {hi - lo} is not finite")
+        raise DomainError(f"{what()}: the interval's span in popa's chart, {hi - lo}, is not finite")
     return float(_value(_cc_integral(g, lo, hi, spec), what).real)
 
 
@@ -172,9 +172,7 @@ def beurling_convolution(
     """
     if not math.isfinite(x):
         raise DomainError(f"x must be finite, got {x!r}")
-    px = phi(x)
-    if not (px > 0.0 and math.isfinite(px)):
-        raise DomainError(f"phi(x) must be positive and finite, got {px!r}")
+    px = _positive("phi(x)", phi(x))
     T = spec.truncation
 
     def integrand(t: float) -> float:

@@ -54,7 +54,7 @@ __all__ = [
 _DOMAIN_GUARD = 1e-300
 _TINY = 2.0**-53  # |rho*t| below it: 1 + rho*t is 1, log(1+rho*t)/rho is t to working precision
 _LOG_DBL_MAX = math.log(sys.float_info.max)  # the largest T with exp(T) and expm1(T) finite
-_MAX_LISTED = 100 * 2**20 // 32  # the longest list of points a call builds: about 100 MB at 8 + 24 bytes a float
+_MAX_LISTED = 100 * 2**20 // 32  # the budget of one call, :func:`_within_budget`
 _BLOCK = 1024  # o-powers per comprehension of a stream, about 32 kB of floats: 4096 was no faster on a grid pass
 _t = lambda w: w  # the identity map: the t-line's E
 
@@ -65,6 +65,21 @@ class DomainError(ValueError):
 
 class ParameterMismatchError(ValueError):
     """Binary operation received points from two different groups."""
+
+
+def _within_budget(count: int | None, what: str) -> None:
+    """Refuse a call that would list or loop over more than _MAX_LISTED ``what``: the budget of one call, about
+    100 MB of list at 8 + 24 bytes a float.  count is None where the caller knows only that it has more.  Callers
+    ask before they build a list or call a user function."""
+    if count is None or count > _MAX_LISTED:
+        raise DomainError(f"too many {what}: {'' if count is None else f'{count}, '}more than {_MAX_LISTED}, "
+                          "the budget of one call")
+
+
+def _positive(name: str, v: float) -> float:
+    if not (v > 0.0 and math.isfinite(v)):
+        raise DomainError(f"{name} must be positive and finite, got {v!r}")
+    return v
 
 
 _set = object.__setattr__  # how a frozen record's __init__ assigns its fields

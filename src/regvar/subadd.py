@@ -54,11 +54,9 @@ class GridSpec(_Record, frozen=True):
         self._freeze(lo, hi, n, spacing)
 
     def points(self) -> list[float]:
-        """Non-decreasing points from lo to hi, at most 3276800 of them (about 100 MB of list).  Geometric ones are
-        10**w over evenly spaced w = log10(t), with lo and hi exact and each point clamped between its predecessor
-        and hi."""
-        if self.n > popa._MAX_LISTED:
-            raise DomainError(f"grid of {self.n} points is too long to list (at most {popa._MAX_LISTED}, about 100 MB)")
+        """Non-decreasing points from lo to hi, at most 3276800 of them.  Geometric ones are 10**w over evenly spaced
+        w = log10(t), with lo and hi exact and each point clamped between its predecessor and hi."""
+        popa._within_budget(self.n, "grid points")
         lo, hi = float(self.lo), float(self.hi)
         if self.spacing == "linear":
             return _linspace(lo, hi, self.n)
@@ -127,10 +125,7 @@ def subadditivity_check(
     as one batch: if a bound or an S(z) is outside sigma's carrier, the
     DomainError names the first such pair of the row, and S may already have
     been called on the rest of it."""
-    pairs = grid.n * (grid.n + 1) // 2
-    if pairs > popa._MAX_LISTED:
-        raise DomainError(f"grid of {grid.n} points has {pairs} unordered pairs, more than {popa._MAX_LISTED}, "
-                          "the budget of one call")
+    popa._within_budget(grid.n * (grid.n + 1) // 2, "unordered pairs of grid points")
     pts = [popa._check_value(rho, p) for p in grid.points()]
     svals = [_codomain_value(sigma, p, S(p)) for p in pts]
     rho_op, rho_ops, sigma_ops = rho._row.op, rho._row.ops, sigma._row.ops
@@ -146,9 +141,6 @@ def subadditivity_check(
                 break
             j0 = i if diagonal >= lo else bisect_left(pts, lo, i + 1, j1, key=x_op)
             j1 = bisect_right(pts, hi, j0, j1, key=x_op)
-            if j0 == j1:
-                skipped += 2 * (n - i) - 1
-                continue
             ys, sy = pts[j0:j1], svals[j0:j1]
             zs = rho_ops(x, ys)  # each z lies between two points of the carrier, so it is one too
         else:  # (x + y) + rho*(x*y) can step back an ulp as y grows: the row is made once and each pair tested
@@ -228,14 +220,12 @@ def sandwich_bound_check(
 
     must hold (group operations of the codomain on the outside).  If the
     premise already fails on the probe points the check passes vacuously,
-    with a warning.  At most 3276800 probes (about 100 MB of list) are allowed.
+    with a warning.  At most 3276800 probes are allowed.
     """
     if probes < 2:
         raise ValueError("probes must be >= 2")
-    if probes > popa._MAX_LISTED:
-        raise DomainError(f"{probes} probes are too many to list (at most {popa._MAX_LISTED}, about 100 MB)")
-    if not (delta > 0.0 and math.isfinite(delta)):
-        raise DomainError(f"delta must be positive, got {delta!r}")
+    popa._within_budget(probes, "probes")
+    popa._positive("delta", delta)
     pa = PopaPoint(rho, a)
     pb = PopaPoint(rho, b)
     if not pb.value > 0.0:

@@ -536,7 +536,7 @@ class TestBeckCommand:
     def test_too_fine_partition_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "beck", "partition", "--rho", "0", "--delta", "1e-9", "--u", "1")
         assert code == 2
-        assert "too fine" in err
+        assert "too many partition cells" in err
 
 
 class TestSubaddCommand:
@@ -826,7 +826,7 @@ class TestFlagTable:
 
     def test_integrate_over_an_infinite_chart_span_names_the_interval(self, capsys):
         argv = ["--rho", "0", "--lo=-1e308", "--hi", "1e308"]
-        want = "error: haar_integrate over (-1e+308, 1e+308): the chart span L(d*hi) - L(d*lo) = inf is not finite\n"
+        want = "error: haar_integrate over (-1e+308, 1e+308): the interval's span in popa's chart, inf, is not finite\n"
         assert run_cli(capsys, "transform", "integrate", *argv, "--f", "one") == (2, "", want)
         assert run_cli(capsys, "transform", "measure", *argv) == (0, "inf\n", "")
 
@@ -839,7 +839,7 @@ class TestFlagTable:
         monkeypatch.setitem(cli._REGISTRY, "sqrt", lambda x: calls.append(x) or math.sqrt(x))
         code, out, err = run_cli(capsys, "estimate", "eta-rho", "--phi", "sqrt", "--max-steps", "3276801")
         assert (code, out, calls) == (2, "", [])
-        assert err == "error: max_steps must be at most 3276800 (about 100 MB of values)\n"
+        assert err == "error: too many steps in max_steps: 3276801, more than 3276800, the budget of one call\n"
 
     def test_subnormal_rho_measure_is_the_length(self, capsys):
         code, out, err = run_cli(capsys, "transform", "measure", "--rho", "1e-320", "--lo", "0", "--hi", "1")
@@ -851,7 +851,7 @@ class TestGridDriverBounds:
         code, out, err = run_cli(capsys, "subadd", "check", "--s", "square", "--lo", "0", "--hi", "1",
                                  "--n", "100000000")
         assert (code, out) == (2, "")
-        assert err.startswith("error: grid of 100000000 points has 5000000050000000 unordered pairs, more than 3276800")
+        assert err.startswith("error: too many unordered pairs of grid points: 5000000050000000, more than 3276800")
 
     def test_overflowing_span_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "subadd", "check", "--s", "square", "--lo=-1e308", "--hi", "1e308",
@@ -1134,7 +1134,7 @@ class TestFlagKinds:
     def test_sandwich_probes_above_the_list_cap_exit_2(self, capsys):
         code, out, err = run_cli(capsys, "subadd", "sandwich", "--s", "square", "--probes", "99999999")
         assert (code, out) == (2, "")
-        assert err == "error: 99999999 probes are too many to list (at most 3276800, about 100 MB)\n"
+        assert err == "error: too many probes: 99999999, more than 3276800, the budget of one call\n"
 
     @pytest.mark.parametrize("op,flags,want", [
         ("fourier", ["--gamma", "1"], 0.7167962514226688),  # integral of exp(-i t) over [1/8, 1], real part

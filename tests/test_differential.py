@@ -2,7 +2,7 @@
 
 Every call runs at each rho of RHOS on Gaussian profiles, and none warns (pytest turns a warning into an
 error).  Each must lie within its tolerance max(abs_tol, rel_tol*|truth|) of the truth, which mpmath takes in
-the chart ``w = L(d*t)`` of ``regvar.popa`` between breakpoints that follow the profile: the images of t in a
+the chart ``w = iso_log(t)`` of ``regvar.popa`` between breakpoints that follow the profile: the images of t in a
 fixed ladder, and every even w.  Between rho = 1e-13 and 1e-17 ``fourier_popa`` and ``popa_convolution``
 of a Gaussian warn (see CHANGES.md), so those rho are left out.
 """
@@ -28,7 +28,7 @@ def gauss(t: float) -> float:
 
 
 def _chart(rho: float):
-    """L, E, d, c of the chart at 30 digits: w = L(d*t), t = E(w)/d, measure c*dw (rho = 0: the identity)."""
+    """L, E, d, c of the chart at 30 digits: iso_log(t) = L(d*t), t = E(w)/d, measure c*dw (rho = 0: the identity)."""
     if rho == 0.0:
         return (lambda t: t), (lambda w: w), mp.mpf(1), mp.mpf(1)
     if rho == math.inf:

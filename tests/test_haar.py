@@ -139,12 +139,13 @@ class TestHaarIntegrate:
         (ZERO, -1e308, 1e308),  # hi - lo overflows
     ])
     def test_an_infinite_chart_span_is_a_domain_error(self, param, lo, hi):
-        span = re.escape(f"haar_integrate over ({lo}, {hi}): the chart span L(d*hi) - L(d*lo) = inf is not finite")
+        span = re.escape(f"haar_integrate over ({lo}, {hi}): the interval's span in popa's chart, inf, is not finite")
         with pytest.raises(DomainError, match=f"^{span}$"):
             haar_integrate(lambda t: 1.0, Interval(param, lo, hi), SPEC)
 
     def test_a_span_whose_chart_end_overflows_integrates(self):
-        # L(d*hi) = log1p(7*hi) overflows, while the translate to the identity spans log1p(7*(hi - 1)/8) = 709.6
+        # 7*hi overflows, and iso_log(hi) is log(7) + log(hi), while the translate to the identity spans
+        # log1p(7*(hi - 1)/8) = 709.6
         iv = Interval(PopaParam(7.0), 1.0, 1.7e308)
         m = haar_interval_measure(iv)
         assert m == pytest.approx(810.963777714976, rel=1e-15)
@@ -153,7 +154,7 @@ class TestHaarIntegrate:
     @staticmethod
     def _interval_table():
         """rho from 0 to inf, lo from the identity up to 1e300 and near the pole, widths 1e-12 to 1e5 relative to
-        max(|lo|, 1), with the two intervals whose chart end L(d*hi) overflows or which are one chart float."""
+        max(|lo|, 1), with the two intervals where rho*hi overflows or which are one chart float."""
         for rho in (0.0, 1e-9, 1.0, 7.0, 1e300, math.inf):
             lows = (0.0, 0.5, 3.0, 1e100, 1e300) + ((-0.9 / rho,) if 0.0 < rho < math.inf else ())
             for lo in lows:
@@ -164,7 +165,7 @@ class TestHaarIntegrate:
         yield Interval(PopaParam(1e300), 1.0, 1.0000000000000002)
 
     def test_the_integral_of_one_is_the_measure_on_every_interval(self):
-        # both read the interval's span in popa's chart: far from the identity L(d*hi) - L(d*lo) lost up to 2.3%
+        # both read the interval's span in popa's chart: far from the identity iso_log(hi) - iso_log(lo) lost up to 2.3%
         ivs = list(self._interval_table())
         assert len(ivs) == 134
         for iv in ivs:
@@ -179,8 +180,8 @@ class TestHaarIntegrate:
         (INFINITY, 1e300, 1.0000000000000002e300),
         (P1, -0.9999999, 1.0),  # near the pole
         (PopaParam(4.0), -0.25 + 2.0**-40, 0.0),  # 1 + rho*lo exact: its rounding is the group arithmetic's
-        (PopaParam(7.0), 1.0, 1.7e308),  # L(d*hi) overflows
-        (PopaParam(7.0), 0.0, 1.7e308),  # so does d*(hi - lo)/eta(lo): the span is L(d*hi) - L(d*lo)
+        (PopaParam(7.0), 1.0, 1.7e308),  # rho*hi overflows
+        (PopaParam(7.0), 0.0, 1.7e308),  # so does d*(hi - lo)/eta(lo): the span is iso_log(hi) - iso_log(lo)
         (PopaParam(1e300), -9.999e-301, 1e8),  # d*(hi - lo)/eta(lo) overflows near the pole
     ], ids=str)
     def test_a_smooth_f_against_mpmath(self, param, lo, hi):
@@ -208,7 +209,7 @@ class TestHaarIntegrate:
         (INFINITY, 1e300, 1.0000000000000002e300),
     ])
     def test_an_interval_of_one_chart_float_integrates_in_t(self, param, lo, hi):
-        # both ends map to one float w = L(d*t): the integral of the density over [lo, hi] is the measure
+        # both ends map to one float w = iso_log(t): the integral of the density over [lo, hi] is the measure
         iv = Interval(param, lo, hi)
         m = haar_interval_measure(iv)
         assert haar_integrate(lambda t: 1.0, iv, SPEC) == pytest.approx(m, rel=1e-15, abs=0.0)

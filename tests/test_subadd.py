@@ -49,7 +49,7 @@ class TestGridSpec:
     def test_points_are_capped_near_100_mb_before_any_list_is_made(self, monkeypatch, spacing):
         cap, seen = popa._MAX_LISTED, []
         monkeypatch.setattr(subadd, "_linspace", lambda lo, hi, n: seen.append(n) or [lo, hi])
-        with pytest.raises(DomainError, match="too long to list"):
+        with pytest.raises(DomainError, match=f"^too many grid points: {cap + 1}, more than {cap}"):
             GridSpec(1.0, 2.0, cap + 1, spacing).points()
         assert seen == []
         GridSpec(1.0, 2.0, cap, spacing).points()
@@ -209,7 +209,7 @@ class TestSandwichBound:
         monkeypatch.setattr(subadd, "_linspace", lambda lo, hi, n: seen.append(n) or [0.0, 0.0])
         calls = []
         S = lambda u: calls.append(u) or 1.0
-        with pytest.raises(DomainError, match="too many to list"):
+        with pytest.raises(DomainError, match=f"^too many probes: {cap + 1}, more than {cap}"):
             sandwich_bound_check(S, ZERO, ZERO, a=1.0, b=4.0, delta=0.5, M=2.0, probes=cap + 1)
         assert seen == calls == []
         assert sandwich_bound_check(S, ZERO, ZERO, a=1.0, b=4.0, delta=0.5, M=2.0, probes=cap) is True
@@ -311,7 +311,7 @@ class TestFloatOnlyDriver:
         with pytest.raises(DomainError, match="the budget of one call"):
             subadditivity_check(S, ZERO, ZERO, GridSpec(0.0, 1.0, 10**8))
         # 2560*2561/2 unordered pairs are over the budget of 3276800; 2559*2560/2 = 3275520 are within it
-        with pytest.raises(DomainError, match="^grid of 2560 points has 3278080 unordered pairs, more than 3276800"):
+        with pytest.raises(DomainError, match="^too many unordered pairs of grid points: 3278080, more than 3276800"):
             subadditivity_check(S, ZERO, ZERO, GridSpec(0.0, 1.0, 2560))
         with pytest.raises(AssertionError, match="points"):
             subadditivity_check(S, ZERO, ZERO, GridSpec(0.0, 1.0, 2559))
@@ -429,6 +429,18 @@ class TestBisectedWindows:
         for seed in range(3):
             S, r, s, grid = _seeded_case(rho, sigma, spacing, seed == 1, seed)
             assert _calls(subadditivity_check, S, r, s, grid) == _calls(_parent_driver, S, r, s, grid)
+
+    @pytest.mark.parametrize("sigma", [ZERO, P1, INFINITY], ids=str)
+    @pytest.mark.parametrize("spacing", ["linear", "geometric"])
+    def test_rows_empty_below_lo_match_the_row_loop(self, sigma, spacing):
+        # at rho = inf on [0.1, 0.5], x*y < lo for every partner y of a row x < 0.2: the first rows are empty
+        S = lambda t: iso_exp(sigma, 1.3 * math.log(t) + 0.2 * math.log(t) ** 2)
+        grid = GridSpec(0.1, 0.5, 40, spacing)
+        pts = grid.points()
+        assert pts[1] * pts[-1] < grid.lo
+        got = _calls(subadditivity_check, S, INFINITY, sigma, grid)
+        assert got == _calls(_parent_driver, S, INFINITY, sigma, grid)
+        assert got[0][3] > 0 and got[0][3] + got[0][4] == 40 * 40
 
 
 class TestErrorPath:
