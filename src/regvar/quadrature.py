@@ -19,6 +19,10 @@ Ties in the refinement queue are broken by cell position.  The value and the
 bound are ``math.fsum`` of the cells in position order, which is correctly
 rounded; every other sum adds left to right from 0.0, as the built-in ``sum``
 did before Python 3.12, so results are bit-identical on every supported Python.
+For speed the sums of the cell kernel and the Filon weights' column sums are
+written out term by term, in the order of the loops they replace, and a lone
+cell within tolerance returns at once; the loop form, which they reproduce bit
+for bit, is the reference in tests/test_quadrature.py.
 Non-convergence is not fatal: the best estimate is returned together with
 ``converged=False`` and a conservative error bound.
 """
@@ -95,8 +99,8 @@ def adaptive_integral(fn: Callable[[float], complex], lo: float, hi: float, spec
 
     def cell(a, b, fa, fm, fb):
         """The cell's five-point Simpson pair, its quarter points evaluated here."""
-        fq1, fq3 = fn(a + 0.25 * (b - a)), fn(a + 0.75 * (b - a))
         h = b - a
+        fq1, fq3 = fn(a + 0.25 * h), fn(a + 0.75 * h)
         s1 = h * (fa + 4.0 * fm + fb) / 6.0
         s2 = h * (fa + 4.0 * fq1 + 2.0 * fm + 4.0 * fq3 + fb) / 12.0
         # Richardson-corrected value; the plain pair difference is kept as a deliberately conservative
@@ -123,8 +127,9 @@ def _inverse(matrix: list) -> list:
 
 
 def _cc_rule(w: list, interp: list) -> tuple:
-    """w and, per mirror pair (k, 16-k) of odd nodes, (k, w_k, w_16-k, the weighted 9-point interpolant there)."""
-    return w, [(k, w[k], w[16 - k], [w[k] * u + w[16 - k] * v for u, v in zip(interp[k // 2], interp[7 - k // 2])])
+    """w and, per mirror pair (k, 16-k) of odd nodes, k = 1, 3, 5, 7: (w_k, w_16-k, the weighted 9-point
+    interpolant there)."""
+    return w, [(w[k], w[16 - k], [w[k] * u + w[16 - k] * v for u, v in zip(interp[k // 2], interp[7 - k // 2])])
                for k in (1, 3, 5, 7)]
 
 
@@ -175,25 +180,31 @@ def _legendre_moments(theta: complex) -> list:
 
 def _cc_weights(theta: complex) -> list:
     """W_k = integral of exp(-theta*s) L_k(s) over [-1, 1]; by parity W_k, W_16-k share the halves of A's column k."""
-    mu = _legendre_moments(theta)
-    even, odd = mu[0::2], mu[1::2]
-    w = [0j] * 17
-    for k, (col_even, col_odd) in enumerate(_cc_tables()[1]):
-        e, o = reduce(add, map(mul, col_even, even), 0.0), reduce(add, map(mul, col_odd, odd), 0.0)
+    m0, m1, m2, m3, m4, m5, m6, m7, m8, m9, m10, m11, m12, m13, m14, m15, m16 = _legendre_moments(theta)
+    w, columns = [0j] * 17, _cc_tables()[1]
+    for k, ((a0, a2, a4, a6, a8, a10, a12, a14, a16), (a1, a3, a5, a7, a9, a11, a13, a15)) in enumerate(columns):
+        e = 0.0 + a0 * m0 + a2 * m2 + a4 * m4 + a6 * m6 + a8 * m8 + a10 * m10 + a12 * m12 + a14 * m14 + a16 * m16
+        o = 0.0 + a1 * m1 + a3 * m3 + a5 * m5 + a7 * m7 + a9 * m9 + a11 * m11 + a13 * m13 + a15 * m15
         w[k], w[16 - k] = e + o, e - o
     return w
 
 
 def _cc_integral(fn, lo: float, hi: float, spec: QuadratureSpec = QuadratureSpec(), z: complex = 0.0):
     """Integrate ``fn(w) * exp(-z*w)`` over [lo, hi] with Clenshaw-Curtis 17/9 cells."""
-    nodes, _, interp, (w0, plain_pairs) = _cc_tables()
-    inner = nodes[1:16]
+    nodes, _, interp, (plain, plain_pairs) = _cc_tables()
+    s1, s2, s3, s4, s5, s6, s7, s8, s9, s10, s11, s12, s13, s14, s15 = nodes[1:16]
+    w0, w1, w2, w3, w4, w5, w6, w7, w8, w9, w10, w11, w12, w13, w14, w15, w16 = plain
     rules = {}  # the rule of the cells of half-width r, at theta = z*r
 
     def make(a, b, fa, fb):
         c, r = 0.5 * a + 0.5 * b, 0.5 * (b - a)  # a + b may overflow
-        p = [fb, *[fn(c + r * s) for s in inner], fa]
-        plain_value = _dot17(w0, p)
+        p = [fb, fn(c + r * s1), fn(c + r * s2), fn(c + r * s3), fn(c + r * s4), fn(c + r * s5), fn(c + r * s6),
+             fn(c + r * s7), fn(c + r * s8), fn(c + r * s9), fn(c + r * s10), fn(c + r * s11), fn(c + r * s12),
+             fn(c + r * s13), fn(c + r * s14), fn(c + r * s15), fa]
+        p0, p1, p2, p3, p4, p5, p6, p7, p8, p9, p10, p11, p12, p13, p14, p15, p16 = p
+        # every sum below adds left to right from 0.0, as _dot17 does
+        plain_value = (0.0 + w0 * p0 + w1 * p1 + w2 * p2 + w3 * p3 + w4 * p4 + w5 * p5 + w6 * p6 + w7 * p7 + w8 * p8
+                       + w9 * p9 + w10 * p10 + w11 * p11 + w12 * p12 + w13 * p13 + w14 * p14 + w15 * p15 + w16 * p16)
         if not z:
             e, value, pairs = r, r * plain_value, plain_pairs
         else:
@@ -208,21 +219,32 @@ def _cc_integral(fn, lo: float, hi: float, spec: QuadratureSpec = QuadratureSpec
             except OverflowError:  # in exp(-z*w), its moments or the weighted sum, not in fn
                 raise DomainError(f"exp(-z*w) overflows for z={z} and w in [{lo!r}, {hi!r}] (truncation="
                                   f"{spec.truncation!r}): lower |Re z| or the truncation") from None
-        d, (q0, q1, q2, q3, q4, q5, q6, q7, q8) = 0.0, p[0::2]
-        for k, wk, wl, (r0, r1, r2, r3, r4, r5, r6, r7, r8) in pairs:  # 9 terms left to right from 0.0, as in _dot17
-            d += abs(wk * p[k] + wl * p[16 - k] - (0.0 + r0 * q0 + r1 * q1 + r2 * q2 + r3 * q3 + r4 * q4 + r5 * q5
-                                                    + r6 * q6 + r7 * q7 + r8 * q8))
+        # the weighted misses of the 9-point interpolant at the odd nodes k, 16-k: d sums their moduli
+        ((a1, a15, (i0, i1, i2, i3, i4, i5, i6, i7, i8)), (a3, a13, (j0, j1, j2, j3, j4, j5, j6, j7, j8)),
+         (a5, a11, (k0, k1, k2, k3, k4, k5, k6, k7, k8)), (a7, a9, (l0, l1, l2, l3, l4, l5, l6, l7, l8))) = pairs
+        d = (abs(a1 * p1 + a15 * p15 - (0.0 + i0 * p0 + i1 * p2 + i2 * p4 + i3 * p6 + i4 * p8 + i5 * p10 + i6 * p12
+                                        + i7 * p14 + i8 * p16))
+             + abs(a3 * p3 + a13 * p13 - (0.0 + j0 * p0 + j1 * p2 + j2 * p4 + j3 * p6 + j4 * p8 + j5 * p10 + j6 * p12
+                                          + j7 * p14 + j8 * p16))
+             + abs(a5 * p5 + a11 * p11 - (0.0 + k0 * p0 + k1 * p2 + k2 * p4 + k3 * p6 + k4 * p8 + k5 * p10 + k6 * p12
+                                          + k7 * p14 + k8 * p16))
+             + abs(a7 * p7 + a9 * p9 - (0.0 + l0 * p0 + l1 * p2 + l2 * p4 + l3 * p6 + l4 * p8 + l5 * p10 + l6 * p12
+                                        + l7 * p14 + l8 * p16)))
         scale, mean = abs(e), 0.5 * plain_value
-        spread = _dot17(w0, [abs(v - mean) for v in p])
+        spread = (0.0 + w0 * abs(p0 - mean) + w1 * abs(p1 - mean) + w2 * abs(p2 - mean) + w3 * abs(p3 - mean)
+                  + w4 * abs(p4 - mean) + w5 * abs(p5 - mean) + w6 * abs(p6 - mean) + w7 * abs(p7 - mean)
+                  + w8 * abs(p8 - mean) + w9 * abs(p9 - mean) + w10 * abs(p10 - mean) + w11 * abs(p11 - mean)
+                  + w12 * abs(p12 - mean) + w13 * abs(p13 - mean) + w14 * abs(p14 - mean) + w15 * abs(p15 - mean)
+                  + w16 * abs(p16 - mean))
         resasc, d, floor = scale * spread, d * scale, 50.0 * 2.0**-52 * scale
         err = min(d, resasc * (200.0 * d / resasc) ** 1.5) if resasc else d
-        # floor * sum(w0*|p|) <= floor * (spread + 2|mean|), the weights being positive with sum 2: where err
+        # floor * sum(w_k*|p_k|) <= floor * (spread + 2|mean|), the weights being positive with sum 2: where err
         # exceeds that bound, with room for rounding and underflow, it exceeds the floor and the sum is skipped
         if not err > floor * (1.001 * (spread + 2.0 * abs(mean)) + 1e-300):
-            err = max(err, floor * _dot17(w0, map(abs, p)))
+            err = max(err, floor * _dot17(plain, map(abs, p)))
         if r < 2.0**-1022:  # a subnormal r (0 included) may be off by an ulp, a value that underflows too: bound both
-            err += (_dot17(w0, map(abs, p)) * math.exp(-z.real * c) + 1.0) * 2.0**-1074
-        return _Cell(a, b, fa, p[8], fb, value, err)
+            err += (_dot17(plain, map(abs, p)) * math.exp(-z.real * c) + 1.0) * 2.0**-1074
+        return _Cell(a, b, fa, p8, fb, value, err)
 
     step = spec.truncation / 12.0  # 0 for a T of a few subnormals, whose spans get the 24 panels of any wide span
     panels = math.ceil(min(24.0, (hi - lo) / step)) if lo < hi and step else 24  # where lo >= hi _refine raises
@@ -256,43 +278,45 @@ def _refine(fn, lo, hi, spec, breakpoints, min_cells, first, split, first_cost, 
     fvals = list(map(fn, grid))
     cells = list(map(first, grid, grid[1:], fvals, fvals[1:]))
     abs_tol, rel_tol = spec.abs_tol, spec.rel_tol
+    if len(cells) == 1 and (cell := cells[0]).err <= max(abs_tol, rel_tol * abs(cell.value)):
+        # a lone cell within tolerance is done; x + 0.0 is math.fsum([x]) for every float, -0.0, inf and nan included
+        re, im = cell.value.real + 0.0, cell.value.imag + 0.0
+        return QuadratureResult(complex(re, im) if im != 0.0 else re, cell.err + 0.0, True, len(grid) + first_cost)
     # running totals steer refinement; exact sums confirm the stop and make the result
     run_value, run_err = reduce(add, [c.value for c in cells], 0.0), reduce(add, [c.err for c in cells], 0.0)
     splits = 0
-    # a lone cell within tolerance is done: its running sums are exact, and the loop would stop at once
-    if len(cells) > 1 or not run_err <= max(abs_tol, rel_tol * abs(run_value)):
-        # a cell's serial number breaks the ties of cells alike in error and start: those of zero width, which a
-        # grid or split of a span of a few subnormals makes
-        heap = [(-c.err, c.a, k, c) for k, c in enumerate(cells)]
-        serial = len(heap)
-        heapq.heapify(heap)
-        pop, push = heapq.heappop, heapq.heappush
-        frozen = []  # cells at the width floor, no longer refinable
-        width_floor = span * _WIDTH_FLOOR_FACTOR
-        peak = run_err  # the largest running error since the last exact sum
-        while splits < spec.max_subdivisions and heap:
-            # the running sums drift once they have held far larger terms: confirm a stop afresh, and re-sum
-            # once the error sum falls 2**40 below its peak, where that drift may outweigh what is left
-            if run_err <= max(abs_tol, rel_tol * abs(run_value)) or run_err < peak * 2.0**-40:
-                active = [c for (_, _, _, c) in heap] + frozen
-                run_value, run_err = reduce(add, [c.value for c in active], 0.0), math.fsum([c.err for c in active])
-                peak = run_err
-                if run_err <= max(abs_tol, rel_tol * abs(run_value)):
-                    break
-            _, _, _, worst = pop(heap)
-            if worst.b - worst.a <= width_floor:
-                frozen.append(worst)
-                continue
-            left, right = split(worst, 0.5 * worst.a + 0.5 * worst.b)
-            push(heap, (-left.err, left.a, serial + 2 * splits, left))
-            push(heap, (-right.err, right.a, serial + 2 * splits + 1, right))
-            run_value += left.value + right.value - worst.value
-            run_err += left.err + right.err - worst.err
-            if run_err > peak:
-                peak = run_err
-            splits += 1
-        cells = [c for (_, _, _, c) in heap] + frozen
-        cells.sort(key=lambda c: c.a)  # in the queue's order fsum can overflow on the way where this order does not
+    # a cell's serial number breaks the ties of cells alike in error and start: those of zero width, which a
+    # grid or split of a span of a few subnormals makes
+    heap = [(-c.err, c.a, k, c) for k, c in enumerate(cells)]
+    serial = len(heap)
+    heapq.heapify(heap)
+    pop, push = heapq.heappop, heapq.heappush
+    frozen = []  # cells at the width floor, no longer refinable
+    width_floor = span * _WIDTH_FLOOR_FACTOR
+    peak = run_err  # the largest running error since the last exact sum
+    while splits < spec.max_subdivisions and heap:
+        # the running sums drift once they have held far larger terms: confirm a stop afresh, and re-sum
+        # once the error sum falls 2**40 below its peak, where that drift may outweigh what is left
+        if run_err <= max(abs_tol, rel_tol * abs(run_value)) or run_err < peak * 2.0**-40:
+            active = [c for (_, _, _, c) in heap] + frozen
+            run_value, run_err = reduce(add, [c.value for c in active], 0.0), math.fsum([c.err for c in active])
+            peak = run_err
+            if run_err <= max(abs_tol, rel_tol * abs(run_value)):
+                break
+        _, _, _, worst = pop(heap)
+        if worst.b - worst.a <= width_floor:
+            frozen.append(worst)
+            continue
+        left, right = split(worst, 0.5 * worst.a + 0.5 * worst.b)
+        push(heap, (-left.err, left.a, serial + 2 * splits, left))
+        push(heap, (-right.err, right.a, serial + 2 * splits + 1, right))
+        run_value += left.value + right.value - worst.value
+        run_err += left.err + right.err - worst.err
+        if run_err > peak:
+            peak = run_err
+        splits += 1
+    cells = [c for (_, _, _, c) in heap] + frozen
+    cells.sort(key=lambda c: c.a)  # in the queue's order fsum can overflow on the way where this order does not
     re, im = math.fsum([c.value.real for c in cells]), math.fsum([c.value.imag for c in cells])
     total = complex(re, im) if im != 0.0 else re
     err = math.fsum([c.err for c in cells])

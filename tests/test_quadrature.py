@@ -6,6 +6,7 @@ import heapq
 import itertools
 import math
 import random
+import sys
 import warnings
 from fractions import Fraction
 from operator import add, mul
@@ -15,10 +16,11 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+import regvar.quadrature as quadrature
 from regvar.asymptotics import SampledFunction
 from regvar.popa import DomainError
-from regvar.quadrature import (QuadratureResult, QuadratureSpec, _cc_integral, _cc_rule, _cc_tables, _cc_weights, _Cell,
-                               _dot17, adaptive_integral)
+from regvar.quadrature import (QuadratureResult, QuadratureSpec, _cc_integral, _cc_tables, _cc_weights, _Cell, _dot17,
+                               _refine, adaptive_integral)
 
 SPEC = QuadratureSpec()
 
@@ -423,8 +425,9 @@ class TestClenshawCurtisCalibration:
 # ----------------------------------------------------------------------------------------------------
 # The engine as it stood before its per-call and per-cell work was trimmed, kept as the reference for
 # every bit of its results: a one-cell call that meets its tolerance at once still goes through the heap,
-# the floor sum is always taken, the grid is always sorted, and the Filon weights are built with
-# accumulate and per-column slices.  It includes the re-sum of a drifted running error sum.
+# the floor sum is always taken, the grid is always sorted, the Filon weights are built with accumulate
+# and per-column slices, and every sum of a cell is a loop over its terms, where the engine writes them
+# out.  It includes the re-sum of a drifted running error sum.
 
 
 def _left_sum(terms):
@@ -473,19 +476,26 @@ def _ref_cc_weights(theta):
     return w
 
 
+def _ref_cc_rule(w, interp):
+    """w and, per mirror pair (k, 16-k) of odd nodes, (k, w_k, w_16-k, the weighted 9-point interpolant there)."""
+    return w, [(k, w[k], w[16 - k], [w[k] * u + w[16 - k] * v for u, v in zip(interp[k // 2], interp[7 - k // 2])])
+               for k in (1, 3, 5, 7)]
+
+
 def _ref_cc_integral(fn, lo, hi, spec=SPEC, z=0.0):
-    nodes, _, interp, plain = _cc_tables()
-    inner, w0 = nodes[1:16], plain[0]
+    nodes, _, interp, (w0, _) = _cc_tables()
+    plain = _ref_cc_rule(w0, interp)
+    inner = nodes[1:16]
     rules, nev = {}, [0]
 
     def make(a, b, fa, fb):
-        c, r = 0.5 * (a + b), 0.5 * (b - a)
+        c, r = 0.5 * a + 0.5 * b, 0.5 * (b - a)
         p = [fb, *[fn(c + r * s) for s in inner], fa]
         nev[0] += 15
         plain_value = _left_sum(map(mul, w0, p))
         try:
             if z and r not in rules:
-                rules[r] = _cc_rule(_ref_cc_weights(z * r), interp)
+                rules[r] = _ref_cc_rule(_ref_cc_weights(z * r), interp)
             e = r * cmath.exp(-z * c) if z else r
             w, pairs = rules[r] if z else plain
             value = e * _left_sum(map(mul, w, p)) if z else r * plain_value
@@ -502,6 +512,8 @@ def _ref_cc_integral(fn, lo, hi, spec=SPEC, z=0.0):
         d *= scale
         err = min(d, resasc * (200.0 * d / resasc) ** 1.5) if resasc else d
         err = max(err, 50.0 * 2.0**-52 * scale * _left_sum(map(mul, w0, map(abs, p))))
+        if r < 2.0**-1022:
+            err += (_left_sum(map(mul, w0, map(abs, p))) * math.exp(-z.real * c) + 1.0) * 2.0**-1074
         return _Cell(a, b, fa, p[8], fb, value, err)
 
     panels = math.ceil(min(24.0, (hi - lo) / (spec.truncation / 12.0))) if lo < hi else 1
@@ -523,7 +535,8 @@ def _ref_refine(fn, lo, hi, spec, breakpoints, min_cells, first, split, nev):
     fvals = [fn(x) for x in grid]
     nev[0] += len(grid)
     cells = [first(grid[i], grid[i + 1], fvals[i], fvals[i + 1]) for i in range(len(grid) - 1)]
-    heap = [(-c.err, c.a, c) for c in cells]
+    serial = itertools.count()  # breaks the ties of cells alike in error and start, of zero width
+    heap = [(-c.err, c.a, next(serial), c) for c in cells]
     heapq.heapify(heap)
     frozen = []
     width_floor = span * 2.0**-48
@@ -532,23 +545,23 @@ def _ref_refine(fn, lo, hi, spec, breakpoints, min_cells, first, split, nev):
     splits = 0
     while splits < spec.max_subdivisions and heap:
         if run_err <= max(spec.abs_tol, spec.rel_tol * abs(run_value)) or run_err < peak * 2.0**-40:
-            active = [c for (_, _, c) in heap] + frozen
+            active = [c for (*_, c) in heap] + frozen
             run_value, run_err = _left_sum(c.value for c in active), math.fsum(c.err for c in active)
             peak = run_err
             if run_err <= max(spec.abs_tol, spec.rel_tol * abs(run_value)):
                 break
-        _, _, worst = heapq.heappop(heap)
+        *_, worst = heapq.heappop(heap)
         if worst.b - worst.a <= width_floor:
             frozen.append(worst)
             continue
-        left, right = split(worst, 0.5 * (worst.a + worst.b))
-        heapq.heappush(heap, (-left.err, left.a, left))
-        heapq.heappush(heap, (-right.err, right.a, right))
+        left, right = split(worst, 0.5 * worst.a + 0.5 * worst.b)
+        heapq.heappush(heap, (-left.err, left.a, next(serial), left))
+        heapq.heappush(heap, (-right.err, right.a, next(serial), right))
         run_value += left.value + right.value - worst.value
         run_err += left.err + right.err - worst.err
         peak = max(peak, run_err)
         splits += 1
-    active = [c for (_, _, c) in heap] + frozen
+    active = [c for (*_, c) in heap] + frozen
     active.sort(key=lambda c: c.a)
     re, im = math.fsum(c.value.real for c in active), math.fsum(c.value.imag for c in active)
     total = complex(re, im) if im != 0.0 else re
@@ -579,6 +592,8 @@ EDGE_INTEGRANDS = {
     "nan": lambda w: math.nan if abs(w - 0.1) < 0.05 else 1.0,
     "inf": lambda w: math.inf if abs(w - 0.1) < 0.05 else 1.0,
     "-inf": lambda w: -math.inf if w > 0.2 else 1.0,
+    "nan everywhere": lambda w: math.nan,
+    "complex inf": lambda w: complex(math.inf, -1.0) if w > 0.3 else 1j,
     "constant": lambda w: 2.5,
     "kink": lambda w: abs(w - 0.37),
     "jump": lambda w: 1.0 if w < 0.21 else -2.0,
@@ -601,8 +616,9 @@ def _term(rng):
 
 
 class TestFixedOrderSums:
-    """The cell kernel's 17-term dot product adds left to right from 0.0, on every supported Python (its 9-term
-    sums, written out in the kernel, are held to the reference by TestBitForBitAgainstTheReference)."""
+    """The cell kernel's 17-term dot product, of the Filon value and the floor sums, adds left to right from 0.0 on
+    every supported Python (the sums written out in the kernel are held to the reference by
+    TestBitForBitAgainstTheReference)."""
 
     @pytest.mark.parametrize("kind", ["float", "complex w", "complex both"])
     def test_dot17_is_the_left_to_right_reduction(self, kind):
@@ -644,12 +660,49 @@ class TestBitForBitAgainstTheReference:
             for z in FREQUENCIES:
                 assert _bits(_cc_integral, fn, lo, hi, spec, z) == _bits(_ref_cc_integral, fn, lo, hi, spec, z)
 
-    def test_cells_whose_gauge_sits_at_the_floor(self):
-        # p = 1 + eps*sin(7w) on one cell: err/floor rises through 1 near eps = 2.2e-10, in steps of 2e-4, so
-        # that some err falls inside the margin of the bound under which the floor sum is still taken
+    @pytest.mark.parametrize("z, eps0", [(0.0, 2e-10), (2j, 6.5e-11)])
+    def test_cells_whose_gauge_sits_at_the_floor(self, z, eps0):
+        # p = 1 + eps*sin(7w) on one cell: err/floor rises through 1 near eps = 2.2e-10 at z = 0 and 7.2e-11 at
+        # z = 2j, in steps of 2e-4, so that some err falls inside the margin of the bound under which the floor sum
+        # is still taken
         for k in range(1000):
-            fn = lambda w, eps=2e-10 * (1.0 + 2e-4 * k): 1.0 + eps * math.sin(7.0 * w)
-            assert _bits(_cc_integral, fn, -0.4, 0.6) == _bits(_ref_cc_integral, fn, -0.4, 0.6)
+            fn = lambda w, eps=eps0 * (1.0 + 2e-4 * k): 1.0 + eps * math.sin(7.0 * w)
+            assert _bits(_cc_integral, fn, -0.4, 0.6, SPEC, z) == _bits(_ref_cc_integral, fn, -0.4, 0.6, SPEC, z)
+
+    @pytest.mark.parametrize("name", list(EDGE_INTEGRANDS))
+    def test_subnormal_half_widths(self, name):
+        # cells whose half-width r is subnormal or 0 add a bound of their own; the strict spec splits them
+        fn = EDGE_INTEGRANDS[name]
+        for spec in (QuadratureSpec(max_subdivisions=40),
+                     QuadratureSpec(abs_tol=5e-324, rel_tol=0.0, max_subdivisions=40)):
+            for lo, hi in [(0.0, 2e-323), (-5e-324, 1e-322), (1e-310, 1.00001e-310), (0.0, 4e-308)]:
+                for z in FREQUENCIES:
+                    assert _bits(_cc_integral, fn, lo, hi, spec, z) == _bits(_ref_cc_integral, fn, lo, hi, spec, z)
+
+    @pytest.mark.parametrize("value", [-0.0, complex(-0.0, -0.0), complex(-0.0, 1.0), complex(1.0, -0.0), -5e-324,
+                                       math.inf, -math.inf, math.nan, complex(math.nan, -0.0)])
+    @pytest.mark.parametrize("err", [0.0, -0.0, 5e-324, 1e-9])
+    def test_a_lone_cell_within_its_tolerance(self, value, err):
+        nev = [0]
+
+        def first(a, b, fa, fb):
+            nev[0] += 15
+            return _Cell(a, b, fa, 0.0, fb, value, err)
+
+        no_split = lambda c, m: pytest.fail("a lone cell within its tolerance is not split")
+        got = _bits(_refine, math.sin, -0.4, 0.6, SPEC, (), 1, first, no_split, 15, 30)
+        nev[0] = 0
+        assert got == _bits(_ref_refine, math.sin, -0.4, 0.6, SPEC, (), 1, first, no_split, nev)
+
+    @pytest.mark.parametrize("z", FREQUENCIES)
+    def test_a_lone_cell_of_value_minus_zero(self, z):
+        # at z = 0 the cell's value, its half-width 0.5e-4 times a plain sum of -1e-320, underflows to -0.0; the
+        # result is fsum's +0.0
+        assert math.copysign(1.0, 0.5e-4 * _dot17(_cc_tables()[3][0], [-1e-320] * 17)) == -1.0
+        fn = lambda w: -1e-320
+        got = _bits(_cc_integral, fn, 0.0, 1e-4, SPEC, z)
+        assert got == _bits(_ref_cc_integral, fn, 0.0, 1e-4, SPEC, z)
+        assert got[1:] == ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0", True, 17)
 
     def test_cells_are_summed_in_position_order(self):
         # plateaus of +-1.4e307, the positive ones with the larger gauges: in the order of the queue fsum meets
@@ -667,6 +720,39 @@ class TestBitForBitAgainstTheReference:
         for lo, hi in EDGE_INTERVALS:
             got = _bits(adaptive_integral, fn, lo, hi, spec, breakpoints=breakpoints)
             assert got == _bits(_ref_adaptive_integral, fn, lo, hi, spec, breakpoints=breakpoints)
+
+    @pytest.mark.parametrize("z", [0.0, 1j, 0.3 + 2j, -0.7 + 40j])
+    def test_cells_on_random_profiles(self, z, monkeypatch):
+        # each kernel's cell maker, taken from its call into the refinement loop, fed the same node values
+        makers, values = [], [iter(())]
+        monkeypatch.setattr(quadrature, "_refine", lambda fn, lo, hi, spec, bps, n, first, *_: makers.append(first))
+        monkeypatch.setattr(sys.modules[__name__], "_ref_refine", lambda fn, lo, hi, spec, bps, n, first, *_:
+                            makers.append(first))
+        for integral in (_cc_integral, _ref_cc_integral):
+            integral(lambda w: next(values[0]), 0.0, 1.0, SPEC, z)
+        rng = random.Random(f"cells-{z}")
+        for i in range(2000):
+            r = rng.choice((0.5, 1e-3, 3.0, 1e-310))  # the last a subnormal half-width
+            c = rng.uniform(-3.0, 3.0) * r
+            if i % 4 == 0:  # values of any magnitude, special ones among them
+                p = [_term(rng) for _ in range(17)]
+            elif i % 4 == 1:
+                p = [complex(_term(rng), _term(rng)) for _ in range(17)]
+            else:  # a smooth profile at the nodes, the common case, whose misses are small
+                base, eps, freq = rng.uniform(-2.0, 2.0), 10.0 ** rng.uniform(-16.0, 0.0), rng.uniform(0.1, 3.0)
+                p = [base + eps * math.cos(freq * x + 1.0) for x in _cc_tables()[0]]
+            cells = []
+            for make in makers:
+                values[0] = iter(p[1:16])
+                try:
+                    cell = make(c - r, c + r, p[16], p[0])
+                except (ArithmeticError, ValueError) as exc:
+                    cells.append((type(exc).__name__, str(exc)))
+                    continue
+                value, fm = complex(cell.value), complex(cell.fm)
+                cells.append((type(cell.value).__name__, value.real.hex(), value.imag.hex(), cell.err.hex(),
+                              fm.real.hex(), fm.imag.hex()))
+            assert cells[0] == cells[1], (c, r, p)
 
     def test_filon_weights_on_2000_seeded_frequencies(self):
         rng = random.Random(2000)
