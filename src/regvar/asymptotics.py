@@ -121,10 +121,7 @@ class LimitScheme(_Record, frozen=True):
         if max_steps < 1:
             raise ValueError("max_steps must be >= 1")
         _within_budget(max_steps, "steps in max_steps")  # estimate_limit keeps every value it visits
-        if not math.isfinite(tol):
-            raise ValueError(f"tol must be finite, got {tol!r}")
-        if not (tol > 0.0):
-            raise ValueError("tol must be positive")
+        _positive("tol", tol)
         if stability_window < 2:
             raise ValueError("stability_window must be >= 2")
         self._freeze(x0, ratio, max_steps, tol, stability_window)

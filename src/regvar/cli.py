@@ -22,7 +22,7 @@ import sys
 import warnings
 from typing import TYPE_CHECKING
 
-from regvar.popa import INFINITY, ZERO, DomainError, PopaParam, PopaPoint, _is_member
+from regvar.popa import INFINITY, ZERO, DomainError, PopaParam, PopaPoint, _is_member, _positive
 
 if TYPE_CHECKING:
     from regvar.asymptotics import SampledFunction
@@ -61,14 +61,6 @@ def _float_list(label: str, text: str) -> list[float]:
     if not items:
         raise DomainError(f"{label} must be a comma-separated list of numbers")
     return [_float(label, p) for p in items]
-
-
-def _tol(label: str, text: str) -> float:
-    """A tolerance: a positive finite number."""
-    tol = _float(label, text)
-    if not (tol > 0.0 and math.isfinite(tol)):
-        raise DomainError(f"{label} must be a positive number")
-    return tol
 
 
 def load_csv_function(path: str) -> SampledFunction:
@@ -265,7 +257,7 @@ _CONVERT = {
     "function": lambda label, text: _resolve_function(text),
     "profile": lambda label, text: _zero_extend(_resolve_function(text)),
     "spec": _spec,
-    "tol": _tol,
+    "tol": lambda label, text: _positive(label, _float(label, text)),
 }
 
 _SCHEME = "--tol=1e-6 --x0=10 --ratio=2 --max-steps=40 --stability-window=3 --strict"
@@ -286,7 +278,7 @@ _COMMANDS = {
                       lambda m, rho, f, lo, hi: m.haar_integrate(f, m.Interval(rho, lo, hi))),
         "fourier": (f"--rho=0 --f:profile --gamma {_QUADRATURE}",
                     lambda m, rho, f, gamma, truncation: m.fourier_popa(f, rho, gamma, truncation)),
-        "mellin": (f"--rho=0 --f:profile --z-re=0 --z-im=0 {_QUADRATURE}",
+        "mellin": (f"--rho --f:profile --z-re=0 --z-im=0 {_QUADRATURE}",
                    lambda m, rho, f, z_re, z_im, truncation: m.mellin_popa(f, rho, complex(z_re, z_im), truncation)),
         "popa-conv": (f"--rho=0 --f:profile --g:profile --x {_QUADRATURE}",
                       lambda m, rho, f, g, x, truncation: m.popa_convolution(f, g, PopaPoint(rho, x), truncation)),

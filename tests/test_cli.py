@@ -138,6 +138,29 @@ class TestGroupCommand:
         assert "integer" in err
 
 
+class TestTinyMembersAtInf:
+    """At rho = inf the carrier test 1 + rho*t > 0 admits points and results in (0, 1e-300]: these print, or stop at
+    a refusal further on."""
+
+    @pytest.mark.parametrize("argv, want", [
+        (["group", "power", "--rho", "inf", "--", "0.5", "1000"], "9.33263618503219e-302"),
+        (["group", "norm", "--rho", "inf", "--", "1e-310"], "713.801378828154"),
+        (["transform", "measure", "--rho", "inf", "--lo", "1e-310", "--hi", "1"], "713.801378828154"),
+        (["transform", "integrate", "--rho", "inf", "--f", "one", "--lo", "1e-310", "--hi", "1"], "713.801378828154"),
+        (["kernel", "eval", "--rho", "inf", "--sigma", "0", "--kappa", "1", "--t", "1e-310"], "-713.801378828154"),
+    ])
+    def test_prints(self, capsys, argv, want):
+        assert run_cli(capsys, *argv) == (0, want + "\n", "")
+
+    @pytest.mark.parametrize("argv, error", [
+        (["group", "inverse", "--rho", "inf", "--", "1e-310"], "point must be finite, got inf"),
+        (["beck", "sum", "--rho", "inf", "--delta", "1e-310", "--u", "2"],
+         "delta=1e-310 does not step away from the identity"),
+    ])
+    def test_refused_further_on(self, capsys, argv, error):
+        assert run_cli(capsys, *argv) == (2, "", f"error: {error}\n")
+
+
 class TestParsing:
     def test_unknown_command_exits_1(self, capsys):
         assert run_cli(capsys, "frobnicate")[0] == 1
@@ -258,6 +281,13 @@ class TestTransformCommand:
         code, _, err = run_cli(capsys, "transform", "mellin", "--rho", "0", "--f", "gauss")
         assert code == 2
         assert "positive" in err
+
+    def test_mellin_requires_its_parameter(self, capsys):
+        # --rho has no default: the one it had, 0, is refused by every call
+        code, out, err = run_cli(capsys, "transform", "mellin", "--f", "gauss")
+        assert (code, out) == (1, "")
+        assert err.endswith("regvar transform mellin: error: --rho is required for this operation\n")
+        assert "--rho RHO --f F" in err.splitlines()[0]
 
     def test_mellin_pullback_table(self, tmp_path, capsys):
         # the table samples s * exp(-s); its Mellin transform at z = 0 is 1
@@ -747,7 +777,7 @@ class TestFlagTable:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         assert err == ("error: --tol must be a number, got 'lots'\n" if argv[-1] == "lots" else
-                       "error: --tol must be a positive number\n")
+                       f"error: --tol must be positive and finite, got {float(argv[-1])!r}\n")
 
     @pytest.mark.parametrize("argv", [
         ["estimate", "kernel", "--mode", "karamata", "--f", "square", "--t", "2"],

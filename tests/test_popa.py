@@ -84,7 +84,7 @@ class TestParam:
 
 class TestDomain:
     def test_guard_band(self):
-        # 1 + rho*t at or below 1e-300 is rejected outright
+        # the pole -1/rho is refused, and so is 1e300 * -1e-300, which rounds to -1; the float above the pole is a member
         with pytest.raises(DomainError):
             PopaPoint(P1, -1.0)
         with pytest.raises(DomainError):
@@ -107,6 +107,80 @@ class TestDomain:
     def test_parameter_mismatch(self):
         with pytest.raises(ParameterMismatchError):
             circle(PopaPoint(ZERO, 1.0), PopaPoint(P1, 1.0))
+
+
+def _floor_rule(rho: float, t: float) -> bool:
+    """The carrier test as it was with a floor: finite t, 1 + rho*t above 1e-300, and t above 1e-300 at rho = inf."""
+    if not math.isfinite(t):
+        return False
+    if rho == math.inf:
+        return t > 1e-300
+    return rho == 0.0 or 1.0 + rho * t > 1e-300
+
+
+def _passes(param: PopaParam, t: float) -> bool:
+    try:
+        PopaPoint(param, t)
+    except DomainError:
+        return False
+    return True
+
+
+class TestCarrierTest:
+    """``1 + rho*t > 0`` against :func:`_floor_rule`: at finite rho a positive 1 + fl(rho*t) is at least 2**-53 (for
+    -1 < fl(rho*t) < -1/2 the sum is exact), so the floor never acted; at rho = inf it refused (0, 1e-300]."""
+
+    FINITE = [0.0, 5e-324, 1e-320, 3e-300, 1e-20, 0.1, 1.0, 7.0, 1e20, 1e300, sys.float_info.max]
+
+    @staticmethod
+    def doubles(seed: int, n: int = 20000) -> list[float]:
+        """n doubles of uniform random bits (every sign and exponent, infinities and nans among them), and n
+        uniform in (0, 1e-300], the stretch that the floor refused at rho = inf."""
+        rng = np.random.default_rng(seed)
+        bits = rng.integers(0, 2**64, size=n, dtype=np.uint64).view(np.float64)
+        tiny = rng.integers(1, np.float64(1e-300).view(np.uint64), size=n, dtype=np.uint64, endpoint=True)
+        return [*bits.tolist(), *tiny.view(np.float64).tolist()]
+
+    @staticmethod
+    def sweep(t: float, steps: int = 40) -> list[float]:
+        """t and the ``steps`` floats on either side of it."""
+        out = [t]
+        for toward in (-math.inf, math.inf):
+            x = t
+            for _ in range(steps):
+                x = math.nextafter(x, toward)
+                out.append(x)
+        return out
+
+    @pytest.mark.parametrize("rho", FINITE)
+    @pytest.mark.parametrize("seed", [29, 30])
+    def test_random_doubles_at_finite_rho(self, rho, seed):
+        p = PopaParam(rho)
+        for t in self.doubles(seed):
+            assert _is_member(p, t) == _passes(p, t) == _floor_rule(rho, t), t
+
+    @pytest.mark.parametrize("rho", [1e-320, 3e-300, 0.1, 1.0, 7.0, 1e300])
+    def test_around_the_pole(self, rho):
+        p = PopaParam(rho)
+        ts = self.sweep(max(p.centre, -sys.float_info.max))  # -1/1e-320 overflows to -inf
+        assert any(map(_floor_rule, [rho] * len(ts), ts)) and not all(map(_floor_rule, [rho] * len(ts), ts))
+        for t in ts:
+            assert _is_member(p, t) == _passes(p, t) == _floor_rule(rho, t), t
+
+    @pytest.mark.parametrize("seed", [29, 30])
+    def test_at_rho_inf_exactly_the_floor_moves(self, seed):
+        ts = [*self.doubles(seed), *self.sweep(0.0), *self.sweep(1e-300), *self.sweep(-1e-300), 5e-324, 1e-310]
+        for t in ts:
+            assert _is_member(INFINITY, t) == _passes(INFINITY, t), t
+            assert (_is_member(INFINITY, t) != _floor_rule(math.inf, t)) == (0.0 < t <= 1e-300), t
+
+    def test_every_kind_of_input(self):
+        for p in (ZERO, P1, INFINITY):
+            assert [_is_member(p, t) for t in (math.nan, math.inf, -math.inf)] == [False] * 3
+            assert _is_member(p, True) and _is_member(p, 1) and _is_member(p, np.float32(0.5))
+        assert not _is_member(INFINITY, -0.0) and not _is_member(INFINITY, 0.0) and _is_member(INFINITY, 5e-324)
+        with pytest.raises(ValueError):
+            _is_member(P1, "x")
 
 
 class TestArithmetic:

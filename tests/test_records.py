@@ -146,7 +146,7 @@ def test_missing_and_extra_arguments_raise_type_error():
     (lambda: LimitScheme(ratio=1.0), ValueError, "ratio must exceed 1"),
     (lambda: LimitScheme(max_steps=0), ValueError, "max_steps must be >= 1"),
     (lambda: LimitScheme(tol=0.0), ValueError, "tol must be positive"),
-    (lambda: LimitScheme(tol=math.inf), ValueError, "tol must be finite, got inf"),
+    (lambda: LimitScheme(tol=math.inf), ValueError, "tol must be positive and finite, got inf"),
     (lambda: LimitScheme(stability_window=1), ValueError, "stability_window must be >= 2"),
     (lambda: GridSpec(1.0, 1.0, 3), ValueError, r"need lo < hi, got \(1\.0, 1\.0\)"),
     (lambda: GridSpec(-1e308, 1e308, 3), ValueError, "overflows"),
