@@ -443,7 +443,8 @@ def goldie_sum(
     delta: float,
     i: int,
 ) -> float:
-    """Discrete functional-equation sum K_delta * sum_{m=1..i} g(delta^((m-1) o)), of at most 3276800 terms."""
+    """Discrete functional-equation sum K_delta * sum_{m=1..i} g(delta^((m-1) o)), of at most 3276800 terms; g
+    gets the iterates as :func:`regvar.popa.power` gives them, +inf or the carrier's lower end past the float range."""
     i = int(i)
     if i < 0:
         raise DomainError(f"i must be >= 0, got {i}")

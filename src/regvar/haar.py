@@ -22,7 +22,7 @@ import math
 import warnings
 from typing import Callable
 
-from regvar.popa import DomainError, PopaParam, PopaPoint, _Record, _chart, _haar_length, _positive, _span, _t, iso_log
+from regvar.popa import DomainError, PopaParam, PopaPoint, _Record, _chart, _haar_length, _positive, _span, iso_log
 from regvar.quadrature import QuadratureResult, QuadratureSpec, QuadratureWarning, _cc_integral, adaptive_integral
 
 __all__ = [
@@ -52,13 +52,6 @@ class Interval(_Record, frozen=True):
 def haar_interval_measure(iv: Interval) -> float:
     """Invariant measure of an interval: its Haar length in the group's chart."""
     return _haar_length(iv.param, iv.lo, iv.hi)
-
-
-def _pull(f, E, d, c):
-    """f in the chart, ``w -> c*f(E(w)/d)``, less the unit d, c and identity E that add up to 10% per call."""
-    if (d, c) != (1.0, 1.0):
-        return lambda w: c * f(E(w) / d)
-    return f if E is _t else lambda w: f(E(w))
 
 
 def _value(res: QuadratureResult, what: Callable[[], str]) -> complex | float:
@@ -100,7 +93,7 @@ def _line_transform(f, param: PopaParam, z: complex, spec: QuadratureSpec,
     E, d, c = chart = _chart(param, zT, T=T if zT < math.inf else 0.0)  # an infinite |z|*T is reported first
     if zT == math.inf:
         raise DomainError(f"{what()}: |z|*T = {zT} is not finite")
-    prof = _pull(f, E, d, c)
+    prof = lambda w: c * f(E(w) / d)
     if param.is_zero and not (z.imag and 2.0 * T / (math.pi / abs(z.imag)) > 64):  # the pinned Simpson path
         res = adaptive_integral(lambda w: prof(w) * cmath.exp(-z * w), -T, T, spec)
         if res.converged:  # its misses go to the cells below
@@ -150,11 +143,8 @@ def popa_convolution(
     p, x = x.param, x.value
     T = spec.truncation
     E, d, c = _chart(p, abs(x), T=T)
-    if E is _t:  # x o t = x + t; calling the identity maps here costs a tenth more time per call
-        integrand = lambda w: c * f(-w) * g(w + x)
-    else:  # x o t = eta(x)*t + x o 0, without the cancellation of (eta_x*e^w - 1)/rho
-        eta_x, shift = p._row.eta(x), p._row.op(x, 0.0)
-        integrand = lambda w: c * f(E(-w) / d) * g(eta_x * E(w) / d + shift)
+    eta_x, shift = p._row.eta(x), p._row.op(x, 0.0)  # x o t = eta(x)*t + x o 0: off the t-line without the
+    integrand = lambda w: c * f(E(-w) / d) * g(eta_x * E(w) / d + shift)  # cancellation of (eta_x*e^w - 1)/rho
     return float(_value(_cc_integral(integrand, -T, T, spec), lambda: f"popa_convolution at x={x}").real)
 
 

@@ -284,7 +284,8 @@ def inverse(x: PopaPoint) -> PopaPoint:
 def power(param: PopaParam, delta: float, n: int) -> float:
     """n-fold o-iterate of delta: ((1+rho*delta)^n - 1)/rho for finite rho.
 
-    Negative n is the iterate of the inverse element; an iterate past the float range is +-inf, for any int n.
+    Negative n is the iterate of the inverse element.  For any int n, an iterate past the float range is +inf above
+    it and the carrier's lower end below it: -inf at rho = 0, the pole -1/rho at a finite rho, 0.0 at rho = inf.
     """
     return param._row.power(_check_value(param, delta), int(n))
 
@@ -335,7 +336,7 @@ def _span(param: PopaParam, a: float, b: float, f: Callable | None = None, chart
     eta(b)/eta(a) > DBL_MAX or eta(a) < 1: nothing cancels in [iso_log(a), iso_log(b)], t = iso_exp(v)."""
     E, d, c = chart or _coordinate(param, max(abs(a), abs(b)))
     if E is _t:
-        return a, b, f if c == 1.0 else lambda v: c * f(v), c
+        return a, b, lambda v: c * f(v), c
     e = param._row.eta(a)
     if e == math.inf:  # rho*a overflows: on [a, b] eta(t) is rho*t to working precision
         e, d = a, 1.0
@@ -373,5 +374,6 @@ def iso_log(param: PopaParam, t: float) -> float:
 
 
 def iso_exp(param: PopaParam, w: float) -> float:
-    """Inverse of :func:`iso_log`: expm1(w)/rho for finite rho; +inf where the value is past the float range."""
+    """Inverse of :func:`iso_log`: expm1(w)/rho for finite rho.  Past the float range it is +inf for a large w and
+    the carrier's lower end for a very negative one, the pole -1/rho at a finite rho and 0.0 at rho = inf."""
     return param._row.iso_exp(float(w))

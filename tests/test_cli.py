@@ -538,6 +538,19 @@ class TestBeckCommand:
         assert code == 0
         assert out == "2\n"
 
+    @pytest.mark.parametrize("argv, want", [
+        (["--rho", "inf", "--delta", "1e-200", "--i", "3", "--g", "one"], (0, "3\n", "")),
+        (["--rho", "inf", "--delta", "2", "--i", "1100", "--g", "log"], (0, "inf\n", "")),
+    ])
+    def test_goldie_sum_hands_the_ends_of_the_float_range_to_g(self, capsys, argv, want):
+        # delta**2 = 1e-400 is 0.0, the carrier's lower end at rho = inf, and 2**1024 on is inf: g gets each as is
+        assert run_cli(capsys, "beck", "goldie-sum", *argv) == want
+
+    def test_goldie_sum_with_g_undefined_at_an_end_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "beck", "goldie-sum", "--rho", "inf", "--delta", "1e-200", "--i", "3",
+                                 "--g", "log")
+        assert (code, out, err) == (2, "", "error: math domain error\n")
+
     @pytest.mark.parametrize("argv, out", [
         (["--rho", "inf", "--delta", "2", "--u", "1e308"], "511.601153432569\n"),  # 1023 cells of 0.5, then the clip
         (["--rho", "10", "--delta", "1e306", "--u", "1.5e307"], "0.193333333333333\n"),

@@ -34,7 +34,7 @@ from regvar.popa import (
     iso_log,
 )
 from regvar import haar
-from regvar.quadrature import QuadratureSpec, QuadratureWarning
+from regvar.quadrature import QuadratureSpec, QuadratureWarning, _cc_integral, adaptive_integral
 
 P1 = PopaParam(1.0)
 SPEC = QuadratureSpec()
@@ -887,3 +887,48 @@ class TestSameBitsOnEveryPython:
         assert popa_convolution(self.BELL, self.BELL, PopaPoint(ZERO, 0.5)).hex() == "0x1.aa41c8fb7fbe2p+0"
         assert popa_convolution(self.LORENTZ, self.XEXP, PopaPoint(PopaParam(7.0), 2.0)).hex() == "0x1.8c4e814e97800p-1"
         assert popa_convolution(self.BELL, self.LORENTZ, PopaPoint(INFINITY, 1.0)).hex() == "0x1.d887be0f4bedcp-2"
+
+
+class TestOneIntegrandOnEveryChart:
+    """The pulled integrand ``c*f(E(w)/d)`` is built by one expression on every chart.  On the t-line (E the
+    identity, d = 1) it gives, bit for bit, the forms written there before: f itself where c = 1, and
+    ``f(-w)*g(w + x)`` in the convolution, where eta(x) is 1 to working precision and x o 0 is x."""
+
+    BELL = staticmethod(lambda t: math.exp(-0.5 * t * t))
+    WIDE = staticmethod(lambda t: 1.0 / (1.0 + (1e-3 * t) ** 2))  # not 0 at t = -1e4 +- 30
+    T = SPEC.truncation
+
+    @pytest.mark.parametrize("rho", [0.0, 1e-20])
+    @pytest.mark.parametrize("x", [0.0, 3.5, -1e4])
+    def test_convolution_on_the_t_line(self, rho, x):
+        f, g, c = self.BELL, self.WIDE, 1.0 + rho
+        want = _cc_integral(lambda w: c * f(-w) * g(w + x), -self.T, self.T, SPEC).value.real
+        got = popa_convolution(f, g, PopaPoint(PopaParam(rho), x), SPEC)
+        assert want != 0.0 and got.hex() == want.hex()
+
+    def test_fourier_at_rho_0_on_the_simpson_path(self):
+        z = 0.5j
+        want = adaptive_integral(lambda w: self.BELL(w) * cmath.exp(-z * w), -self.T, self.T, SPEC)
+        assert want.converged
+        got = fourier_popa(self.BELL, ZERO, 0.5, SPEC)
+        assert (got.real.hex(), got.imag.hex()) == (want.value.real.hex(), want.value.imag.hex())
+
+    @pytest.mark.parametrize("rho, gamma", [(0.0, 40.0), (math.inf, 40.0), (math.inf, 0.5)])
+    def test_fourier_on_the_cells(self, rho, gamma):
+        f, E = (self.BELL, lambda w: w) if rho == 0.0 else (lambda t: math.exp(-0.5 * math.log(t) ** 2), math.exp)
+        want = _cc_integral(lambda w: f(E(w)), -self.T, self.T, SPEC, complex(0.0, gamma)).value
+        got = fourier_popa(f, PopaParam(rho), gamma, SPEC)
+        assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+
+    def test_haar_integrate_at_rho_0(self):
+        want = _cc_integral(self.BELL, -2.0, 3.0, SPEC).value.real
+        assert haar_integrate(self.BELL, Interval(ZERO, -2.0, 3.0), SPEC).hex() == want.hex()
+
+    def test_haar_integrate_on_the_t_line_of_rho_1(self):
+        # rho*2e-17 < 2**-53: the t-line, with c = 1 + rho = 2
+        f = lambda t: 1.0 + 1e16 * t
+        want = _cc_integral(lambda v: 2.0 * f(v), 1e-17, 2e-17, SPEC).value.real
+        assert haar_integrate(f, Interval(P1, 1e-17, 2e-17), SPEC).hex() == want.hex()
+
+    def test_haar_has_no_second_form(self):
+        assert not hasattr(haar, "_pull") and not hasattr(haar, "_t")

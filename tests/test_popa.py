@@ -242,6 +242,14 @@ class TestArithmetic:
         assert power(INFINITY, 1e10, 40) == math.inf
         assert power(ZERO, -1e308, 10) == -math.inf
 
+    def test_below_the_float_range_an_iterate_is_the_carriers_lower_end(self):
+        # -inf at rho = 0, the pole -1/rho at a finite rho, 0.0 at rho = inf: each the group's centre
+        assert power(ZERO, -1e300, 10**10) == -math.inf == ZERO.centre
+        assert power(PopaParam(1.0), 1.0, -2000) == -1.0 == P1.centre
+        assert power(INFINITY, 1e-310, 3) == 0.0 == INFINITY.centre
+        assert iso_exp(PopaParam(2.0), -800.0) == -0.5 == PopaParam(2.0).centre
+        assert iso_exp(INFINITY, -800.0) == 0.0
+
     @pytest.mark.parametrize("param", [ZERO, P1, INFINITY])
     def test_power_of_an_n_past_the_float_range(self, param):
         n, identity = 10**309, 1.0 if param.is_infinite else 0.0
