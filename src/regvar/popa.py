@@ -54,6 +54,7 @@ __all__ = [
 
 _TINY = 2.0**-53  # |rho*t| below it: 1 + rho*t is 1, log(1+rho*t)/rho is t to working precision
 _LOG_DBL_MAX = math.log(sys.float_info.max)  # the largest T with exp(T) and expm1(T) finite
+_DBL_MIN = sys.float_info.min  # the least normal float
 _MAX_LISTED = 100 * 2**20 // 32  # the budget of one call, :func:`_within_budget`
 _BLOCK = 1024  # o-powers per comprehension of a stream, about 32 kB of floats: 4096 was no faster on a grid pass
 _t = lambda w: w  # the identity map: the t-line's E
@@ -341,7 +342,7 @@ def _span(param: PopaParam, a: float, b: float, f: Callable | None = None, chart
     if e == math.inf:  # rho*a overflows: on [a, b] eta(t) is rho*t to working precision
         e, d = a, 1.0
     q = (b - a) / e
-    q = q * d if q >= sys.float_info.min else (b - a) * (d / e)  # a subnormal (b - a)/e has lost its digits
+    q = q * d if q >= _DBL_MIN else (b - a) * (d / e)  # a subnormal (b - a)/e has lost its digits
     if q < math.inf:  # the translate to the identity, q = d*(b - a)/eta(a), at t = a + eta(a)/d*expm1(v)
         s, E = e / d, math.expm1
         return 0.0, math.log1p(q), lambda v: c * f(a + s * E(v)), c

@@ -19,10 +19,13 @@ Ties in the refinement queue are broken by cell position.  The value and the
 bound are ``math.fsum`` of the cells in position order, which is correctly
 rounded; every other sum adds left to right from 0.0, as the built-in ``sum``
 did before Python 3.12, so results are bit-identical on every supported Python.
-For speed the sums of the cell kernel and the Filon weights' column sums are
-written out term by term, in the order of the loops they replace, and a lone
-cell within tolerance returns at once; the loop form, which they reproduce bit
-for bit, is the reference in tests/test_quadrature.py.
+For speed a cell is a tuple (a, b, fa, fm, fb, value, err), Simpson's with its
+quarter points appended; the Clenshaw-Curtis constants are bound once per
+process, on first use; a one-panel integral builds no grid, and a lone cell
+within tolerance returns at once; the sums of the cell kernel and the Filon
+weights' column sums are written out term by term, in the order of the loops
+they replace.  The loop form, which they reproduce bit for bit, is the
+reference in tests/test_quadrature.py.
 Non-convergence is not fatal: the best estimate is returned together with
 ``converged=False`` and a conservative error bound.
 """
@@ -33,7 +36,7 @@ import heapq
 import itertools
 import math
 from functools import cache, reduce
-from operator import add, mul
+from operator import add, itemgetter, mul
 from typing import Callable, Sequence
 
 from regvar.popa import DomainError, _Record
@@ -80,15 +83,6 @@ class QuadratureResult(_Record):
         self.converged, self.evaluations = converged, evaluations
 
 
-class _Cell:
-    """A cell: its ends and centre with their values, estimate and gauge, and Simpson's quarter points."""
-    __slots__ = ("a", "b", "fa", "fm", "fb", "value", "err", "fq1", "fq3")
-
-    def __init__(self, a, b, fa, fm, fb, value, err, fq1=None, fq3=None):
-        self.a, self.b, self.fa, self.fm, self.fb, self.value, self.err = a, b, fa, fm, fb, value, err
-        self.fq1, self.fq3 = fq1, fq3
-
-
 def adaptive_integral(fn: Callable[[float], complex], lo: float, hi: float, spec: QuadratureSpec = QuadratureSpec(),
                       *, breakpoints: Sequence[float] = ()) -> QuadratureResult:
     """Integrate ``fn`` over [lo, hi] with Simpson cells, from 64 initial cells; real or complex valued integrands.
@@ -108,10 +102,10 @@ def adaptive_integral(fn: Callable[[float], complex], lo: float, hi: float, spec
         err = abs(s2 - s1)
         if h < 2.0**-1022:  # as in _cc_integral: a subnormal h (0 included) may be off by an ulp, s2 may underflow
             err += ((abs(fa) + 4.0 * abs(fq1) + 2.0 * abs(fm) + 4.0 * abs(fq3) + abs(fb)) / 12.0 + 1.0) * 2.0**-1074
-        return _Cell(a, b, fa, fm, fb, s2 + (s2 - s1) / 15.0, err, fq1, fq3)
+        return a, b, fa, fm, fb, s2 + (s2 - s1) / 15.0, err, fq1, fq3
 
     return _refine(fn, lo, hi, spec, breakpoints, 64, lambda a, b, fa, fb: cell(a, b, fa, fn(0.5 * a + 0.5 * b), fb),
-                   lambda c, m: (cell(c.a, m, c.fa, c.fq1, c.fm), cell(m, c.b, c.fm, c.fq3, c.fb)), 3, 4)
+                   lambda c, m: (cell(c[0], m, c[2], c[7], c[3]), cell(m, c[1], c[3], c[8], c[4])), 3, 4)
 
 
 def _inverse(matrix: list) -> list:
@@ -191,65 +185,75 @@ def _cc_weights(theta: complex) -> list:
 
 def _cc_integral(fn, lo: float, hi: float, spec: QuadratureSpec = QuadratureSpec(), z: complex = 0.0):
     """Integrate ``fn(w) * exp(-z*w)`` over [lo, hi] with Clenshaw-Curtis 17/9 cells."""
+    return _cc_engine()(fn, lo, hi, spec, z)
+
+
+@cache
+def _cc_engine():
+    """:func:`_cc_integral`, the rule's nodes, plain weights and interpolant table bound once per process."""
     nodes, _, interp, (plain, plain_pairs) = _cc_tables()
     s1, s2, s3, s4, s5, s6, s7, s8, s9, s10, s11, s12, s13, s14, s15 = nodes[1:16]
     w0, w1, w2, w3, w4, w5, w6, w7, w8, w9, w10, w11, w12, w13, w14, w15, w16 = plain
-    rules = {}  # the rule of the cells of half-width r, at theta = z*r
 
-    def make(a, b, fa, fb):
-        c, r = 0.5 * a + 0.5 * b, 0.5 * (b - a)  # a + b may overflow
-        p = [fb, fn(c + r * s1), fn(c + r * s2), fn(c + r * s3), fn(c + r * s4), fn(c + r * s5), fn(c + r * s6),
-             fn(c + r * s7), fn(c + r * s8), fn(c + r * s9), fn(c + r * s10), fn(c + r * s11), fn(c + r * s12),
-             fn(c + r * s13), fn(c + r * s14), fn(c + r * s15), fa]
-        p0, p1, p2, p3, p4, p5, p6, p7, p8, p9, p10, p11, p12, p13, p14, p15, p16 = p
-        # every sum below adds left to right from 0.0, as _dot17 does
-        plain_value = (0.0 + w0 * p0 + w1 * p1 + w2 * p2 + w3 * p3 + w4 * p4 + w5 * p5 + w6 * p6 + w7 * p7 + w8 * p8
-                       + w9 * p9 + w10 * p10 + w11 * p11 + w12 * p12 + w13 * p13 + w14 * p14 + w15 * p15 + w16 * p16)
-        if not z:
-            e, value, pairs = r, r * plain_value, plain_pairs
-        else:
-            try:
-                if r not in rules:
-                    rules[r] = _cc_rule(_cc_weights(z * r), interp)
-                e = r * cmath.exp(-z * c)
-                w, pairs = rules[r]
-                value = e * _dot17(w, p)
-                if not cmath.isfinite(value) and all(map(cmath.isfinite, p)):
-                    raise OverflowError
-            except OverflowError:  # in exp(-z*w), its moments or the weighted sum, not in fn
-                raise DomainError(f"exp(-z*w) overflows for z={z} and w in [{lo!r}, {hi!r}] (truncation="
-                                  f"{spec.truncation!r}): lower |Re z| or the truncation") from None
-        # the weighted misses of the 9-point interpolant at the odd nodes k, 16-k: d sums their moduli
-        ((a1, a15, (i0, i1, i2, i3, i4, i5, i6, i7, i8)), (a3, a13, (j0, j1, j2, j3, j4, j5, j6, j7, j8)),
-         (a5, a11, (k0, k1, k2, k3, k4, k5, k6, k7, k8)), (a7, a9, (l0, l1, l2, l3, l4, l5, l6, l7, l8))) = pairs
-        d = (abs(a1 * p1 + a15 * p15 - (0.0 + i0 * p0 + i1 * p2 + i2 * p4 + i3 * p6 + i4 * p8 + i5 * p10 + i6 * p12
-                                        + i7 * p14 + i8 * p16))
-             + abs(a3 * p3 + a13 * p13 - (0.0 + j0 * p0 + j1 * p2 + j2 * p4 + j3 * p6 + j4 * p8 + j5 * p10 + j6 * p12
-                                          + j7 * p14 + j8 * p16))
-             + abs(a5 * p5 + a11 * p11 - (0.0 + k0 * p0 + k1 * p2 + k2 * p4 + k3 * p6 + k4 * p8 + k5 * p10 + k6 * p12
-                                          + k7 * p14 + k8 * p16))
-             + abs(a7 * p7 + a9 * p9 - (0.0 + l0 * p0 + l1 * p2 + l2 * p4 + l3 * p6 + l4 * p8 + l5 * p10 + l6 * p12
-                                        + l7 * p14 + l8 * p16)))
-        scale, mean = abs(e), 0.5 * plain_value
-        spread = (0.0 + w0 * abs(p0 - mean) + w1 * abs(p1 - mean) + w2 * abs(p2 - mean) + w3 * abs(p3 - mean)
-                  + w4 * abs(p4 - mean) + w5 * abs(p5 - mean) + w6 * abs(p6 - mean) + w7 * abs(p7 - mean)
-                  + w8 * abs(p8 - mean) + w9 * abs(p9 - mean) + w10 * abs(p10 - mean) + w11 * abs(p11 - mean)
-                  + w12 * abs(p12 - mean) + w13 * abs(p13 - mean) + w14 * abs(p14 - mean) + w15 * abs(p15 - mean)
-                  + w16 * abs(p16 - mean))
-        resasc, d, floor = scale * spread, d * scale, 50.0 * 2.0**-52 * scale
-        err = min(d, resasc * (200.0 * d / resasc) ** 1.5) if resasc else d
-        # floor * sum(w_k*|p_k|) <= floor * (spread + 2|mean|), the weights being positive with sum 2: where err
-        # exceeds that bound, with room for rounding and underflow, it exceeds the floor and the sum is skipped
-        if not err > floor * (1.001 * (spread + 2.0 * abs(mean)) + 1e-300):
-            err = max(err, floor * _dot17(plain, map(abs, p)))
-        if r < 2.0**-1022:  # a subnormal r (0 included) may be off by an ulp, a value that underflows too: bound both
-            err += (_dot17(plain, map(abs, p)) * math.exp(-z.real * c) + 1.0) * 2.0**-1074
-        return _Cell(a, b, fa, p8, fb, value, err)
+    def integral(fn, lo, hi, spec, z):
+        rules = {}  # the rule of the cells of half-width r, at theta = z*r
+        def make(a, b, fa, fb):
+            c, r = 0.5 * a + 0.5 * b, 0.5 * (b - a)  # a + b may overflow
+            p = [fb, fn(c + r * s1), fn(c + r * s2), fn(c + r * s3), fn(c + r * s4), fn(c + r * s5), fn(c + r * s6),
+                 fn(c + r * s7), fn(c + r * s8), fn(c + r * s9), fn(c + r * s10), fn(c + r * s11), fn(c + r * s12),
+                 fn(c + r * s13), fn(c + r * s14), fn(c + r * s15), fa]
+            p0, p1, p2, p3, p4, p5, p6, p7, p8, p9, p10, p11, p12, p13, p14, p15, p16 = p
+            # every sum below adds left to right from 0.0, as _dot17 does
+            plain_value = (0.0 + w0 * p0 + w1 * p1 + w2 * p2 + w3 * p3 + w4 * p4 + w5 * p5 + w6 * p6 + w7 * p7 + w8 * p8
+                           + w9 * p9 + w10 * p10 + w11 * p11 + w12 * p12 + w13 * p13 + w14 * p14 + w15 * p15
+                           + w16 * p16)
+            if not z:
+                e, value, pairs = r, r * plain_value, plain_pairs
+            else:
+                try:
+                    if r not in rules:
+                        rules[r] = _cc_rule(_cc_weights(z * r), interp)
+                    e = r * cmath.exp(-z * c)
+                    w, pairs = rules[r]
+                    value = e * _dot17(w, p)
+                    if not cmath.isfinite(value) and all(map(cmath.isfinite, p)):
+                        raise OverflowError
+                except OverflowError:  # in exp(-z*w), its moments or the weighted sum, not in fn
+                    raise DomainError(f"exp(-z*w) overflows for z={z} and w in [{lo!r}, {hi!r}] (truncation="
+                                      f"{spec.truncation!r}): lower |Re z| or the truncation") from None
+            # the weighted misses of the 9-point interpolant at the odd nodes k, 16-k: d sums their moduli
+            ((a1, a15, (i0, i1, i2, i3, i4, i5, i6, i7, i8)), (a3, a13, (j0, j1, j2, j3, j4, j5, j6, j7, j8)),
+             (a5, a11, (k0, k1, k2, k3, k4, k5, k6, k7, k8)), (a7, a9, (l0, l1, l2, l3, l4, l5, l6, l7, l8))) = pairs
+            d = (abs(a1 * p1 + a15 * p15 - (0.0 + i0 * p0 + i1 * p2 + i2 * p4 + i3 * p6 + i4 * p8 + i5 * p10 + i6 * p12
+                                            + i7 * p14 + i8 * p16))
+                 + abs(a3 * p3 + a13 * p13 - (0.0 + j0 * p0 + j1 * p2 + j2 * p4 + j3 * p6 + j4 * p8 + j5 * p10
+                                              + j6 * p12 + j7 * p14 + j8 * p16))
+                 + abs(a5 * p5 + a11 * p11 - (0.0 + k0 * p0 + k1 * p2 + k2 * p4 + k3 * p6 + k4 * p8 + k5 * p10
+                                              + k6 * p12 + k7 * p14 + k8 * p16))
+                 + abs(a7 * p7 + a9 * p9 - (0.0 + l0 * p0 + l1 * p2 + l2 * p4 + l3 * p6 + l4 * p8 + l5 * p10 + l6 * p12
+                                            + l7 * p14 + l8 * p16)))
+            scale, mean = abs(e), 0.5 * plain_value
+            spread = (0.0 + w0 * abs(p0 - mean) + w1 * abs(p1 - mean) + w2 * abs(p2 - mean) + w3 * abs(p3 - mean)
+                      + w4 * abs(p4 - mean) + w5 * abs(p5 - mean) + w6 * abs(p6 - mean) + w7 * abs(p7 - mean)
+                      + w8 * abs(p8 - mean) + w9 * abs(p9 - mean) + w10 * abs(p10 - mean) + w11 * abs(p11 - mean)
+                      + w12 * abs(p12 - mean) + w13 * abs(p13 - mean) + w14 * abs(p14 - mean) + w15 * abs(p15 - mean)
+                      + w16 * abs(p16 - mean))
+            resasc, d, floor = scale * spread, d * scale, 50.0 * 2.0**-52 * scale
+            err = min(d, resasc * (200.0 * d / resasc) ** 1.5) if resasc else d
+            # floor * sum(w_k*|p_k|) <= floor * (spread + 2|mean|), the weights being positive with sum 2: where err
+            # exceeds that bound, with room for rounding and underflow, it exceeds the floor and the sum is skipped
+            if not err > floor * (1.001 * (spread + 2.0 * abs(mean)) + 1e-300):
+                err = max(err, floor * _dot17(plain, map(abs, p)))
+            if r < 2.0**-1022:  # a subnormal r (0 included) may be off by an ulp, an underflowing value too: bound both
+                err += (_dot17(plain, map(abs, p)) * math.exp(-z.real * c) + 1.0) * 2.0**-1074
+            return a, b, fa, p8, fb, value, err
 
-    step = spec.truncation / 12.0  # 0 for a T of a few subnormals, whose spans get the 24 panels of any wide span
-    panels = math.ceil(min(24.0, (hi - lo) / step)) if lo < hi and step else 24  # where lo >= hi _refine raises
-    split = lambda c, m: (make(c.a, m, c.fa, c.fm), make(m, c.b, c.fm, c.fb))
-    return _refine(fn, lo, hi, spec, (), panels, make, split, 15, 30)
+        step = spec.truncation / 12.0  # 0 for a T of a few subnormals, whose spans get the 24 panels of any wide span
+        panels = math.ceil(min(24.0, (hi - lo) / step)) if lo < hi and step else 24  # where lo >= hi _refine raises
+        split = lambda c, m: (make(c[0], m, c[2], c[3]), make(m, c[1], c[3], c[4]))
+        return _refine(fn, lo, hi, spec, (), panels, make, split, 15, 30)
+
+    return integral
 
 
 def _steps(lo: float, span: float, n: int, last: int) -> list:
@@ -266,28 +270,32 @@ def _refine(fn, lo, hi, spec, breakpoints, min_cells, first, split, first_cost, 
     span = hi - lo
     if not (lo < hi and span < math.inf):  # so lo and hi are finite too
         raise ValueError(f"bad integration interval [{lo}, {hi}]")
-    if breakpoints:
-        edges = sorted({lo, hi, *(float(p) for p in breakpoints if lo < p < hi)})
-        grid = [lo]
-        for left, right in zip(edges[:-1], edges[1:]):
-            pieces = max(1, math.ceil((right - left) / span * max(1, min_cells)))
-            grid += _steps(left, right - left, pieces, pieces)
-        grid[-1] = hi
-    else:  # the grid above, of max(1, min_cells) pieces
-        grid = [lo, *_steps(lo, span, min_cells, min_cells - 1), hi]
-    fvals = list(map(fn, grid))
-    cells = list(map(first, grid, grid[1:], fvals, fvals[1:]))
+    if min_cells <= 1 and not breakpoints:  # one panel: its cell from the ends, no grid lists
+        cells = [first(lo, hi, fn(lo), fn(hi))]
+    else:
+        if breakpoints:
+            edges = sorted({lo, hi, *(float(p) for p in breakpoints if lo < p < hi)})
+            grid = [lo]
+            for left, right in zip(edges[:-1], edges[1:]):
+                pieces = max(1, math.ceil((right - left) / span * max(1, min_cells)))
+                grid += _steps(left, right - left, pieces, pieces)
+            grid[-1] = hi
+        else:  # the grid above, of min_cells pieces
+            grid = [lo, *_steps(lo, span, min_cells, min_cells - 1), hi]
+        fvals = list(map(fn, grid))
+        cells = list(map(first, grid, grid[1:], fvals, fvals[1:]))
     abs_tol, rel_tol = spec.abs_tol, spec.rel_tol
-    if len(cells) == 1 and (cell := cells[0]).err <= max(abs_tol, rel_tol * abs(cell.value)):
+    evaluations = 1 + (1 + first_cost) * len(cells)  # the grid and the first cells; split_cost a split
+    if len(cells) == 1 and (cell := cells[0])[6] <= max(abs_tol, rel_tol * abs(cell[5])):
         # a lone cell within tolerance is done; x + 0.0 is math.fsum([x]) for every float, -0.0, inf and nan included
-        re, im = cell.value.real + 0.0, cell.value.imag + 0.0
-        return QuadratureResult(complex(re, im) if im != 0.0 else re, cell.err + 0.0, True, len(grid) + first_cost)
+        re, im = cell[5].real + 0.0, cell[5].imag + 0.0
+        return QuadratureResult(complex(re, im) if im != 0.0 else re, cell[6] + 0.0, True, evaluations)
     # running totals steer refinement; exact sums confirm the stop and make the result
-    run_value, run_err = reduce(add, [c.value for c in cells], 0.0), reduce(add, [c.err for c in cells], 0.0)
+    run_value, run_err = reduce(add, [c[5] for c in cells], 0.0), reduce(add, [c[6] for c in cells], 0.0)
     splits = 0
     # a cell's serial number breaks the ties of cells alike in error and start: those of zero width, which a
     # grid or split of a span of a few subnormals makes
-    heap = [(-c.err, c.a, k, c) for k, c in enumerate(cells)]
+    heap = [(-c[6], c[0], k, c) for k, c in enumerate(cells)]
     serial = len(heap)
     heapq.heapify(heap)
     pop, push = heapq.heappop, heapq.heappush
@@ -299,26 +307,26 @@ def _refine(fn, lo, hi, spec, breakpoints, min_cells, first, split, first_cost, 
         # once the error sum falls 2**40 below its peak, where that drift may outweigh what is left
         if run_err <= max(abs_tol, rel_tol * abs(run_value)) or run_err < peak * 2.0**-40:
             active = [c for (_, _, _, c) in heap] + frozen
-            run_value, run_err = reduce(add, [c.value for c in active], 0.0), math.fsum([c.err for c in active])
+            run_value, run_err = reduce(add, [c[5] for c in active], 0.0), math.fsum([c[6] for c in active])
             peak = run_err
             if run_err <= max(abs_tol, rel_tol * abs(run_value)):
                 break
         _, _, _, worst = pop(heap)
-        if worst.b - worst.a <= width_floor:
+        a, b = worst[0], worst[1]
+        if b - a <= width_floor:
             frozen.append(worst)
             continue
-        left, right = split(worst, 0.5 * worst.a + 0.5 * worst.b)
-        push(heap, (-left.err, left.a, serial + 2 * splits, left))
-        push(heap, (-right.err, right.a, serial + 2 * splits + 1, right))
-        run_value += left.value + right.value - worst.value
-        run_err += left.err + right.err - worst.err
+        left, right = split(worst, 0.5 * a + 0.5 * b)
+        push(heap, (-left[6], left[0], serial + 2 * splits, left))
+        push(heap, (-right[6], right[0], serial + 2 * splits + 1, right))
+        run_value += left[5] + right[5] - worst[5]
+        run_err += left[6] + right[6] - worst[6]
         if run_err > peak:
             peak = run_err
         splits += 1
     cells = [c for (_, _, _, c) in heap] + frozen
-    cells.sort(key=lambda c: c.a)  # in the queue's order fsum can overflow on the way where this order does not
-    re, im = math.fsum([c.value.real for c in cells]), math.fsum([c.value.imag for c in cells])
+    cells.sort(key=itemgetter(0))  # in the queue's order fsum can overflow on the way where this order does not
+    re, im = math.fsum([c[5].real for c in cells]), math.fsum([c[5].imag for c in cells])
     total = complex(re, im) if im != 0.0 else re
-    err = math.fsum([c.err for c in cells])
-    evaluations = len(grid) + first_cost * (len(grid) - 1) + split_cost * splits
-    return QuadratureResult(total, err, err <= max(abs_tol, rel_tol * abs(total)), evaluations)
+    err = math.fsum([c[6] for c in cells])
+    return QuadratureResult(total, err, err <= max(abs_tol, rel_tol * abs(total)), evaluations + split_cost * splits)

@@ -152,8 +152,9 @@ def subadditivity_check(
         values = list(map(S, zs))
         images = list(map(float, values))
         violations = list(map(sub, images, bounds))
-        # a finite sum has finite terms, so finite bounds and images, and the least of them decides the carrier
-        if ys and not (math.isfinite(sum(violations)) and popa._is_member(sigma, min(min(bounds), min(images)))):
+        # a finite sum has finite bounds and images, members at sigma = 0; elsewhere the least of them decides
+        if ys and not (math.isfinite(sum(violations))
+                       and (sigma.is_zero or popa._is_member(sigma, min(min(bounds), min(images))))):
             for z, bound, v in zip(zs, bounds, values):  # raise for the first failing pair
                 popa._check_value(sigma, bound)
                 _codomain_value(sigma, z, v)

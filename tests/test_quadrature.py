@@ -9,7 +9,7 @@ import random
 import sys
 import warnings
 from fractions import Fraction
-from operator import add, mul
+from operator import add, attrgetter, mul
 
 import mpmath as mp
 import numpy as np
@@ -19,8 +19,8 @@ from scipy import integrate
 import regvar.quadrature as quadrature
 from regvar.asymptotics import SampledFunction
 from regvar.popa import DomainError
-from regvar.quadrature import (QuadratureResult, QuadratureSpec, _cc_integral, _cc_tables, _cc_weights, _Cell, _dot17,
-                               _refine, adaptive_integral)
+from regvar.quadrature import (QuadratureResult, QuadratureSpec, _cc_integral, _cc_tables, _cc_weights, _dot17, _refine,
+                               adaptive_integral)
 
 SPEC = QuadratureSpec()
 
@@ -424,10 +424,20 @@ class TestClenshawCurtisCalibration:
 
 # ----------------------------------------------------------------------------------------------------
 # The engine as it stood before its per-call and per-cell work was trimmed, kept as the reference for
-# every bit of its results: a one-cell call that meets its tolerance at once still goes through the heap,
-# the floor sum is always taken, the grid is always sorted, the Filon weights are built with accumulate
-# and per-column slices, and every sum of a cell is a loop over its terms, where the engine writes them
-# out.  It includes the re-sum of a drifted running error sum.
+# every bit of its results: its cells are records, where the engine's are tuples, a one-panel call builds
+# its grid and a one-cell call that meets its tolerance at once still goes through the heap, the floor sum
+# is always taken, the grid is always sorted, the Filon weights are built with accumulate and per-column
+# slices, and every sum of a cell is a loop over its terms, where the engine writes them out.  It includes
+# the re-sum of a drifted running error sum.
+
+
+class _RefCell:
+    """A reference cell: its ends and centre with their values, estimate and gauge, and Simpson's quarter points."""
+    __slots__ = ("a", "b", "fa", "fm", "fb", "value", "err", "fq1", "fq3")
+
+    def __init__(self, a, b, fa, fm, fb, value, err, fq1=None, fq3=None):
+        self.a, self.b, self.fa, self.fm, self.fb, self.value, self.err = a, b, fa, fm, fb, value, err
+        self.fq1, self.fq3 = fq1, fq3
 
 
 def _left_sum(terms):
@@ -444,7 +454,7 @@ def _ref_simpson_cell(fn, a, b, fa, fm, fb, nev):
     h = b - a
     s1 = h * (fa + 4.0 * fm + fb) / 6.0
     s2 = h * (fa + 4.0 * fq1 + 2.0 * fm + 4.0 * fq3 + fb) / 12.0
-    return _Cell(a, b, fa, fm, fb, s2 + (s2 - s1) / 15.0, abs(s2 - s1), fq1, fq3)
+    return _RefCell(a, b, fa, fm, fb, s2 + (s2 - s1) / 15.0, abs(s2 - s1), fq1, fq3)
 
 
 def _ref_adaptive_integral(fn, lo, hi, spec=SPEC, *, breakpoints=()):
@@ -514,7 +524,7 @@ def _ref_cc_integral(fn, lo, hi, spec=SPEC, z=0.0):
         err = max(err, 50.0 * 2.0**-52 * scale * _left_sum(map(mul, w0, map(abs, p))))
         if r < 2.0**-1022:
             err += (_left_sum(map(mul, w0, map(abs, p))) * math.exp(-z.real * c) + 1.0) * 2.0**-1074
-        return _Cell(a, b, fa, p[8], fb, value, err)
+        return _RefCell(a, b, fa, p[8], fb, value, err)
 
     panels = math.ceil(min(24.0, (hi - lo) / (spec.truncation / 12.0))) if lo < hi else 1
     split = lambda c, m: (make(c.a, m, c.fa, c.fm), make(m, c.b, c.fm, c.fb))
@@ -679,20 +689,42 @@ class TestBitForBitAgainstTheReference:
                 for z in FREQUENCIES:
                     assert _bits(_cc_integral, fn, lo, hi, spec, z) == _bits(_ref_cc_integral, fn, lo, hi, spec, z)
 
+    @pytest.mark.parametrize("truncation", [30.0, 1.0])
+    @pytest.mark.parametrize("name", ["gauss", "kink", "jump", "complex", "+-1e300", "nan"])
+    def test_spans_at_the_one_panel_boundary(self, name, truncation):
+        # a span of at most T/12 is one panel, whose cell the engine makes from the ends without a grid; an ulp
+        # more is two panels
+        fn = EDGE_INTEGRANDS[name]
+        spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12, max_subdivisions=40, truncation=truncation)
+        step = truncation / 12.0
+        for span in (step * (1.0 - 2.0**-52), step, step * (1.0 + 2.0**-52)):
+            for lo in (0.0, -0.3, 7.1):
+                for z in FREQUENCIES:
+                    assert _bits(_cc_integral, fn, lo, lo + span, spec, z) == \
+                        _bits(_ref_cc_integral, fn, lo, lo + span, spec, z), (span, lo, z)
+
+    def test_one_panel_up_to_t_over_12(self):
+        # at lo = 0 the spans are exact: T/12 is one cell of 17 evaluations, the next float above it two panels
+        for truncation in (30.0, 1.0):
+            spec, step = QuadratureSpec(truncation=truncation), truncation / 12.0
+            assert _cc_integral(lambda w: 1.0, 0.0, step, spec).evaluations == 17
+            assert _cc_integral(lambda w: 1.0, 0.0, math.nextafter(step, math.inf), spec).evaluations == 33
+
     @pytest.mark.parametrize("value", [-0.0, complex(-0.0, -0.0), complex(-0.0, 1.0), complex(1.0, -0.0), -5e-324,
                                        math.inf, -math.inf, math.nan, complex(math.nan, -0.0)])
     @pytest.mark.parametrize("err", [0.0, -0.0, 5e-324, 1e-9])
     def test_a_lone_cell_within_its_tolerance(self, value, err):
+        # the engine's cell is the tuple (a, b, fa, fm, fb, value, err), the reference's a record
         nev = [0]
 
-        def first(a, b, fa, fb):
+        def ref_first(a, b, fa, fb):
             nev[0] += 15
-            return _Cell(a, b, fa, 0.0, fb, value, err)
+            return _RefCell(a, b, fa, 0.0, fb, value, err)
 
         no_split = lambda c, m: pytest.fail("a lone cell within its tolerance is not split")
-        got = _bits(_refine, math.sin, -0.4, 0.6, SPEC, (), 1, first, no_split, 15, 30)
-        nev[0] = 0
-        assert got == _bits(_ref_refine, math.sin, -0.4, 0.6, SPEC, (), 1, first, no_split, nev)
+        got = _bits(_refine, math.sin, -0.4, 0.6, SPEC, (), 1, lambda a, b, fa, fb: (a, b, fa, 0.0, fb, value, err),
+                    no_split, 15, 30)
+        assert got == _bits(_ref_refine, math.sin, -0.4, 0.6, SPEC, (), 1, ref_first, no_split, nev)
 
     @pytest.mark.parametrize("z", FREQUENCIES)
     def test_a_lone_cell_of_value_minus_zero(self, z):
@@ -742,16 +774,17 @@ class TestBitForBitAgainstTheReference:
                 base, eps, freq = rng.uniform(-2.0, 2.0), 10.0 ** rng.uniform(-16.0, 0.0), rng.uniform(0.1, 3.0)
                 p = [base + eps * math.cos(freq * x + 1.0) for x in _cc_tables()[0]]
             cells = []
-            for make in makers:
+            # the engine's cell is the tuple (a, b, fa, fm, fb, value, err), the reference's a record
+            for make, read in zip(makers, (tuple, attrgetter(*_RefCell.__slots__[:7]))):
                 values[0] = iter(p[1:16])
                 try:
                     cell = make(c - r, c + r, p[16], p[0])
                 except (ArithmeticError, ValueError) as exc:
                     cells.append((type(exc).__name__, str(exc)))
                     continue
-                value, fm = complex(cell.value), complex(cell.fm)
-                cells.append((type(cell.value).__name__, value.real.hex(), value.imag.hex(), cell.err.hex(),
-                              fm.real.hex(), fm.imag.hex()))
+                a, b, fa, fm, fb, value, err = read(cell)
+                parts = [x.hex() for v in (value, fm) for x in (complex(v).real, complex(v).imag)]
+                cells.append((a.hex(), b.hex(), repr(fa), repr(fb), type(value).__name__, err.hex(), *parts))
             assert cells[0] == cells[1], (c, r, p)
 
     def test_filon_weights_on_2000_seeded_frequencies(self):

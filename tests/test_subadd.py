@@ -462,6 +462,21 @@ class TestErrorPath:
         assert seen[: len(parent_seen)] == parent_seen  # S saw what the row loop gave it up to the failure
         assert seen[-len(row):] == [z.hex() for z in row]  # and then the rest of the row
 
+    @pytest.mark.parametrize("bad,fails", [(math.nan, "image"), (-math.inf, "image"), (1e308, "bound")])
+    def test_at_sigma_zero_a_sum_that_is_not_finite_reports_the_first_failing_pair(self, bad, fails):
+        # at sigma = 0 every finite value is a member, so the finite sum of a row decides it without its least
+        # bound and image; an image nan or -inf, or a bound 1e308 + 1e308, sends the row to its pair checks
+        pts = self.GRID.points()
+        row = [pts[1] + y for y in pts[1:6]]
+        table = {pts[1]: 1e308, pts[2]: 1e308} if fails == "bound" else {row[2]: bad}
+        S = lambda t: table.get(t, 1.0)
+        got, seen = _calls(subadditivity_check, S, ZERO, ZERO, self.GRID)
+        want, parent_seen = _calls(_parent_driver, S, ZERO, ZERO, self.GRID)
+        message = {"image": f"S({row[2]!r}) = {bad!r} is outside the codomain carrier",
+                   "bound": "point must be finite, got inf"}[fails]
+        assert got == want == message
+        assert seen[: len(parent_seen)] == parent_seen
+
     def test_image_outside_the_codomain_partway_through_a_per_pair_row(self):
         grid = GridSpec(-0.9, 1.0, 12)  # rho = 1: rows x < 0 test each pair
         pts = grid.points()
