@@ -22,7 +22,7 @@ from functools import partial
 from itertools import chain
 from typing import Callable, Sequence
 
-from regvar.popa import (DomainError, PopaParam, _MAX_LISTED, _positive, _power_blocks, _powers, _Record,
+from regvar.popa import (DomainError, PopaParam, _MAX_LISTED, _count, _positive, _power_blocks, _powers, _Record,
                          _within_budget, identity, iso_log, power)
 
 __all__ = [
@@ -118,12 +118,9 @@ class LimitScheme(_Record, frozen=True):
         _positive("x0", x0)
         if not (ratio > 1.0 and math.isfinite(ratio)):
             raise ValueError("ratio must exceed 1")
-        if max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
-        _within_budget(max_steps, "steps in max_steps")  # estimate_limit keeps every value it visits
+        max_steps = _count("max_steps", max_steps, 1, "steps in max_steps")  # estimate_limit keeps every value
         _positive("tol", tol)
-        if stability_window < 2:
-            raise ValueError("stability_window must be >= 2")
+        stability_window = _count("stability_window", stability_window, 2)
         self._freeze(x0, ratio, max_steps, tol, stability_window)
 
 

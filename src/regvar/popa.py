@@ -83,6 +83,19 @@ def _positive(name: str, v: float) -> float:
     return v
 
 
+def _count(name: str, value: int, least: int, what: str = "") -> int:
+    """``value`` read by operator.index, at least ``least`` and, where ``what`` names what it counts, in budget."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if n < least:
+        raise ValueError(f"{name} must be >= {least}")
+    if what:
+        _within_budget(n, what)
+    return n
+
+
 _set = object.__setattr__  # how a frozen record's __init__ assigns its fields
 
 

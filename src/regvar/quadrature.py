@@ -13,7 +13,8 @@ where less, resasc the integral of |p - mean|, floored at 50 eps times that of
 |p|.  C17 - C9 sums the weighted misses of the 9-point interpolant at four
 mirror pairs of odd nodes; d sums their moduli, which cannot cancel.  There
 are min(24, ceil(span / (T/12))) initial panels, T = ``spec.truncation``; a
-split reuses the end values, so a child costs 15 evaluations.
+split reuses the end values, so a child costs 15 evaluations.  The first grid
+is one loop through the breakpoints, none included (``_refine``).
 
 Ties in the refinement queue are broken by cell position.  The value and the
 bound are ``math.fsum`` of the cells in position order, which is correctly
@@ -39,7 +40,7 @@ from functools import cache, reduce
 from operator import add, itemgetter, mul
 from typing import Callable, Sequence
 
-from regvar.popa import DomainError, _Record
+from regvar.popa import DomainError, _count, _Record
 
 __all__ = ["QuadratureSpec", "QuadratureResult", "QuadratureWarning", "adaptive_integral"]
 
@@ -68,8 +69,7 @@ class QuadratureSpec(_Record, frozen=True):
                 raise ValueError(f"{name} must be finite, got {tol!r}")
         if not (abs_tol > 0.0 and rel_tol >= 0.0):
             raise ValueError("tolerances must be positive")
-        if max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
+        max_subdivisions = _count("max_subdivisions", max_subdivisions, 1, "splits in max_subdivisions")
         if not (truncation > 0.0 and math.isfinite(2.0 * truncation)):  # [-T, T] has a finite span
             raise ValueError(f"truncation must be positive with a finite span 2*truncation, got {truncation!r}")
         self._freeze(abs_tol, rel_tol, max_subdivisions, truncation)
@@ -256,32 +256,24 @@ def _cc_engine():
     return integral
 
 
-def _steps(lo: float, span: float, n: int, last: int) -> list:
-    """lo + span*k/n for k = 1, ..., last; as lo + span/n*k where span*k overflows, a finite span above DBL_MAX/k."""
-    if span * last < math.inf:  # the test per node costs a short integral 3%
-        return [lo + span * k / n for k in range(1, last + 1)]
-    return [lo + (span * k / n if span * k < math.inf else span / n * k) for k in range(1, last + 1)]
-
-
 def _refine(fn, lo, hi, spec, breakpoints, min_cells, first, split, first_cost, split_cost) -> QuadratureResult:
-    """The adaptive loop from a grid of at least ``min_cells`` cells through the breakpoints, whose cells
-    ``first(a, b, fa, fb)`` makes; ``split(cell, midpoint)`` makes the two halves of a cell.  A first cell
-    evaluates ``fn`` ``first_cost`` times besides at its ends, a split ``split_cost`` times."""
+    """The adaptive loop from a grid of at least ``min_cells`` cells, whose cells ``first(a, b, fa, fb)`` makes;
+    ``split(cell, midpoint)`` halves a cell.  The grid is one loop through the breakpoints, none included: node k of
+    a segment [left, left + w] of n cells is left + w*k/n, or the overflow-safe left + w/n*k where w*k overflows.
+    A first cell evaluates ``fn`` ``first_cost`` times besides at its ends, a split ``split_cost`` times."""
     span = hi - lo
     if not (lo < hi and span < math.inf):  # so lo and hi are finite too
         raise ValueError(f"bad integration interval [{lo}, {hi}]")
     if min_cells <= 1 and not breakpoints:  # one panel: its cell from the ends, no grid lists
         cells = [first(lo, hi, fn(lo), fn(hi))]
     else:
-        if breakpoints:
-            edges = sorted({lo, hi, *(float(p) for p in breakpoints if lo < p < hi)})
-            grid = [lo]
-            for left, right in zip(edges[:-1], edges[1:]):
-                pieces = max(1, math.ceil((right - left) / span * max(1, min_cells)))
-                grid += _steps(left, right - left, pieces, pieces)
-            grid[-1] = hi
-        else:  # the grid above, of min_cells pieces
-            grid = [lo, *_steps(lo, span, min_cells, min_cells - 1), hi]
+        edges = sorted({lo, hi, *(float(p) for p in breakpoints if lo < p < hi)})
+        grid = [lo]
+        for left, right in zip(edges[:-1], edges[1:]):
+            w = right - left
+            n = max(1, math.ceil(w / span * max(1, min_cells)))
+            grid += [left + (w * k / n if w * k < math.inf else w / n * k) for k in range(1, n + 1)]
+        grid[-1] = hi
         fvals = list(map(fn, grid))
         cells = list(map(first, grid, grid[1:], fvals, fvals[1:]))
     abs_tol, rel_tol = spec.abs_tol, spec.rel_tol

@@ -45,8 +45,7 @@ class GridSpec(_Record, frozen=True):
             raise ValueError(f"need lo < hi, got ({lo}, {hi})")
         if not math.isfinite(hi - lo):
             raise ValueError(f"the span hi - lo of ({lo}, {hi}) overflows")
-        if n < 2:
-            raise ValueError("n must be >= 2")
+        n = popa._count("n", n, 2)
         if spacing not in ("linear", "geometric"):
             raise ValueError(f"spacing must be 'linear' or 'geometric', got {spacing!r}")
         if spacing == "geometric" and not lo > 0.0:
@@ -223,9 +222,7 @@ def sandwich_bound_check(
     premise already fails on the probe points the check passes vacuously,
     with a warning.  At most 3276800 probes are allowed.
     """
-    if probes < 2:
-        raise ValueError("probes must be >= 2")
-    popa._within_budget(probes, "probes")
+    probes = popa._count("probes", probes, 2, "probes")
     popa._positive("delta", delta)
     pa = PopaPoint(rho, a)
     pb = PopaPoint(rho, b)

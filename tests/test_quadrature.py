@@ -46,6 +46,12 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             QuadratureSpec(**kwargs)
 
+    def test_max_subdivisions_is_an_int_within_the_list_budget(self):
+        assert QuadratureSpec(max_subdivisions=3276800).max_subdivisions == 3276800
+        # read by operator.index: what stands for an integer is stored as the int
+        seven = type("Seven", (), {"__index__": lambda self: 7})()
+        assert type(QuadratureSpec(max_subdivisions=seven).max_subdivisions) is int
+
     @pytest.mark.parametrize("truncation", [1e308, math.ldexp(1.0, 1023)])
     def test_rejects_a_truncation_whose_span_overflows(self, truncation):
         # 2T is the span of [-T, T]; an infinite span reached math.ceil in _refine as nan
@@ -138,7 +144,8 @@ class TestWideSpans:
         assert (res.value, res.error, res.converged, res.evaluations) == (0.0, 0.0, True, 385)
 
     @pytest.mark.parametrize("rule", ["cc", "simpson"])
-    @pytest.mark.parametrize("lo, hi, breakpoints", [(-5e307, 5e307, ()), (-5e307, 5e307, (1.0,)), (-1e308, 7e307, ())])
+    @pytest.mark.parametrize("lo, hi, breakpoints", [(-5e307, 5e307, ()), (-5e307, 5e307, (1.0,)), (-1e308, 7e307, ()),
+                                                     (-1e308, 7e307, (-5e307, 0.0, 5e307)), (-1e307, 1e307, ())])
     def test_every_node_is_finite(self, rule, lo, hi, breakpoints):
         nodes = []
         fn = lambda w: nodes.append(w) or 1.0
@@ -146,6 +153,17 @@ class TestWideSpans:
                                                                                       breakpoints=breakpoints)
         assert all(map(math.isfinite, nodes)) and min(nodes) == lo and max(nodes) == hi
         assert res.converged and res.value == pytest.approx(hi - lo, rel=1e-15)
+        # the first grid is evaluated first: on a segment of width w and n cells, node k is left + w*k/n, or
+        # left + w/n*k where w*k overflows, and the last node is hi
+        cells, edges = (24, [lo, hi]) if rule == "cc" else (64, sorted({lo, hi, *breakpoints}))
+        grid, overflows = [lo], 0
+        for left, right in zip(edges, edges[1:]):
+            w = right - left
+            n = math.ceil(w / (hi - lo) * cells)
+            grid += [left + (w * k / n if w * k < math.inf else w / n * k) for k in range(1, n + 1)]
+            overflows += sum(w * k == math.inf for k in range(1, n + 1))
+        grid[-1] = hi
+        assert nodes[:len(grid)] == grid and overflows > 0
 
     @pytest.mark.parametrize("integrate", [
         lambda fn: _cc_integral(fn, -1e308, 1e308, SPEC),

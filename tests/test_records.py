@@ -4,6 +4,7 @@ from __future__ import annotations
 import copy
 import math
 import pickle
+import re
 
 import pytest
 
@@ -12,9 +13,18 @@ from regvar.haar import Interval
 from regvar.kernels import GoldieAux, KernelParams
 from regvar.popa import DomainError, PopaParam, PopaPoint
 from regvar.quadrature import QuadratureResult, QuadratureSpec
-from regvar.subadd import GridSpec, SubaddReport
+from regvar.subadd import GridSpec, SubaddReport, sandwich_bound_check
 
 P1, P2 = PopaParam(1.0), PopaParam(2.0)
+
+# Each count parameter, given a value: an integer at least its bound, within the budget of one call where it has one.
+COUNTS = [
+    ("max_subdivisions", lambda v: QuadratureSpec(max_subdivisions=v)),
+    ("max_steps", lambda v: LimitScheme(max_steps=v)),
+    ("stability_window", lambda v: LimitScheme(stability_window=v)),
+    ("n", lambda v: GridSpec(0.0, 1.0, v)),
+    ("probes", lambda v: sandwich_bound_check(lambda x: x, P1, P1, 1.0, 4.0, 0.5, 1.0, probes=v)),
+]
 
 # One row per record: (class, positional args, keyword args of the same record, args of an unequal record, repr).
 RECORDS = [
@@ -153,6 +163,10 @@ def test_missing_and_extra_arguments_raise_type_error():
     (lambda: GridSpec(0.0, 1.0, 1), ValueError, "n must be >= 2"),
     (lambda: GridSpec(0.0, 1.0, 3, "log"), ValueError, "spacing must be 'linear' or 'geometric', got 'log'"),
     (lambda: GridSpec(0.0, 1.0, 3, "geometric"), ValueError, "geometric spacing needs lo > 0"),
+    (lambda: QuadratureSpec(max_subdivisions=3276801), DomainError,
+     "^too many splits in max_subdivisions: 3276801, more than 3276800, the budget of one call$"),
+    *[(lambda make=make, v=v: make(v), ValueError, rf"^{name} must be an integer, got {re.escape(repr(v))}$")
+      for name, make in COUNTS for v in (2.5, math.nan, math.inf, -math.inf, 4000.0, "4", None)],
 ])
 def test_validation_messages(make, exc, match):
     with pytest.raises(exc, match=match):
