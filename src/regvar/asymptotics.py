@@ -109,7 +109,8 @@ class SampledFunction:
 
 
 class LimitScheme(_Record, frozen=True):
-    """Geometric evaluation grid x0 * ratio^n with a stability-window stop."""
+    """Geometric evaluation grid x0 * ratio^n with a stability-window stop.  A stability_window above max_steps
+    never stops the walk, which returns its last value unconverged."""
 
     __slots__ = ("x0", "ratio", "max_steps", "tol", "stability_window")
 
@@ -134,7 +135,7 @@ class EstimationResult(_Record):
 
 def karamata_op(f: Callable[[float], float], t: float, x: float) -> float:
     """Multiplicative ratio f(x*t)/f(x); f must be positive at both points."""
-    if not (x > 0.0 and t > 0.0):
+    if not (x > 0.0 and t > 0.0):  # not _positive: run at every estimation step, where two calls cost grids ~1%
         raise DomainError(f"karamata_op needs x > 0 and t > 0, got x={x!r}, t={t!r}")
     fx = _positive("f(x)", f(x))
     fxt = _positive("f(x*t)", f(x * t))
@@ -442,8 +443,5 @@ def goldie_sum(
 ) -> float:
     """Discrete functional-equation sum K_delta * sum_{m=1..i} g(delta^((m-1) o)), of at most 3276800 terms; g
     gets the iterates as :func:`regvar.popa.power` gives them, +inf or the carrier's lower end past the float range."""
-    i = int(i)
-    if i < 0:
-        raise DomainError(f"i must be >= 0, got {i}")
-    _within_budget(i, "terms of the sum")
+    i = _count("i", i, 0, "terms of the sum")
     return K_delta * math.fsum(map(g, _powers(param, delta, range(i))) if i else ())  # i = 0: delta unchecked

@@ -77,16 +77,14 @@ def load_csv_function(path: str) -> SampledFunction:
         raise CsvFormatError(f"{path}: cannot read: {exc}") from exc
     with handle:
         reader = csv.reader(handle)
-        lineno = 0
-        for row in reader:
-            lineno = reader.line_num
-            if not row or all(c.strip() == "" for c in row):
-                continue
+        rows = ((reader.line_num, row) for row in reader if any(c.strip() for c in row))
+        lineno, row = next(rows, (1, None))  # the header is the first non-blank row
+        if row is None:
+            raise CsvFormatError(f"{path}: line 1: missing 'x,fx' header")
+        if (header := [c.strip() for c in row]) != ["x", "fx"]:
+            raise CsvFormatError(f"{path}: line {lineno}: header must be 'x,fx', got {','.join(header)!r}")
+        for lineno, row in rows:
             cells = [c.strip() for c in row]
-            if lineno == 1:
-                if cells != ["x", "fx"]:
-                    raise CsvFormatError(f"{path}: line 1: header must be 'x,fx', got {','.join(cells)!r}")
-                continue
             if len(cells) != 2:
                 raise CsvFormatError(f"{path}: line {lineno}: expected 2 columns, got {len(cells)}")
             try:
@@ -99,8 +97,6 @@ def load_csv_function(path: str) -> SampledFunction:
                 raise CsvFormatError(f"{path}: line {lineno}: x values must be strictly increasing")
             xs.append(x)
             vs.append(v)
-    if lineno == 0:
-        raise CsvFormatError(f"{path}: line 1: missing 'x,fx' header")
     if len(xs) < 2:
         raise CsvFormatError(f"{path}: need at least 2 data rows")
     try:

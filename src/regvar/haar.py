@@ -22,7 +22,8 @@ import math
 import warnings
 from typing import Callable
 
-from regvar.popa import DomainError, PopaParam, PopaPoint, _Record, _chart, _haar_length, _positive, _span, iso_log
+from regvar.popa import (DomainError, PopaParam, PopaPoint, _Record, _chart, _finite, _haar_length, _positive, _span,
+                         iso_log)
 from regvar.quadrature import QuadratureResult, QuadratureSpec, QuadratureWarning, _cc_integral, adaptive_integral
 
 __all__ = [
@@ -55,8 +56,10 @@ def haar_interval_measure(iv: Interval) -> float:
 
 
 def _value(res: QuadratureResult, what: Callable[[], str]) -> complex | float:
-    """``res.value``; non-convergence is warned about at the caller of the public function that passed ``res``,
-    naming the call by ``what()``, which is only built then."""
+    """``res.value``, which must be finite; non-convergence is warned about at the caller of the public function
+    that passed ``res``.  The error and the warning name the call by ``what()``, which is only built then."""
+    if not cmath.isfinite(res.value):
+        raise DomainError(f"{what()} must be finite, got {res.value!r}")
     if not res.converged:
         warnings.warn(f"{what()} did not converge: best estimate {res.value!r}, error bound {res.error:.3e}",
                       QuadratureWarning, stacklevel=3)
@@ -160,9 +163,7 @@ def beurling_convolution(
     H is only evaluated where F(-t) is non-zero, so H may be defined just on
     the reachable window.
     """
-    if not math.isfinite(x):
-        raise DomainError(f"x must be finite, got {x!r}")
-    px = _positive("phi(x)", phi(x))
+    px = _positive("phi(x)", phi(_finite("x", x)))
     T = spec.truncation
 
     def integrand(t: float) -> float:

@@ -23,6 +23,7 @@ from regvar.popa import (
     PopaParam,
     PopaPoint,
     _Record,
+    _finite,
     circle,
     eta,
     iso_exp,
@@ -48,9 +49,7 @@ class KernelParams(_Record, frozen=True):
     __slots__ = ("rho", "sigma", "kappa")
 
     def __init__(self, rho: PopaParam, sigma: PopaParam, kappa: float) -> None:
-        if not math.isfinite(kappa):
-            raise DomainError(f"kappa must be finite, got {kappa!r}")
-        self._freeze(rho, sigma, kappa)
+        self._freeze(rho, sigma, _finite("kappa", kappa))
 
 
 def kernel_eval(kp: KernelParams, t: float) -> float:
@@ -108,9 +107,7 @@ class GoldieAux(_Record, frozen=True):
     def __init__(self, rho: PopaParam, gamma: float) -> None:
         if not rho.is_finite:
             raise DomainError("goldie auxiliary requires a finite positive rho")
-        if not math.isfinite(gamma):
-            raise DomainError(f"gamma must be finite, got {gamma!r}")
-        self._freeze(rho, gamma)
+        self._freeze(rho, _finite("gamma", gamma))
 
     def g(self, t: float) -> float:
         return iso_exp(INFINITY, -self.gamma * iso_log(self.rho, t))

@@ -77,6 +77,12 @@ def _within_budget(count: int | None, what: str) -> None:
                           "the budget of one call")
 
 
+def _finite(name: str, v: float) -> float:
+    if not math.isfinite(v):
+        raise DomainError(f"{name} must be finite, got {v!r}")
+    return v
+
+
 def _positive(name: str, v: float) -> float:
     if not (v > 0.0 and math.isfinite(v)):
         raise DomainError(f"{name} must be positive and finite, got {v!r}")
@@ -245,7 +251,7 @@ INFINITY = PopaParam(math.inf)
 
 def _check_value(param: PopaParam, value: float) -> float:
     v = float(value)
-    if not math.isfinite(v):
+    if not math.isfinite(v):  # not _finite: every iso_log runs this, so every call of a kernel S in a grid pass
         raise DomainError(f"point must be finite, got {value!r}")
     if 1.0 + param.rho * v > 0.0:
         return v

@@ -40,7 +40,7 @@ from functools import cache, reduce
 from operator import add, itemgetter, mul
 from typing import Callable, Sequence
 
-from regvar.popa import DomainError, _count, _Record
+from regvar.popa import DomainError, _count, _finite, _positive, _Record
 
 __all__ = ["QuadratureSpec", "QuadratureResult", "QuadratureWarning", "adaptive_integral"]
 
@@ -64,11 +64,9 @@ class QuadratureSpec(_Record, frozen=True):
 
     def __init__(self, abs_tol: float = 1e-9, rel_tol: float = 1e-9, max_subdivisions: int = 4000,
                  truncation: float = 30.0) -> None:
-        for name, tol in (("abs_tol", abs_tol), ("rel_tol", rel_tol)):
-            if not math.isfinite(tol):
-                raise ValueError(f"{name} must be finite, got {tol!r}")
-        if not (abs_tol > 0.0 and rel_tol >= 0.0):
-            raise ValueError("tolerances must be positive")
+        _positive("abs_tol", abs_tol)
+        if not _finite("rel_tol", rel_tol) >= 0.0:
+            raise DomainError(f"rel_tol must be >= 0, got {rel_tol!r}")
         max_subdivisions = _count("max_subdivisions", max_subdivisions, 1, "splits in max_subdivisions")
         if not (truncation > 0.0 and math.isfinite(2.0 * truncation)):  # [-T, T] has a finite span
             raise ValueError(f"truncation must be positive with a finite span 2*truncation, got {truncation!r}")
@@ -261,8 +259,8 @@ def _refine(fn, lo, hi, spec, breakpoints, min_cells, first, split, first_cost, 
     ``split(cell, midpoint)`` halves a cell.  The grid is one loop through the breakpoints, none included: node k of
     a segment [left, left + w] of n cells is left + w*k/n, or the overflow-safe left + w/n*k where w*k overflows.
     A first cell evaluates ``fn`` ``first_cost`` times besides at its ends, a split ``split_cost`` times."""
-    span = hi - lo
-    if not (lo < hi and span < math.inf):  # so lo and hi are finite too
+    span, inf = hi - lo, math.inf
+    if not (lo < hi and span < inf):  # so lo and hi are finite too
         raise ValueError(f"bad integration interval [{lo}, {hi}]")
     if min_cells <= 1 and not breakpoints:  # one panel: its cell from the ends, no grid lists
         cells = [first(lo, hi, fn(lo), fn(hi))]
@@ -272,7 +270,7 @@ def _refine(fn, lo, hi, spec, breakpoints, min_cells, first, split, first_cost, 
         for left, right in zip(edges[:-1], edges[1:]):
             w = right - left
             n = max(1, math.ceil(w / span * max(1, min_cells)))
-            grid += [left + (w * k / n if w * k < math.inf else w / n * k) for k in range(1, n + 1)]
+            grid += [left + (w * k / n if w * k < inf else w / n * k) for k in range(1, n + 1)]
         grid[-1] = hi
         fvals = list(map(fn, grid))
         cells = list(map(first, grid, grid[1:], fvals, fvals[1:]))

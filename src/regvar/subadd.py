@@ -130,13 +130,12 @@ def subadditivity_check(
     rho_op, rho_ops, sigma_ops = rho._row.op, rho._row.ops, sigma._row.ops
     lo, hi, n = grid.lo, grid.hi, len(pts)
     worst, worst_pair = 0.0, (math.nan, math.nan)
-    checked = skipped = 0
+    checked = 0  # of the n*n ordered pairs; the rest are skipped
     j1 = n  # the end of the last monotone row's window, which only falls from row to row
     for i, x in enumerate(pts):
         if x >= 0.0 or not rho.is_finite:  # every rounded op of x o y is monotone in x and y: the window is a slice
             x_op, diagonal = partial(rho_op, x), rho_op(x, x)
             if diagonal > hi:  # this row and every later one lie above hi
-                skipped += (n - i) ** 2
                 break
             j0 = i if diagonal >= lo else bisect_left(pts, lo, i + 1, j1, key=x_op)
             j1 = bisect_right(pts, hi, j0, j1, key=x_op)
@@ -158,11 +157,11 @@ def subadditivity_check(
                 popa._check_value(sigma, bound)
                 _codomain_value(sigma, z, v)
         row = 2 * len(ys) - (bool(ys) and j0 == i)  # the diagonal pair (x, x) counts once
-        checked, skipped = checked + row, skipped + 2 * (n - i) - 1 - row
+        checked += row  # of the row's 2*(n - i) - 1 ordered pairs, which sum to n*n over the rows
         top = max(violations, default=0.0)
         if top > worst:
             worst, worst_pair = top, (x, ys[violations.index(top)])
-    return SubaddReport(worst <= tol, worst, worst_pair, checked, skipped)
+    return SubaddReport(worst <= tol, worst, worst_pair, checked, n * n - checked)
 
 
 def additively_bounded_check(
@@ -171,12 +170,12 @@ def additively_bounded_check(
     sample_set: Sequence[float],
     tol: float = 1e-10,
 ) -> SubaddReport:
-    """Pointwise check S(t) <= K_kappa(t) + tol over the sample set."""
+    """Pointwise check S(t) <= K_kappa(t) + tol over the sample set, each S(t) a float of sigma's carrier."""
     worst = 0.0
     worst_pair = (math.nan, math.nan)
     for t in sample_set:
         t = float(t)
-        excess = S(t) - kernel_eval(kp, t)
+        excess = _codomain_value(kp.sigma, t, S(t)) - kernel_eval(kp, t)
         if excess > worst:
             worst = excess
             worst_pair = (t, t)
@@ -226,8 +225,7 @@ def sandwich_bound_check(
     popa._positive("delta", delta)
     pa = PopaPoint(rho, a)
     pb = PopaPoint(rho, b)
-    if not pb.value > 0.0:
-        raise DomainError(f"b must be positive, got {b!r}")
+    popa._positive("b", pb.value)
     Mpt = PopaPoint(sigma, M)
 
     offsets = _linspace(-delta, delta, probes + 2)[1:-1]

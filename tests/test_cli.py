@@ -228,8 +228,10 @@ class TestCsvLoading:
         ("x,fx\n1,2,3\n2,4\n", "line 2: expected 2 columns, got 3"),
         ("x,fx\n1,2\n2,inf\n", "line 3: entries must be finite"),
         ("", "line 1: missing 'x,fx' header"),
+        ("\n , \n\n", "line 1: missing 'x,fx' header"),
+        ("\n1,2\n3,4\n", "line 2: header must be 'x,fx', got '1,2'"),  # the first non-blank row is the header
         ("x,fx\n1,2\n2,0\n", "table values must be positive"),  # refused by SampledFunction
-    ], ids=["three-columns", "non-finite", "empty", "zero-value"])
+    ], ids=["three-columns", "non-finite", "empty", "blank", "blank-first-line", "zero-value"])
     def test_table_errors_name_path_and_line(self, tmp_path, capsys, text, message):
         path = tmp_path / "t.csv"
         path.write_text(text)
@@ -546,6 +548,10 @@ class TestBeckCommand:
         # delta**2 = 1e-400 is 0.0, the carrier's lower end at rho = inf, and 2**1024 on is inf: g gets each as is
         assert run_cli(capsys, "beck", "goldie-sum", *argv) == want
 
+    def test_goldie_sum_with_a_negative_count_exits_2(self, capsys):
+        argv = ["--rho", "1", "--delta", "0.1", "--i=-1"]
+        assert run_cli(capsys, "beck", "goldie-sum", *argv) == (2, "", "error: i must be >= 0\n")
+
     def test_goldie_sum_with_g_undefined_at_an_end_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "beck", "goldie-sum", "--rho", "inf", "--delta", "1e-200", "--i", "3",
                                  "--g", "log")
@@ -604,6 +610,13 @@ class TestSubaddCommand:
         lines = out.strip().splitlines()
         assert lines[0] == "holds,worst_violation,worst_t,points_checked"
         assert lines[1].startswith("false,")  # sqrt(t) exceeds t below 1
+
+    def test_bounded_reads_S_through_the_codomain_rule(self, capsys):
+        # as check does: 1/5e-324 = inf is outside sigma 1's carrier
+        want = (2, "", "error: S(5e-324) = inf is outside the codomain carrier\n")
+        assert run_cli(capsys, "subadd", "bounded", "--s", "inv", "--sigma", "1", "--points", "2,7,5e-324") == want
+        assert run_cli(capsys, "subadd", "check", "--s", "inv", "--sigma", "1", "--lo", "5e-324", "--hi", "1",
+                       "--n", "3") == want
 
     def test_hs_probe_entropy(self, capsys):
         code, out, _ = run_cli(capsys, "subadd", "hs-probe", "--s", "entropy", "--tol", "1e-4")
@@ -873,6 +886,15 @@ class TestFlagTable:
         assert run_cli(capsys, "transform", "integrate", *argv, "--f", "one") == (2, "", want)
         assert run_cli(capsys, "transform", "measure", *argv) == (0, "inf\n", "")
 
+    @pytest.mark.parametrize("argv, want", [
+        (["integrate", "--rho", "0", "--f", "x", "--lo", "0", "--hi", "1e200", "--strict"],
+         "haar_integrate over (0.0, 1e+200) must be finite, got inf"),
+        (["fourier", "--rho", "0", "--f", "square", "--gamma", "0", "--truncation", "1e200"],
+         "fourier_popa(gamma=0.0) must be finite, got inf"),
+    ])
+    def test_a_result_that_is_not_finite_exits_2(self, capsys, argv, want):
+        assert run_cli(capsys, "transform", *argv) == (2, "", f"error: {want}\n")
+
     def test_integrate_over_a_span_of_1e308(self, capsys):
         argv = ["transform", "integrate", "--rho", "0", "--f", "one", "--lo=-5e307", "--hi", "5e307"]
         assert run_cli(capsys, *argv) == (0, "1e+308\n", "")
@@ -940,6 +962,15 @@ class TestBlankCsvRows:
         assert [load_csv_function(str(gappy))(x) for x in (1.0, 5.0, 50.0)] == \
                [load_csv_function(str(clean))(x) for x in (1.0, 5.0, 50.0)]
         argv = ["transform", "integrate", "--rho", "1", "--lo", "1", "--hi", "90", "--f"]
+        assert run_cli(capsys, *argv, str(gappy)) == run_cli(capsys, *argv, str(clean))
+
+    @pytest.mark.parametrize("blank", ["\n", " , \n", ",\n"], ids=["empty", "blank-cells", "bare-comma"])
+    def test_the_header_is_the_first_non_blank_row(self, tmp_path, capsys, blank):
+        clean, gappy = tmp_path / "clean.csv", tmp_path / "gappy.csv"
+        clean.write_text("x,fx\n1,2\n10,20\n")
+        gappy.write_text(f"{blank}{blank}x,fx\n1,2\n10,20\n")
+        assert load_csv_function(str(gappy))(5.0) == load_csv_function(str(clean))(5.0)
+        argv = ["transform", "integrate", "--rho", "1", "--lo", "1", "--hi", "9", "--f"]
         assert run_cli(capsys, *argv, str(gappy)) == run_cli(capsys, *argv, str(clean))
 
     def test_line_numbers_count_blank_rows(self, tmp_path):

@@ -562,6 +562,29 @@ class TestNonConvergenceWarning:
 
 
 GAUSS = lambda t: math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
+NAN = lambda t: math.nan
+
+
+class TestNonFiniteResult:
+    """A Haar result that is not finite is a DomainError naming the call, before any non-convergence warning."""
+
+    @pytest.mark.parametrize("fn,args,text", [
+        (haar_integrate, (lambda t: t, Interval(ZERO, 0.0, 1e200)), "haar_integrate over (0.0, 1e+200)"),
+        (haar_integrate, (NAN, Interval(P1, 0.25, 1.0)), "haar_integrate over (0.25, 1.0)"),
+        (fourier_popa, (lambda t: t * t, ZERO, 0.0, QuadratureSpec(truncation=1e200)), "fourier_popa(gamma=0.0)"),
+        (fourier_popa, (NAN, ZERO, 1.0), "fourier_popa(gamma=1.0)"),
+        (fourier_popa, (NAN, ZERO, 10.0), "fourier_popa(gamma=10.0)"),
+        (fourier_popa, (NAN, P1, 1.0), "fourier_popa(gamma=1.0)"),
+        (mellin_popa, (NAN, P1, 0.5j), "mellin_popa(z=0.5j)"),
+        (popa_convolution, (NAN, GAUSS, PopaPoint(P1, 0.5)), "popa_convolution at x=0.5"),
+        (beurling_convolution, (NAN, GAUSS, lambda x: 1.0, 0.5), "beurling_convolution at x=0.5"),
+    ], ids=["haar_integrate-overflow", "haar_integrate-nan", "fourier_popa-simpson-overflow", "fourier_popa-simpson-nan",
+            "fourier_popa-cells-nan", "fourier_popa-chart-nan", "mellin_popa-nan", "popa_convolution-nan",
+            "beurling_convolution-nan"])
+    def test_is_a_domain_error_that_names_the_call(self, fn, args, text):
+        # converged or not: an inf or nan is no estimate
+        with pytest.raises(DomainError, match=rf"^{re.escape(text)} must be finite, got "):
+            fn(*args)
 
 
 def _on_group(param: PopaParam, prof):

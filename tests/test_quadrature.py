@@ -65,8 +65,9 @@ class TestSpecValidation:
     @pytest.mark.parametrize("field", ["abs_tol", "rel_tol"])
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_rejects_non_finite_tolerances_by_name(self, field, value):
-        # an infinite tolerance would accept any error bound as converged
-        with pytest.raises(ValueError, match=f"{field} must be finite"):
+        # an infinite tolerance would accept any error bound as converged; abs_tol is read by popa._positive
+        kind = "positive and " if field == "abs_tol" else ""
+        with pytest.raises(ValueError, match=rf"^{field} must be {kind}finite, got {value!r}$"):
             QuadratureSpec(**{field: value})
 
 

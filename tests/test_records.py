@@ -8,8 +8,8 @@ import re
 
 import pytest
 
-from regvar.asymptotics import EstimationResult, LimitScheme
-from regvar.haar import Interval
+from regvar.asymptotics import EstimationResult, LimitScheme, goldie_sum
+from regvar.haar import Interval, beurling_convolution
 from regvar.kernels import GoldieAux, KernelParams
 from regvar.popa import DomainError, PopaParam, PopaPoint
 from regvar.quadrature import QuadratureResult, QuadratureSpec
@@ -24,6 +24,13 @@ COUNTS = [
     ("stability_window", lambda v: LimitScheme(stability_window=v)),
     ("n", lambda v: GridSpec(0.0, 1.0, v)),
     ("probes", lambda v: sandwich_bound_check(lambda x: x, P1, P1, 1.0, 4.0, 0.5, 1.0, probes=v)),
+]
+
+# Each parameter read by popa._finite, given a value.
+FINITE = [
+    ("kappa", lambda v: KernelParams(P1, P1, v)),
+    ("gamma", lambda v: GoldieAux(P1, v)),
+    ("x", lambda v: beurling_convolution(lambda t: 1.0, lambda t: 1.0, lambda t: 1.0, v)),
 ]
 
 # One row per record: (class, positional args, keyword args of the same record, args of an unequal record, repr).
@@ -140,10 +147,11 @@ def test_missing_and_extra_arguments_raise_type_error():
     (lambda: PopaPoint(P1, math.inf), DomainError, "point must be finite, got inf"),
     (lambda: PopaPoint(P1, -1.0), DomainError, r"point -1\.0 violates 1 \+ 1\.0\*t > 0"),
     (lambda: PopaPoint(PopaParam(math.inf), 0.0), DomainError, r"point 0\.0 outside \(0, inf\)"),
-    (lambda: QuadratureSpec(abs_tol=math.inf), ValueError, "abs_tol must be finite, got inf"),
+    (lambda: QuadratureSpec(abs_tol=math.inf), DomainError, "^abs_tol must be positive and finite, got inf$"),
     (lambda: QuadratureSpec(rel_tol=math.nan), ValueError, "rel_tol must be finite, got nan"),
-    (lambda: QuadratureSpec(abs_tol=0.0), ValueError, "tolerances must be positive"),
-    (lambda: QuadratureSpec(rel_tol=-1.0), ValueError, "tolerances must be positive"),
+    (lambda: QuadratureSpec(rel_tol=math.inf), DomainError, "^rel_tol must be finite, got inf$"),
+    (lambda: QuadratureSpec(abs_tol=0.0), DomainError, r"^abs_tol must be positive and finite, got 0\.0$"),
+    (lambda: QuadratureSpec(rel_tol=-1.0), DomainError, r"^rel_tol must be >= 0, got -1\.0$"),
     (lambda: QuadratureSpec(max_subdivisions=0), ValueError, "max_subdivisions must be >= 1"),
     (lambda: QuadratureSpec(truncation=0.0), ValueError, "truncation must be positive with a finite span"),
     (lambda: QuadratureSpec(truncation=1e308), ValueError, "truncation must be positive with a finite span"),
@@ -167,6 +175,11 @@ def test_missing_and_extra_arguments_raise_type_error():
      "^too many splits in max_subdivisions: 3276801, more than 3276800, the budget of one call$"),
     *[(lambda make=make, v=v: make(v), ValueError, rf"^{name} must be an integer, got {re.escape(repr(v))}$")
       for name, make in COUNTS for v in (2.5, math.nan, math.inf, -math.inf, 4000.0, "4", None)],
+    # goldie_sum's count of terms is read by the same rule
+    *[(lambda v=v: goldie_sum(1.0, lambda t: 1.0, P1, 0.1, v), ValueError,
+       rf"^i must be an integer, got {re.escape(repr(v))}$") for v in (2.7, "3", None)],
+    *[(lambda make=make, v=v: make(v), DomainError, rf"^{name} must be finite, got {v!r}$")
+      for name, make in FINITE for v in (math.nan, -math.inf)],
 ])
 def test_validation_messages(make, exc, match):
     with pytest.raises(exc, match=match):

@@ -142,6 +142,15 @@ class TestAdditivelyBounded:
         assert report.worst_pair == (2.0, 2.0)
         assert report.worst_violation == pytest.approx(0.1 * math.log(3.0), rel=1e-12)
 
+    @pytest.mark.parametrize("sigma,bad", [(ZERO, math.inf), (ZERO, math.nan), (P1, -2.0), (P1, math.inf),
+                                           (INFINITY, 0.0), (INFINITY, -1.0), (INFINITY, math.nan)])
+    def test_a_value_outside_the_codomain_carrier_is_refused(self, sigma, bad):
+        # S is read through the codomain rule, as subadditivity_check reads it, before any excess is taken
+        kp = KernelParams(P1, sigma, 1.0)
+        S = lambda t: bad if t == 7.0 else kernel_eval(kp, t)
+        with pytest.raises(DomainError, match=rf"^S\(7\.0\) = {bad!r} is outside the codomain carrier$"):
+            additively_bounded_check(S, kp, [2.0, 7.0, 0.5])
+
 
 class TestHeibergSenetaProbe:
     def test_default_sequence_is_dyadic(self):
@@ -273,8 +282,10 @@ class TestFloatOnlyDriver:
         for seed in range(3):
             S, r, s, grid = _seeded_case(rho, sigma, spacing, violates, seed)
             want = _all_pairs_report(S, r, s, grid)
-            assert _bits(subadditivity_check(S, r, s, grid)) == _bits(want)
+            report = subadditivity_check(S, r, s, grid)
+            assert _bits(report) == _bits(want)
             assert want.pairs_checked > 0
+            assert report.pairs_checked + report.pairs_skipped == grid.n * grid.n
 
     @pytest.mark.parametrize("rho,sigma", CORNER_PAIRS)
     def test_S_is_called_once_per_point_and_unordered_pair(self, rho, sigma):
