@@ -22,8 +22,8 @@ import math
 import warnings
 from typing import Callable
 
-from regvar.popa import (DomainError, PopaParam, PopaPoint, _Record, _chart, _finite, _haar_length, _positive, _span,
-                         iso_log)
+from regvar.popa import (DomainError, PopaParam, PopaPoint, _Record, _chart, _density, _finite, _haar_length, _positive,
+                         _span, iso_log)
 from regvar.quadrature import QuadratureResult, QuadratureSpec, QuadratureWarning, _cc_integral, adaptive_integral
 
 __all__ = [
@@ -73,11 +73,15 @@ def haar_integrate(
 ) -> float:
     """Integral of f over the interval against the invariant measure: of ``c*f(t(v))`` dv over the interval's span
     in the chart, off the t-line its translate to the identity (``regvar.popa._span``)."""
-    lo, hi, g, _ = _span(iv.param, iv.lo, iv.hi, f, _chart(iv.param, abs(iv.lo), abs(iv.hi)))
-    what = lambda: f"haar_integrate over ({iv.lo}, {iv.hi})"
+    lo, hi, g, c = _span(iv.param, iv.lo, iv.hi, f)
+    _density(iv.param, c)
     if not math.isfinite(hi - lo):
-        raise DomainError(f"{what()}: the interval's span in popa's chart, {hi - lo}, is not finite")
-    return float(_value(_cc_integral(g, lo, hi, spec), what).real)
+        raise DomainError(f"haar_integrate over ({iv.lo}, {iv.hi}): the interval's span in popa's chart, {hi - lo}, "
+                          "is not finite")
+    res = _cc_integral(g, lo, hi, spec)
+    if not (res.converged and cmath.isfinite(res.value)):  # the call is named only in a refusal or a warning
+        _value(res, lambda: f"haar_integrate over ({iv.lo}, {iv.hi})")
+    return float(res.value.real)
 
 
 def character_eval(param: PopaParam, gamma: float, u: float) -> complex:

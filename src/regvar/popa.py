@@ -89,8 +89,9 @@ def _positive(name: str, v: float) -> float:
     return v
 
 
-def _count(name: str, value: int, least: int, what: str = "") -> int:
-    """``value`` read by operator.index, at least ``least`` and, where ``what`` names what it counts, in budget."""
+def _count(name: str, value: int, least: float, what: str = "") -> int:
+    """``value`` read by operator.index, at least ``least`` (-inf for any integer) and, where ``what`` names what it
+    counts, in budget."""
     try:
         n = operator.index(value)
     except TypeError:
@@ -304,10 +305,11 @@ def inverse(x: PopaPoint) -> PopaPoint:
 def power(param: PopaParam, delta: float, n: int) -> float:
     """n-fold o-iterate of delta: ((1+rho*delta)^n - 1)/rho for finite rho.
 
-    Negative n is the iterate of the inverse element.  For any int n, an iterate past the float range is +inf above
-    it and the carrier's lower end below it: -inf at rho = 0, the pole -1/rho at a finite rho, 0.0 at rho = inf.
+    Negative n is the iterate of the inverse element.  n is read by :func:`_count`: a float, 2.0 included, is a
+    ValueError.  For any int n, an iterate past the float range is +inf above it and the carrier's lower end below
+    it: -inf at rho = 0, the pole -1/rho at a finite rho, 0.0 at rho = inf.
     """
-    return param._row.power(_check_value(param, delta), int(n))
+    return param._row.power(_check_value(param, delta), _count("n", n, -math.inf))
 
 
 def _power_blocks(param: PopaParam, delta: float, ns: Sequence[int]) -> Iterator[list[float]]:
@@ -338,12 +340,17 @@ def _coordinate(param: PopaParam, scale: float) -> tuple:
     return (_t, 1.0, 1.0 + param.rho) if param.rho * scale < _TINY else param._row.chart
 
 
+def _density(param: PopaParam, c: float) -> None:
+    """Refuse a chart's density c that is not finite: (1+rho)/rho overflows at a subnormal rho."""
+    if c == math.inf:
+        raise DomainError(f"rho={param.rho!r} is too small for the coordinate log(1+rho*t)")
+
+
 def _chart(param: PopaParam, *scales: float, T: float = 0.0) -> tuple:
     """(E, d, c) of the group's chart, the t-line where rho*s < _TINY for T and every scale s.  Off it c must
     be finite, and so must E(T) when w ranges over [-T, T] (T = 0 where it does not)."""
     E, d, c = _coordinate(param, max((T, *scales)))
-    if math.isinf(c):
-        raise DomainError(f"rho={param.rho!r} is too small for the coordinate log(1+rho*t)")
+    _density(param, c)
     if T > _LOG_DBL_MAX and E is not _t:
         raise DomainError(f"truncation={T!r} overflows {E.__name__}(truncation) at rho={param}: "
                           f"it must be at most log(DBL_MAX) = {_LOG_DBL_MAX!r}")

@@ -13,8 +13,11 @@ where less, resasc the integral of |p - mean|, floored at 50 eps times that of
 |p|.  C17 - C9 sums the weighted misses of the 9-point interpolant at four
 mirror pairs of odd nodes; d sums their moduli, which cannot cancel.  There
 are min(24, ceil(span / (T/12))) initial panels, T = ``spec.truncation``; a
-split reuses the end values, so a child costs 15 evaluations.  The first grid
-is one loop through the breakpoints, none included (``_refine``).
+split reuses the end values, so a child costs 15 evaluations.  ``_cc_integral``
+decides a span of one panel itself: it makes the lone cell from the ends and
+returns it where it meets its tolerance, else hands it to ``_refine`` as the
+first cells.  ``_refine`` builds every other first grid in one loop through the
+breakpoints, none included.
 
 Ties in the refinement queue are broken by cell position.  The value and the
 bound are ``math.fsum`` of the cells in position order, which is correctly
@@ -22,10 +25,10 @@ rounded; every other sum adds left to right from 0.0, as the built-in ``sum``
 did before Python 3.12, so results are bit-identical on every supported Python.
 For speed a cell is a tuple (a, b, fa, fm, fb, value, err), Simpson's with its
 quarter points appended; the Clenshaw-Curtis constants are bound once per
-process, on first use; a one-panel integral builds no grid, and a lone cell
-within tolerance returns at once; the sums of the cell kernel and the Filon
-weights' column sums are written out term by term, in the order of the loops
-they replace.  The loop form, which they reproduce bit for bit, is the
+process, on first use; a one-panel integral builds no grid, and where its
+cell is the result no refinement is set up; the sums of the cell kernel and the
+Filon weights' column sums are written out term by term, in the order of the
+loops they replace.  The loop form, which they reproduce bit for bit, is the
 reference in tests/test_quadrature.py.
 Non-convergence is not fatal: the best estimate is returned together with
 ``converged=False`` and a conservative error bound.
@@ -103,7 +106,7 @@ def adaptive_integral(fn: Callable[[float], complex], lo: float, hi: float, spec
         return a, b, fa, fm, fb, s2 + (s2 - s1) / 15.0, err, fq1, fq3
 
     return _refine(fn, lo, hi, spec, breakpoints, 64, lambda a, b, fa, fb: cell(a, b, fa, fn(0.5 * a + 0.5 * b), fb),
-                   lambda c, m: (cell(c[0], m, c[2], c[7], c[3]), cell(m, c[1], c[3], c[8], c[4])), 3, 4)
+                   lambda c, m: (cell(c[0], m, c[2], c[7], c[3]), cell(m, c[1], c[3], c[8], c[4])), 3, 4, None)
 
 
 def _inverse(matrix: list) -> list:
@@ -182,19 +185,34 @@ def _cc_weights(theta: complex) -> list:
 
 
 def _cc_integral(fn, lo: float, hi: float, spec: QuadratureSpec = QuadratureSpec(), z: complex = 0.0):
-    """Integrate ``fn(w) * exp(-z*w)`` over [lo, hi] with Clenshaw-Curtis 17/9 cells."""
-    return _cc_engine()(fn, lo, hi, spec, z)
+    """Integrate ``fn(w) * exp(-z*w)`` over [lo, hi] with Clenshaw-Curtis 17/9 cells; a span of one panel, at most
+    T/12, is decided here."""
+    make = _cc_engine()(fn, lo, hi, spec, z)
+    step = spec.truncation / 12.0  # 0 for a T of a few subnormals, whose spans get the 24 panels of any wide span
+    if lo < hi and step and (hi - lo) / step <= 1.0:  # one panel, so lo and hi are finite
+        cell = make(lo, hi, fn(lo), fn(hi))
+        value, err = cell[5], cell[6]
+        if err <= max(spec.abs_tol, spec.rel_tol * abs(value)):
+            # the cell's 17 evaluations; x + 0.0 is math.fsum([x]) for every float, -0.0, inf and nan included
+            re, im = value.real + 0.0, value.imag + 0.0
+            return QuadratureResult(complex(re, im) if im != 0.0 else re, err + 0.0, True, 17)
+        cells, panels = [cell], 1
+    else:  # where lo >= hi _refine raises
+        cells, panels = None, math.ceil(min(24.0, (hi - lo) / step)) if lo < hi and step else 24
+    split = lambda c, m: (make(c[0], m, c[2], c[3]), make(m, c[1], c[3], c[4]))
+    return _refine(fn, lo, hi, spec, (), panels, make, split, 15, 30, cells)
 
 
 @cache
 def _cc_engine():
-    """:func:`_cc_integral`, the rule's nodes, plain weights and interpolant table bound once per process."""
+    """The cell maker of :func:`_cc_integral`, the rule's nodes, plain weights and interpolant table bound once per
+    process: ``_cc_engine()(fn, lo, hi, spec, z)`` is ``make(a, b, fa, fb)``, which makes the cells of one integral."""
     nodes, _, interp, (plain, plain_pairs) = _cc_tables()
     s1, s2, s3, s4, s5, s6, s7, s8, s9, s10, s11, s12, s13, s14, s15 = nodes[1:16]
     w0, w1, w2, w3, w4, w5, w6, w7, w8, w9, w10, w11, w12, w13, w14, w15, w16 = plain
 
-    def integral(fn, lo, hi, spec, z):
-        rules = {}  # the rule of the cells of half-width r, at theta = z*r
+    def cells(fn, lo, hi, spec, z):
+        rules = {} if z else None  # the rule of the cells of half-width r, at theta = z*r
         def make(a, b, fa, fb):
             c, r = 0.5 * a + 0.5 * b, 0.5 * (b - a)  # a + b may overflow
             p = [fb, fn(c + r * s1), fn(c + r * s2), fn(c + r * s3), fn(c + r * s4), fn(c + r * s5), fn(c + r * s6),
@@ -245,41 +263,34 @@ def _cc_engine():
             if r < 2.0**-1022:  # a subnormal r (0 included) may be off by an ulp, an underflowing value too: bound both
                 err += (_dot17(plain, map(abs, p)) * math.exp(-z.real * c) + 1.0) * 2.0**-1074
             return a, b, fa, p8, fb, value, err
+        return make
 
-        step = spec.truncation / 12.0  # 0 for a T of a few subnormals, whose spans get the 24 panels of any wide span
-        panels = math.ceil(min(24.0, (hi - lo) / step)) if lo < hi and step else 24  # where lo >= hi _refine raises
-        split = lambda c, m: (make(c[0], m, c[2], c[3]), make(m, c[1], c[3], c[4]))
-        return _refine(fn, lo, hi, spec, (), panels, make, split, 15, 30)
-
-    return integral
+    return cells
 
 
-def _refine(fn, lo, hi, spec, breakpoints, min_cells, first, split, first_cost, split_cost) -> QuadratureResult:
-    """The adaptive loop from a grid of at least ``min_cells`` cells, whose cells ``first(a, b, fa, fb)`` makes;
-    ``split(cell, midpoint)`` halves a cell.  The grid is one loop through the breakpoints, none included: node k of
-    a segment [left, left + w] of n cells is left + w*k/n, or the overflow-safe left + w/n*k where w*k overflows.
-    A first cell evaluates ``fn`` ``first_cost`` times besides at its ends, a split ``split_cost`` times."""
+def _refine(fn, lo, hi, spec, breakpoints, min_cells, first, split, first_cost, split_cost,
+            cells) -> QuadratureResult:
+    """The adaptive loop from the first ``cells``, made by ``first(a, b, fa, fb)``, or where ``cells`` is None from a
+    grid of at least ``min_cells`` cells; ``split(cell, midpoint)`` halves a cell.  The grid is one loop through the
+    breakpoints, none included: node k of a segment [left, left + w] of n cells is left + w*k/n, or the
+    overflow-safe left + w/n*k where w*k overflows.  A first cell evaluates ``fn`` ``first_cost`` times besides at
+    its ends, a split ``split_cost`` times.  A lone first cell is the one panel of :func:`_cc_integral`, which
+    returns it where it meets its tolerance and otherwise passes it here."""
     span, inf = hi - lo, math.inf
     if not (lo < hi and span < inf):  # so lo and hi are finite too
         raise ValueError(f"bad integration interval [{lo}, {hi}]")
-    if min_cells <= 1 and not breakpoints:  # one panel: its cell from the ends, no grid lists
-        cells = [first(lo, hi, fn(lo), fn(hi))]
-    else:
+    if cells is None:
         edges = sorted({lo, hi, *(float(p) for p in breakpoints if lo < p < hi)})
         grid = [lo]
         for left, right in zip(edges[:-1], edges[1:]):
             w = right - left
-            n = max(1, math.ceil(w / span * max(1, min_cells)))
+            n = max(1, math.ceil(w / span * min_cells))
             grid += [left + (w * k / n if w * k < inf else w / n * k) for k in range(1, n + 1)]
         grid[-1] = hi
         fvals = list(map(fn, grid))
         cells = list(map(first, grid, grid[1:], fvals, fvals[1:]))
     abs_tol, rel_tol = spec.abs_tol, spec.rel_tol
     evaluations = 1 + (1 + first_cost) * len(cells)  # the grid and the first cells; split_cost a split
-    if len(cells) == 1 and (cell := cells[0])[6] <= max(abs_tol, rel_tol * abs(cell[5])):
-        # a lone cell within tolerance is done; x + 0.0 is math.fsum([x]) for every float, -0.0, inf and nan included
-        re, im = cell[5].real + 0.0, cell[5].imag + 0.0
-        return QuadratureResult(complex(re, im) if im != 0.0 else re, cell[6] + 0.0, True, evaluations)
     # running totals steer refinement; exact sums confirm the stop and make the result
     run_value, run_err = reduce(add, [c[5] for c in cells], 0.0), reduce(add, [c[6] for c in cells], 0.0)
     splits = 0

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 from regvar import popa
 from regvar.kernels import KernelParams, kernel_eval
-from regvar.popa import DomainError, PopaParam, PopaPoint, _Record, circle, inverse
+from regvar.popa import DomainError, PopaParam, _Record
 
 __all__ = [
     "GridSpec",
@@ -202,6 +202,17 @@ def heiberg_seneta_probe(
     return estimate, estimate <= tol
 
 
+def _codomain_values(S: Callable[[float], float], sigma: PopaParam, xs: list[float]) -> list:
+    """S over xs, every value in sigma's carrier: a finite sum has finite values, and the least of them decides
+    membership; only where that gate fails is each value read through the codomain rule, to name the first failing
+    probe."""
+    values = list(map(S, xs))
+    if values and not (math.isfinite(sum(values)) and popa._is_member(sigma, min(values))):
+        for x, v in zip(xs, values):
+            _codomain_value(sigma, x, v)
+    return values
+
+
 def sandwich_bound_check(
     S: Callable[[float], float],
     rho: PopaParam,
@@ -219,18 +230,20 @@ def sandwich_bound_check(
 
     must hold (group operations of the codomain on the outside).  If the
     premise already fails on the probe points the check passes vacuously,
-    with a warning.  At most 3276800 probes are allowed.
+    with a warning.  At most 3276800 probes are allowed.  S sees every probe
+    of a ball before the premise or the bound is tested, and each value must
+    lie in sigma's carrier: else the DomainError names the first probe whose
+    value does not.
     """
     probes = popa._count("probes", probes, 2, "probes")
     popa._positive("delta", delta)
-    pa = PopaPoint(rho, a)
-    pb = PopaPoint(rho, b)
-    popa._positive("b", pb.value)
-    Mpt = PopaPoint(sigma, M)
+    pa, pb = popa._check_value(rho, a), popa._check_value(rho, b)
+    popa._positive("b", pb)
+    pM = popa._check_value(sigma, M)
 
     offsets = _linspace(-delta, delta, probes + 2)[1:-1]
     eps = 1e-12 * (1.0 + abs(M))
-    if any(S(pa.value + o) > M + eps for o in offsets):
+    if any(v > M + eps for v in _codomain_values(S, sigma, [pa + o for o in offsets])):
         warnings.warn(
             f"premise S <= {M} fails on B_{delta}({a}); sandwich passes vacuously",
             VacuousPremiseWarning,
@@ -238,11 +251,13 @@ def sandwich_bound_check(
         )
         return True
 
-    ba = circle(pb, pa).value
-    s_ba = PopaPoint(sigma, _codomain_value(sigma, ba, S(ba)))
-    bainv = circle(pb, inverse(pa)).value
-    s_bainv = PopaPoint(sigma, _codomain_value(sigma, bainv, S(bainv)))
-    lower = circle(s_ba, inverse(Mpt)).value
-    upper = circle(s_bainv, Mpt).value
+    check = popa._check_value  # each result of the group operations is a member, as a PopaPoint would check
+    ba = check(rho, rho._row.op(pb, pa))
+    s_ba = _codomain_value(sigma, ba, S(ba))
+    bainv = check(rho, rho._row.op(pb, check(rho, rho._row.inverse(pa))))
+    s_bainv = _codomain_value(sigma, bainv, S(bainv))
+    lower = check(sigma, sigma._row.op(s_ba, check(sigma, sigma._row.inverse(pM))))
+    upper = check(sigma, sigma._row.op(s_bainv, pM))
     slack = 1e-12 * (1.0 + abs(lower) + abs(upper))
-    return not any(v < lower - slack or v > upper + slack for v in (S(pb.value + o) for o in offsets))
+    return not any(v < lower - slack or v > upper + slack
+                   for v in _codomain_values(S, sigma, [pb + o for o in offsets]))

@@ -618,6 +618,12 @@ class TestSubaddCommand:
         assert run_cli(capsys, "subadd", "check", "--s", "inv", "--sigma", "1", "--lo", "5e-324", "--hi", "1",
                        "--n", "3") == want
 
+    def test_sandwich_reads_every_probe_through_the_codomain_rule(self, capsys):
+        # square(0.0) = 0.0 lies outside (0, inf); the probe read as below the lower bound, holds=false
+        assert run_cli(capsys, "subadd", "sandwich", "--s", "square", "--rho", "0", "--sigma", "inf", "--a", "0",
+                       "--b", "4", "--delta", "0.5", "--m", "1") == (
+            2, "", "error: S(0.0) = 0.0 is outside the codomain carrier\n")
+
     def test_hs_probe_entropy(self, capsys):
         code, out, _ = run_cli(capsys, "subadd", "hs-probe", "--s", "entropy", "--tol", "1e-4")
         assert code == 0

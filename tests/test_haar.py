@@ -215,6 +215,16 @@ class TestHaarIntegrate:
         assert haar_integrate(lambda t: 1.0, iv, SPEC) == pytest.approx(m, rel=1e-15, abs=0.0)
         assert haar_integrate(lambda t: t, iv, SPEC) == pytest.approx(lo * m, rel=1e-15, abs=0.0)
 
+    @pytest.mark.parametrize("param,lo,hi", [(ZERO, 0.1, 0.6), (P1, 0.2, 0.7), (INFINITY, 1.1, 1.6)], ids=str)
+    @pytest.mark.parametrize("name", ["gauss", "kink"])
+    def test_one_panel_calls_f_evaluations_times(self, param, lo, hi, name, cc_results):
+        # one chart panel, its lone cell within its tolerance (gauss) or refined from (kink): f is called once a node
+        f = {"gauss": lambda t: math.exp(-0.5 * t * t), "kink": lambda t: abs(t - lo - 0.37)}[name]
+        calls = []
+        haar_integrate(lambda t: calls.append(t) or f(t), Interval(param, lo, hi), SPEC)
+        (res,) = cc_results
+        assert len(calls) == res.evaluations and (res.evaluations == 17) is (name == "gauss")
+
     def test_a_gaussian_over_a_span_of_1e308_is_not_missed_silently(self):
         with pytest.warns(QuadratureWarning, match=r"haar_integrate over \(-5e\+307, 5e\+307\) did not converge"):
             haar_integrate(lambda t: math.exp(-0.5 * t * t), Interval(ZERO, -5e307, 5e307), SPEC)
@@ -812,6 +822,9 @@ class TestChart:
         for rho, scale in ((1e-320, 1e305), (1e-310, math.inf), (5e-324, math.inf)):
             with pytest.raises(DomainError, match=rf"rho={rho!r} is too small for the coordinate log\(1\+rho\*t\)"):
                 haar._chart(PopaParam(rho), scale)
+        # haar_integrate reads the density off the interval's span, and refuses it before any quadrature
+        with pytest.raises(DomainError, match=r"^rho=1e-320 is too small for the coordinate log\(1\+rho\*t\)$"):
+            haar_integrate(lambda t: pytest.fail("f is not called"), Interval(PopaParam(1e-320), 0.0, 1e305))
 
     @pytest.mark.parametrize("param", [P1, PopaParam(1e-9), INFINITY], ids=str)
     @pytest.mark.parametrize("call", [

@@ -19,7 +19,7 @@ from scipy import integrate
 import regvar.quadrature as quadrature
 from regvar.asymptotics import SampledFunction
 from regvar.popa import DomainError
-from regvar.quadrature import (QuadratureResult, QuadratureSpec, _cc_integral, _cc_tables, _cc_weights, _dot17, _refine,
+from regvar.quadrature import (QuadratureResult, QuadratureSpec, _cc_integral, _cc_tables, _cc_weights, _dot17,
                                adaptive_integral)
 
 SPEC = QuadratureSpec()
@@ -729,11 +729,25 @@ class TestBitForBitAgainstTheReference:
             assert _cc_integral(lambda w: 1.0, 0.0, step, spec).evaluations == 17
             assert _cc_integral(lambda w: 1.0, 0.0, math.nextafter(step, math.inf), spec).evaluations == 33
 
+    @pytest.mark.parametrize("z", [0.0, 1j, -0.7 + 40j])
+    @pytest.mark.parametrize("name, fn", [("gauss", EDGE_INTEGRANDS["gauss"]), ("kink", EDGE_INTEGRANDS["kink"]),
+                                          ("jump", EDGE_INTEGRANDS["jump"]), ("nan", EDGE_INTEGRANDS["nan"])])
+    def test_one_panel_calls_the_integrand_evaluations_times(self, name, fn, z):
+        # within its tolerance the lone cell is the result; beyond it the refinement starts from that cell, which is
+        # not made again
+        args = []
+        count = lambda w: args.append(w) or fn(w)
+        res = _cc_integral(count, 0.0, 1.0, SPEC, z)
+        assert res.evaluations == len(args) == _ref_cc_integral(fn, 0.0, 1.0, SPEC, z).evaluations
+        assert (res.evaluations == 17) is (name == "gauss")
+        assert args[:2] == [0.0, 1.0] and len(set(args)) == len(args)  # the ends first, and no node twice
+
     @pytest.mark.parametrize("value", [-0.0, complex(-0.0, -0.0), complex(-0.0, 1.0), complex(1.0, -0.0), -5e-324,
                                        math.inf, -math.inf, math.nan, complex(math.nan, -0.0)])
     @pytest.mark.parametrize("err", [0.0, -0.0, 5e-324, 1e-9])
-    def test_a_lone_cell_within_its_tolerance(self, value, err):
-        # the engine's cell is the tuple (a, b, fa, fm, fb, value, err), the reference's a record
+    def test_a_lone_cell_within_its_tolerance(self, value, err, monkeypatch):
+        # the engine's cell maker replaced by one that makes the given cell on the one panel of [-0.4, 0.6]; the
+        # engine's cell is the tuple (a, b, fa, fm, fb, value, err), the reference's a record
         nev = [0]
 
         def ref_first(a, b, fa, fb):
@@ -741,8 +755,10 @@ class TestBitForBitAgainstTheReference:
             return _RefCell(a, b, fa, 0.0, fb, value, err)
 
         no_split = lambda c, m: pytest.fail("a lone cell within its tolerance is not split")
-        got = _bits(_refine, math.sin, -0.4, 0.6, SPEC, (), 1, lambda a, b, fa, fb: (a, b, fa, 0.0, fb, value, err),
-                    no_split, 15, 30)
+        monkeypatch.setattr(quadrature, "_cc_engine", lambda: lambda fn, lo, hi, spec, z:
+                            lambda a, b, fa, fb: (a, b, fa, 0.0, fb, value, err))
+        monkeypatch.setattr(quadrature, "_refine", lambda *a: pytest.fail("a lone cell within its tolerance is done"))
+        got = _bits(_cc_integral, math.sin, -0.4, 0.6, SPEC)
         assert got == _bits(_ref_refine, math.sin, -0.4, 0.6, SPEC, (), 1, ref_first, no_split, nev)
 
     @pytest.mark.parametrize("z", FREQUENCIES)
@@ -774,13 +790,15 @@ class TestBitForBitAgainstTheReference:
 
     @pytest.mark.parametrize("z", [0.0, 1j, 0.3 + 2j, -0.7 + 40j])
     def test_cells_on_random_profiles(self, z, monkeypatch):
-        # each kernel's cell maker, taken from its call into the refinement loop, fed the same node values
+        # each kernel's cell maker, taken from its call into the refinement loop on a span of two panels, fed the
+        # same node values
         makers, values = [], [iter(())]
         monkeypatch.setattr(quadrature, "_refine", lambda fn, lo, hi, spec, bps, n, first, *_: makers.append(first))
         monkeypatch.setattr(sys.modules[__name__], "_ref_refine", lambda fn, lo, hi, spec, bps, n, first, *_:
                             makers.append(first))
         for integral in (_cc_integral, _ref_cc_integral):
-            integral(lambda w: next(values[0]), 0.0, 1.0, SPEC, z)
+            integral(lambda w: next(values[0]), 0.0, 5.0, SPEC, z)
+        assert len(makers) == 2
         rng = random.Random(f"cells-{z}")
         for i in range(2000):
             r = rng.choice((0.5, 1e-3, 3.0, 1e-310))  # the last a subnormal half-width

@@ -11,7 +11,7 @@ import pytest
 from regvar.asymptotics import EstimationResult, LimitScheme, goldie_sum
 from regvar.haar import Interval, beurling_convolution
 from regvar.kernels import GoldieAux, KernelParams
-from regvar.popa import DomainError, PopaParam, PopaPoint
+from regvar.popa import DomainError, PopaParam, PopaPoint, power
 from regvar.quadrature import QuadratureResult, QuadratureSpec
 from regvar.subadd import GridSpec, SubaddReport, sandwich_bound_check
 
@@ -180,6 +180,9 @@ def test_missing_and_extra_arguments_raise_type_error():
        rf"^i must be an integer, got {re.escape(repr(v))}$") for v in (2.7, "3", None)],
     *[(lambda make=make, v=v: make(v), DomainError, rf"^{name} must be finite, got {v!r}$")
       for name, make in FINITE for v in (math.nan, -math.inf)],
+    # so is power's n, which may be negative
+    *[(lambda v=v: power(P1, 2.0, v), ValueError, rf"^n must be an integer, got {re.escape(repr(v))}$")
+      for v in (2.7, math.nan, "3", None)],
 ])
 def test_validation_messages(make, exc, match):
     with pytest.raises(exc, match=match):

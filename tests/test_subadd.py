@@ -2,13 +2,14 @@ from __future__ import annotations
 
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
 
 from regvar import popa, subadd
 from regvar.kernels import GoldieAux, KernelParams, goldie_integral, kernel_eval
-from regvar.popa import INFINITY, ZERO, DomainError, PopaParam, PopaPoint, circle, iso_exp, iso_log
+from regvar.popa import INFINITY, ZERO, DomainError, PopaParam, PopaPoint, circle, inverse, iso_exp, iso_log
 from regvar.subadd import (
     GridSpec,
     SubaddReport,
@@ -223,6 +224,85 @@ class TestSandwichBound:
         assert seen == calls == []
         assert sandwich_bound_check(S, ZERO, ZERO, a=1.0, b=4.0, delta=0.5, M=2.0, probes=cap) is True
         assert seen == [cap + 2] and calls == [5.0, 3.0]  # the stub's ball has no probes: S sees b o a, b o inv(a)
+
+
+    @pytest.mark.parametrize("ball, first", [("premise", 0.7058823529411764), ("bound", 3.7058823529411766)])
+    def test_a_nan_probe_is_outside_the_codomain_carrier(self, ball, first):
+        # nan compares false with M and with both bounds, so it passed every test of its ball
+        centre = 1.0 if ball == "premise" else 4.0
+        S = lambda u: math.nan if abs(u - centre) < 0.3 else math.sqrt(u)
+        with pytest.raises(DomainError, match=rf"^S\({first!r}\) = nan is outside the codomain carrier$"):
+            sandwich_bound_check(S, ZERO, ZERO, a=1.0, b=4.0, delta=0.5, M=1.3)
+
+    @pytest.mark.parametrize("ball, first", [("premise", -0.08823529411764705), ("bound", 1.911764705882353)])
+    def test_a_zero_probe_at_sigma_inf_is_outside_the_codomain_carrier(self, ball, first):
+        # 0.0 lies outside (0, inf): below the lower bound it read as a failed sandwich, in the premise as a pass;
+        # S(b o a) = S(b o inv(a)) = S(2.0) is a member
+        centre = 0.0 if ball == "premise" else 2.0
+        S = lambda u: 0.0 if 0.05 < abs(u - centre) < 0.1 else math.exp(u)
+        with pytest.raises(DomainError, match=rf"^S\({first!r}\) = 0\.0 is outside the codomain carrier$"):
+            sandwich_bound_check(S, ZERO, INFINITY, a=0.0, b=2.0, delta=0.25, M=math.exp(0.25))
+
+    def test_S_sees_every_premise_probe_of_a_vacuous_premise(self):
+        calls = []
+        S = lambda u: calls.append(u) or u * u
+        with pytest.warns(VacuousPremiseWarning):
+            assert sandwich_bound_check(S, ZERO, ZERO, a=1.0, b=4.0, delta=0.5, M=1.0) is True
+        assert calls == [1.0 + o for o in subadd._linspace(-0.5, 0.5, 35)[1:-1]]
+
+    @pytest.mark.parametrize("rho", [0.0, 1.0, math.inf])
+    @pytest.mark.parametrize("sigma", [0.0, 0.5, math.inf])
+    def test_same_outcome_as_the_point_records(self, rho, sigma):
+        # against the check on PopaPoint records and circle/inverse, where every probe value is a member: the result,
+        # the warning or the refusal text, on valid and invalid a, b and M
+        r, g = PopaParam(rho), PopaParam(sigma)
+        families = [lambda u: abs(u) ** 0.5 + 1.0, lambda u: u * u + 0.5, lambda u: math.exp(min(u, 700.0)),
+                    lambda u: 2.0]
+        rng = random.Random(f"sandwich-{rho}-{sigma}")
+        ends = [0.5, 1.0, 3.0, 0.0, -0.5, -1.0, -2.0, 1e308, math.inf, math.nan]
+        compared = 0
+        for _ in range(300):
+            S, a, b, M = rng.choice(families), rng.choice(ends), rng.choice(ends), rng.choice(ends + [2.0, 50.0])
+            delta = rng.choice([0.1, 0.25])
+            offsets = subadd._linspace(-delta, delta, 35)[1:-1]
+            if not all(popa._is_member(g, S(c + o)) for c in (a, b) if math.isfinite(c) for o in offsets):
+                continue
+            compared += 1
+            assert _sandwich_outcome(sandwich_bound_check, S, r, g, a, b, delta, M) == \
+                _sandwich_outcome(_sandwich_by_records, S, r, g, a, b, delta, M), (S, a, b, M, delta)
+        assert compared >= 150
+
+
+def _sandwich_by_records(S, rho, sigma, a, b, delta, M, probes=33):
+    """sandwich_bound_check on PopaPoint records, as it was before its probe values were read through the
+    codomain rule, kept as the reference where every probe value is a member."""
+    probes = popa._count("probes", probes, 2, "probes")
+    popa._positive("delta", delta)
+    pa, pb = PopaPoint(rho, a), PopaPoint(rho, b)
+    popa._positive("b", pb.value)
+    Mpt = PopaPoint(sigma, M)
+    offsets = subadd._linspace(-delta, delta, probes + 2)[1:-1]
+    eps = 1e-12 * (1.0 + abs(M))
+    if any(S(pa.value + o) > M + eps for o in offsets):
+        warnings.warn(f"premise S <= {M} fails on B_{delta}({a}); sandwich passes vacuously", VacuousPremiseWarning)
+        return True
+    ba = circle(pb, pa).value
+    s_ba = PopaPoint(sigma, subadd._codomain_value(sigma, ba, S(ba)))
+    bainv = circle(pb, inverse(pa)).value
+    s_bainv = PopaPoint(sigma, subadd._codomain_value(sigma, bainv, S(bainv)))
+    lower, upper = circle(s_ba, inverse(Mpt)).value, circle(s_bainv, Mpt).value
+    slack = 1e-12 * (1.0 + abs(lower) + abs(upper))
+    return not any(v < lower - slack or v > upper + slack for v in (S(pb.value + o) for o in offsets))
+
+
+def _sandwich_outcome(check, *args):
+    """The result and the warning texts of a sandwich check, or the type and text of its refusal."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            return check(*args), [str(w.message) for w in caught]
+        except (ArithmeticError, ValueError) as exc:
+            return type(exc).__name__, str(exc)
 
 
 def _all_pairs_report(S, rho, sigma, grid, tol=1e-10):
