@@ -165,7 +165,8 @@ def beurling_convolution(
     """Convolution along the auxiliary flow: integral of F(-t) H(x + t*phi(x)) dt.
 
     H is only evaluated where F(-t) is non-zero, so H may be defined just on
-    the reachable window.
+    the reachable window.  A quadrature cell where F vanishes at every node
+    costs only F's evaluations: its gauge is 0 without being computed.
     """
     px = _positive("phi(x)", phi(_finite("x", x)))
     T = spec.truncation

@@ -11,7 +11,11 @@ Graham & Smyshlyaev 2011), so the cells follow ``p``, not the frequency.  The
 gauge is d, or QUADPACK's resasc * (200*d/resasc)**1.5 (Piessens et al. 1983)
 where less, resasc the integral of |p - mean|, floored at 50 eps times that of
 |p|.  C17 - C9 sums the weighted misses of the 9-point interpolant at four
-mirror pairs of odd nodes; d sums their moduli, which cannot cancel.  There
+mirror pairs of odd nodes; d sums their moduli, which cannot cancel.  A cell
+whose 17 samples are all zero, of half-width r >= 2**-1022, is returned with
+the gauge 0.0 before the misses are taken: there d, resasc and the floor are
+exactly 0, so the bits are the full gauge's (a subnormal r keeps its underflow
+term, and an overflowing exp(-z*c) is refused first).  There
 are min(24, ceil(span / (T/12))) initial panels, T = ``spec.truncation``; a
 split reuses the end values, so a child costs 15 evaluations.  ``_cc_integral``
 decides a span of one panel itself: it makes the lone cell from the ends and
@@ -237,6 +241,9 @@ def _cc_engine():
                 except OverflowError:  # in exp(-z*w), its moments or the weighted sum, not in fn
                     raise DomainError(f"exp(-z*w) overflows for z={z} and w in [{lo!r}, {hi!r}] (truncation="
                                       f"{spec.truncation!r}): lower |Re z| or the truncation") from None
+            scale = abs(e)  # first: a modulus past DBL_MAX raises here on every cell, zero cells included
+            if plain_value == 0.0 and not any(p) and r >= 2.0**-1022:  # 17 zeros: d, spread and the floor are 0
+                return a, b, fa, p8, fb, value, 0.0
             # the weighted misses of the 9-point interpolant at the odd nodes k, 16-k: d sums their moduli
             ((a1, a15, (i0, i1, i2, i3, i4, i5, i6, i7, i8)), (a3, a13, (j0, j1, j2, j3, j4, j5, j6, j7, j8)),
              (a5, a11, (k0, k1, k2, k3, k4, k5, k6, k7, k8)), (a7, a9, (l0, l1, l2, l3, l4, l5, l6, l7, l8))) = pairs
@@ -248,7 +255,7 @@ def _cc_engine():
                                               + k6 * p12 + k7 * p14 + k8 * p16))
                  + abs(a7 * p7 + a9 * p9 - (0.0 + l0 * p0 + l1 * p2 + l2 * p4 + l3 * p6 + l4 * p8 + l5 * p10 + l6 * p12
                                             + l7 * p14 + l8 * p16)))
-            scale, mean = abs(e), 0.5 * plain_value
+            mean = 0.5 * plain_value
             spread = (0.0 + w0 * abs(p0 - mean) + w1 * abs(p1 - mean) + w2 * abs(p2 - mean) + w3 * abs(p3 - mean)
                       + w4 * abs(p4 - mean) + w5 * abs(p5 - mean) + w6 * abs(p6 - mean) + w7 * abs(p7 - mean)
                       + w8 * abs(p8 - mean) + w9 * abs(p9 - mean) + w10 * abs(p10 - mean) + w11 * abs(p11 - mean)

@@ -190,7 +190,9 @@ def heiberg_seneta_probe(
     """Estimate limsup of S along a sequence decreasing to 0, by default u_k = 2^-k, k = 1..40.
 
     Returns (estimate, passes) where the estimate is the maximum of S over
-    the tail half of the sequence and passes means estimate <= tol.
+    the tail half of the sequence and passes means estimate <= tol.  Every S
+    value of the tail must be finite: a nan or an infinity is a DomainError
+    that names the first of them, wherever it falls.
     """
     seq = [2.0**-k for k in range(1, 41)] if sequence is None else [float(u) for u in sequence]
     if len(seq) < 8:
@@ -198,7 +200,11 @@ def heiberg_seneta_probe(
     if not (seq[-1] > 0.0 and all(a > b for a, b in zip(seq, seq[1:]))):
         raise ValueError("probe sequence must be positive and strictly decreasing")
     tail = seq[len(seq) // 2 :]
-    estimate = max(S(u) for u in tail)
+    values = list(map(S, tail))
+    if not math.isfinite(sum(values)):  # a finite sum has finite terms; only past this gate is each value read
+        for u, v in zip(tail, values):
+            popa._finite(f"S({u!r})", v)
+    estimate = max(values)
     return estimate, estimate <= tol
 
 

@@ -632,6 +632,13 @@ class TestSubaddCommand:
         estimate = float(line.split()[0].split("=")[1])
         assert estimate == pytest.approx(2.0**-21 * 21.0 * math.log(2.0), rel=1e-12)
 
+    @pytest.mark.parametrize("kappa, value", [("1e308", "-inf"), ("-1e308", "inf")])
+    def test_hs_probe_refuses_a_non_finite_s_value(self, capsys, kappa, value):
+        # kappa*log(u) overflows on the whole tail: the first tail point is named, where the estimate was -inf
+        # with passes=true
+        assert run_cli(capsys, "subadd", "hs-probe", "--s", "kappa-kernel", "--rho", "inf", "--sigma", "0",
+                       "--kappa", kappa) == (2, "", f"error: S(4.76837158203125e-07) must be finite, got {value}\n")
+
     def test_hs_probe_default_tol_is_stricter(self, capsys):
         # without an explicit tolerance the CLI default of 1e-6 applies
         code, out, _ = run_cli(capsys, "subadd", "hs-probe", "--s", "entropy")

@@ -16,9 +16,11 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+import regvar.haar as haar
 import regvar.quadrature as quadrature
 from regvar.asymptotics import SampledFunction
-from regvar.popa import DomainError
+from regvar.cli import _zero_extend
+from regvar.popa import INFINITY, ZERO, DomainError, PopaParam
 from regvar.quadrature import (QuadratureResult, QuadratureSpec, _cc_integral, _cc_tables, _cc_weights, _dot17,
                                adaptive_integral)
 
@@ -634,6 +636,45 @@ EDGE_INTERVALS = [(-0.4, 0.6), (0.0, 1e-3), (-30.0, 30.0), (-5.0, 17.0), (-1e308
 FREQUENCIES = [0.0, 0.1j, 1j, 10j, 100j, 1e3j, 1e4j, 1e5j, 1e6j, 0.3 + 2j, -0.7 + 40j, 1.5 - 0.2j, -0.01 + 1e3j]
 
 
+# the 17 samples of a cell in node order, every one zero; where signs mix, the centre's differs from the ends'
+ZERO_SAMPLES = {
+    "+0.0": [0.0] * 17,
+    "mixed -0.0": [-0.0 if k in (2, 3, 5, 8, 13) else 0.0 for k in range(17)],
+    "int 0": [0] * 17,
+    "complex 0j": [complex(-0.0 if k % 3 == 2 else 0.0, -0.0 if k % 5 == 3 else 0.0) for k in range(17)],
+}
+
+
+def _cell_makers(monkeypatch, z):
+    """The engine's and the reference's cell makers at z, taken from their calls into the refinement loop on a span of
+    two panels, as one function of (c, r, p): each maker fed the 17 samples p in node order, on the cell of centre c
+    and half-width r, gives its cell as exact text or the exception it raised."""
+    makers, values = [], [iter(())]
+    monkeypatch.setattr(quadrature, "_refine", lambda fn, lo, hi, spec, bps, n, first, *_: makers.append(first))
+    monkeypatch.setattr(sys.modules[__name__], "_ref_refine", lambda fn, lo, hi, spec, bps, n, first, *_:
+                        makers.append(first))
+    for integral in (_cc_integral, _ref_cc_integral):
+        integral(lambda w: next(values[0]), 0.0, 5.0, SPEC, z)
+    assert len(makers) == 2
+
+    def cells(c, r, p):
+        out = []
+        # the engine's cell is the tuple (a, b, fa, fm, fb, value, err), the reference's a record
+        for make, read in zip(makers, (tuple, attrgetter(*_RefCell.__slots__[:7]))):
+            values[0] = iter(p[1:16])
+            try:
+                cell = make(c - r, c + r, p[16], p[0])
+            except (ArithmeticError, ValueError) as exc:
+                out.append((type(exc).__name__, str(exc)))
+                continue
+            a, b, fa, fm, fb, value, err = read(cell)
+            parts = [x.hex() for v in (value, fm) for x in (complex(v).real, complex(v).imag)]
+            out.append((a.hex(), b.hex(), repr(fa), repr(fb), type(value).__name__, err.hex(), *parts))
+        return out
+
+    return cells
+
+
 SPECIAL_TERMS = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e308, -1e308, math.inf, -math.inf, math.nan, 1e16, -1e16, 1.0]
 
 
@@ -790,15 +831,7 @@ class TestBitForBitAgainstTheReference:
 
     @pytest.mark.parametrize("z", [0.0, 1j, 0.3 + 2j, -0.7 + 40j])
     def test_cells_on_random_profiles(self, z, monkeypatch):
-        # each kernel's cell maker, taken from its call into the refinement loop on a span of two panels, fed the
-        # same node values
-        makers, values = [], [iter(())]
-        monkeypatch.setattr(quadrature, "_refine", lambda fn, lo, hi, spec, bps, n, first, *_: makers.append(first))
-        monkeypatch.setattr(sys.modules[__name__], "_ref_refine", lambda fn, lo, hi, spec, bps, n, first, *_:
-                            makers.append(first))
-        for integral in (_cc_integral, _ref_cc_integral):
-            integral(lambda w: next(values[0]), 0.0, 5.0, SPEC, z)
-        assert len(makers) == 2
+        cells = _cell_makers(monkeypatch, z)
         rng = random.Random(f"cells-{z}")
         for i in range(2000):
             r = rng.choice((0.5, 1e-3, 3.0, 1e-310))  # the last a subnormal half-width
@@ -810,19 +843,36 @@ class TestBitForBitAgainstTheReference:
             else:  # a smooth profile at the nodes, the common case, whose misses are small
                 base, eps, freq = rng.uniform(-2.0, 2.0), 10.0 ** rng.uniform(-16.0, 0.0), rng.uniform(0.1, 3.0)
                 p = [base + eps * math.cos(freq * x + 1.0) for x in _cc_tables()[0]]
-            cells = []
-            # the engine's cell is the tuple (a, b, fa, fm, fb, value, err), the reference's a record
-            for make, read in zip(makers, (tuple, attrgetter(*_RefCell.__slots__[:7]))):
-                values[0] = iter(p[1:16])
-                try:
-                    cell = make(c - r, c + r, p[16], p[0])
-                except (ArithmeticError, ValueError) as exc:
-                    cells.append((type(exc).__name__, str(exc)))
-                    continue
-                a, b, fa, fm, fb, value, err = read(cell)
-                parts = [x.hex() for v in (value, fm) for x in (complex(v).real, complex(v).imag)]
-                cells.append((a.hex(), b.hex(), repr(fa), repr(fb), type(value).__name__, err.hex(), *parts))
-            assert cells[0] == cells[1], (c, r, p)
+            got, want = cells(c, r, p)
+            assert got == want, (c, r, p)
+
+    @pytest.mark.parametrize("z", [0.0, 1j, 0.3 + 2j, -0.7 + 40j])
+    @pytest.mark.parametrize("kind", list(ZERO_SAMPLES))
+    def test_cells_of_zeros(self, kind, z, monkeypatch):
+        # the engine returns such a cell before its misses are taken, with the gauge 0.0 that they sum to; a
+        # subnormal half-width (1e-310, or 0 where c +- r rounds to c) keeps its underflow term
+        cells = _cell_makers(monkeypatch, z)
+        for r in (0.5, 1e-3, 3.0, 1e-310):
+            for c in (0.0, -1.7 * r, 2.9 * r, 0.37):
+                got, want = cells(c, r, ZERO_SAMPLES[kind])
+                assert got == want, (c, r)
+                assert (got[5] == "0x0.0p+0") is (r >= 2.0**-1022), (c, r)
+
+    @pytest.mark.parametrize("z, c, r, error", [
+        (-1.0 + 0j, 800.0, 0.5, "DomainError"),  # exp(-z*c) overflows
+        (complex(-1.0, math.pi / 4.0 / 709.5), 709.5, 1.5, "OverflowError"),  # finite parts, |r*exp(-z*c)| not
+    ])
+    def test_a_cell_of_zeros_whose_exponential_overflows(self, z, c, r, error, monkeypatch):
+        got, want = _cell_makers(monkeypatch, z)(c, r, [0.0] * 17)
+        assert got == want and got[0] == error
+
+    @pytest.mark.parametrize("z", [0.0, 1j, 0.3 + 2j, -0.7 + 40j])
+    def test_a_plain_sum_that_cancels_to_zero(self, z, monkeypatch):
+        # w_0 = w_16, so the plain sum of these non-zero samples is 0.0; they take the general path
+        p = [1.0] + [0.0] * 15 + [-1.0]
+        assert _dot17(_cc_tables()[3][0], p) == 0.0
+        got, want = _cell_makers(monkeypatch, z)(0.3, 0.5, p)
+        assert got == want and got[5] != "0x0.0p+0"
 
     def test_filon_weights_on_2000_seeded_frequencies(self):
         rng = random.Random(2000)
@@ -832,3 +882,56 @@ class TestBitForBitAgainstTheReference:
             theta = cmath.rect(r, rng.uniform(-math.pi, math.pi)) if i % 5 else complex(0.0, rng.choice((-r, r)))
             assert [w.hex() for v in _cc_weights(theta) for w in (v.real, v.imag)] == \
                 [w.hex() for v in _ref_cc_weights(theta) for w in (v.real, v.imag)], theta
+
+
+# whole-line integrals and a Haar integral whose integrand vanishes on many of the cells: the flow convolution of the
+# Tauberian study (perfbench's tauberian_settling inputs), compactly supported profiles, and the transforms of a
+# table that the CLI reads as 0 outside its range
+TABLE = _zero_extend(SampledFunction([1.0, 2.0, 4.0, 8.0], [1.0, 0.5, 0.25, 0.125]))
+TAUBERIAN_SPEC = QuadratureSpec(abs_tol=1e-4, rel_tol=1e-4)
+BUMP = lambda t: (1.0 - t * t) ** 2 if abs(t) < 1.0 else 0.0
+HUMP = lambda t: (t - 0.5) * (2.0 - t) if 0.5 < t < 2.0 else 0.0
+ZERO_CELL_CALLS = {
+    **{f"tauberian x=1e{k}": lambda x=10.0**k: haar.beurling_convolution(
+        lambda t: 0.5 if abs(t) <= 1.0 else 0.0, lambda u: 2.0 + math.sin(u) / (1.0 + u), lambda y: y, x,
+        TAUBERIAN_SPEC) for k in range(1, 8)},
+    "haar_integrate rho=0": lambda: haar.haar_integrate(BUMP, haar.Interval(ZERO, -5.0, 5.0)),
+    "haar_integrate rho=1": lambda: haar.haar_integrate(HUMP, haar.Interval(PopaParam(1.0), -0.5, 20.0)),
+    "haar_integrate rho=inf": lambda: haar.haar_integrate(HUMP, haar.Interval(INFINITY, 1e-3, 1e3)),
+    "fourier_popa rho=inf": lambda: haar.fourier_popa(TABLE, INFINITY, 1.0),
+    "fourier_popa rho=1": lambda: haar.fourier_popa(TABLE, PopaParam(1.0), -2.5),
+    "mellin_popa rho=1": lambda: haar.mellin_popa(TABLE, PopaParam(1.0), 0.5),
+}
+
+
+class TestZeroCellsEndToEnd:
+    """Through the public functions, the engine's Haar integrals are the reference's, bit for bit."""
+
+    @pytest.mark.parametrize("name", list(ZERO_CELL_CALLS))
+    def test_every_integral_is_the_reference(self, name, monkeypatch):
+        engine, zero_cells = quadrature._cc_engine(), [0]
+
+        def counting(*args):  # the engine's cell maker, counting the cells of gauge 0.0 that it makes
+            make = engine(*args)
+
+            def counted(*ends):
+                cell = make(*ends)
+                zero_cells[0] += cell[6] == 0.0
+                return cell
+
+            return counted
+
+        monkeypatch.setattr(quadrature, "_cc_engine", lambda: counting)
+        runs = []
+        for integral in (_cc_integral, _ref_cc_integral):
+            seen = []
+
+            def recording(*args, integral=integral, seen=seen):
+                seen.append(integral(*args))
+                return seen[-1]
+
+            monkeypatch.setattr(haar, "_cc_integral", recording)
+            value = complex(ZERO_CELL_CALLS[name]())
+            runs.append((value.real.hex(), value.imag.hex(), [_bits(lambda: res) for res in seen]))
+        assert runs[0] == runs[1]
+        assert runs[0][2] and zero_cells[0] > 0

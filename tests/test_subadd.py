@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 import warnings
 
 import numpy as np
@@ -176,6 +177,25 @@ class TestHeibergSenetaProbe:
         estimate, passes = heiberg_seneta_probe(S, seq, tol=0.05)
         assert passes
         assert estimate == pytest.approx((1.0 / 9.0) ** 2, rel=1e-12)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("k", [21, 30, 40])  # the first, a middle and the last point of the tail
+    def test_a_non_finite_value_is_refused_wherever_it_falls(self, bad, k):
+        # max() dropped a nan after the first tail point, so the estimate depended on where it fell
+        u = 2.0**-k
+        with pytest.raises(DomainError, match=rf"^S\({re.escape(repr(u))}\) must be finite, got {bad!r}$"):
+            heiberg_seneta_probe(lambda v: bad if v == u else v)
+
+    def test_the_first_non_finite_value_is_named(self):
+        S = lambda u: math.inf if u < 2.0**-35 else (math.nan if u < 2.0**-25 else u)
+        with pytest.raises(DomainError, match=rf"^S\({re.escape(repr(2.0**-26))}\) must be finite, got nan$"):
+            heiberg_seneta_probe(S)
+
+    def test_finite_values_whose_sum_overflows_pass_the_gate(self):
+        # the batched gate fails on the overflowing sum, and each value, finite, is then accepted
+        probes = []
+        assert heiberg_seneta_probe(lambda u: probes.append(u) or 1e308) == (1e308, False)
+        assert probes == [2.0**-k for k in range(21, 41)]
 
     def test_sequence_validation(self):
         with pytest.raises(ValueError):
