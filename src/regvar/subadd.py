@@ -200,10 +200,7 @@ def heiberg_seneta_probe(
     if not (seq[-1] > 0.0 and all(a > b for a, b in zip(seq, seq[1:]))):
         raise ValueError("probe sequence must be positive and strictly decreasing")
     tail = seq[len(seq) // 2 :]
-    values = list(map(S, tail))
-    if not math.isfinite(sum(values)):  # a finite sum has finite terms; only past this gate is each value read
-        for u, v in zip(tail, values):
-            popa._finite(f"S({u!r})", v)
+    values = [popa._finite(f"S({u!r})", S(u)) for u in tail]
     estimate = max(values)
     return estimate, estimate <= tol
 
