@@ -29,11 +29,13 @@ rounded; every other sum adds left to right from 0.0, as the built-in ``sum``
 did before Python 3.12, so results are bit-identical on every supported Python.
 For speed a cell is a tuple (a, b, fa, fm, fb, value, err), Simpson's with its
 quarter points appended; the Clenshaw-Curtis constants are bound once per
-process, on first use; a one-panel integral builds no grid, and where its
-cell is the result no refinement is set up; the sums of the cell kernel and the
-Filon weights' column sums are written out term by term, in the order of the
-loops they replace.  The loop form, which they reproduce bit for bit, is the
-reference in tests/test_quadrature.py.
+process, on first use; each Filon rule is built once per process per theta =
+z*r and kept while it is among the last 64 used (about 0.2 MB), so a repeated
+transform at the same z pays only for its cells; a one-panel integral builds
+no grid, and where its cell is the result no refinement is set up; the sums of
+the cell kernel and the Filon weights' column sums are written out term by
+term, in the order of the loops they replace.  The loop form, which they
+reproduce bit for bit, is the reference in tests/test_quadrature.py.
 Non-convergence is not fatal: the best estimate is returned together with
 ``converged=False`` and a conservative error bound.
 """
@@ -43,7 +45,7 @@ import cmath
 import heapq
 import itertools
 import math
-from functools import cache, reduce
+from functools import cache, lru_cache, reduce
 from operator import add, itemgetter, mul
 from typing import Callable, Sequence
 
@@ -125,11 +127,12 @@ def _inverse(matrix: list) -> list:
     return [row[n:] for row in rows]
 
 
-def _cc_rule(w: list, interp: list) -> tuple:
+def _cc_rule(w: Sequence, interp: list) -> tuple:
     """w and, per mirror pair (k, 16-k) of odd nodes, k = 1, 3, 5, 7: (w_k, w_16-k, the weighted 9-point
-    interpolant there)."""
-    return w, [(w[k], w[16 - k], [w[k] * u + w[16 - k] * v for u, v in zip(interp[k // 2], interp[7 - k // 2])])
-               for k in (1, 3, 5, 7)]
+    interpolant there); tuples throughout, since a rule is shared by every call that reads it."""
+    return tuple(w), tuple((w[k], w[16 - k], tuple(w[k] * u + w[16 - k] * v
+                                                    for u, v in zip(interp[k // 2], interp[7 - k // 2])))
+                           for k in (1, 3, 5, 7))
 
 
 @cache
@@ -177,7 +180,7 @@ def _legendre_moments(theta: complex) -> list:
     return [scale * m for m in mu[:17]]
 
 
-def _cc_weights(theta: complex) -> list:
+def _cc_weights(theta: complex) -> tuple:
     """W_k = integral of exp(-theta*s) L_k(s) over [-1, 1]; by parity W_k, W_16-k share the halves of A's column k."""
     m0, m1, m2, m3, m4, m5, m6, m7, m8, m9, m10, m11, m12, m13, m14, m15, m16 = _legendre_moments(theta)
     w, columns = [0j] * 17, _cc_tables()[1]
@@ -185,7 +188,15 @@ def _cc_weights(theta: complex) -> list:
         e = 0.0 + a0 * m0 + a2 * m2 + a4 * m4 + a6 * m6 + a8 * m8 + a10 * m10 + a12 * m12 + a14 * m14 + a16 * m16
         o = 0.0 + a1 * m1 + a3 * m3 + a5 * m5 + a7 * m7 + a9 * m9 + a11 * m11 + a13 * m13 + a15 * m15
         w[k], w[16 - k] = e + o, e - o
-    return w
+    return tuple(w)
+
+
+@lru_cache(maxsize=64)
+def _filon_rule(re: str, im: str) -> tuple:
+    """The Filon rule at theta = complex(float.fromhex(re), float.fromhex(im)), keyed on the float.hex of both parts
+    so that every bit pattern, signed zeros included, has its own entry: built once per process per theta while it
+    is among the 64 last used (about 0.2 MB of rules).  A build that overflows raises, and is not kept."""
+    return _cc_rule(_cc_weights(complex(float.fromhex(re), float.fromhex(im))), _cc_tables()[2])
 
 
 def _cc_integral(fn, lo: float, hi: float, spec: QuadratureSpec = QuadratureSpec(), z: complex = 0.0):
@@ -209,14 +220,16 @@ def _cc_integral(fn, lo: float, hi: float, spec: QuadratureSpec = QuadratureSpec
 
 @cache
 def _cc_engine():
-    """The cell maker of :func:`_cc_integral`, the rule's nodes, plain weights and interpolant table bound once per
-    process: ``_cc_engine()(fn, lo, hi, spec, z)`` is ``make(a, b, fa, fb)``, which makes the cells of one integral."""
-    nodes, _, interp, (plain, plain_pairs) = _cc_tables()
+    """The cell maker of :func:`_cc_integral`, the rule's nodes and plain weights bound once per process:
+    ``_cc_engine()(fn, lo, hi, spec, z)`` is ``make(a, b, fa, fb)``, which makes the cells of one integral.  Its Filon
+    rules come from :func:`_filon_rule`, which builds each once per process per theta and keeps the last 64; a dict
+    keyed by the half-width r holds those of one integral, so a cell pays for no key."""
+    nodes, _, _, (plain, plain_pairs) = _cc_tables()
     s1, s2, s3, s4, s5, s6, s7, s8, s9, s10, s11, s12, s13, s14, s15 = nodes[1:16]
     w0, w1, w2, w3, w4, w5, w6, w7, w8, w9, w10, w11, w12, w13, w14, w15, w16 = plain
 
     def cells(fn, lo, hi, spec, z):
-        rules = {} if z else None  # the rule of the cells of half-width r, at theta = z*r
+        rules = {} if z else None  # the rule of the cells of half-width r, at theta = z*r, from _filon_rule
         def make(a, b, fa, fb):
             c, r = 0.5 * a + 0.5 * b, 0.5 * (b - a)  # a + b may overflow
             p = [fb, fn(c + r * s1), fn(c + r * s2), fn(c + r * s3), fn(c + r * s4), fn(c + r * s5), fn(c + r * s6),
@@ -228,20 +241,21 @@ def _cc_engine():
                            + w9 * p9 + w10 * p10 + w11 * p11 + w12 * p12 + w13 * p13 + w14 * p14 + w15 * p15
                            + w16 * p16)
             if not z:
-                e, value, pairs = r, r * plain_value, plain_pairs
+                scale, value, pairs = r, r * plain_value, plain_pairs  # abs(r): r >= 0, a zero r's sign is lost below
             else:
                 try:
                     if r not in rules:
-                        rules[r] = _cc_rule(_cc_weights(z * r), interp)
+                        theta = z * r
+                        rules[r] = _filon_rule(theta.real.hex(), theta.imag.hex())
                     e = r * cmath.exp(-z * c)
+                    scale = abs(e)  # finite parts whose modulus passes DBL_MAX raise here, zero cells included
                     w, pairs = rules[r]
                     value = e * _dot17(w, p)
                     if not cmath.isfinite(value) and all(map(cmath.isfinite, p)):
                         raise OverflowError
-                except OverflowError:  # in exp(-z*w), its moments or the weighted sum, not in fn
+                except OverflowError:  # in exp(-z*w), its modulus, its moments or the weighted sum, not in fn
                     raise DomainError(f"exp(-z*w) overflows for z={z} and w in [{lo!r}, {hi!r}] (truncation="
                                       f"{spec.truncation!r}): lower |Re z| or the truncation") from None
-            scale = abs(e)  # first: a modulus past DBL_MAX raises here on every cell, zero cells included
             if plain_value == 0.0 and not any(p) and r >= 2.0**-1022:  # 17 zeros: d, spread and the floor are 0
                 return a, b, fa, p8, fb, value, 0.0
             # the weighted misses of the 9-point interpolant at the odd nodes k, 16-k: d sums their moduli

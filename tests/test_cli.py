@@ -1100,6 +1100,16 @@ class TestMellinOverflow:
         assert err == (f"error: exp(-z*w) overflows for z={z} and w in [-{T}, {T}] (truncation={T}): "
                        "lower |Re z| or the truncation\n")
 
+    def test_a_modulus_past_dbl_max_is_the_named_refusal(self, capsys, tmp_path):
+        # exp(-z*w) has finite parts on every cell, but |r*exp(-z*c)| passes DBL_MAX where w nears the truncation
+        table = tmp_path / "t.csv"
+        table.write_text("x,fx\n1,1\n2,0.5\n4,0.25\n8,0.125\n")
+        code, out, err = run_cli(capsys, "transform", "mellin", "--rho", "inf", "--f", str(table), "--z-re",
+                                 "-1.0387016299793377", "--z-im", "0.0011547779479105535", "--truncation", "709.7")
+        assert (code, out) == (2, "")
+        assert err == ("error: exp(-z*w) overflows for z=(-1.0387016299793377+0.0011547779479105535j) and w in "
+                       "[-709.7, 709.7] (truncation=709.7): lower |Re z| or the truncation\n")
+
     def test_below_the_overflow_prints_as_before(self, capsys):
         argv = ["transform", "mellin", "--rho", "1", "--f", "gauss", "--z-re", "23"]
         assert run_cli(capsys, *argv) == (0, "9.68852128600815e+297,0\n", "")

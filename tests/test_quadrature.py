@@ -528,6 +528,7 @@ def _ref_cc_integral(fn, lo, hi, spec=SPEC, z=0.0):
             if z and r not in rules:
                 rules[r] = _ref_cc_rule(_ref_cc_weights(z * r), interp)
             e = r * cmath.exp(-z * c) if z else r
+            scale = abs(e)
             w, pairs = rules[r] if z else plain
             value = e * _left_sum(map(mul, w, p)) if z else r * plain_value
             if z and not cmath.isfinite(value) and all(map(cmath.isfinite, p)):
@@ -537,7 +538,6 @@ def _ref_cc_integral(fn, lo, hi, spec=SPEC, z=0.0):
                               f"{spec.truncation!r}): lower |Re z| or the truncation") from None
         coarse = p[0::2]
         d = _left_sum(abs(wk * p[k] + wl * p[16 - k] - _left_sum(map(mul, row, coarse))) for k, wk, wl, row in pairs)
-        scale = abs(e)
         mean = 0.5 * plain_value
         resasc = scale * _left_sum(map(mul, w0, [abs(v - mean) for v in p]))
         d *= scale
@@ -860,11 +860,11 @@ class TestBitForBitAgainstTheReference:
 
     @pytest.mark.parametrize("z, c, r, error", [
         (-1.0 + 0j, 800.0, 0.5, "DomainError"),  # exp(-z*c) overflows
-        (complex(-1.0, math.pi / 4.0 / 709.5), 709.5, 1.5, "OverflowError"),  # finite parts, |r*exp(-z*c)| not
+        (complex(-1.0, math.pi / 4.0 / 709.5), 709.5, 1.5, "DomainError"),  # finite parts, |r*exp(-z*c)| not
     ])
     def test_a_cell_of_zeros_whose_exponential_overflows(self, z, c, r, error, monkeypatch):
         got, want = _cell_makers(monkeypatch, z)(c, r, [0.0] * 17)
-        assert got == want and got[0] == error
+        assert got == want and got[0] == error and got[1].startswith("exp(-z*w) overflows for z=")
 
     @pytest.mark.parametrize("z", [0.0, 1j, 0.3 + 2j, -0.7 + 40j])
     def test_a_plain_sum_that_cancels_to_zero(self, z, monkeypatch):
@@ -935,3 +935,101 @@ class TestZeroCellsEndToEnd:
             runs.append((value.real.hex(), value.imag.hex(), [_bits(lambda: res) for res in seen]))
         assert runs[0] == runs[1]
         assert runs[0][2] and zero_cells[0] > 0
+
+
+# the Filon rules are kept across calls, keyed on the bits of theta = z*r
+RULE_F = lambda t: t * t * math.exp(-t * t)
+
+
+def _transform_calls(seed):
+    """Seeded Mellin and Fourier transforms that take Filon cells: (name, call) pairs."""
+    rng = random.Random(f"filon-rules-{seed}")
+    calls = []
+    for param in (INFINITY, PopaParam(1.0), PopaParam(7.0)):
+        z = complex(rng.uniform(-0.5, 0.5), rng.uniform(-8.0, 8.0))
+        calls.append((f"mellin {param.rho} {z}", lambda param=param, z=z: haar.mellin_popa(RULE_F, param, z)))
+    for param in (ZERO, PopaParam(1.0), INFINITY):
+        gamma = rng.choice((-1.0, 1.0)) * rng.uniform(4.0, 8.0)  # above the rho = 0 Simpson gate
+        calls.append((f"fourier {param.rho} {gamma}", lambda param=param, g=gamma: haar.fourier_popa(RULE_F, param, g)))
+    return calls
+
+
+def _counted_builds(monkeypatch):
+    """A counter of the Filon weights built from now on."""
+    builds, weights = [0], quadrature._cc_weights
+
+    def counting(theta):
+        builds[0] += 1
+        return weights(theta)
+
+    monkeypatch.setattr(quadrature, "_cc_weights", counting)
+    return builds
+
+
+class TestFilonRuleCache:
+    """Each Filon rule is built once per process per theta, and a rule read from the cache gives the bits of one
+    built afresh."""
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_cold_and_warm_calls_give_the_same_bits(self, seed, monkeypatch):
+        quadrature._filon_rule.cache_clear()
+        for name, call in _transform_calls(seed):
+            runs = []
+            for integral in (_cc_integral, _cc_integral, _ref_cc_integral):
+                seen = []
+
+                def recording(*args, integral=integral, seen=seen):
+                    seen.append(integral(*args))
+                    return seen[-1]
+
+                monkeypatch.setattr(haar, "_cc_integral", recording)
+                value = complex(call())
+                runs.append((value.real.hex(), value.imag.hex(), [_bits(lambda: res) for res in seen]))
+            assert runs[0] == runs[1] == runs[2], name
+            assert len(runs[0][2]) == 1, name  # one Haar integral, on the Filon cells
+
+    def test_a_second_call_at_the_same_z_builds_no_rule(self, monkeypatch):
+        quadrature._filon_rule.cache_clear()
+        builds = _counted_builds(monkeypatch)
+        first = haar.mellin_popa(RULE_F, PopaParam(1.0), 0.2 + 3j)
+        cold = builds[0]
+        assert cold >= 2  # one rule per half-width of the call's cells
+        assert haar.mellin_popa(RULE_F, PopaParam(1.0), 0.2 + 3j) == first and builds[0] == cold
+        haar.mellin_popa(RULE_F, PopaParam(1.0), 0.2 + 3.5j)
+        assert builds[0] > cold
+
+    @pytest.mark.parametrize("z, signed", [(complex(-0.0, 1.0), complex(0.0, 1.0)),
+                                           (complex(-1.0, -0.0), complex(-1.0, 0.0))])
+    def test_a_signed_zero_of_theta_has_its_own_entry(self, z, signed, monkeypatch):
+        # z*r keeps the sign of the zero part of z: theta is -0.0 in one part for z, +0.0 for signed
+        r = 0.5
+        theta, other = z * r, signed * r
+        assert theta == other and (theta.real.hex(), theta.imag.hex()) != (other.real.hex(), other.imag.hex())
+        quadrature._filon_rule.cache_clear()
+        rng = random.Random(f"signed-{z}")
+        for k, freq in enumerate((z, signed)):
+            cells = _cell_makers(monkeypatch, freq)
+            p = [rng.uniform(-1.0, 1.0) for _ in range(17)]
+            got, want = cells(0.3, r, p)
+            assert got == want
+            info = quadrature._filon_rule.cache_info()
+            assert (info.currsize, info.misses) == (k + 1, k + 1)
+
+    def test_the_cache_holds_at_most_maxsize_rules(self):
+        quadrature._filon_rule.cache_clear()
+        maxsize = quadrature._filon_rule.cache_parameters()["maxsize"]
+        assert maxsize == 64
+        for k in range(2 * maxsize + 5):
+            _cc_integral(math.cos, 0.0, 1.0, SPEC, complex(0.0, 1.0 + k / 7.0))  # one panel: one rule each
+        info = quadrature._filon_rule.cache_info()
+        assert info.misses == 2 * maxsize + 5 and info.currsize == maxsize
+
+    def test_an_overflowing_rule_is_refused_every_time_and_not_kept(self, monkeypatch):
+        # theta = z*0.5 = -800+0.5j: the moments' sinh(theta) overflows while the rule is built
+        quadrature._filon_rule.cache_clear()
+        builds = _counted_builds(monkeypatch)
+        for k in (1, 2):
+            with pytest.raises(DomainError, match=r"exp\(-z\*w\) overflows for z=\(-1600\+1j\)"):
+                _cc_integral(math.cos, 0.0, 1.0, SPEC, complex(-1600.0, 1.0))
+            assert builds[0] == k
+            assert quadrature._filon_rule.cache_info().currsize == 0
